@@ -43,7 +43,6 @@ from .algebras import (
     is_nilpotent,
     matrix_algebra,
     matrix_units_algebra,
-    multiply,
     nilpotency_index,
     opposite,
     quotient,

@@ -20,14 +20,20 @@ from .errors import (
     NotAnIdeal,
     NotAssociative,
 )
-from .linalg import Mat, Subspace, _make_reducer, kernel_of_rows, solve_linear, span
+from .linalg import (Subspace, _make_reducer, _subspace_from_reducer, kernel_of_rows,
+                     solve_linear, span)
 from .scalars import FieldSpec
 
 
 class Algebra:
-    """An associative algebra presented by a structure-constant table."""
+    """An associative algebra presented by a structure-constant table.
 
-    __slots__ = ("field", "dim", "table", "labels", "unity")
+    Besides the table, an algebra keeps one sparse index of it: `_rows[i]`
+    lists (j, c_ij) and `_cols[j]` lists (i, c_ij) for the nonzero entries
+    c_ij = e_i * e_j, so every product walks nonzero entries only.
+    """
+
+    __slots__ = ("field", "dim", "table", "labels", "unity", "_rows", "_cols", "_memo")
 
     def __init__(self, field, dim, table, labels, unity, _trusted=False):
         if not _trusted:
@@ -37,6 +43,14 @@ class Algebra:
         self.table = table
         self.labels = labels
         self.unity = unity
+        rows = [[] for _ in range(dim)]
+        cols = [[] for _ in range(dim)]
+        for (i, j), pairs in table.items():
+            rows[i].append((j, pairs))
+            cols[j].append((i, pairs))
+        self._rows = tuple(map(tuple, rows))
+        self._cols = tuple(map(tuple, cols))
+        self._memo = {}  # derived algebras cached on this object, see stability
 
     # -- element and vector helpers -----------------------------------------
 
@@ -85,45 +99,41 @@ class Algebra:
     # accept them, so only Element-facing results are canonicalized.
 
     def mul_coords(self, x, y):
-        acc = {}
-        table = self.table
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        pairs = table.get((i, j))
-                        if pairs:
-                            c = xi * yj
-                            for k, ck in pairs:
-                                acc[k] = acc.get(k, 0) + c * ck
+        acc = self._product(x, y)
         canon = self.field.canon
         zero = self.field.zero
         return tuple(canon(acc[k]) if k in acc else zero for k in range(self.dim))
 
+    def _product(self, x, y):
+        """Raw coordinates of x * y as a dict k -> value (absent means zero)."""
+        acc = {}
+        rows = self._rows
+        for i, xi in enumerate(x):
+            if xi:
+                for j, pairs in rows[i]:
+                    yj = y[j]
+                    if yj:
+                        c = xi * yj
+                        for k, ck in pairs:
+                            acc[k] = acc.get(k, 0) + c * ck
+        return acc
+
     def _basis_mul_vec(self, i, v):
         """Coordinates of e_i * v, or None when the product is zero."""
-        acc = {}
-        table = self.table
-        for j, x in enumerate(v):
-            if x:
-                pairs = table.get((i, j))
-                if pairs:
-                    for k, c in pairs:
-                        acc[k] = acc.get(k, 0) + x * c
-        if not acc:
-            return None
-        return [acc.get(k, 0) for k in range(self.dim)]
+        return self._accumulate(self._rows[i], v)
 
     def _vec_mul_basis(self, v, i):
         """Coordinates of v * e_i, or None when the product is zero."""
+        return self._accumulate(self._cols[i], v)
+
+    def _accumulate(self, entries, v):
+        # sum of v[j] * c over the index entries (j, c) of one row or column
         acc = {}
-        table = self.table
-        for j, x in enumerate(v):
+        for j, pairs in entries:
+            x = v[j]
             if x:
-                pairs = table.get((j, i))
-                if pairs:
-                    for k, c in pairs:
-                        acc[k] = acc.get(k, 0) + x * c
+                for k, c in pairs:
+                    acc[k] = acc.get(k, 0) + x * c
         if not acc:
             return None
         return [acc.get(k, 0) for k in range(self.dim)]
@@ -189,10 +199,6 @@ class Element:
         return " + ".join(terms) if terms else "0"
 
 
-def multiply(x: Element, y: Element) -> Element:
-    return x * y
-
-
 def commutator(x: Element, y: Element) -> Element:
     """[x, y] = xy - yx."""
     return x * y - y * x
@@ -238,34 +244,44 @@ def _normalize_table(field, dim, table):
     return out
 
 
-def _check_associativity(field, dim, table):
-    canon = field.canon
-    for i in range(dim):
-        for j in range(dim):
-            pij = table.get((i, j), ())
-            for k in range(dim):
-                left = {}
-                for m, c in pij:
-                    for q, d in table.get((m, k), ()):
-                        left[q] = left.get(q, 0) + c * d
-                right = {}
-                for m, c in table.get((j, k), ()):
-                    for q, d in table.get((i, m), ()):
-                        right[q] = right.get(q, 0) + c * d
-                for q in left.keys() | right.keys():
-                    if canon(left.get(q, 0) - right.get(q, 0)) != 0:
-                        raise NotAssociative(i, j, k)
+def _check_associativity(a: Algebra) -> None:
+    """(e_i e_j) e_k = e_i (e_j e_k) for every basis triple.
+
+    Both sides vanish unless e_i has a nonzero row and c_ij is nonzero or
+    e_j has a nonzero row, so only those pairs (i, j) are visited, in
+    increasing order, and per pair only the k reached through nonzero
+    entries.  The witness is the lexicographically first failing triple.
+    """
+    canon = a.field.canon
+    rows = a._rows
+    active = {j for j in range(a.dim) if rows[j]}
+    for i in sorted(active):
+        row_i = dict(rows[i])
+        for j in sorted(row_i.keys() | active):
+            diff = {}  # (k, q) -> coordinate q of (e_i e_j) e_k - e_i (e_j e_k)
+            for m, c in row_i.get(j, ()):
+                for k, pairs in rows[m]:
+                    for q, d in pairs:
+                        diff[k, q] = diff.get((k, q), 0) + c * d
+            for k, pairs in rows[j]:
+                for m, c in pairs:
+                    for q, d in row_i.get(m, ()):
+                        diff[k, q] = diff.get((k, q), 0) - c * d
+            bad = [k for (k, _), x in diff.items() if canon(x) != 0]
+            if bad:
+                raise NotAssociative(i, j, min(bad))
 
 
-def _find_unity(field, dim, table):
+def _find_unity(a: Algebra):
+    """The two-sided unity of a, or None; a.unity is not consulted."""
+    field, dim = a.field, a.dim
     if dim == 0:
         return None
+    # u e_i = e_i reads sum_j u_j c_ji^k = [i == k], e_i u = e_i likewise
     rows = {}
-    for (j, i), pairs in table.items():
+    for (i, j), pairs in a.table.items():
         for k, c in pairs:
-            rows.setdefault(("r", i, k), [field.zero] * dim)[j] = c
-    for (i, j), pairs in table.items():
-        for k, c in pairs:
+            rows.setdefault(("r", j, k), [field.zero] * dim)[i] = c
             rows.setdefault(("l", i, k), [field.zero] * dim)[j] = c
     for i in range(dim):
         if ("r", i, i) not in rows or ("l", i, i) not in rows:
@@ -276,25 +292,16 @@ def _find_unity(field, dim, table):
     if u is None:
         return None
     # solve_linear returns some solution; re-check it is a two-sided unity
-    for i in range(dim):
-        ei = [field.zero] * dim
-        ei[i] = field.one
-        alg_like = (field, dim, table)
-        if _mul_vec(alg_like, u, ei) != tuple(ei) or _mul_vec(alg_like, ei, u) != tuple(ei):
-            return None
-    return tuple(u)
+    return tuple(u) if _unity_failure(a, u) is None else None
 
 
-def _mul_vec(alg_like, x, y):
-    field, dim, table = alg_like
-    acc = {}
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y):
-                if yj:
-                    for k, c in table.get((i, j), ()):
-                        acc[k] = acc.get(k, 0) + xi * yj * c
-    return tuple(field.canon(acc.get(k, 0)) for k in range(dim))
+def _unity_failure(a: Algebra, u):
+    """First i with u e_i != e_i or e_i u != e_i, or None if u is a unity."""
+    for i in range(a.dim):
+        e = a.basis_element(i).coords
+        if not a.mul_coords(u, e) == e == a.mul_coords(e, u):
+            return i
+    return None
 
 
 def build_algebra(field: FieldSpec, dim: int, table, labels=None) -> Algebra:
@@ -310,10 +317,10 @@ def build_algebra(field: FieldSpec, dim: int, table, labels=None) -> Algebra:
         labels = tuple(str(s) for s in labels)
         if len(labels) != dim:
             raise DimensionMismatch("labels length != dim")
-    table = _normalize_table(field, dim, table)
-    _check_associativity(field, dim, table)
-    unity = _find_unity(field, dim, table)
-    return Algebra(field, dim, table, labels, unity, _trusted=True)
+    a = Algebra(field, dim, _normalize_table(field, dim, table), labels, None, _trusted=True)
+    _check_associativity(a)
+    a.unity = _find_unity(a)
+    return a
 
 
 def _derived(field, dim, table, labels=None, unity=None) -> Algebra:
@@ -325,13 +332,11 @@ def _derived(field, dim, table, labels=None, unity=None) -> Algebra:
 
 def verify_associativity(a: Algebra) -> None:
     """Re-run the full associativity check (raises NotAssociative)."""
-    _check_associativity(a.field, a.dim, a.table)
+    _check_associativity(a)
     if a.unity is not None:
-        for i in range(a.dim):
-            ei = a.basis_element(i)
-            u = Element(a, a.unity)
-            if u * ei != ei or ei * u != ei:
-                raise NotAssociative(-1, -1, i)
+        i = _unity_failure(a, a.unity)
+        if i is not None:
+            raise NotAssociative(-1, -1, i)
 
 
 # ---------------------------------------------------------------------------
@@ -359,30 +364,24 @@ def center(a: Algebra) -> Subspace:
 def commutator_space(x: Element) -> Subspace:
     """span{[x, e_i] : i = 0..dim-1}."""
     a = x.algebra
+    zero = [0] * a.dim
     vecs = []
     for i in range(a.dim):
-        left = a._vec_mul_basis(x.coords, i)
-        right = a._basis_mul_vec(i, x.coords)
-        if left is None and right is None:
-            continue
-        if left is None:
-            vecs.append([-c for c in right])
-        elif right is None:
-            vecs.append(left)
-        else:
-            vecs.append([p - q for p, q in zip(left, right)])
+        left, right = a._vec_mul_basis(x.coords, i), a._basis_mul_vec(i, x.coords)
+        if left or right:
+            vecs.append([p - q for p, q in zip(left or zero, right or zero)])
     return span(a.field, vecs, a.dim)
 
 
-def _ideal_closure(a: Algebra, vectors, on_insert=None):
+def _ideal_closure(a: Algebra, vectors, stop=None):
     """Fixpoint of S <- S + sum_i e_i S + S e_i starting from span(vectors).
 
-    Returns (reducer, complete).  on_insert, when given, is called with each
-    newly added basis row; returning True stops the closure early
-    (complete=False) -- used for membership tests that only need a lower
-    bound of the ideal.  The closure converges after at most two growth
-    rounds plus one verification round, since e.g. e_j (e_i v) = (e_j e_i) v
-    already lies in span(A v).
+    Returns (reducer, complete).  stop, when given, is called as
+    stop(reducer, row) after each newly added basis row; returning True ends
+    the closure early (complete=False) -- used for membership tests that
+    only need a lower bound of the ideal.  The closure converges after at
+    most two growth rounds plus one verification round, since e.g.
+    e_j (e_i v) = (e_j e_i) v already lies in span(A v).
     """
     n = a.dim
     red = _make_reducer(a.field, n)
@@ -391,7 +390,7 @@ def _ideal_closure(a: Algebra, vectors, on_insert=None):
         r = red.insert(v)
         if r is not None:
             work.append(r)
-            if on_insert is not None and on_insert(r):
+            if stop is not None and stop(red, r):
                 return red, False
     while work:
         if red.dim == n:
@@ -405,7 +404,7 @@ def _ideal_closure(a: Algebra, vectors, on_insert=None):
                     r = red.insert(w)
                     if r is not None:
                         fresh.append(r)
-                        if on_insert is not None and on_insert(r):
+                        if stop is not None and stop(red, r):
                             return red, False
                         if red.dim == n:
                             return red, True
@@ -432,8 +431,6 @@ def ideal_generated(a: Algebra, xs) -> Subspace:
 
     For non-unital algebras this is span(xs) + A xs + xs A + A xs A.
     """
-    from .linalg import _subspace_from_reducer
-
     red, complete = _ideal_closure(a, _coords_of(a, xs))
     assert complete
     return _subspace_from_reducer(a.field, a.dim, red)
@@ -473,8 +470,6 @@ class QuotientMap:
     source: Algebra
     ideal: Subspace
     target: Algebra
-    projection: Mat  # source dim x target dim
-    section: Mat  # target dim x source dim
     free_cols: tuple
 
     def project_vec(self, v):
@@ -485,17 +480,6 @@ class QuotientMap:
         if x.algebra is not self.source:
             raise AlgebraMismatch("element is not in the quotient source")
         return Element(self.target, self.project_vec(x.coords))
-
-    def lift_vec(self, v):
-        out = [self.source.field.zero] * self.source.dim
-        for c, x in zip(self.free_cols, v):
-            out[c] = self.source.field.coerce(x)
-        return tuple(out)
-
-    def lift(self, x: Element) -> Element:
-        if x.algebra is not self.target:
-            raise AlgebraMismatch("element is not in the quotient target")
-        return Element(self.source, self.lift_vec(x.coords))
 
 
 def quotient(a: Algebra, ideal: Subspace) -> QuotientMap:
@@ -522,23 +506,13 @@ def quotient(a: Algebra, ideal: Subspace) -> QuotientMap:
             if entry:
                 table[(ai, bi)] = entry
     labels = tuple(a.label(c) for c in free) if a.labels else None
+    target = _derived(a.field, m, table, labels)
     if a.unity is not None:
         w0 = reduce(a.unity)
-        unity = tuple(w0[c] for c in free)
+        target.unity = tuple(w0[c] for c in free)
     else:
-        unity = _find_unity(a.field, m, table)
-    target = _derived(a.field, m, table, labels, unity)
-    proj_rows = []
-    for i in range(n):
-        ei = [a.field.zero] * n
-        ei[i] = a.field.one
-        w = reduce(ei)
-        proj_rows.append(tuple(w[c] for c in free))
-    projection = Mat(a.field, proj_rows, m)
-    section = Mat(a.field, [
-        [a.field.one if c == fc else a.field.zero for c in range(n)] for fc in free
-    ], n)
-    return QuotientMap(a, ideal, target, projection, section, free)
+        target.unity = _find_unity(target)
+    return QuotientMap(a, ideal, target, free)
 
 
 # ---------------------------------------------------------------------------
@@ -551,20 +525,6 @@ class DirectProduct:
     algebra: Algebra
     left: Algebra
     right: Algebra
-
-    def embed_left(self, x: Element) -> Element:
-        f = self.algebra.field
-        return Element(self.algebra, tuple(x.coords) + (f.zero,) * self.right.dim)
-
-    def embed_right(self, x: Element) -> Element:
-        f = self.algebra.field
-        return Element(self.algebra, (f.zero,) * self.left.dim + tuple(x.coords))
-
-    def project_left(self, x: Element) -> Element:
-        return Element(self.left, x.coords[: self.left.dim])
-
-    def project_right(self, x: Element) -> Element:
-        return Element(self.right, x.coords[self.left.dim :])
 
 
 def direct_product(a: Algebra, b: Algebra) -> DirectProduct:
@@ -644,9 +604,6 @@ class Unitization:
     def embed_vec(self, v):
         return (self.algebra.field.zero,) + tuple(v)
 
-    def embed(self, x: Element) -> Element:
-        return Element(self.algebra, self.embed_vec(x.coords))
-
     def strip_vec(self, v):
         # drops the adjoined-unity coordinate; caller must know it is zero
         return tuple(v[1:])
@@ -690,24 +647,35 @@ def is_commutative(a: Algebra) -> bool:
 
 def nilpotency_index(a: Algebra):
     """Smallest k with A^k = 0, or None if the power chain stalls above zero."""
-    if a.dim == 0:
-        return 1
-    cur = [tuple(r) for r in Mat.identity(a.field, a.dim).rows]
+    identity = [[int(i == j) for j in range(a.dim)] for i in range(a.dim)]
+    return _power_chain_index(a, identity)
+
+
+def _power_chain_index(a: Algebra, basis):
+    """Smallest k with N^k = 0 for N = span(basis), or None if the chain stalls.
+
+    basis must be linearly independent.  N^{k+1} is spanned by the products
+    v w with v in basis and w in a basis of N^k.  The chain stalls when a
+    power is not smaller than the one before.  For a subalgebra N, N^{k+1}
+    lies in N^k, so that means N^{k+1} = N^k != 0 and N is not nilpotent;
+    and because the dimension drops at every step, the chain ends within
+    dim N + 1 steps.
+    """
+    gens = cur = list(basis)
     k = 1
     while cur:
         red = _make_reducer(a.field, a.dim)
         nxt = []
-        for i in range(a.dim):
-            for v in cur:
-                w = a._basis_mul_vec(i, v)
-                if w is not None:
-                    r = red.insert(w)
+        for v in gens:
+            for w in cur:
+                acc = a._product(v, w)
+                if acc:
+                    r = red.insert([acc.get(q, 0) for q in range(a.dim)])
                     if r is not None:
                         nxt.append(r)
-        if len(nxt) == len(cur):
-            return None  # A^{k+1} = A^k != 0
-        cur = nxt
-        k += 1
+        if len(nxt) >= len(cur):
+            return None
+        cur, k = nxt, k + 1
     return k
 
 

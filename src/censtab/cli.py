@@ -2,17 +2,21 @@
 
 Exit codes: 0 on success (a NotStable verdict is a successful query), 1 on
 usage errors, 2 on invalid input (bad file, non-associative table, not an
-ideal, bad parameters), 3 when the base field's characteristic is too small
-for the radical criterion.  All report commands accept --json; identical
-inputs and seeds produce byte-identical JSON up to the "timings" member.
-The default seed is 0, overridable with the CENSTAB_SEED environment
-variable.
+ideal, bad parameters such as a malformed --field or a non-unital algebra
+given to decompose), 3 when the base field's characteristic is too small
+for the radical criterion; codes 2 and 3 print one line to stderr.  All
+report commands accept --json; identical inputs and seeds produce
+byte-identical JSON up to the "timings" member.  Fields are written Q, GF:p
+or GF(p).  The default seed is 0, overridable with the CENSTAB_SEED
+environment variable; a CENSTAB_SEED that is not an integer is a usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -82,25 +86,28 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _default_seed() -> int:
+_FIELD_RE = re.compile(r"(?:GF|gf)(?::(\d+)|\((\d+)\))")
+
+
+def _env_seed() -> int:
+    text = os.environ.get("CENSTAB_SEED", "0")
     try:
-        return int(os.environ.get("CENSTAB_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise ValueError(f"CENSTAB_SEED must be an integer, got {text!r}") from None
 
 
 def _parse_field(text: str):
     t = text.strip()
     if t in ("Q", "q"):
         return RATIONALS
-    for prefix in ("GF:", "GF(", "gf:", "gf("):
-        if t.startswith(prefix):
-            body = t[len(prefix):].rstrip(")")
-            try:
-                return prime_field(int(body))
-            except ValueError as exc:
-                raise BadParams(str(exc)) from None
-    raise BadParams(f"bad field {text!r}; use Q or GF:p")
+    m = _FIELD_RE.fullmatch(t)
+    if m is None:
+        raise BadParams(f"bad field {text!r}; use Q, GF:p or GF(p)")
+    try:
+        return prime_field(int(m.group(1) or m.group(2)))
+    except ValueError as exc:
+        raise BadParams(str(exc)) from None
 
 
 def _parse_coords(field, text, dim):
@@ -227,53 +234,38 @@ def _cmd_element(args):
     return 0
 
 
-def _cmd_quotient(args):
-    alg = load_algebra(args.file)
-    gens = []
-    for part in args.gens.split(";"):
-        part = part.strip()
-        if part:
-            gens.append(alg.element(_parse_coords(alg.field, part, alg.dim)))
+def _quotient(args, alg):
+    gens = [
+        alg.element(_parse_coords(alg.field, part.strip(), alg.dim))
+        for part in args.gens.split(";")
+        if part.strip()
+    ]
     ideal = ideal_generated(alg, gens)
-    qm = quotient(alg, ideal)
-    return _write_algebra(
-        args,
-        qm.target,
-        f"quotient by the dim-{ideal.dim} ideal generated by {len(gens)} element(s): "
-        f"dimension {qm.target.dim}",
-    )
+    what = f"quotient by the dim-{ideal.dim} ideal generated by {len(gens)} element(s)"
+    return quotient(alg, ideal).target, what
 
 
-def _cmd_tensor(args):
-    a = load_algebra(args.file_a)
-    b = load_algebra(args.file_b)
-    t = tensor_product(a, b)
-    return _write_algebra(args, t, f"tensor product: dimension {t.dim}")
+# Subcommands that write one algebra derived from their input files:
+# name -> (help, input files, derive), where derive(args, *algebras)
+# returns the new algebra and a summary of it.
+_DERIVED = {
+    "quotient": ("quotient by the ideal generated by elements", ("file",), _quotient),
+    "tensor": ("tensor product of two algebra files", ("file_a", "file_b"),
+               lambda args, a, b: (tensor_product(a, b), "tensor product")),
+    "product": ("direct product of two algebra files", ("file_a", "file_b"),
+                lambda args, a, b: (direct_product(a, b).algebra, "direct product")),
+    "unitize": ("adjoin a unity", ("file",),
+                lambda args, a: (unitization(a).algebra, "unitization")),
+    "matrix": ("n x n matrices over the algebra", ("file",),
+               lambda args, a: (matrix_algebra(a, args.n), f"matrix algebra M_{args.n}")),
+    "opposite": ("reverse the multiplication", ("file",),
+                 lambda args, a: (opposite(a), "opposite algebra")),
+}
 
 
-def _cmd_product(args):
-    a = load_algebra(args.file_a)
-    b = load_algebra(args.file_b)
-    p = direct_product(a, b).algebra
-    return _write_algebra(args, p, f"direct product: dimension {p.dim}")
-
-
-def _cmd_unitize(args):
-    a = load_algebra(args.file)
-    u = unitization(a).algebra
-    return _write_algebra(args, u, f"unitization: dimension {u.dim}")
-
-
-def _cmd_matrix(args):
-    a = load_algebra(args.file)
-    m = matrix_algebra(a, args.n)
-    return _write_algebra(args, m, f"matrix algebra M_{args.n}: dimension {m.dim}")
-
-
-def _cmd_opposite(args):
-    a = load_algebra(args.file)
-    o = opposite(a)
-    return _write_algebra(args, o, f"opposite algebra: dimension {o.dim}")
+def _cmd_derived(args):
+    alg, what = args.derive(args, *(load_algebra(getattr(args, f)) for f in args.files))
+    return _write_algebra(args, alg, f"{what}: dimension {alg.dim}")
 
 
 def _cmd_construct(args):
@@ -382,43 +374,24 @@ def _build_parser() -> _Parser:
     p = add("stable", _cmd_stable, "decide central stability of the whole algebra")
     p.add_argument("file")
     p.add_argument("--witness-budget", type=int, default=200)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
 
     p = add("element", _cmd_element, "decide central stability of one element")
     p.add_argument("file")
     p.add_argument("--coords", required=True, help='comma-separated scalars, e.g. "1,0,-1/2"')
 
-    p = add("quotient", _cmd_quotient, "quotient by the ideal generated by elements")
-    p.add_argument("file")
-    p.add_argument("--gens", required=True, help='vectors separated by ";"')
-    p.add_argument("-o", "--out")
-
-    p = add("tensor", _cmd_tensor, "tensor product of two algebra files")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.add_argument("-o", "--out")
-
-    p = add("product", _cmd_product, "direct product of two algebra files")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.add_argument("-o", "--out")
-
-    p = add("unitize", _cmd_unitize, "adjoin a unity")
-    p.add_argument("file")
-    p.add_argument("-o", "--out")
-
-    p = add("matrix", _cmd_matrix, "n x n matrices over the algebra")
-    p.add_argument("file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("-o", "--out")
-
-    p = add("opposite", _cmd_opposite, "reverse the multiplication")
-    p.add_argument("file")
-    p.add_argument("-o", "--out")
+    for name, (help_, files, derive) in _DERIVED.items():
+        p = add(name, _cmd_derived, help_)
+        for f in files:
+            p.add_argument(f)
+        p.add_argument("-o", "--out")
+        p.set_defaults(derive=derive, files=files)
+    sub.choices["quotient"].add_argument("--gens", required=True, help='vectors separated by ";"')
+    sub.choices["matrix"].add_argument("--n", type=int, required=True)
 
     p = add("construct", _cmd_construct, "build a named catalog algebra")
     p.add_argument("name", choices=catalog_names())
-    p.add_argument("--field", help="Q (default) or GF:p")
+    p.add_argument("--field", help="Q (default), GF:p or GF(p)")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--poly", help='monic polynomial coefficients, low to high: "-2,0,1"')
@@ -428,7 +401,7 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--ideals", type=int, default=50)
     p.add_argument("--elements", type=int, default=100)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
 
     p = add("decompose", _cmd_decompose, "split t in A(x)M_n as a(x)1 + s")
     p.add_argument("file")
@@ -463,6 +436,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(_glue_dash_values(list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    if getattr(args, "seed", 0) is None:
+        try:
+            args.seed = _env_seed()
+        except ValueError as exc:
+            print(f"censtab: error: {exc}", file=sys.stderr)
+            return 1
     try:
         return args.func(args)
     except UnsupportedCharacteristic as exc:

@@ -10,6 +10,7 @@ trip; exporting a loaded file reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from .algebras import Algebra, build_algebra
 from .errors import FileFormatError
@@ -68,6 +69,11 @@ def algebra_to_json(a: Algebra) -> dict:
     return doc
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bools, which Python counts as ints
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def algebra_from_json(doc) -> Algebra:
     """Parse and fully validate an algebra document (associativity included)."""
     if not isinstance(doc, dict):
@@ -80,7 +86,7 @@ def algebra_from_json(doc) -> Algebra:
         raise FileFormatError(f"unknown members {sorted(unknown)}")
     field = field_from_json(doc["field"])
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise FileFormatError("dim must be a non-negative integer")
     labels = doc.get("labels")
     if labels is not None:
@@ -93,7 +99,7 @@ def algebra_from_json(doc) -> Algebra:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise FileFormatError(f"bad table entry {entry!r}")
         i, j, pairs = entry
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (_is_int(i) and _is_int(j)):
             raise FileFormatError(f"bad indices in table entry {entry!r}")
         if (i, j) in table:
             raise FileFormatError(f"duplicate table entry for ({i}, {j})")
@@ -101,7 +107,7 @@ def algebra_from_json(doc) -> Algebra:
             raise FileFormatError(f"bad product list in entry ({i}, {j})")
         parsed = []
         for pair in pairs:
-            if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], int)):
+            if not (isinstance(pair, list) and len(pair) == 2 and _is_int(pair[0])):
                 raise FileFormatError(f"bad product pair {pair!r} in entry ({i}, {j})")
             parsed.append((pair[0], field.parse(str(pair[1]))))
         table[(i, j)] = parsed
@@ -131,85 +137,75 @@ def load_algebra(path) -> Algebra:
 # ---------------------------------------------------------------------------
 
 
+_CERTIFICATES = {
+    cls.kind: cls
+    for cls in (
+        StableElementWitness,
+        UnstableElementWitness,
+        RadicalMatch,
+        RadicalGap,
+        WitnessSearchExhausted,
+    )
+}
+_PLAIN = {"str": str, "int": int}
+
+
+def _members(cls):
+    """(attribute, JSON key, type name) per field of a certificate class.
+
+    A `*_rows` field is a list of vectors under the key `*_basis`; a `tuple`
+    field is one vector; `str` and `int` fields are stored as they are; any
+    other type names a nested certificate.
+    """
+    for f in fields(cls):
+        key = f.name[: -len("_rows")] + "_basis" if f.name.endswith("_rows") else f.name
+        yield f.name, key, f.type
+
+
 def certificate_to_json(field, cert) -> dict:
-    if isinstance(cert, StableElementWitness):
-        return {
-            "kind": cert.kind,
-            "element": vector_to_json(field, cert.element),
-            "central_part": vector_to_json(field, cert.central_part),
-            "ideal_part": vector_to_json(field, cert.ideal_part),
-        }
-    if isinstance(cert, UnstableElementWitness):
-        return {
-            "kind": cert.kind,
-            "element": vector_to_json(field, cert.element),
-            "center_basis": rows_to_json(field, cert.center_rows),
-            "ideal_basis": rows_to_json(field, cert.ideal_rows),
-            "sum_basis": rows_to_json(field, cert.sum_rows),
-        }
-    if isinstance(cert, RadicalMatch):
-        return {
-            "kind": cert.kind,
-            "ambient": cert.ambient,
-            "radical_basis": rows_to_json(field, cert.radical_rows),
-            "center_cap_radical_basis": rows_to_json(field, cert.center_cap_radical_rows),
-        }
-    if isinstance(cert, RadicalGap):
-        return {
-            "kind": cert.kind,
-            "ambient": cert.ambient,
-            "radical_basis": rows_to_json(field, cert.radical_rows),
-            "center_cap_radical_basis": rows_to_json(field, cert.center_cap_radical_rows),
-            "ideal_basis": rows_to_json(field, cert.ideal_rows),
-            "missing_vector": vector_to_json(field, cert.missing_vector),
-        }
-    if isinstance(cert, WitnessSearchExhausted):
-        return {
-            "kind": cert.kind,
-            "samples_tried": cert.samples_tried,
-            "gap": certificate_to_json(field, cert.gap),
-        }
-    raise TypeError(f"unknown certificate {cert!r}")
+    if _CERTIFICATES.get(getattr(cert, "kind", None)) is not type(cert):
+        raise TypeError(f"unknown certificate {cert!r}")
+    doc = {"kind": cert.kind}
+    for name, key, typ in _members(type(cert)):
+        val = getattr(cert, name)
+        if name.endswith("_rows"):
+            doc[key] = rows_to_json(field, val)
+        elif typ == "tuple":
+            doc[key] = vector_to_json(field, val)
+        elif typ in _PLAIN:
+            doc[key] = val
+        else:
+            doc[key] = certificate_to_json(field, val)
+    return doc
 
 
 def certificate_from_json(field, doc):
+    if not isinstance(doc, dict):
+        raise FileFormatError("certificate must be a JSON object")
     kind = doc.get("kind")
-    if kind == "StableElementWitness":
-        return StableElementWitness(
-            vector_from_json(field, doc["element"]),
-            vector_from_json(field, doc["central_part"]),
-            vector_from_json(field, doc["ideal_part"]),
-        )
-    if kind == "UnstableElementWitness":
-        return UnstableElementWitness(
-            vector_from_json(field, doc["element"]),
-            _rows_from_json(field, doc["center_basis"]),
-            _rows_from_json(field, doc["ideal_basis"]),
-            _rows_from_json(field, doc["sum_basis"]),
-        )
-    if kind == "RadicalMatch":
-        return RadicalMatch(
-            _rows_from_json(field, doc["radical_basis"]),
-            _rows_from_json(field, doc["center_cap_radical_basis"]),
-            doc["ambient"],
-        )
-    if kind == "RadicalGap":
-        return RadicalGap(
-            _rows_from_json(field, doc["radical_basis"]),
-            _rows_from_json(field, doc["center_cap_radical_basis"]),
-            _rows_from_json(field, doc["ideal_basis"]),
-            vector_from_json(field, doc["missing_vector"]),
-            doc["ambient"],
-        )
-    if kind == "WitnessSearchExhausted":
-        return WitnessSearchExhausted(
-            doc["samples_tried"], certificate_from_json(field, doc["gap"])
-        )
-    raise FileFormatError(f"unknown certificate kind {kind!r}")
-
-
-def _rows_from_json(field, doc):
-    return tuple(vector_from_json(field, row) for row in doc)
+    cls = _CERTIFICATES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise FileFormatError(f"unknown certificate kind {kind!r}")
+    args = []
+    for name, key, typ in _members(cls):
+        if key not in doc:
+            raise FileFormatError(f"{kind} certificate misses member {key!r}")
+        val = doc[key]
+        if name.endswith("_rows"):
+            if not isinstance(val, list):
+                raise FileFormatError(f"{kind} member {key!r} must be a list of vectors")
+            val = tuple(vector_from_json(field, row) for row in val)
+        elif typ == "tuple":
+            val = vector_from_json(field, val)
+        elif typ in _PLAIN:
+            if type(val) is not _PLAIN[typ]:
+                raise FileFormatError(f"{kind} member {key!r} must be of JSON type {typ}")
+        else:
+            val = certificate_from_json(field, val)
+            if val.kind != typ:
+                raise FileFormatError(f"{kind} member {key!r} must be a {typ} certificate")
+        args.append(val)
+    return cls(*args)
 
 
 def report_to_json(
@@ -247,12 +243,22 @@ def report_to_json(
 
 
 def verify_report_json(a: Algebra, doc: dict) -> bool:
-    """Replay a serialized report's certificate against an algebra."""
+    """Replay a serialized report's certificate against an algebra.
+
+    Raises FileFormatError when the report lacks a member the replay reads
+    or a member has the wrong JSON type.
+    """
+    if not isinstance(doc, dict):
+        raise FileFormatError("report must be a JSON object")
+    for key in ("verdict", "method", "certificate"):
+        if key not in doc:
+            raise FileFormatError(f"report misses member {key!r}")
+    if not (isinstance(doc["verdict"], str) and isinstance(doc["method"], str)):
+        raise FileFormatError("report verdict and method must be strings")
     cert = certificate_from_json(a.field, doc["certificate"])
     report = StabilityReport(doc["verdict"], doc["method"], cert)
     if not verify_certificate(a, report):
         return False
     # the certificate kind must actually support the claimed verdict
-    stable_kinds = {"StableElementWitness", "RadicalMatch"}
-    is_stable_cert = doc["certificate"]["kind"] in stable_kinds
+    is_stable_cert = cert.kind in ("StableElementWitness", "RadicalMatch")
     return is_stable_cert == (doc["verdict"] == "Stable")

@@ -206,19 +206,6 @@ class Mat:
         one, zero = field.one, field.zero
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
 
-    def apply(self, v):
-        """Row vector times matrix: result[j] = sum_i v[i] * self[i][j]."""
-        if len(v) != self.nrows:
-            raise DimensionMismatch(f"vector length {len(v)} != {self.nrows} rows")
-        f = self.field
-        out = [f.zero] * self.ncols
-        for x, row in zip(v, self.rows):
-            if x:
-                for j, y in enumerate(row):
-                    if y:
-                        out[j] = f.add(out[j], f.mul(x, y))
-        return tuple(out)
-
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
@@ -396,17 +383,19 @@ def subspace_intersect(s: Subspace, t: Subspace) -> Subspace:
         row = [s.rows[i][c] for i in range(ds)] + [field.neg(t.rows[j][c]) for j in range(dt)]
         eq_rows.append(row)
     k = kernel_of_rows(field, eq_rows, ds + dt)
-    vecs = []
-    for kv in k.rows:
-        v = [field.zero] * n
-        for i in range(ds):
-            if kv[i]:
-                row = s.rows[i]
-                for c in range(n):
-                    if row[c]:
-                        v[c] = field.add(v[c], field.mul(kv[i], row[c]))
-        vecs.append(v)
-    return span(field, vecs, n)
+    return span(field, [_linear_combination(field, kv, s.rows, n) for kv in k.rows], n)
+
+
+def _linear_combination(field, coeffs, rows, width):
+    """sum of c * row over zip(coeffs, rows), as a list of canonical scalars."""
+    out = [field.zero] * width
+    for c, row in zip(coeffs, rows):
+        c = field.coerce(c)
+        if c:
+            for i, val in enumerate(row):
+                if val:
+                    out[i] = field.add(out[i], field.mul(c, val))
+    return out
 
 
 def express_in_span(field: FieldSpec, generators, target, width: int):

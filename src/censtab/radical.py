@@ -17,30 +17,29 @@ a wrong verdict downstream.
 
 from __future__ import annotations
 
-from .algebras import Algebra, ideal_witness, quotient, unitization
+from .algebras import Algebra, _power_chain_index, ideal_witness, quotient, unitization
 from .errors import ConsistencyError, UnsupportedCharacteristic
-from .linalg import Subspace, _make_reducer, kernel_of_rows
+from .linalg import Subspace, kernel_of_rows
 
 
 def _trace_form_rows(a: Algebra):
     """Gram matrix rows G[i][j] = trace(L_{e_i e_j}) = sum_k c[i][j][k] t_k."""
     f = a.field
     t = [f.zero] * a.dim
-    for (k, j), pairs in a.table.items():
-        for m, c in pairs:
-            if m == j:
-                t[k] = f.add(t[k], c)
+    for k, entries in enumerate(a._rows):
+        for j, pairs in entries:
+            for m, c in pairs:
+                if m == j:
+                    t[k] = f.add(t[k], c)
     rows = []
-    for i in range(a.dim):
+    for entries in a._rows:
         row = [f.zero] * a.dim
-        for j in range(a.dim):
-            pairs = a.table.get((i, j))
-            if pairs:
-                acc = 0
-                for k, c in pairs:
-                    if t[k]:
-                        acc = acc + c * t[k]
-                row[j] = f.canon(acc)
+        for j, pairs in entries:
+            acc = 0
+            for k, c in pairs:
+                if t[k]:
+                    acc = acc + c * t[k]
+            row[j] = f.canon(acc)
         rows.append(row)
     return rows
 
@@ -83,25 +82,8 @@ def _verify_radical(a, rad, ua, rad_sharp):
     w = ideal_witness(a, rad)
     if w is not None:
         raise ConsistencyError(f"radical candidate is not an ideal: witness {w}")
-    # nilpotency: N, N^2, ... must reach zero
-    cur = list(rad.rows)
-    steps = 1
-    while cur:
-        if steps > a.dim + 1:
-            raise ConsistencyError("radical candidate is not nilpotent")
-        red = _make_reducer(a.field, a.dim)
-        nxt = []
-        for v in rad.rows:
-            for w_ in cur:
-                prod = a.mul_coords(v, w_)
-                if any(prod):
-                    r = red.insert(prod)
-                    if r is not None:
-                        nxt.append(r)
-        if len(nxt) == len(cur):
-            raise ConsistencyError("radical candidate power chain stalls above zero")
-        cur = nxt
-        steps += 1
+    if _power_chain_index(a, rad.rows) is None:
+        raise ConsistencyError("radical candidate is not nilpotent")
     # semisimple quotient: the trace form of A#/rad(A#) has zero kernel
     qm = quotient(ua, rad_sharp)
     qgram = _trace_form_rows(qm.target)

@@ -64,10 +64,6 @@ class FieldSpec:
     def is_rationals(self) -> bool:
         return self.p is None
 
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.p is None else self.p
-
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self.p == other.p
 
@@ -86,9 +82,6 @@ class FieldSpec:
     @property
     def one(self):
         return Fraction(1) if self.p is None else 1
-
-    def from_int(self, n: int):
-        return Fraction(n) if self.p is None else n % self.p
 
     def coerce(self, x):
         """Return x as a canonical scalar of this field.
@@ -138,9 +131,6 @@ class FieldSpec:
         if self.p is None:
             return 1 / Fraction(x)
         return pow(x, -1, self.p)
-
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
 
     # -- text grammar -------------------------------------------------------
     # Rationals: [-]digits[/digits].  Prime field: digits (reduced mod p).

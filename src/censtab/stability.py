@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 from .algebras import (
     Algebra,
@@ -32,8 +31,9 @@ from .algebras import (
     tensor_product,
     unitization,
 )
-from .errors import ConsistencyError, DimensionMismatch, UnsupportedCharacteristic
+from .errors import BadParams, ConsistencyError, DimensionMismatch, UnsupportedCharacteristic
 from .linalg import (
+    _linear_combination,
     _make_reducer,
     _subspace_from_reducer,
     express_in_span,
@@ -159,7 +159,7 @@ def element_centrally_stable(x: Element) -> StabilityReport:
     for row in z_space.rows:
         combined.insert(row)
 
-    def mirror(row):
+    def mirror(red, row):
         combined.insert(row)
         return combined.contains(x.coords)
 
@@ -178,13 +178,7 @@ def element_centrally_stable(x: Element) -> StabilityReport:
     gens = list(z_space.rows) + ideal_rows
     coeffs = express_in_span(f, gens, x.coords, a.dim)
     assert coeffs is not None
-    z_vec = [f.zero] * a.dim
-    for c, row in zip(coeffs[: z_space.dim], z_space.rows):
-        c = f.coerce(c)
-        if c:
-            for i, val in enumerate(row):
-                if val:
-                    z_vec[i] = f.add(z_vec[i], f.mul(c, val))
+    z_vec = _linear_combination(f, coeffs, z_space.rows, a.dim)
     u_vec = tuple(f.sub(xi, zi) for xi, zi in zip(x.coords, z_vec))
     cert = StableElementWitness(tuple(x.coords), tuple(z_vec), u_vec)
     partial = _subspace_from_reducer(f, a.dim, ideal_red)
@@ -192,42 +186,6 @@ def element_centrally_stable(x: Element) -> StabilityReport:
     return StabilityReport(
         STABLE, METHOD_ELEMENT, cert, {"center": z_space.rows, key: partial.rows}
     )
-
-
-def _ideal_contains(a: Algebra, seed_rows, target) -> bool:
-    """Is target inside the ideal closure of span(seed_rows)?
-
-    Runs the closure inline so the membership test can stop it as soon as
-    the answer is yes; a full fixpoint is only reached for a "no".
-    """
-    if not any(target):
-        return True
-    red = _make_reducer(a.field, a.dim)
-    work = []
-    for v in seed_rows:
-        r = red.insert(v)
-        if r is not None:
-            work.append(r)
-            if red.contains(target):
-                return True
-    while work:
-        if red.dim == a.dim:
-            return True
-        fresh = []
-        for v in work:
-            for i in range(a.dim):
-                for w in (a._basis_mul_vec(i, v), a._vec_mul_basis(v, i)):
-                    if w is None:
-                        continue
-                    r = red.insert(w)
-                    if r is not None:
-                        fresh.append(r)
-                        if red.contains(target):
-                            return True
-                        if red.dim == a.dim:
-                            return True
-        work = fresh
-    return red.contains(target)
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +260,7 @@ def _witness_candidates(a, work, embed, rad_space, j, budget, seed):
                 proj = [qm.project_vec(row) for row in rad_space.rows]
                 coeffs = express_in_span(f, proj, zbar, qm.target.dim)
                 if coeffs is not None:
-                    v = [f.zero] * work.dim
-                    for cf, row in zip(coeffs, rad_space.rows):
-                        cf = f.coerce(cf)
-                        if cf:
-                            for i, val in enumerate(row):
-                                if val:
-                                    v[i] = f.add(v[i], f.mul(cf, val))
+                    v = _linear_combination(f, coeffs, rad_space.rows, work.dim)
                     if embed is not None:
                         assert v[0] == 0  # radical vectors avoid the adjoined unity
                         yield a.element(embed.strip_vec(v))
@@ -355,10 +307,17 @@ def quotient_center_oracle(a: Algebra, ideal) -> OracleResult:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
 def tensor_with_matrices(a: Algebra, n: int) -> Algebra:
-    """A (x) M_n(F) with the documented basis order (cached per algebra)."""
-    return tensor_product(a, matrix_units_algebra(a.field, n))
+    """A (x) M_n(F) with the documented basis order (cached per algebra).
+
+    The cache lives on a itself, so it holds the same object for as long as
+    a exists and is freed with a.
+    """
+    key = ("tensor_with_matrices", n)
+    t = a._memo.get(key)
+    if t is None:
+        t = a._memo.setdefault(key, tensor_product(a, matrix_units_algebra(a.field, n)))
+    return t
 
 
 @dataclass(frozen=True)
@@ -385,7 +344,7 @@ def decompose_tensor_element(
     ConsistencyError, since both are theorems.
     """
     if a.unity is None:
-        raise ValueError("tensor decomposition needs a unital left factor")
+        raise BadParams("tensor decomposition needs a unital left factor")
     if n < 1:
         raise DimensionMismatch("matrix size must be >= 1")
     T = tensor_with_matrices(a, n)
@@ -409,13 +368,13 @@ def decompose_tensor_element(
     t_el = T.element(t_coords)
     s_el = T.element(s)
 
+    def s_in_commutator_ideal_of(x):
+        red, _ = _ideal_closure(T, commutator_space(x).rows, lambda red, _: red.contains(s))
+        return red.contains(s)
+
     checks = {
-        "stable_part_in_own_commutator_ideal": _ideal_contains(
-            T, commutator_space(s_el).rows, s
-        ),
-        "stable_part_in_full_commutator_ideal": _ideal_contains(
-            T, commutator_space(t_el).rows, s
-        ),
+        "stable_part_in_own_commutator_ideal": s_in_commutator_ideal_of(s_el),
+        "stable_part_in_full_commutator_ideal": s_in_commutator_ideal_of(t_el),
     }
     if not all(checks.values()):
         raise ConsistencyError(f"tensor decomposition postcondition failed: {checks}")
@@ -524,9 +483,9 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
             return False
         if not center(a).contains(z):
             return False
-        return _ideal_contains(
-            a, commutator_space(Element(a, tuple(x))).rows, u
-        )
+        comm = commutator_space(Element(a, tuple(x))).rows
+        red, _ = _ideal_closure(a, comm, lambda red, _: red.contains(u))
+        return red.contains(u)
     if isinstance(cert, UnstableElementWitness):
         x = cert.element
         z = center(a)

@@ -175,3 +175,44 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "censtab" in proc.stdout
+
+
+def test_decompose_of_non_unital_algebra_is_invalid_input(tmp_path, capsys):
+    n3 = str(tmp_path / "n3.json")
+    run(capsys, "construct", "strict_upper", "--n", "3", "-o", n3)
+    code, out, err = run(capsys, "decompose", n3, "--n", "2", "--coords", ",".join(["0"] * 12))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "unital" in err
+
+
+def test_malformed_field_is_rejected(tmp_path, capsys):
+    path = str(tmp_path / "m.json")
+    for spec in ("GF(7", "GF:7)", "GF(7))", "GF7", "GF:", "GF(x)"):
+        code, _, err = run(capsys, "construct", "matrix_full", "--n", "2", "--field", spec, "-o", path)
+        assert code == 2, spec
+        assert len(err.splitlines()) == 1
+    for spec in ("GF(7)", "GF:7", "gf(7)", "Q"):
+        assert run(capsys, "construct", "matrix_full", "--n", "1", "--field", spec, "-o", path)[0] == 0
+
+
+def test_bool_dimension_in_file_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"field": "Q", "dim": True, "table": [[0, 0, [[0, "1"]]]]}))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert len(err.splitlines()) == 1
+
+
+def test_non_integer_seed_env_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    t3 = str(tmp_path / "t3.json")
+    run(capsys, "construct", "upper_triangular", "--n", "3", "-o", t3)
+    monkeypatch.setenv("CENSTAB_SEED", "abc")
+    for argv in (("stable", t3), ("fuzz", t3, "--ideals", "1", "--elements", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["censtab: error: CENSTAB_SEED must be an integer, got 'abc'"]
+    # an explicit --seed does not read the variable, and validate has no seed
+    assert run(capsys, "stable", t3, "--seed", "2")[0] == 0
+    assert run(capsys, "validate", t3)[0] == 0

@@ -107,3 +107,73 @@ def test_verify_element_report_json():
         rep = element_centrally_stable(alg.basis_element(i))
         doc = report_to_json(alg, rep, command="element")
         assert verify_report_json(alg, doc)
+
+
+def test_certificate_round_trip_covers_every_kind():
+    from censtab.stability import WitnessSearchExhausted
+
+    t3 = build("upper_triangular", n=3).algebra
+    reps = [
+        element_centrally_stable(t3.basis_element(1)),  # StableElementWitness
+        element_centrally_stable(t3.basis_element(0)),  # UnstableElementWitness
+        algebra_centrally_stable(build("matrix_full", n=2).algebra),  # RadicalMatch
+        algebra_centrally_stable(t3, witness_budget=0),  # RadicalGap
+    ]
+    gap = reps[3].certificate
+    certs = [r.certificate for r in reps] + [WitnessSearchExhausted(7, gap)]
+    assert [c.kind for c in certs] == [
+        "StableElementWitness", "UnstableElementWitness", "RadicalMatch",
+        "RadicalGap", "WitnessSearchExhausted",
+    ]
+    for cert in certs:
+        doc = certificate_to_json(t3.field, cert)
+        assert certificate_from_json(t3.field, json.loads(dump_json(doc))) == cert
+    assert set(certificate_to_json(t3.field, certs[1])) == {
+        "kind", "element", "center_basis", "ideal_basis", "sum_basis",
+    }
+    assert certificate_to_json(t3.field, certs[4])["samples_tried"] == 7
+
+
+def test_verify_report_json_rejects_a_report_without_certificate():
+    alg = build("upper_triangular", n=3).algebra
+    doc = report_to_json(alg, element_centrally_stable(alg.basis_element(1)), command="element")
+    del doc["certificate"]
+    with pytest.raises(FileFormatError, match="certificate"):
+        verify_report_json(alg, doc)
+
+
+def test_verify_report_json_rejects_a_certificate_without_element():
+    alg = build("upper_triangular", n=3).algebra
+    doc = report_to_json(alg, element_centrally_stable(alg.basis_element(1)), command="element")
+    del doc["certificate"]["element"]
+    with pytest.raises(FileFormatError, match="element"):
+        verify_report_json(alg, doc)
+
+
+def test_certificate_from_json_rejects_mistyped_members():
+    alg = build("upper_triangular", n=3).algebra
+    gap = algebra_centrally_stable(alg, witness_budget=0).certificate
+    doc = certificate_to_json(alg.field, gap)
+    for key, bad in (("ambient", 1), ("radical_basis", "x"), ("missing_vector", 3)):
+        with pytest.raises(FileFormatError):
+            certificate_from_json(alg.field, {**doc, key: bad})
+    wrapped = {"kind": "WitnessSearchExhausted", "samples_tried": True, "gap": doc}
+    with pytest.raises(FileFormatError):
+        certificate_from_json(alg.field, wrapped)
+    inner = certificate_to_json(alg.field, element_centrally_stable(alg.basis_element(1)).certificate)
+    with pytest.raises(FileFormatError):
+        certificate_from_json(alg.field, {**wrapped, "samples_tried": 3, "gap": inner})
+    with pytest.raises(FileFormatError):
+        certificate_from_json(alg.field, {"kind": ["RadicalGap"]})
+
+
+def test_bool_dimension_and_indices_are_rejected():
+    good = algebra_to_json(build("truncated_poly", k=2).algebra)
+    assert good["dim"] == 2
+    with pytest.raises(FileFormatError):
+        algebra_from_json({**good, "dim": True})
+    one = {"field": "Q", "dim": 1, "table": [[0, 0, [[0, "1"]]]]}
+    assert algebra_from_json(one).dim == 1
+    for entry in ([False, 0, [[0, "1"]]], [0, False, [[0, "1"]]], [0, 0, [[False, "1"]]]):
+        with pytest.raises(FileFormatError):
+            algebra_from_json({**one, "table": [entry]})

@@ -10,7 +10,7 @@ from censtab.algebras import (
     quotient,
     unitization,
 )
-from censtab.errors import UnsupportedCharacteristic
+from censtab.errors import ConsistencyError, UnsupportedCharacteristic
 from censtab.linalg import span
 from censtab.radical import is_semisimple, radical
 from censtab.scalars import RATIONALS as Q, prime_field
@@ -185,3 +185,43 @@ def test_radical_matches_trace_oracle_on_small_algebras():
                 ej[j] = Q.one
                 prod = ua.mul_coords(x, ej)
                 assert trace(left_matrix(prod)) == Q.zero
+
+
+# -- mutation tests: each planted fault trips its own postcondition ------------
+
+
+def _verify_planted(alg, rad_rows, rad_sharp_rows):
+    """Run the radical postconditions on a planted candidate (and A# radical)."""
+    from censtab.radical import _verify_radical
+
+    ua = unitization(alg).algebra
+    rad = span(Q, rad_rows, alg.dim)
+    rad_sharp = span(Q, rad_sharp_rows, ua.dim)
+    _verify_radical(alg, rad, ua, rad_sharp)
+
+
+def test_verify_radical_accepts_the_true_radical():
+    t2 = alg_from_family(upper_family(2))  # basis e11 e12 e22
+    _verify_planted(t2, [(0, 1, 0)], [(0, 0, 1, 0)])
+
+
+def test_verify_radical_rejects_a_non_ideal():
+    t2 = alg_from_family(upper_family(2))
+    # span{e11}: e11 * e12 = e12 escapes it
+    with pytest.raises(ConsistencyError, match="not an ideal"):
+        _verify_planted(t2, [(1, 0, 0)], [(0, 0, 1, 0)])
+
+
+def test_verify_radical_rejects_a_non_nilpotent_ideal():
+    t2 = alg_from_family(upper_family(2))
+    # span{e11, e12} is a two-sided ideal, but e11 is idempotent
+    with pytest.raises(ConsistencyError, match="nilpotent|stalls"):
+        _verify_planted(t2, [(1, 0, 0), (0, 1, 0)], [(0, 0, 1, 0)])
+
+
+def test_verify_radical_rejects_a_radical_too_small():
+    t2 = alg_from_family(upper_family(2))
+    # the zero ideal passes the ideal and nilpotency checks, but T_2 itself
+    # is not semisimple
+    with pytest.raises(ConsistencyError, match="not semisimple"):
+        _verify_planted(t2, [], [])

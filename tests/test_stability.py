@@ -559,3 +559,17 @@ def test_verify_witness_search_exhausted_wrapper():
     from censtab.stability import StabilityReport as SR
 
     assert verify_certificate(alg, SR(NOT_STABLE, rep.method, wrapped))
+
+
+def test_tensor_with_matrices_is_cached_per_algebra():
+    alg = t3()
+    coords = [Q.zero] * (alg.dim * 4)
+    coords[1] = Q.one
+    dec = decompose_tensor_element(alg, 2, coords)
+    others = [build("truncated_poly", k=1 + i % 4).algebra for i in range(40)]
+    for other in others:
+        assert tensor_with_matrices(other, 2).dim == other.dim * 4
+    T = tensor_with_matrices(alg, 2)
+    assert T is dec.tensor_algebra
+    assert (dec.stable_part + T.zero()) == dec.stable_part
+    assert tensor_with_matrices(alg, 3) is not T
