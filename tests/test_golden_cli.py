@@ -1,8 +1,9 @@
 """Golden `--json` output of every CLI subcommand on a small roster.
 
-The roster is T_3, strict_upper 3, M_2, truncated_poly 3 and ema, over Q and
-(all but the Q-only ema) over GF(101).  Each case runs one subcommand with
-`--json` and compares standard output byte for byte with the stored text,
+The roster is T_3, strict_upper 3, M_2, truncated_poly 3, ema and
+scalar_plus_strict_upper 3, over Q and (all but the Q-only ema) over GF(101).
+Each case runs one subcommand with `--json` and compares standard output byte
+for byte with the stored text,
 with the `timings` member cut out of both.  Refactors of the engine must keep
 these bytes.  To regenerate the stored outputs after an intended change of
 output:
@@ -24,6 +25,7 @@ ROSTER = (
     ("M2", "matrix_full", ("--n", "2")),
     ("P3", "truncated_poly", ("--k", "3")),
     ("EMA", "ema", ()),
+    ("SU3", "scalar_plus_strict_upper", ("--n", "3")),
 )
 FIELDS = (("Q", "Q"), ("GF101", "GF:101"))
 
