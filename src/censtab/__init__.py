@@ -17,11 +17,8 @@ from .errors import (
 )
 from .scalars import RATIONALS, FieldSpec, prime_field
 from .linalg import (
-    Mat,
     Subspace,
     full_subspace,
-    kernel,
-    rref,
     span,
     subspace_intersect,
     subspace_sum,

@@ -12,10 +12,12 @@ from fractions import Fraction
 
 from .algebras import (
     Algebra,
+    _derived,
     build_algebra,
     matrix_algebra,
     matrix_units_algebra,
     tensor_product,
+    unitization,
 )
 from .errors import BadParams
 from .linalg import span
@@ -66,11 +68,9 @@ def _matrix_full(n: int, field: FieldSpec = RATIONALS) -> CatalogEntry:
     )
 
 
-def _upper_cells(n, strict=False):
-    return [(p, q) for p in range(n) for q in range(p + 1 if strict else p, n)]
-
-
-def _cell_table(field, cells):
+def _cell_algebra(field, n, strict=False) -> Algebra:
+    """Span of the (strictly) upper triangular n x n matrix units, unchecked."""
+    cells = [(p, q) for p in range(n) for q in range(p + 1 if strict else p, n)]
     index = {cell: i for i, cell in enumerate(cells)}
     table = {}
     one = field.one
@@ -78,14 +78,12 @@ def _cell_table(field, cells):
         for (r, s), j in index.items():
             if q == r and (p, s) in index:
                 table[(i, j)] = ((index[(p, s)], one),)
-    return table
+    return _derived(field, len(cells), table, [f"e{p + 1}{q + 1}" for p, q in cells])
 
 
 def _upper_triangular(n: int, field: FieldSpec = RATIONALS) -> CatalogEntry:
     _require(n >= 1, "upper_triangular needs n >= 1")
-    cells = _upper_cells(n)
-    labels = [f"e{p + 1}{q + 1}" for p, q in cells]
-    alg = build_algebra(field, len(cells), _cell_table(field, cells), labels)
+    alg = _revalidated(_cell_algebra(field, n))
     if n == 1:
         expected = Expected(STABLE, 1, 0, "one-dimensional, hence commutative")
     else:
@@ -106,20 +104,10 @@ def _upper_triangular(n: int, field: FieldSpec = RATIONALS) -> CatalogEntry:
 
 def _scalar_plus_strict_upper(n: int, field: FieldSpec = RATIONALS) -> CatalogEntry:
     _require(n >= 1, "scalar_plus_strict_upper needs n >= 1")
-    cells = _upper_cells(n, strict=True)
-    dim = 1 + len(cells)
-    index = {cell: i + 1 for i, cell in enumerate(cells)}
-    one = field.one
-    table = {(0, 0): ((0, one),)}
-    for i in range(1, dim):
-        table[(0, i)] = ((i, one),)
-        table[(i, 0)] = ((i, one),)
-    for (p, q), i in index.items():
-        for (r, s), j in index.items():
-            if q == r and (p, s) in index:
-                table[(i, j)] = ((index[(p, s)], one),)
-    labels = ["1"] + [f"e{p + 1}{q + 1}" for p, q in cells]
-    alg = build_algebra(field, dim, table, labels)
+    strict = _cell_algebra(field, n, strict=True)
+    u = unitization(strict).algebra
+    # labels given in full: for n = 1 there are no cells, and u has no labels
+    alg = build_algebra(field, u.dim, u.table, ("1",) + strict.labels)
     if n == 1:
         expected = Expected(STABLE, 1, 0, "just the scalars")
     elif n == 2:
@@ -142,10 +130,8 @@ def _scalar_plus_strict_upper(n: int, field: FieldSpec = RATIONALS) -> CatalogEn
 
 def _strict_upper(n: int, field: FieldSpec = RATIONALS) -> CatalogEntry:
     _require(n >= 2, "strict_upper needs n >= 2")
-    cells = _upper_cells(n, strict=True)
-    labels = [f"e{p + 1}{q + 1}" for p, q in cells]
-    alg = build_algebra(field, len(cells), _cell_table(field, cells), labels)
-    dim = len(cells)
+    alg = _revalidated(_cell_algebra(field, n, strict=True))
+    dim = alg.dim
     if n == 2:
         expected = Expected(STABLE, 1, 1, "one-dimensional null algebra")
     else:

@@ -4,7 +4,10 @@ Exit codes: 0 on success (a NotStable verdict is a successful query), 1 on
 usage errors, 2 on invalid input (bad file, non-associative table, not an
 ideal, bad parameters such as a malformed --field or a non-unital algebra
 given to decompose), 3 when the base field's characteristic is too small
-for the radical criterion; codes 2 and 3 print one line to stderr.  All
+for the radical criterion, 4 when the engine fails one of its own
+consistency checks (a bug: the line names the command line, the seed and
+the SHA-256 of each input file, enough to reproduce the run); codes 2, 3
+and 4 print one line to stderr.  All
 report commands accept --json; identical inputs and seeds produce
 byte-identical JSON up to the "timings" member.  Fields are written Q, GF:p
 or GF(p).  The default seed is 0, overridable with the CENSTAB_SEED
@@ -15,11 +18,14 @@ error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import re
+import shlex
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from . import __version__
 from .algebras import (
@@ -37,6 +43,7 @@ from .algebras import (
 from .catalog import build as catalog_build, names as catalog_names
 from .errors import (
     BadParams,
+    ConsistencyError,
     DimensionMismatch,
     FieldMismatch,
     FileFormatError,
@@ -450,6 +457,21 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}; {_reproduction(argv, args)}", file=sys.stderr)
+        return 4
+
+
+def _reproduction(argv, args) -> str:
+    """The command line, the seed and the SHA-256 of every input file."""
+    parts = [f"command: {shlex.join(['censtab', *argv])}", f"seed: {getattr(args, 'seed', None)}"]
+    for path in filter(None, (getattr(args, name, None) for name in ("file", "file_a", "file_b"))):
+        try:
+            digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        except OSError:
+            digest = "unreadable"
+        parts.append(f"sha256 {path}: {digest}")
+    return "; ".join(parts)
 
 
 if __name__ == "__main__":

@@ -69,6 +69,11 @@ def algebra_to_json(a: Algebra) -> dict:
     return doc
 
 
+# Loading a larger algebra is refused: the engine's work grows as dim^3, so
+# a few bytes of "dim" could otherwise hold a run for minutes.
+MAX_DIM = 256
+
+
 def _is_int(x) -> bool:
     # JSON true/false load as bools, which Python counts as ints
     return isinstance(x, int) and not isinstance(x, bool)
@@ -88,6 +93,8 @@ def algebra_from_json(doc) -> Algebra:
     dim = doc["dim"]
     if not _is_int(dim) or dim < 0:
         raise FileFormatError("dim must be a non-negative integer")
+    if dim > MAX_DIM:
+        raise FileFormatError(f"dim {dim} exceeds the limit of {MAX_DIM}")
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != dim:

@@ -5,17 +5,20 @@ subspace has exactly one representation and equality is entry-wise
 comparison.  All decisions in the package (centers, radicals, ideal
 closures, stability criteria) reduce to the operations here.
 
-Row reduction over Q works on primitive integer rows (gcd 1) and eliminates
-by cross-multiplication; converting to lowest-terms Fractions happens once,
-when a canonical basis is produced.  Per-entry Fraction normalization inside
-the elimination loop would otherwise dominate the running time.
+The two echelon reducers are the only elimination code: spans, kernels,
+sums, intersections and solved systems all run through one of them.  Over
+GF(p) rows are ints mod p with unit pivots.  Over Q a vector enters as a
+primitive integer row (its denominators cleared by their lcm) and is
+eliminated by cross-multiplication.  Fractions are built only on the way
+out, in canonical rows and solution vectors, since per-entry Fraction
+normalization inside the elimination loop would dominate the running time.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionMismatch
 from .scalars import FieldSpec
@@ -31,30 +34,45 @@ def _row_gcd(row):
     return g
 
 
-class _RationalReducer:
-    """Incremental echelon basis over Q, rows kept as primitive int vectors."""
+class _Reducer:
+    """Incremental echelon basis; subclasses give residual, _normalize and
+    canonical_rows for their field."""
 
     __slots__ = ("width", "pivots", "rows")
 
     def __init__(self, width):
         self.width = width
         self.pivots = []  # sorted pivot columns
-        self.rows = {}  # pivot column -> full-width int row
+        self.rows = {}  # pivot column -> full-width row of ints
 
     @property
     def dim(self):
         return len(self.pivots)
 
+    def contains(self, vec) -> bool:
+        return not any(self.residual(vec))
+
+    def insert(self, vec):
+        """Add vec to the span.  Returns the new basis row, or None if dependent."""
+        v = self.residual(vec)
+        for p, x in enumerate(v):
+            if x:
+                v = self._normalize(v, x)
+                self.rows[p] = v
+                insort(self.pivots, p)
+                return v
+        return None
+
+
+class _RationalReducer(_Reducer):
+    """Echelon basis over Q, rows kept as primitive int vectors."""
+
+    __slots__ = ()
+
     @staticmethod
     def _to_int_row(vec):
-        lcm = 1
-        for x in vec:
-            if isinstance(x, Fraction):
-                d = x.denominator
-                lcm = lcm // gcd(lcm, d) * d
-        if lcm == 1:
-            return [int(x) for x in vec]
-        return [int(x * lcm) for x in vec]
+        m = lcm(*[x.denominator for x in vec])
+        return [x.numerator * (m // x.denominator) for x in vec]
 
     def residual(self, vec):
         """Reduce vec against the current rows; zero residual means membership."""
@@ -76,23 +94,13 @@ class _RationalReducer:
                         v = [x // g for x in v]
         return v
 
-    def contains(self, vec) -> bool:
-        return not any(self.residual(vec))
-
-    def insert(self, vec):
-        """Add vec to the span.  Returns the new basis row, or None if dependent."""
-        v = self.residual(vec)
-        for p, x in enumerate(v):
-            if x:
-                g = _row_gcd(v)
-                if x < 0:
-                    g = -g
-                if g != 1:
-                    v = [y // g for y in v]
-                self.rows[p] = v
-                insort(self.pivots, p)
-                return v
-        return None
+    @staticmethod
+    def _normalize(v, lead):
+        """v made primitive, with a positive leading entry."""
+        g = _row_gcd(v)
+        if lead < 0:
+            g = -g
+        return [y // g for y in v] if g != 1 else v
 
     def canonical_rows(self):
         """Fully reduced rows with unit pivots, as Fraction tuples."""
@@ -120,20 +128,14 @@ class _RationalReducer:
         return out
 
 
-class _PrimeReducer:
-    """Incremental echelon basis over GF(p), rows kept with unit pivots."""
+class _PrimeReducer(_Reducer):
+    """Echelon basis over GF(p), rows kept with unit pivots."""
 
-    __slots__ = ("width", "p", "pivots", "rows")
+    __slots__ = ("p",)
 
     def __init__(self, width, p):
-        self.width = width
+        super().__init__(width)
         self.p = p
-        self.pivots = []
-        self.rows = {}
-
-    @property
-    def dim(self):
-        return len(self.pivots)
 
     def residual(self, vec):
         p_ = self.p
@@ -145,19 +147,10 @@ class _PrimeReducer:
                 v[p:] = [(x - c * y) % p_ for x, y in zip(v[p:], r[p:])]
         return v
 
-    def contains(self, vec) -> bool:
-        return not any(self.residual(vec))
-
-    def insert(self, vec):
-        v = self.residual(vec)
-        for p, x in enumerate(v):
-            if x:
-                inv = pow(x, -1, self.p)
-                v = [y * inv % self.p for y in v]
-                self.rows[p] = v
-                insort(self.pivots, p)
-                return v
-        return None
+    def _normalize(self, v, lead):
+        """v scaled to a unit leading entry."""
+        inv = pow(lead, -1, self.p)
+        return [y * inv % self.p for y in v]
 
     def canonical_rows(self):
         rows = {p: list(r) for p, r in self.rows.items()}
@@ -179,59 +172,6 @@ def _make_reducer(field: FieldSpec, width: int):
     return _PrimeReducer(width, field.p)
 
 
-class Mat:
-    """A dense matrix with canonical scalar entries, row-major."""
-
-    __slots__ = ("field", "nrows", "ncols", "rows")
-
-    def __init__(self, field: FieldSpec, rows, ncols: int | None = None):
-        rows = [tuple(field.coerce(x) for x in r) for r in rows]
-        if rows:
-            ncols_seen = {len(r) for r in rows}
-            if len(ncols_seen) != 1:
-                raise DimensionMismatch("ragged rows")
-            inferred = ncols_seen.pop()
-            if ncols is not None and ncols != inferred:
-                raise DimensionMismatch(f"expected {ncols} columns, got {inferred}")
-            ncols = inferred
-        elif ncols is None:
-            ncols = 0
-        self.field = field
-        self.nrows = len(rows)
-        self.ncols = ncols
-        self.rows = tuple(rows)
-
-    @classmethod
-    def identity(cls, field, n):
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self.field == other.field
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.ncols, self.rows))
-
-    def __repr__(self):
-        return f"Mat({self.field!r}, {self.nrows}x{self.ncols})"
-
-
-def rref(m: Mat) -> Mat:
-    """The unique reduced row-echelon form of m (zero rows kept at the bottom)."""
-    red = _make_reducer(m.field, m.ncols)
-    for row in m.rows:
-        red.insert(row)
-    rows = red.canonical_rows()
-    zero_row = tuple([m.field.zero] * m.ncols)
-    rows += [zero_row] * (m.nrows - len(rows))
-    return Mat(m.field, rows, m.ncols)
-
-
 class Subspace:
     """A linear subspace held as its canonical RREF basis (no zero rows)."""
 
@@ -251,10 +191,6 @@ class Subspace:
     @property
     def is_zero(self) -> bool:
         return not self.rows
-
-    @property
-    def basis(self) -> Mat:
-        return Mat(self.field, self.rows, self.ambient_dim)
 
     def _check_len(self, v):
         if len(v) != self.ambient_dim:
@@ -327,18 +263,15 @@ def zero_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
 
 
 def full_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
-    return span(field, Mat.identity(field, ambient_dim).rows, ambient_dim)
+    one, zero = field.one, field.zero
+    rows = [[one if i == j else zero for j in range(ambient_dim)] for i in range(ambient_dim)]
+    return span(field, rows, ambient_dim)
 
 
 def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
     if s.field != t.field or s.ambient_dim != t.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient spaces")
-    red = _make_reducer(s.field, s.ambient_dim)
-    for v in s.rows:
-        red.insert(v)
-    for v in t.rows:
-        red.insert(v)
-    return _subspace_from_reducer(s.field, s.ambient_dim, red)
+    return span(s.field, s.rows + t.rows, s.ambient_dim)
 
 
 def kernel_of_rows(field: FieldSpec, rows, ncols: int) -> Subspace:
@@ -363,27 +296,23 @@ def kernel_of_rows(field: FieldSpec, rows, ncols: int) -> Subspace:
     return span(field, basis, ncols)
 
 
-def kernel(m: Mat) -> Subspace:
-    return kernel_of_rows(m.field, m.rows, m.ncols)
-
-
 def subspace_intersect(s: Subspace, t: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked generator system."""
+    """Intersection by Zassenhaus: reduce the rows (s_i | s_i) and (t_j | 0).
+
+    The echelon rows with pivot at or past n are (0 | w), and their w span
+    the intersection.
+    """
     if s.field != t.field or s.ambient_dim != t.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient spaces")
     field = s.field
     n = s.ambient_dim
-    # Columns are the generators of s followed by those of t; a kernel vector
-    # (a, b) satisfies sum a_i s_i = sum b_j t_j, an intersection vector.
-    ds, dt = s.dim, t.dim
-    if ds == 0 or dt == 0:
-        return zero_subspace(field, n)
-    eq_rows = []
-    for c in range(n):
-        row = [s.rows[i][c] for i in range(ds)] + [field.neg(t.rows[j][c]) for j in range(dt)]
-        eq_rows.append(row)
-    k = kernel_of_rows(field, eq_rows, ds + dt)
-    return span(field, [_linear_combination(field, kv, s.rows, n) for kv in k.rows], n)
+    red = _make_reducer(field, 2 * n)
+    for v in s.rows:
+        red.insert(v + v)
+    zeros = (field.zero,) * n
+    for v in t.rows:
+        red.insert(v + zeros)
+    return span(field, [red.rows[p][n:] for p in red.pivots if p >= n], n)
 
 
 def _linear_combination(field, coeffs, rows, width):

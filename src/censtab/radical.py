@@ -66,13 +66,12 @@ def radical(a: Algebra) -> Subspace:
     f = a.field
     gram = _trace_form_rows(ua)
     rad_sharp = kernel_of_rows(f, gram, ua.dim)
-    # intersect with the embedded copy of a (first coordinate zero)
-    guard = [f.one] + [f.zero] * a.dim
-    cut = kernel_of_rows(f, gram + [guard], ua.dim)
-    if cut.dim != rad_sharp.dim:
+    # rad_sharp must lie in the embedded copy of a (first coordinate zero);
+    # in RREF only a row with pivot 0 is nonzero there
+    if rad_sharp.pivots[:1] == (0,):
         raise ConsistencyError("trace-form radical escapes the embedded algebra")
-    rows = tuple(tuple(r[1:]) for r in cut.rows)
-    pivots = tuple(p - 1 for p in cut.pivots)
+    rows = tuple(tuple(r[1:]) for r in rad_sharp.rows)
+    pivots = tuple(p - 1 for p in rad_sharp.pivots)
     rad = Subspace(f, a.dim, rows, pivots)
     _verify_radical(a, rad, ua, rad_sharp)
     return rad

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import subprocess
 import sys
-
+import time
+from pathlib import Path
 
 from censtab.cli import main
+from censtab.errors import ConsistencyError
 
 
 def run(capsys, *argv):
@@ -216,3 +219,42 @@ def test_non_integer_seed_env_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # an explicit --seed does not read the variable, and validate has no seed
     assert run(capsys, "stable", t3, "--seed", "2")[0] == 0
     assert run(capsys, "validate", t3)[0] == 0
+
+
+def test_oversized_dimension_is_rejected_at_once(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"field": "Q", "dim": 257, "table": []}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "stable", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "257" in err
+    path.write_text(json.dumps({"field": "Q", "dim": 256, "table": []}))
+    assert run(capsys, "validate", str(path))[0] == 0
+
+
+def test_consistency_error_exits_4_with_a_reproduction_line(tmp_path, capsys, monkeypatch):
+    t3 = str(tmp_path / "t3.json")
+    run(capsys, "construct", "upper_triangular", "--n", "3", "-o", t3)
+    digest = hashlib.sha256(Path(t3).read_bytes()).hexdigest()
+
+    def broken(a):
+        raise ConsistencyError("planted fault")
+
+    monkeypatch.setattr("censtab.cli.radical", broken)
+    code, out, err = run(capsys, "info", t3, "--json")
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert "planted fault" in err
+    assert f"command: censtab info {t3} --json" in err
+    assert "seed: None" in err
+    assert f"sha256 {t3}: {digest}" in err
+
+    monkeypatch.setattr("censtab.stability.radical", broken)
+    code, out, err = run(capsys, "stable", t3, "--seed", "7")
+    assert code == 4
+    assert len(err.splitlines()) == 1
+    assert "seed: 7" in err and digest in err

@@ -5,6 +5,7 @@ import pytest
 from censtab.catalog import build, standard_entries
 from censtab.errors import FileFormatError, NotAssociative, ParseError
 from censtab.fileformat import (
+    MAX_DIM,
     algebra_from_json,
     algebra_to_json,
     certificate_from_json,
@@ -177,3 +178,10 @@ def test_bool_dimension_and_indices_are_rejected():
     for entry in ([False, 0, [[0, "1"]]], [0, False, [[0, "1"]]], [0, 0, [[False, "1"]]]):
         with pytest.raises(FileFormatError):
             algebra_from_json({**one, "table": [entry]})
+
+
+def test_dimension_is_bounded():
+    assert MAX_DIM == 256
+    assert algebra_from_json({"field": "Q", "dim": MAX_DIM, "table": []}).dim == MAX_DIM
+    with pytest.raises(FileFormatError, match="exceeds"):
+        algebra_from_json({"field": "Q", "dim": MAX_DIM + 1, "table": []})

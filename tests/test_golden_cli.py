@@ -3,10 +3,9 @@
 The roster is T_3, strict_upper 3, M_2, truncated_poly 3, ema and
 scalar_plus_strict_upper 3, over Q and (all but the Q-only ema) over GF(101).
 Each case runs one subcommand with `--json` and compares standard output byte
-for byte with the stored text,
-with the `timings` member cut out of both.  Refactors of the engine must keep
-these bytes.  To regenerate the stored outputs after an intended change of
-output:
+for byte with the stored text, with the `timings` member cut out of both.
+Refactors of the engine must keep these bytes.  To regenerate the stored
+outputs after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """

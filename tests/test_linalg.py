@@ -1,15 +1,15 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from censtab.errors import DimensionMismatch
 from censtab.linalg import (
-    Mat,
+    _RationalReducer,
     express_in_span,
     full_subspace,
-    kernel,
-    rref,
+    kernel_of_rows,
     solve_linear,
     span,
     subspace_intersect,
@@ -20,16 +20,6 @@ from censtab.scalars import RATIONALS, prime_field
 
 Q = RATIONALS
 F = Fraction
-
-
-def test_rref_examples():
-    m = Mat(Q, [[2, 4], [1, 2]])
-    r = rref(m)
-    assert r.rows == ((F(1), F(2)), (F(0), F(0)))
-    ident = Mat.identity(Q, 3)
-    assert rref(ident) == ident
-    z = Mat(Q, [[0, 0], [0, 0]])
-    assert rref(z) == z
 
 
 def test_span_examples():
@@ -88,7 +78,7 @@ def test_sum_intersect_kernel_examples():
     assert subspace_intersect(xy, yz) == y_axis
     s = span(Q, [(1, 2, 0)], 3)
     assert subspace_sum(s, zero_subspace(Q, 3)) == s
-    k = kernel(Mat(Q, [[1, 1]]))
+    k = kernel_of_rows(Q, [[1, 1]], 2)
     assert k == span(Q, [(1, -1)], 2)
 
 
@@ -121,27 +111,65 @@ def test_kernel_matches_definition():
         for _ in range(40):
             rows = rng.randint(0, 5)
             cols = rng.randint(1, 6)
-            m = Mat(
-                field,
-                [[field.random_scalar(rng) for _ in range(cols)] for _ in range(rows)],
-                cols,
-            )
-            k = kernel(m)
+            m = [[field.random_scalar(rng) for _ in range(cols)] for _ in range(rows)]
+            k = kernel_of_rows(field, m, cols)
             for v in k.rows:
-                assert all(x == field.zero for x in m_mul(m, v))
+                assert all(x == field.zero for x in m_mul(field, m, v))
             # rank-nullity
-            assert k.dim == cols - span(field, m.rows, cols).dim
+            assert k.dim == cols - span(field, m, cols).dim
 
 
-def m_mul(m, v):
-    f = m.field
+def m_mul(f, m, v):
     out = []
-    for row in m.rows:
+    for row in m:
         acc = f.zero
         for x, y in zip(row, v):
             acc = f.add(acc, f.mul(x, y))
         out.append(acc)
     return out
+
+
+def test_to_int_row_matches_fraction_scaling():
+    def reference(v):
+        # the old formula: scale every entry by the lcm of the denominators
+        m = lcm(*[F(x).denominator for x in v])
+        return [int(x * m) for x in v]
+
+    rng = random.Random(53)
+    big = (10**9 + 7, 10**9 + 9, 2**61 - 1)
+    cases = [[], [0, 0, 0], [F(0), 0], [3, -4], [F(-1, 2), 5, F(2, 3)], [F(1, big[0]), F(-1, big[1])]]
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        dens = (1, 2, 3, 7, 12) + big
+        cases.append([
+            rng.choice([rng.randint(-9, 9), F(rng.randint(-10**6, 10**6), rng.choice(dens))])
+            for _ in range(n)
+        ])
+    for v in cases:
+        got = _RationalReducer._to_int_row(v)
+        assert got == reference(v), v
+        assert all(type(x) is int for x in got)
+
+
+def test_pivot_zero_test_matches_intersection_with_first_coordinate_zero():
+    # radical() rejects a kernel with pivot 0; that is exactly the kernel not
+    # lying in span(e_1..e_n), the copy of A inside its unitization
+    rng = random.Random(59)
+    for field in (Q, prime_field(13)):
+        for _ in range(80):
+            n = rng.randint(1, 5)
+            e = [[field.one if i == j else field.zero for j in range(n + 1)] for i in range(1, n + 1)]
+            tail = span(field, e, n + 1)
+            vecs = [
+                [field.random_scalar(rng) if rng.random() < 0.7 else field.zero for _ in range(n + 1)]
+                for _ in range(rng.randint(0, n + 1))
+            ]
+            if rng.random() < 0.4:
+                for v in vecs:
+                    v[0] = field.zero
+            s = span(field, vecs, n + 1)
+            escapes = subspace_intersect(s, tail).dim != s.dim
+            assert (s.pivots[:1] == (0,)) == escapes
 
 
 def test_full_subspace_and_ordering():
