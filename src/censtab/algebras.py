@@ -487,6 +487,15 @@ def quotient(a: Algebra, ideal: Subspace) -> QuotientMap:
     w = ideal_witness(a, ideal)
     if w is not None:
         raise NotAnIdeal(*w)
+    return _quotient_by_ideal(a, ideal)
+
+
+def _quotient_by_ideal(a: Algebra, ideal: Subspace) -> QuotientMap:
+    """a/ideal for a subspace the caller has already proved to be an ideal.
+
+    Nothing here checks that; for a non-ideal the table it builds need not
+    be associative.  Callers without such a proof use quotient().
+    """
     n = a.dim
     pivot_set = set(ideal.pivots)
     free = tuple(c for c in range(n) if c not in pivot_set)
@@ -647,8 +656,11 @@ def is_commutative(a: Algebra) -> bool:
 
 def nilpotency_index(a: Algebra):
     """Smallest k with A^k = 0, or None if the power chain stalls above zero."""
-    identity = [[int(i == j) for j in range(a.dim)] for i in range(a.dim)]
-    return _power_chain_index(a, identity)
+    return _power_chain_index(a, _identity_rows(a.dim))
+
+
+def _identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _power_chain_index(a: Algebra, basis):
@@ -664,20 +676,47 @@ def _power_chain_index(a: Algebra, basis):
     gens = cur = list(basis)
     k = 1
     while cur:
-        red = _make_reducer(a.field, a.dim)
-        nxt = []
-        for v in gens:
-            for w in cur:
-                acc = a._product(v, w)
-                if acc:
-                    r = red.insert([acc.get(q, 0) for q in range(a.dim)])
-                    if r is not None:
-                        nxt.append(r)
-        if len(nxt) >= len(cur):
+        nxt = _power_product(a, gens, cur, len(cur))
+        if nxt is None:
             return None
         cur, k = nxt, k + 1
     return k
 
 
+def _nilpotent_by_squaring(a: Algebra, basis) -> bool:
+    """Whether the subalgebra N = span(basis) is nilpotent, by squaring.
+
+    basis must be linearly independent and N closed under products.  The
+    basis of N^{2m} is reduced from the products v w of basis vectors of
+    N^m, since N^a N^b = N^{a+b}.  N^{2m} lies in N^m because N is a
+    subalgebra, so a square that is not smaller than N^m equals it: then
+    N^{2^j m} = N^m != 0 for every j, and N is not nilpotent.  Otherwise the
+    dimension drops at every step, so zero is reached within dim N steps.
+    """
+    cur = list(basis)
+    while cur:
+        cur = _power_product(a, cur, cur, len(cur))
+        if cur is None:
+            return False
+    return True
+
+
+def _power_product(a: Algebra, left, right, bound):
+    """Echelon basis of span{v w : v in left, w in right}, or None as soon as
+    it reaches bound vectors."""
+    red = _make_reducer(a.field, a.dim)
+    out = []
+    for v in left:
+        for w in right:
+            acc = a._product(v, w)
+            if acc:
+                r = red.insert([acc.get(q, 0) for q in range(a.dim)])
+                if r is not None:
+                    out.append(r)
+                    if len(out) >= bound:
+                        return None
+    return out
+
+
 def is_nilpotent(a: Algebra) -> bool:
-    return nilpotency_index(a) is not None
+    return _nilpotent_by_squaring(a, _identity_rows(a.dim))

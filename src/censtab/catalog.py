@@ -378,6 +378,27 @@ _BUILDERS = {
 }
 
 
+# The dimension each builder produces, from the same parameters, so that an
+# oversized build can be refused before it runs.  A size parameter below its
+# builder's minimum counts as 0; the builder rejects it.
+def _pos(n):
+    return max(n, 0)
+
+
+_DIMENSIONS = {
+    "matrix_full": lambda n, field=None: _pos(n) ** 2,
+    "upper_triangular": lambda n, field=None: _pos(n) * (_pos(n) + 1) // 2,
+    "scalar_plus_strict_upper": lambda n, field=None: 1 + _pos(n) * (_pos(n) - 1) // 2,
+    "strict_upper": lambda n, field=None: _pos(n) * (_pos(n) - 1) // 2,
+    "truncated_poly": lambda k, field=None: _pos(k),
+    "ema": lambda poly=(-2, 0, 1): 2 * len(poly) - 1,
+    "exg": lambda: 8,
+    "exh_rational": lambda: 4,
+    "matrix_over_commutative": lambda n, k, field=None: _pos(n) ** 2 * _pos(k),
+    "r11_radical": lambda n, k, field=None: _pos(n) ** 2 * _pos(k - 1),
+}
+
+
 def names():
     return sorted(_BUILDERS)
 
@@ -390,6 +411,18 @@ def build(name: str, **params) -> CatalogEntry:
         return _BUILDERS[name](**params)
     except TypeError as exc:
         raise BadParams(f"bad parameters for {name!r}: {exc}") from None
+
+
+def dimension(name: str, **params) -> int:
+    """The dimension of build(name, **params), computed without building it.
+
+    0 when build would reject the name or the parameters, so that build
+    reports them.
+    """
+    try:
+        return _DIMENSIONS[name](**params)
+    except (KeyError, TypeError):
+        return 0
 
 
 def standard_entries(field: FieldSpec = RATIONALS):

@@ -40,7 +40,7 @@ from .algebras import (
     tensor_product,
     unitization,
 )
-from .catalog import build as catalog_build, names as catalog_names
+from .catalog import build as catalog_build, dimension as catalog_dimension, names as catalog_names
 from .errors import (
     BadParams,
     ConsistencyError,
@@ -54,6 +54,7 @@ from .errors import (
     UnsupportedCharacteristic,
 )
 from .fileformat import (
+    MAX_DIM,
     algebra_to_json,
     dump_json,
     field_to_json,
@@ -132,9 +133,16 @@ def _emit(args, doc, human_lines):
             print(line)
 
 
+def _check_output_dim(dim):
+    # an algebra file is only useful if load_algebra will read it back
+    if dim > MAX_DIM:
+        raise BadParams(f"the result would have dimension {dim}, above the file limit of {MAX_DIM}")
+
+
 def _write_algebra(args, alg, summary):
     if not args.out and not args.json:
         raise BadParams("give -o FILE or --json so the result goes somewhere")
+    _check_output_dim(alg.dim)
     if args.out:
         save_algebra(alg, args.out)
     if args.json:
@@ -253,25 +261,34 @@ def _quotient(args, alg):
 
 
 # Subcommands that write one algebra derived from their input files:
-# name -> (help, input files, derive), where derive(args, *algebras)
-# returns the new algebra and a summary of it.
+# name -> (help, input files, size, derive), where size(args, *algebras) is
+# the dimension of the result (for quotient, a bound on it) and
+# derive(args, *algebras) returns the new algebra and a summary of it.
 _DERIVED = {
-    "quotient": ("quotient by the ideal generated by elements", ("file",), _quotient),
+    "quotient": ("quotient by the ideal generated by elements", ("file",),
+                 lambda args, a: a.dim, _quotient),
     "tensor": ("tensor product of two algebra files", ("file_a", "file_b"),
+               lambda args, a, b: a.dim * b.dim,
                lambda args, a, b: (tensor_product(a, b), "tensor product")),
     "product": ("direct product of two algebra files", ("file_a", "file_b"),
+                lambda args, a, b: a.dim + b.dim,
                 lambda args, a, b: (direct_product(a, b).algebra, "direct product")),
     "unitize": ("adjoin a unity", ("file",),
+                lambda args, a: a.dim + 1,
                 lambda args, a: (unitization(a).algebra, "unitization")),
     "matrix": ("n x n matrices over the algebra", ("file",),
+               lambda args, a: a.dim * max(args.n, 0) ** 2,
                lambda args, a: (matrix_algebra(a, args.n), f"matrix algebra M_{args.n}")),
     "opposite": ("reverse the multiplication", ("file",),
+                 lambda args, a: a.dim,
                  lambda args, a: (opposite(a), "opposite algebra")),
 }
 
 
 def _cmd_derived(args):
-    alg, what = args.derive(args, *(load_algebra(getattr(args, f)) for f in args.files))
+    algebras = [load_algebra(getattr(args, f)) for f in args.files]
+    _check_output_dim(args.size(args, *algebras))
+    alg, what = args.derive(args, *algebras)
     return _write_algebra(args, alg, f"{what}: dimension {alg.dim}")
 
 
@@ -288,6 +305,7 @@ def _cmd_construct(args):
             params["poly"] = tuple(Fraction(c.strip()) for c in args.poly.split(","))
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParams(f"bad polynomial coefficients: {exc}") from None
+    _check_output_dim(catalog_dimension(args.name, **params))
     entry = catalog_build(args.name, **params)
     return _write_algebra(
         args,
@@ -387,12 +405,12 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--coords", required=True, help='comma-separated scalars, e.g. "1,0,-1/2"')
 
-    for name, (help_, files, derive) in _DERIVED.items():
+    for name, (help_, files, size, derive) in _DERIVED.items():
         p = add(name, _cmd_derived, help_)
         for f in files:
             p.add_argument(f)
         p.add_argument("-o", "--out")
-        p.set_defaults(derive=derive, files=files)
+        p.set_defaults(size=size, derive=derive, files=files)
     sub.choices["quotient"].add_argument("--gens", required=True, help='vectors separated by ";"')
     sub.choices["matrix"].add_argument("--n", type=int, required=True)
 

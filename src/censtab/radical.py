@@ -12,12 +12,18 @@ non-unital algebras share one code path; the validity bound is therefore
 p > dim + 1, and the result is pulled back into the original coordinates.
 The returned subspace is re-checked to be a nilpotent two-sided ideal with a
 semisimple quotient, so a bug here surfaces as a ConsistencyError instead of
-a wrong verdict downstream.
+a wrong verdict downstream.  Each of the three checks runs once.
 """
 
 from __future__ import annotations
 
-from .algebras import Algebra, _power_chain_index, ideal_witness, quotient, unitization
+from .algebras import (
+    Algebra,
+    _nilpotent_by_squaring,
+    _quotient_by_ideal,
+    ideal_witness,
+    unitization,
+)
 from .errors import ConsistencyError, UnsupportedCharacteristic
 from .linalg import Subspace, kernel_of_rows
 
@@ -78,13 +84,25 @@ def radical(a: Algebra) -> Subspace:
 
 
 def _verify_radical(a, rad, ua, rad_sharp):
+    """Raise ConsistencyError unless rad is a nilpotent ideal of a with a
+    semisimple quotient, and rad_sharp = 0 + rad is its image in ua = A#.
+
+    Each property is checked once.  Nilpotency is checked by squaring, which
+    is exact for the ideal the first check has passed.  The quotient A#/rad#
+    is built without repeating the ideal check: the adjoined unity acts as
+    the identity, so 0 + rad is an ideal of A# exactly when rad is an ideal
+    of A, and the first check has shown that.
+    """
     w = ideal_witness(a, rad)
     if w is not None:
         raise ConsistencyError(f"radical candidate is not an ideal: witness {w}")
-    if _power_chain_index(a, rad.rows) is None:
+    if not _nilpotent_by_squaring(a, rad.rows):
         raise ConsistencyError("radical candidate is not nilpotent")
+    zero = a.field.zero
+    if rad_sharp.rows != tuple((zero,) + tuple(r) for r in rad.rows):
+        raise ConsistencyError("radical candidate differs from its image in the unitization")
     # semisimple quotient: the trace form of A#/rad(A#) has zero kernel
-    qm = quotient(ua, rad_sharp)
+    qm = _quotient_by_ideal(ua, rad_sharp)
     qgram = _trace_form_rows(qm.target)
     if kernel_of_rows(a.field, qgram, qm.target.dim).dim != 0:
         raise ConsistencyError("quotient by radical candidate is not semisimple")

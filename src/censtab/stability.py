@@ -31,7 +31,7 @@ from .algebras import (
     tensor_product,
     unitization,
 )
-from .errors import BadParams, ConsistencyError, DimensionMismatch, UnsupportedCharacteristic
+from .errors import BadParams, ConsistencyError, DimensionMismatch
 from .linalg import (
     _linear_combination,
     _make_reducer,
@@ -248,26 +248,23 @@ def algebra_centrally_stable(
 def _witness_candidates(a, work, embed, rad_space, j, budget, seed):
     f = a.field
     # (1) lift of a nonzero element of Z(A/J) cap rad(A/J); by the criterion's
-    # proof such an element can never be centrally stable in A
-    try:
-        qm = quotient(work, j)
-        if qm.target.dim > 0:
-            zq = center(qm.target)
-            rq = radical(qm.target)
-            inter = subspace_intersect(zq, rq)
-            if inter.dim > 0:
-                zbar = inter.rows[0]
-                proj = [qm.project_vec(row) for row in rad_space.rows]
-                coeffs = express_in_span(f, proj, zbar, qm.target.dim)
-                if coeffs is not None:
-                    v = _linear_combination(f, coeffs, rad_space.rows, work.dim)
-                    if embed is not None:
-                        assert v[0] == 0  # radical vectors avoid the adjoined unity
-                        yield a.element(embed.strip_vec(v))
-                    else:
-                        yield a.element(v)
-    except UnsupportedCharacteristic:
-        pass
+    # proof such an element can never be centrally stable in A.  J lies in
+    # rad(A), so rad(A/J) = rad(A)/J: rad(A)/J is a nilpotent ideal of A/J
+    # with quotient A/rad(A), which is semisimple.  Its span is canonical,
+    # so it has the same rows radical(A/J) would return.
+    qm = quotient(work, j)
+    if qm.target.dim > 0:
+        proj = [qm.project_vec(row) for row in rad_space.rows]
+        rq = span(f, proj, qm.target.dim)
+        inter = subspace_intersect(center(qm.target), rq)
+        if inter.dim > 0:
+            coeffs = express_in_span(f, proj, inter.rows[0], qm.target.dim)
+            v = _linear_combination(f, coeffs, rad_space.rows, work.dim)
+            if embed is not None:
+                assert v[0] == 0  # radical vectors avoid the adjoined unity
+                yield a.element(embed.strip_vec(v))
+            else:
+                yield a.element(v)
     # (2) basis elements
     for i in range(a.dim):
         yield a.basis_element(i)

@@ -1,7 +1,7 @@
 import pytest
 
 from censtab.algebras import verify_associativity
-from censtab.catalog import build, names, standard_entries
+from censtab.catalog import build, dimension, names, standard_entries
 from censtab.errors import BadParams
 from censtab.fileformat import algebra_to_json, dump_json
 from censtab.scalars import prime_field
@@ -108,3 +108,27 @@ def test_ema_extras_maximal_ideal():
 
     qm = quotient(e.algebra, m)
     assert qm.target.dim == 2
+
+
+def test_dimension_matches_the_built_algebra():
+    cases = [
+        *(("matrix_full", {"n": n}) for n in (1, 2, 3)),
+        *(("upper_triangular", {"n": n}) for n in (1, 2, 4)),
+        *(("scalar_plus_strict_upper", {"n": n}) for n in (1, 2, 4)),
+        *(("strict_upper", {"n": n}) for n in (2, 4)),
+        *(("truncated_poly", {"k": k, "field": prime_field(101)}) for k in (1, 5)),
+        ("ema", {}),
+        ("ema", {"poly": (-2, 0, 0, 1)}),
+        ("exg", {}),
+        ("exh_rational", {}),
+        *(("matrix_over_commutative", {"n": n, "k": k}) for n in (1, 2) for k in (1, 3)),
+        *(("r11_radical", {"n": n, "k": k}) for n in (2, 3) for k in (3, 4)),
+    ]
+    assert {name for name, _ in cases} == set(names())
+    for name, params in cases:
+        assert dimension(name, **params) == build(name, **params).algebra.dim, (name, params)
+    # what build rejects is left for build to report
+    assert dimension("matrix_full") == 0
+    assert dimension("no_such_algebra") == 0
+    assert dimension("exg", n=3) == 0
+    assert dimension("matrix_full", n=-20) == 0

@@ -258,3 +258,56 @@ def test_consistency_error_exits_4_with_a_reproduction_line(tmp_path, capsys, mo
     assert code == 4
     assert len(err.splitlines()) == 1
     assert "seed: 7" in err and digest in err
+
+
+def test_results_too_large_to_load_are_refused_before_building(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "construct", "matrix_full", "--n", "17", "-o", str(out))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and stdout == ""
+    assert len(err.splitlines()) == 1 and "289" in err
+    assert not out.exists()
+
+    m2 = str(tmp_path / "m2.json")
+    run(capsys, "construct", "matrix_full", "--n", "2", "-o", m2)
+    code, stdout, err = run(capsys, "matrix", m2, "--n", "9", "-o", str(out))
+    assert code == 2 and stdout == ""
+    assert len(err.splitlines()) == 1 and "324" in err
+    assert not out.exists()
+    # dimension 256 is still written, and loads
+    assert run(capsys, "matrix", m2, "--n", "8", "-o", str(out))[0] == 0
+    assert run(capsys, "validate", str(out))[0] == 0
+
+
+def test_derived_commands_bound_the_exact_output_dimension(tmp_path, capsys, monkeypatch):
+    # each command is refused when its output is one above the limit, and
+    # runs when the output sits at the limit, so the sizes are exact
+    t2, p2 = str(tmp_path / "t2.json"), str(tmp_path / "p2.json")
+    run(capsys, "construct", "upper_triangular", "--n", "2", "-o", t2)
+    run(capsys, "construct", "truncated_poly", "--k", "2", "-o", p2)
+    cases = [
+        (["construct", "upper_triangular", "--n", "4"], 10),
+        (["construct", "matrix_over_commutative", "--n", "2", "--k", "3"], 12),
+        (["construct", "r11_radical", "--n", "2", "--k", "4"], 12),
+        (["tensor", t2, p2], 6),
+        (["product", t2, p2], 5),
+        (["unitize", t2], 4),
+        (["matrix", p2, "--n", "3"], 18),
+        (["opposite", t2], 3),
+    ]
+    for argv, dim in cases:
+        out = tmp_path / "out.json"
+        monkeypatch.setattr("censtab.cli.MAX_DIM", dim - 1)
+        code, _, err = run(capsys, *argv, "-o", str(out))
+        assert code == 2 and len(err.splitlines()) == 1, argv
+        assert not out.exists(), argv
+        monkeypatch.setattr("censtab.cli.MAX_DIM", dim)
+        assert run(capsys, *argv, "-o", str(out))[0] == 0, argv
+        out.unlink()
+    # the write itself is bounded too, whatever the size said
+    monkeypatch.setattr("censtab.cli.MAX_DIM", 3)
+    monkeypatch.setattr("censtab.cli.catalog_dimension", lambda name, **params: 0)
+    code, _, err = run(capsys, "construct", "matrix_full", "--n", "2", "-o", str(out))
+    assert code == 2 and len(err.splitlines()) == 1 and "dimension 4" in err
+    assert not out.exists()

@@ -1,22 +1,32 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from censtab.algebras import (
+    Algebra,
+    _identity_rows,
+    _nilpotent_by_squaring,
+    _power_chain_index,
     build_algebra,
     direct_product,
     matrix_algebra,
     quotient,
     unitization,
 )
+from censtab.catalog import build, standard_entries
 from censtab.errors import ConsistencyError, UnsupportedCharacteristic
 from censtab.linalg import span
 from censtab.radical import is_semisimple, radical
 from censtab.scalars import RATIONALS as Q, prime_field
+from censtab.stability import algebra_centrally_stable
 
 from oracle import full_family, strict_upper_family, upper_family
 from test_algebras import alg_from_family, truncated_poly
+from test_stability import _random_subalgebra
+
+FIELDS = pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
 
 F = Fraction
 
@@ -225,3 +235,83 @@ def test_verify_radical_rejects_a_radical_too_small():
     # is not semisimple
     with pytest.raises(ConsistencyError, match="not semisimple"):
         _verify_planted(t2, [], [])
+
+
+def test_verify_radical_rejects_a_unitization_image_that_is_not_its_own():
+    t2 = alg_from_family(upper_family(2))
+    # the true radical span{e12}, paired with an A# subspace that is not 0 + rad
+    with pytest.raises(ConsistencyError, match="image in the unitization"):
+        _verify_planted(t2, [(0, 1, 0)], [(0, 1, 0, 0)])
+
+
+# -- the squaring check and the work it saves -------------------------------------
+
+
+@FIELDS
+def test_squaring_nilpotency_agrees_with_the_power_chain(field):
+    cases = []
+    for entry in standard_entries(field):
+        a = entry.algebra
+        cases.append((a, radical(a).rows))
+        cases.append((a, _identity_rows(a.dim)))  # nilpotent only for the nilpotent entries
+    ambients = [
+        build(name, n=n, field=field).algebra
+        for name, n in (("upper_triangular", 4), ("matrix_full", 3),
+                        ("scalar_plus_strict_upper", 4), ("strict_upper", 4))
+    ]
+    for trial in range(40):
+        rng = random.Random(f"squaring:{trial}")
+        sub = _random_subalgebra(ambients[trial % len(ambients)], rng)
+        cases.append((sub, _identity_rows(sub.dim)))
+    outcomes = set()
+    for a, basis in cases:
+        squared = _nilpotent_by_squaring(a, basis)
+        assert squared == (_power_chain_index(a, basis) is not None), (a, basis)
+        outcomes.add(squared)
+    assert outcomes == {True, False}
+    m2 = build("matrix_full", n=2, field=field).algebra
+    assert not _nilpotent_by_squaring(m2, _identity_rows(4))
+
+
+def _count_work(monkeypatch):
+    """Count basis-vector products and ideal checks from here on."""
+    counts = {"products": 0, "ideal_witness": 0}
+    product = Algebra._product
+
+    def counted_product(self, x, y):
+        counts["products"] += 1
+        return product(self, x, y)
+
+    algebras = importlib.import_module("censtab.algebras")
+    witness = algebras.ideal_witness
+
+    def counted_witness(a, s):
+        counts["ideal_witness"] += 1
+        return witness(a, s)
+
+    monkeypatch.setattr(Algebra, "_product", counted_product)
+    monkeypatch.setattr(algebras, "ideal_witness", counted_witness)
+    # censtab.radical is shadowed by the function of that name on the package
+    monkeypatch.setattr(importlib.import_module("censtab.radical"), "ideal_witness", counted_witness)
+    return counts
+
+
+@FIELDS
+def test_radical_work_bounds(field, monkeypatch):
+    # one ideal check, and N^{2m} = N^m N^m: 23^2 + 22^2 + 20^2 + 16^2 + 8^2 products
+    a = build("truncated_poly", k=24, field=field).algebra
+    counts = _count_work(monkeypatch)
+    radical(a)
+    assert counts["products"] <= 1733
+    assert counts["ideal_witness"] == 1
+
+
+@FIELDS
+def test_decision_work_bounds(field, monkeypatch):
+    # one radical (36^2 + 28^2 + 15^2 + 1^2 products), checked for being an
+    # ideal once, plus the quotient by J in the witness search
+    a = build("strict_upper", n=9, field=field).algebra
+    counts = _count_work(monkeypatch)
+    algebra_centrally_stable(a)
+    assert counts["products"] <= 2306
+    assert counts["ideal_witness"] <= 2

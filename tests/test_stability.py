@@ -9,13 +9,15 @@ from censtab.algebras import (
     commutator_space,
     direct_product,
     ideal_generated,
+    quotient,
     tensor_product,
+    unitization,
 )
 from censtab.catalog import build, standard_entries
 from censtab.errors import NotAnIdeal
-from censtab.linalg import span, zero_subspace
+from censtab.linalg import span, subspace_intersect, zero_subspace
 from censtab.radical import radical
-from censtab.scalars import RATIONALS as Q
+from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import (
     NOT_STABLE,
     STABLE,
@@ -573,3 +575,22 @@ def test_tensor_with_matrices_is_cached_per_algebra():
     assert T is dec.tensor_algebra
     assert (dec.stable_part + T.zero()) == dec.stable_part
     assert tensor_with_matrices(alg, 3) is not T
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
+def test_radical_of_the_quotient_by_the_criterion_ideal_is_the_projected_radical(field):
+    # the witness search takes rad(A/J) as rad(A)/J for J = Id(Z cap rad)
+    seen = 0
+    for entry in standard_entries(field):
+        if entry.expected.verdict != NOT_STABLE:
+            continue
+        a = entry.algebra
+        work = a if a.is_unital else unitization(a).algebra
+        r = radical(work)
+        c = subspace_intersect(center(work), r)
+        j = ideal_generated(work, [work.element(row) for row in c.rows])
+        qm = quotient(work, j)
+        projected = span(field, [qm.project_vec(row) for row in r.rows], qm.target.dim)
+        assert radical(qm.target) == projected, entry.description
+        seen += 1
+    assert seen >= 5
