@@ -273,25 +273,29 @@ def _check_associativity(a: Algebra) -> None:
 
 
 def _find_unity(a: Algebra):
-    """The two-sided unity of a, or None; a.unity is not consulted."""
+    """The two-sided unity of a, or None; a.unity is not consulted.
+
+    Only the left-unity equations u e_j = e_j are solved, then the solution
+    is checked on both sides.  That is exact: if a has a two-sided unity u
+    and u' is any left unity, then u' = u' u = u, so the left system has
+    the single solution u; if a has none, the check fails for every u.
+    """
     field, dim = a.field, a.dim
     if dim == 0:
         return None
-    # u e_i = e_i reads sum_j u_j c_ji^k = [i == k], e_i u = e_i likewise
+    # u e_j = e_j reads sum_i u_i c_ij^k = [j == k]: one row per (j, k)
     rows = {}
     for (i, j), pairs in a.table.items():
         for k, c in pairs:
-            rows.setdefault(("r", j, k), [field.zero] * dim)[i] = c
-            rows.setdefault(("l", i, k), [field.zero] * dim)[j] = c
-    for i in range(dim):
-        if ("r", i, i) not in rows or ("l", i, i) not in rows:
-            return None  # no u can reproduce e_i on that side
+            rows.setdefault((j, k), [0] * dim)[i] = c
+    for j in range(dim):
+        if (j, j) not in rows:
+            return None  # no u can reproduce e_j
     keys = sorted(rows.keys())
-    rhs = [field.one if i == k else field.zero for (_, i, k) in keys]
+    rhs = [1 if j == k else 0 for (j, k) in keys]
     u = solve_linear(field, [rows[key] for key in keys], rhs)
     if u is None:
         return None
-    # solve_linear returns some solution; re-check it is a two-sided unity
     return tuple(u) if _unity_failure(a, u) is None else None
 
 
@@ -352,11 +356,11 @@ def center(a: Algebra) -> Subspace:
             # c contributes +c to row (j, k) at column i and -c to row (i, k) at column j
             r = rows.get((j, k))
             if r is None:
-                r = rows[(j, k)] = [a.field.zero] * a.dim
+                r = rows[(j, k)] = [0] * a.dim
             r[i] = a.field.add(r[i], c)
             r = rows.get((i, k))
             if r is None:
-                r = rows[(i, k)] = [a.field.zero] * a.dim
+                r = rows[(i, k)] = [0] * a.dim
             r[j] = a.field.sub(r[j], c)
     return kernel_of_rows(a.field, rows.values(), a.dim)
 
@@ -443,7 +447,10 @@ def ideal_witness(a: Algebra, s: Subspace):
     red = _make_reducer(a.field, a.dim)
     for v in s.rows:
         red.insert(v)
-    for vi, v in enumerate(s.rows):
+    # s.rows is in RREF, so each reducer row is a nonzero multiple of the
+    # canonical row with the same pivot: same witness, int arithmetic over Q
+    for vi, p in enumerate(s.pivots):
+        v = red.rows[p]
         for i in range(a.dim):
             w = a._basis_mul_vec(i, v)
             if w is not None and not red.contains(w):
@@ -693,7 +700,8 @@ def _nilpotent_by_squaring(a: Algebra, basis) -> bool:
     N^{2^j m} = N^m != 0 for every j, and N is not nilpotent.  Otherwise the
     dimension drops at every step, so zero is reached within dim N steps.
     """
-    cur = list(basis)
+    red = _make_reducer(a.field, a.dim)
+    cur = [red.insert(v) for v in basis]  # the same span, as reducer rows
     while cur:
         cur = _power_product(a, cur, cur, len(cur))
         if cur is None:

@@ -12,7 +12,9 @@ report commands accept --json; identical inputs and seeds produce
 byte-identical JSON up to the "timings" member.  Fields are written Q, GF:p
 or GF(p).  The default seed is 0, overridable with the CENSTAB_SEED
 environment variable; a CENSTAB_SEED that is not an integer is a usage
-error.
+error, and so is a negative --ideals, --elements or --witness-budget; each
+of these prints one line to stderr.  decompose refuses (code 2) an A (x) M_n
+above the file limit on dimension before it reads the coordinates.
 """
 
 from __future__ import annotations
@@ -103,6 +105,17 @@ def _env_seed() -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"CENSTAB_SEED must be an integer, got {text!r}") from None
+
+
+def _check_usage(args):
+    """The usage checks argparse does not make: counts are non-negative,
+    and a missing --seed is read from CENSTAB_SEED."""
+    for name in ("ideals", "elements", "witness_budget"):
+        value = getattr(args, name, 0)
+        if value < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be non-negative, got {value}")
+    if getattr(args, "seed", 0) is None:
+        args.seed = _env_seed()
 
 
 def _parse_field(text: str):
@@ -347,6 +360,7 @@ def _cmd_fuzz(args):
 def _cmd_decompose(args):
     alg = load_algebra(args.file)
     n = args.n
+    _check_output_dim(alg.dim * max(n, 0) ** 2)
     coords = _parse_coords(alg.field, args.coords, alg.dim * n * n)
     t0 = time.perf_counter()
     dec = decompose_tensor_element(alg, n, coords, pivot=args.pivot)
@@ -461,12 +475,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(_glue_dash_values(list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    if getattr(args, "seed", 0) is None:
-        try:
-            args.seed = _env_seed()
-        except ValueError as exc:
-            print(f"censtab: error: {exc}", file=sys.stderr)
-            return 1
+    try:
+        _check_usage(args)
+    except ValueError as exc:
+        print(f"censtab: error: {exc}", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except UnsupportedCharacteristic as exc:

@@ -12,6 +12,12 @@ primitive integer row (its denominators cleared by their lcm) and is
 eliminated by cross-multiplication.  Fractions are built only on the way
 out, in canonical rows and solution vectors, since per-entry Fraction
 normalization inside the elimination loop would dominate the running time.
+
+Rows handed to a reducer may mix ints and Fractions.  Only their nonzero
+entries are read, and a Fraction is slow even to test for zero, so rows
+built just to feed a reducer should hold their zeros as the int 0.  What
+leaves this module is canonical: over Q, every entry of `Subspace.rows`
+and of a solution vector is a Fraction.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatch
-from .scalars import FieldSpec
+from .scalars import RATIONALS, FieldSpec
+
+_ZERO = RATIONALS.zero
 
 
 def _row_gcd(row):
@@ -71,8 +79,13 @@ class _RationalReducer(_Reducer):
 
     @staticmethod
     def _to_int_row(vec):
-        m = lcm(*[x.denominator for x in vec])
-        return [x.numerator * (m // x.denominator) for x in vec]
+        # zeros have denominator 1, so only the nonzero entries are read
+        nonzero = [(i, x) for i, x in enumerate(vec) if x]
+        m = lcm(*[x.denominator for _, x in nonzero])
+        out = [0] * len(vec)
+        for i, x in nonzero:
+            out[i] = x.numerator * (m // x.denominator)
+        return out
 
     def residual(self, vec):
         """Reduce vec against the current rows; zero residual means membership."""
@@ -124,7 +137,7 @@ class _RationalReducer(_Reducer):
         for p in self.pivots:
             r = rows[p]
             piv = r[p]
-            out.append(tuple(Fraction(x, piv) for x in r))
+            out.append(tuple(Fraction(x, piv) if x else _ZERO for x in r))
         return out
 
 
@@ -283,12 +296,11 @@ def kernel_of_rows(field: FieldSpec, rows, ncols: int) -> Subspace:
     pivots = list(red.pivots)
     pivot_set = set(pivots)
     basis = []
-    one, zero = field.one, field.zero
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [zero] * ncols
-        v[free] = one
+        v = [0] * ncols
+        v[free] = 1
         for p, row in zip(pivots, rref_rows):
             if row[free]:
                 v[p] = field.neg(row[free])
@@ -309,7 +321,7 @@ def subspace_intersect(s: Subspace, t: Subspace) -> Subspace:
     red = _make_reducer(field, 2 * n)
     for v in s.rows:
         red.insert(v + v)
-    zeros = (field.zero,) * n
+    zeros = (0,) * n
     for v in t.rows:
         red.insert(v + zeros)
     return span(field, [red.rows[p][n:] for p in red.pivots if p >= n], n)
@@ -338,16 +350,15 @@ def express_in_span(field: FieldSpec, generators, target, width: int):
     gens = list(generators)
     g = len(gens)
     red = _make_reducer(field, width + g + 1)
-    zero = field.zero
     for i, v in enumerate(gens):
         if len(v) != width:
             raise DimensionMismatch("generator has wrong length")
-        aug = [zero] * (g + 1)
-        aug[i] = field.one
+        aug = [0] * (g + 1)
+        aug[i] = 1
         red.insert(list(v) + aug)
     if len(target) != width:
         raise DimensionMismatch("target has wrong length")
-    w = red.residual(list(target) + [zero] * g + [field.one])
+    w = red.residual(list(target) + [0] * g + [1])
     if any(w[:width]):
         return None
     scale = w[width + g]

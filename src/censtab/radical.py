@@ -31,7 +31,7 @@ from .linalg import Subspace, kernel_of_rows
 def _trace_form_rows(a: Algebra):
     """Gram matrix rows G[i][j] = trace(L_{e_i e_j}) = sum_k c[i][j][k] t_k."""
     f = a.field
-    t = [f.zero] * a.dim
+    t = [0] * a.dim
     for k, entries in enumerate(a._rows):
         for j, pairs in entries:
             for m, c in pairs:
@@ -39,13 +39,14 @@ def _trace_form_rows(a: Algebra):
                     t[k] = f.add(t[k], c)
     rows = []
     for entries in a._rows:
-        row = [f.zero] * a.dim
+        row = [0] * a.dim
         for j, pairs in entries:
             acc = 0
             for k, c in pairs:
                 if t[k]:
                     acc = acc + c * t[k]
-            row[j] = f.canon(acc)
+            if acc:
+                row[j] = f.canon(acc)
         rows.append(row)
     return rows
 

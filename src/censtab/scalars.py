@@ -21,6 +21,10 @@ _RESIDUE_RE = re.compile(r"\d+")
 # machine-word range we allow for p).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Fractions are immutable, so one zero and one one serve every caller.
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -77,11 +81,11 @@ class FieldSpec:
 
     @property
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return _Q_ZERO if self.p is None else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return _Q_ONE if self.p is None else 1
 
     def coerce(self, x):
         """Return x as a canonical scalar of this field.

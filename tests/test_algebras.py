@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from censtab.algebras import (
     unitization,
     verify_associativity,
 )
+from censtab.catalog import build, standard_entries
 from censtab.errors import (
     AlgebraMismatch,
     IndexOutOfRange,
@@ -28,7 +30,7 @@ from censtab.errors import (
     NotAssociative,
 )
 from censtab.linalg import span, subspace_sum, zero_subspace
-from censtab.scalars import RATIONALS as Q
+from censtab.scalars import RATIONALS as Q, prime_field
 
 from oracle import (
     commutator_m,
@@ -144,6 +146,77 @@ def test_unity_detection():
     }
     row_alg = build_algebra(Q, 2, table)
     assert row_alg.unity is None
+    # e_i e_j = e_j: every u with u_0 + u_1 = 1 is a left unity, but e_0 u = u
+    # cannot be e_0 and e_1 at once; the opposite has right unities only
+    table = {(i, j): ((j, 1),) for i in range(2) for j in range(2)}
+    flipped = {(j, i): pairs for (i, j), pairs in table.items()}
+    for field in (Q, prime_field(101)):
+        assert build_algebra(field, 2, table).unity is None
+        assert build_algebra(field, 2, flipped).unity is None
+
+
+def _dense_two_sided_unity(a):
+    """Solve u e_j = e_j and e_j u = e_j for all j by dense Gauss-Jordan."""
+    f, n = a.field, a.dim
+    if n == 0:
+        return None
+    c = [[[f.zero] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), pairs in a.table.items():
+        for k, x in pairs:
+            c[i][j][k] = x
+    eqs = []
+    for j in range(n):
+        for k in range(n):
+            rhs = f.one if j == k else f.zero
+            eqs.append([c[i][j][k] for i in range(n)] + [rhs])
+            eqs.append([c[j][i][k] for i in range(n)] + [rhs])
+    row = 0
+    pivots = []
+    for col in range(n + 1):
+        hit = next((r for r in range(row, len(eqs)) if eqs[r][col] != 0), None)
+        if hit is None:
+            continue
+        if col == n:
+            return None  # 0 = 1
+        eqs[row], eqs[hit] = eqs[hit], eqs[row]
+        inv = f.inv(eqs[row][col])
+        eqs[row] = [f.mul(inv, x) for x in eqs[row]]
+        for r in range(len(eqs)):
+            if r != row and eqs[r][col] != 0:
+                m = eqs[r][col]
+                eqs[r] = [f.sub(x, f.mul(m, y)) for x, y in zip(eqs[r], eqs[row])]
+        pivots.append(col)
+        row += 1
+    # a two-sided unity is unique, so a consistent system has no free column
+    assert pivots == list(range(n))
+    return tuple(eqs[r][n] for r in range(n))
+
+
+def test_unity_matches_dense_two_sided_solve():
+    for field in (Q, prime_field(101)):
+        for entry in standard_entries(field):
+            a = entry.algebra
+            rebuilt = build_algebra(field, a.dim, a.table)
+            assert rebuilt.unity == _dense_two_sided_unity(a), entry.description
+
+
+def test_unity_solve_uses_only_the_left_equations(monkeypatch):
+    # M_4: the left equations u e_j = e_j have one row per (j, k) with
+    # e_j = e_rs and e_k = e_ps, so 16 * 4 = 64 rows (both sides: 128)
+    algebras = importlib.import_module("censtab.algebras")
+    rows_seen = []
+    solve = algebras.solve_linear
+
+    def counted(field, eq_rows, rhs):
+        eq_rows = list(eq_rows)
+        rows_seen.append(len(eq_rows))
+        return solve(field, eq_rows, rhs)
+
+    m4 = build("matrix_full", n=4).algebra
+    monkeypatch.setattr(algebras, "solve_linear", counted)
+    rebuilt = build_algebra(Q, m4.dim, m4.table)
+    assert rebuilt.unity == m4.unity
+    assert rows_seen and sum(rows_seen) <= 64
 
 
 # -- products and commutators --------------------------------------------------

@@ -311,3 +311,36 @@ def test_derived_commands_bound_the_exact_output_dimension(tmp_path, capsys, mon
     code, _, err = run(capsys, "construct", "matrix_full", "--n", "2", "-o", str(out))
     assert code == 2 and len(err.splitlines()) == 1 and "dimension 4" in err
     assert not out.exists()
+
+
+def test_decompose_refuses_a_tensor_algebra_above_the_limit(tmp_path, capsys):
+    p3 = str(tmp_path / "p3.json")
+    run(capsys, "construct", "truncated_poly", "--k", "3", "-o", p3)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", p3, "--n", "10", "--coords", ",".join(["1"] * 300))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "300" in err
+    # refused before the coordinates are read, whatever their number
+    code, _, err = run(capsys, "decompose", p3, "--n", "100", "--coords", "1")
+    assert code == 2 and err.splitlines() == [
+        "error: the result would have dimension 30000, above the file limit of 256"
+    ]
+
+
+def test_negative_counts_are_usage_errors(tmp_path, capsys):
+    t3 = str(tmp_path / "t3.json")
+    run(capsys, "construct", "upper_triangular", "--n", "3", "-o", t3)
+    cases = [
+        (("fuzz", t3, "--ideals", "-5"), "--ideals must be non-negative, got -5"),
+        (("fuzz", t3, "--elements", "-2"), "--elements must be non-negative, got -2"),
+        (("stable", t3, "--witness-budget", "-4"), "--witness-budget must be non-negative, got -4"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.splitlines() == [f"censtab: error: {message}"]
+    # zero is still a count
+    assert run(capsys, "fuzz", t3, "--ideals", "0", "--elements", "0")[0] == 0
+    assert run(capsys, "stable", t3, "--witness-budget", "0")[0] == 0

@@ -4,6 +4,8 @@ from math import lcm
 
 import pytest
 
+from censtab.algebras import build_algebra, center
+from censtab.catalog import build
 from censtab.errors import DimensionMismatch
 from censtab.linalg import (
     _RationalReducer,
@@ -16,6 +18,7 @@ from censtab.linalg import (
     subspace_sum,
     zero_subspace,
 )
+from censtab.radical import _trace_form_rows, radical
 from censtab.scalars import RATIONALS, prime_field
 
 Q = RATIONALS
@@ -131,24 +134,69 @@ def m_mul(f, m, v):
 
 def test_to_int_row_matches_fraction_scaling():
     def reference(v):
-        # the old formula: scale every entry by the lcm of the denominators
+        # scale every entry by the lcm of the denominators
         m = lcm(*[F(x).denominator for x in v])
         return [int(x * m) for x in v]
 
+    def dense(v):
+        # the conversion reading every entry, zeros included
+        m = lcm(*[x.denominator for x in v])
+        return [x.numerator * (m // x.denominator) for x in v]
+
     rng = random.Random(53)
     big = (10**9 + 7, 10**9 + 9, 2**61 - 1)
-    cases = [[], [0, 0, 0], [F(0), 0], [3, -4], [F(-1, 2), 5, F(2, 3)], [F(1, big[0]), F(-1, big[1])]]
+    dens = (1, 2, 3, 7, 12) + big
+    entries = (
+        lambda: 0,
+        lambda: F(0),
+        lambda: rng.randint(-9, 9),
+        lambda: F(rng.randint(-10**6, 10**6), rng.choice(dens)),
+    )
+    cases = [[], [0, 0, 0], [F(0)] * 5, [F(0), 0], [3, -4], [F(-1, 2), 5, F(2, 3)],
+             [F(1, big[0]), F(-1, big[1])], [F(0), F(1, big[2]), 0, -7]]
     for _ in range(200):
         n = rng.randint(1, 6)
-        dens = (1, 2, 3, 7, 12) + big
-        cases.append([
-            rng.choice([rng.randint(-9, 9), F(rng.randint(-10**6, 10**6), rng.choice(dens))])
-            for _ in range(n)
-        ])
+        cases.append([rng.choice(entries[2:])() for _ in range(n)])
+    for _ in range(300):
+        # mostly zero rows, like those the engine feeds the reducer
+        n = rng.randint(1, 12)
+        weights = [rng.random() for _ in entries]
+        cases.append([rng.choices(entries, weights)[0]() for _ in range(n)])
     for v in cases:
         got = _RationalReducer._to_int_row(v)
-        assert got == reference(v), v
+        assert got == reference(v) == dense(v), v
         assert all(type(x) is int for x in got)
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for r in rows for x in r)
+
+
+def test_outputs_over_q_hold_fractions_only():
+    # reducer inputs may carry int zeros; none may leak into what comes out
+    roster = [
+        build("upper_triangular", n=3),
+        build("strict_upper", n=3),
+        build("matrix_full", n=2),
+        build("truncated_poly", k=3),
+        build("ema"),
+        build("scalar_plus_strict_upper", n=3),
+    ]
+    for entry in roster:
+        a = entry.algebra
+        rebuilt = build_algebra(Q, a.dim, a.table)
+        assert rebuilt.unity is None or _all_fractions([rebuilt.unity])
+        z, rad = center(a), radical(a)
+        assert _all_fractions(z.rows) and _all_fractions(rad.rows)
+        gram = kernel_of_rows(Q, _trace_form_rows(a), a.dim)
+        assert _all_fractions(gram.rows)
+        assert _all_fractions(subspace_intersect(z, rad).rows)
+        assert _all_fractions(subspace_intersect(rad, full_subspace(Q, a.dim)).rows)
+        assert _all_fractions(kernel_of_rows(Q, [[0] * a.dim], a.dim).rows)
+        if rad.dim:
+            coeffs = express_in_span(Q, rad.rows, rad.rows[-1], a.dim)
+            assert _all_fractions([coeffs])
+    assert _all_fractions([solve_linear(Q, [[0, 1, 0]], [0])])
 
 
 def test_pivot_zero_test_matches_intersection_with_first_coordinate_zero():
