@@ -6,11 +6,20 @@ mapping (i, j) to a tuple of (k, scalar) pairs, with absent pairs meaning a
 zero product.  Associativity is validated once at construction and derived
 constructions (quotients, tensor products, ...) are trusted to preserve it;
 `verify_associativity` re-checks any algebra on demand.
+
+The table keeps the exact constants c; products run on an int index of
+N * c, N the lcm of the table's denominators (1 over GF(p)).  The basis
+f_i = N e_i has f_i f_j = sum_k N c[i][j][k] f_k, so the index presents the
+same algebra, and every subspace is invariant under that uniform scaling:
+spans, reductions and zero tests read the index as it is, and only true
+coordinates (`mul_coords`) are divided by N.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import (
     AlgebraMismatch,
@@ -20,20 +29,22 @@ from .errors import (
     NotAnIdeal,
     NotAssociative,
 )
-from .linalg import (Subspace, _make_reducer, _subspace_from_reducer, kernel_of_rows,
-                     solve_linear, span)
+from .linalg import (Subspace, _make_reducer, _subspace_from_reducer, _to_int_row,
+                     kernel_of_rows, solve_linear, span)
 from .scalars import FieldSpec
 
 
 class Algebra:
     """An associative algebra presented by a structure-constant table.
 
-    Besides the table, an algebra keeps one sparse index of it: `_rows[i]`
-    lists (j, c_ij) and `_cols[j]` lists (i, c_ij) for the nonzero entries
-    c_ij = e_i * e_j, so every product walks nonzero entries only.
+    Besides the exact table, an algebra keeps one sparse index of the ints
+    N * c, N = `_scale`: `_rows[i]` lists (j, N c_ij) and `_cols[j]` lists
+    (i, N c_ij) for the nonzero entries c_ij = e_i * e_j, so every product
+    walks nonzero entries only.
     """
 
-    __slots__ = ("field", "dim", "table", "labels", "unity", "_rows", "_cols", "_memo")
+    __slots__ = ("field", "dim", "table", "labels", "unity", "_scale", "_unscale", "_rows",
+                 "_cols", "_memo")
 
     def __init__(self, field, dim, table, labels, unity, _trusted=False):
         if not _trusted:
@@ -43,14 +54,21 @@ class Algebra:
         self.table = table
         self.labels = labels
         self.unity = unity
+        rational = field.p is None  # GF(p) constants are ints already
+        n = lcm(*[c.denominator for pairs in table.values() for _, c in pairs]) if rational else 1
+        self._scale, self._unscale = n, field.inv(n)  # 1/N for true coordinates
         rows = [[] for _ in range(dim)]
         cols = [[] for _ in range(dim)]
+        shared = {}  # equal entries share one tuple, so the index stays small
         for (i, j), pairs in table.items():
+            if rational:
+                pairs = tuple((k, c.numerator * (n // c.denominator)) for k, c in pairs)
+                pairs = shared.setdefault(pairs, pairs)
             rows[i].append((j, pairs))
             cols[j].append((i, pairs))
         self._rows = tuple(map(tuple, rows))
         self._cols = tuple(map(tuple, cols))
-        self._memo = {}  # derived algebras cached on this object, see stability
+        self._memo = {}  # results cached on this object: center, and see stability
 
     # -- element and vector helpers -----------------------------------------
 
@@ -95,17 +113,17 @@ class Algebra:
         )
 
     # -- products (coordinate level) -----------------------------------------
-    # Raw ints may appear in intermediate sums; the reducers and `canon`
-    # accept them, so only Element-facing results are canonicalized.
+    # The raw products below are N = `_scale` times the true ones, in raw
+    # ints where the inputs are ints; the reducers accept them, so only
+    # Element-facing results are divided by N and canonicalized.
 
     def mul_coords(self, x, y):
         acc = self._product(x, y)
-        canon = self.field.canon
-        zero = self.field.zero
-        return tuple(canon(acc[k]) if k in acc else zero for k in range(self.dim))
+        f, inv = self.field, self._unscale
+        return tuple(f.mul(acc[k], inv) if k in acc else f.zero for k in range(self.dim))
 
     def _product(self, x, y):
-        """Raw coordinates of x * y as a dict k -> value (absent means zero)."""
+        """N times the coordinates of x * y as a dict k -> value (absent means zero)."""
         acc = {}
         rows = self._rows
         for i, xi in enumerate(x):
@@ -119,11 +137,11 @@ class Algebra:
         return acc
 
     def _basis_mul_vec(self, i, v):
-        """Coordinates of e_i * v, or None when the product is zero."""
+        """N times the coordinates of e_i * v, or None when the product is zero."""
         return self._accumulate(self._rows[i], v)
 
     def _vec_mul_basis(self, v, i):
-        """Coordinates of v * e_i, or None when the product is zero."""
+        """N times the coordinates of v * e_i, or None when the product is zero."""
         return self._accumulate(self._cols[i], v)
 
     def _accumulate(self, entries, v):
@@ -251,8 +269,9 @@ def _check_associativity(a: Algebra) -> None:
     e_j has a nonzero row, so only those pairs (i, j) are visited, in
     increasing order, and per pair only the k reached through nonzero
     entries.  The witness is the lexicographically first failing triple.
+    Both sides are read from the index, so both are N^2 times the true ones.
     """
-    canon = a.field.canon
+    p = a.field.p
     rows = a._rows
     active = {j for j in range(a.dim) if rows[j]}
     for i in sorted(active):
@@ -267,7 +286,7 @@ def _check_associativity(a: Algebra) -> None:
                 for m, c in pairs:
                     for q, d in row_i.get(m, ()):
                         diff[k, q] = diff.get((k, q), 0) - c * d
-            bad = [k for (k, _), x in diff.items() if canon(x) != 0]
+            bad = [k for (k, _), x in diff.items() if (x if p is None else x % p)]
             if bad:
                 raise NotAssociative(i, j, min(bad))
 
@@ -283,16 +302,17 @@ def _find_unity(a: Algebra):
     field, dim = a.field, a.dim
     if dim == 0:
         return None
-    # u e_j = e_j reads sum_i u_i c_ij^k = [j == k]: one row per (j, k)
+    # u e_j = e_j reads sum_i u_i N c_ij^k = N [j == k]: one row per (j, k)
     rows = {}
-    for (i, j), pairs in a.table.items():
-        for k, c in pairs:
-            rows.setdefault((j, k), [0] * dim)[i] = c
+    for i, entries in enumerate(a._rows):
+        for j, pairs in entries:
+            for k, c in pairs:
+                rows.setdefault((j, k), [0] * dim)[i] = c
     for j in range(dim):
         if (j, j) not in rows:
             return None  # no u can reproduce e_j
     keys = sorted(rows.keys())
-    rhs = [1 if j == k else 0 for (j, k) in keys]
+    rhs = [a._scale if j == k else 0 for (j, k) in keys]
     u = solve_linear(field, [rows[key] for key in keys], rhs)
     if u is None:
         return None
@@ -349,29 +369,32 @@ def verify_associativity(a: Algebra) -> None:
 
 
 def center(a: Algebra) -> Subspace:
-    """The subspace {z : zx = xz for all x}, as the kernel of z -> ([z, e_j])_j."""
-    rows = {}
-    for (i, j), pairs in a.table.items():
-        for k, c in pairs:
-            # c contributes +c to row (j, k) at column i and -c to row (i, k) at column j
-            r = rows.get((j, k))
-            if r is None:
-                r = rows[(j, k)] = [0] * a.dim
-            r[i] = a.field.add(r[i], c)
-            r = rows.get((i, k))
-            if r is None:
-                r = rows[(i, k)] = [0] * a.dim
-            r[j] = a.field.sub(r[j], c)
-    return kernel_of_rows(a.field, rows.values(), a.dim)
+    """The subspace {z : zx = xz for all x}, as the kernel of z -> ([z, e_j])_j.
+
+    Computed once per algebra and kept in its memo; algebras are immutable.
+    """
+    z = a._memo.get("center")
+    if z is None:
+        rows = defaultdict(lambda: [0] * a.dim)
+        for i, entries in enumerate(a._rows):
+            for j, pairs in entries:
+                for k, c in pairs:
+                    # c adds +c to row (j, k) at column i and -c to row (i, k) at column j
+                    rows[j, k][i] += c
+                    rows[i, k][j] -= c
+        z = a._memo["center"] = kernel_of_rows(a.field, rows.values(), a.dim)
+    return z
 
 
 def commutator_space(x: Element) -> Subspace:
-    """span{[x, e_i] : i = 0..dim-1}."""
+    """span{[x, e_i] : i = 0..dim-1}, from x with its denominators cleared
+    (the same span), so only ints are multiplied."""
     a = x.algebra
+    v = _to_int_row(x.coords)
     zero = [0] * a.dim
     vecs = []
     for i in range(a.dim):
-        left, right = a._vec_mul_basis(x.coords, i), a._basis_mul_vec(i, x.coords)
+        left, right = a._vec_mul_basis(v, i), a._basis_mul_vec(i, v)
         if left or right:
             vecs.append([p - q for p, q in zip(left or zero, right or zero)])
     return span(a.field, vecs, a.dim)

@@ -45,12 +45,19 @@ def vector_to_json(field, vec):
     return [field.format(x) for x in vec]
 
 
+# A bad scalar: ParseError, a zero denominator, or str() of too long an int
+_SCALAR_ERRORS = (ValueError, ZeroDivisionError)
+
+
 def vector_from_json(field, doc, length=None):
     if not isinstance(doc, list):
         raise FileFormatError("coordinate vector must be a list")
     if length is not None and len(doc) != length:
         raise FileFormatError(f"expected {length} coordinates, got {len(doc)}")
-    return tuple(field.parse(str(x)) for x in doc)
+    try:
+        return tuple(field.parse(str(x)) for x in doc)
+    except _SCALAR_ERRORS as exc:
+        raise FileFormatError(str(exc)) from None
 
 
 def rows_to_json(field, rows):
@@ -116,7 +123,10 @@ def algebra_from_json(doc) -> Algebra:
         for pair in pairs:
             if not (isinstance(pair, list) and len(pair) == 2 and _is_int(pair[0])):
                 raise FileFormatError(f"bad product pair {pair!r} in entry ({i}, {j})")
-            parsed.append((pair[0], field.parse(str(pair[1]))))
+            try:
+                parsed.append((pair[0], field.parse(str(pair[1]))))
+            except _SCALAR_ERRORS as exc:
+                raise FileFormatError(str(exc)) from None
         table[(i, j)] = parsed
     return build_algebra(field, dim, table, labels)
 
@@ -134,7 +144,7 @@ def load_algebra(path) -> Algebra:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or a number over the int limit
             raise FileFormatError(f"not valid JSON: {exc}") from None
     return algebra_from_json(doc)
 
@@ -252,8 +262,9 @@ def report_to_json(
 def verify_report_json(a: Algebra, doc: dict) -> bool:
     """Replay a serialized report's certificate against an algebra.
 
-    Raises FileFormatError when the report lacks a member the replay reads
-    or a member has the wrong JSON type.
+    Raises FileFormatError when the report lacks a member the replay reads,
+    a member has the wrong JSON type, or a certificate scalar is not a
+    literal of the field's grammar within `scalars.MAX_LITERAL_DIGITS`.
     """
     if not isinstance(doc, dict):
         raise FileFormatError("report must be a JSON object")

@@ -7,17 +7,19 @@ closures, stability criteria) reduce to the operations here.
 
 The two echelon reducers are the only elimination code: spans, kernels,
 sums, intersections and solved systems all run through one of them.  Over
-GF(p) rows are ints mod p with unit pivots.  Over Q a vector enters as a
-primitive integer row (its denominators cleared by their lcm) and is
-eliminated by cross-multiplication.  Fractions are built only on the way
-out, in canonical rows and solution vectors, since per-entry Fraction
-normalization inside the elimination loop would dominate the running time.
+GF(p) rows are reduced mod p and kept with unit pivots.  Over Q a vector
+enters as an int row (its denominators cleared by their lcm), is eliminated
+by cross-multiplication and kept primitive.  Fractions are built only on
+the way out, in canonical rows and solution vectors, since per-entry
+Fraction normalization inside the elimination loop would dominate.
 
-Rows handed to a reducer may mix ints and Fractions.  Only their nonzero
-entries are read, and a Fraction is slow even to test for zero, so rows
-built just to feed a reducer should hold their zeros as the int 0.  What
-leaves this module is canonical: over Q, every entry of `Subspace.rows`
-and of a solution vector is a Fraction.
+Rows handed to a reducer may mix ints and Fractions, need not be reduced
+mod p, and only count up to a nonzero multiple, so the N-scaled products
+of an algebra's int index go in as they are.  Only nonzero entries are
+read, and a Fraction is slow even to test for zero, so rows built just to
+feed a reducer should hold their zeros as the int 0.  What leaves this
+module is canonical: over Q, every entry of `Subspace.rows` and of a
+solution vector is a Fraction.
 """
 
 from __future__ import annotations
@@ -72,20 +74,23 @@ class _Reducer:
         return None
 
 
+def _to_int_row(vec):
+    """vec times the lcm of its denominators, as ints; an int row is unchanged."""
+    # zeros have denominator 1, so only the nonzero entries are read
+    nonzero = [(i, x) for i, x in enumerate(vec) if x]
+    m = lcm(*[x.denominator for _, x in nonzero])
+    out = [0] * len(vec)
+    for i, x in nonzero:
+        out[i] = x.numerator * (m // x.denominator)
+    return out
+
+
 class _RationalReducer(_Reducer):
     """Echelon basis over Q, rows kept as primitive int vectors."""
 
     __slots__ = ()
 
-    @staticmethod
-    def _to_int_row(vec):
-        # zeros have denominator 1, so only the nonzero entries are read
-        nonzero = [(i, x) for i, x in enumerate(vec) if x]
-        m = lcm(*[x.denominator for _, x in nonzero])
-        out = [0] * len(vec)
-        for i, x in nonzero:
-            out[i] = x.numerator * (m // x.denominator)
-        return out
+    _to_int_row = staticmethod(_to_int_row)
 
     def residual(self, vec):
         """Reduce vec against the current rows; zero residual means membership."""

@@ -29,24 +29,23 @@ from .linalg import Subspace, kernel_of_rows
 
 
 def _trace_form_rows(a: Algebra):
-    """Gram matrix rows G[i][j] = trace(L_{e_i e_j}) = sum_k c[i][j][k] t_k."""
-    f = a.field
+    """Gram matrix rows G[i][j] = trace(L_{e_i e_j}) = sum_k c[i][j][k] t_k.
+
+    Read from the algebra's int index, so the rows are N^2 G for its scale
+    N: the same kernel, with int entries (not reduced mod p over GF(p)).
+    """
     t = [0] * a.dim
     for k, entries in enumerate(a._rows):
         for j, pairs in entries:
             for m, c in pairs:
                 if m == j:
-                    t[k] = f.add(t[k], c)
+                    t[k] += c
     rows = []
     for entries in a._rows:
         row = [0] * a.dim
         for j, pairs in entries:
-            acc = 0
             for k, c in pairs:
-                if t[k]:
-                    acc = acc + c * t[k]
-            if acc:
-                row[j] = f.canon(acc)
+                row[j] += c * t[k]
         rows.append(row)
     return rows
 

@@ -17,6 +17,12 @@ from .errors import FieldMismatch, ParseError
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 _RESIDUE_RE = re.compile(r"\d+")
 
+# The most digits `parse` reads in one integer of a literal.  It is the most
+# Python converts between str and int by default, so every scalar `format`
+# writes reads back, and it bounds the cost of arithmetic on parsed values
+# and each denominator of a table.
+MAX_LITERAL_DIGITS = 4300
+
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24 (covers the
 # machine-word range we allow for p).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -107,12 +113,6 @@ class FieldSpec:
     def is_zero(self, x) -> bool:
         return x == 0
 
-    def canon(self, x):
-        """Canonicalize a raw arithmetic result (used after int accumulation)."""
-        if self.p is None:
-            return x if isinstance(x, Fraction) else Fraction(x)
-        return x % self.p
-
     # -- arithmetic ---------------------------------------------------------
     # Operands are assumed canonical; results are canonical.  Fraction ops
     # normalize on their own, GF(p) results are reduced here.
@@ -138,9 +138,13 @@ class FieldSpec:
 
     # -- text grammar -------------------------------------------------------
     # Rationals: [-]digits[/digits].  Prime field: digits (reduced mod p).
+    # Each integer has at most MAX_LITERAL_DIGITS digits.
 
     def parse(self, text: str):
         t = text.strip()
+        limit = MAX_LITERAL_DIGITS
+        if len(t) > limit and max(map(len, t.lstrip("-").split("/"))) > limit:
+            raise ParseError(f"scalar literal exceeds the limit of {limit} digits per integer")
         if self.p is None:
             if not _RATIONAL_RE.fullmatch(t):
                 raise ParseError(f"bad rational literal {text!r}")

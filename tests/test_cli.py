@@ -344,3 +344,18 @@ def test_negative_counts_are_usage_errors(tmp_path, capsys):
     # zero is still a count
     assert run(capsys, "fuzz", t3, "--ideals", "0", "--elements", "0")[0] == 0
     assert run(capsys, "stable", t3, "--witness-budget", "0")[0] == 0
+
+
+def test_overlong_scalar_literal_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    for scalar in ('"' + "1" * 5000 + '"', "1" * 5000):  # a string, and a bare JSON number
+        path.write_text('{"field": "Q", "dim": 1, "table": [[0, 0, [[0, %s]]]]}' % scalar)
+        for argv in (("validate", str(path)), ("stable", str(path))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+    t3 = str(tmp_path / "t3.json")
+    run(capsys, "construct", "upper_triangular", "--n", "3", "-o", t3)
+    code, _, err = run(capsys, "element", t3, "--coords", "1" * 5000 + ",0,0,0,0,0")
+    assert code == 2 and len(err.splitlines()) == 1

@@ -185,3 +185,42 @@ def test_dimension_is_bounded():
     assert algebra_from_json({"field": "Q", "dim": MAX_DIM, "table": []}).dim == MAX_DIM
     with pytest.raises(FileFormatError, match="exceeds"):
         algebra_from_json({"field": "Q", "dim": MAX_DIM + 1, "table": []})
+
+
+def test_overlong_scalar_literal_in_an_algebra_file_is_a_file_format_error():
+    for scalar in ("1" * 5000, "1/" + "7" * 5000):
+        with pytest.raises(FileFormatError, match="exceeds the limit"):
+            algebra_from_json({"field": "Q", "dim": 1, "table": [[0, 0, [[0, scalar]]]]})
+
+
+def _element_report(alg):
+    return report_to_json(alg, element_centrally_stable(alg.basis_element(1)), command="element")
+
+
+def test_replay_of_a_zero_denominator_raises_file_format_error():
+    alg = build("upper_triangular", n=3).algebra
+    doc = _element_report(alg)
+    doc["certificate"]["element"][0] = "1/0"
+    with pytest.raises(FileFormatError, match="zero denominator"):
+        verify_report_json(alg, doc)
+
+
+def test_replay_of_an_overlong_literal_raises_file_format_error():
+    alg = build("upper_triangular", n=3).algebra
+    doc = _element_report(alg)
+    doc["certificate"]["central_part"][0] = "1" * 5000
+    with pytest.raises(FileFormatError, match="exceeds the limit"):
+        verify_report_json(alg, doc)
+    # a JSON number too long for str() is refused the same way
+    doc = _element_report(alg)
+    doc["certificate"]["ideal_part"][0] = 10**5000
+    with pytest.raises(FileFormatError):
+        verify_report_json(alg, doc)
+
+
+def test_replay_of_a_literal_outside_the_grammar_raises_file_format_error():
+    alg = build("upper_triangular", n=3).algebra
+    doc = report_to_json(alg, algebra_centrally_stable(alg, witness_budget=0), command="stable")
+    doc["certificate"]["missing_vector"][0] = "1e5"
+    with pytest.raises(FileFormatError, match="1e5"):
+        verify_report_json(alg, doc)

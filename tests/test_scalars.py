@@ -1,10 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from censtab.errors import FieldMismatch, ParseError
-from censtab.scalars import RATIONALS, FieldSpec, is_prime, prime_field
+from censtab.scalars import MAX_LITERAL_DIGITS, RATIONALS, FieldSpec, is_prime, prime_field
 
 Q = RATIONALS
 GF7 = prime_field(7)
@@ -98,3 +99,21 @@ def test_prime_validation():
         prime_field(1)
     with pytest.raises(ValueError):
         prime_field(2**64 + 13)  # beyond machine-word bound
+
+
+def test_literal_length_is_bounded():
+    # every integer Python writes by default reads back, and no longer one
+    assert MAX_LITERAL_DIGITS == sys.int_info.default_max_str_digits
+    longest = "9" * MAX_LITERAL_DIGITS
+    assert Q.parse(longest) == int(longest)
+    assert Q.parse("-" + longest) == -int(longest)
+    sevens = "7" * MAX_LITERAL_DIGITS
+    assert Q.parse(f"-{longest}/{sevens}") == Fraction(-int(longest), int(sevens))
+    assert GF7.parse(longest) == int(longest) % 7
+    for field in (Q, GF7):
+        for text in ("1" * (MAX_LITERAL_DIGITS + 1), "1" * 5000):
+            with pytest.raises(ParseError, match="exceeds the limit"):
+                field.parse(text)
+    for text in ("1/" + "3" * (MAX_LITERAL_DIGITS + 1), "-" + "2" * (MAX_LITERAL_DIGITS + 1) + "/3"):
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            Q.parse(text)

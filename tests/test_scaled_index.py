@@ -1,0 +1,274 @@
+"""Algebras whose tables have denominators, and the center memo.
+
+Catalog tables have integral constants, so their int index has scale 1.
+Here each catalog algebra is presented in a rescaled, permuted basis
+f_i = d_i e_perm(i), with d_i = +-a/b, which gives the table denominators.
+Every output is compared with the catalog algebra mapped through that
+change of basis, and every report with the one for the same table scaled
+to integers (f_i -> N f_i), which is built with scale 1.
+"""
+
+import json
+import random
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
+
+import pytest
+
+import censtab.algebras as algebras_module
+from censtab.algebras import build_algebra, center, ideal_generated
+from censtab.catalog import build
+from censtab.errors import NotAssociative
+from censtab.fileformat import (
+    algebra_from_json,
+    algebra_to_json,
+    dump_json,
+    report_to_json,
+    verify_report_json,
+)
+from censtab.linalg import span
+from censtab.radical import radical
+from censtab.scalars import RATIONALS as Q
+from censtab.stability import (
+    algebra_centrally_stable,
+    element_centrally_stable,
+    random_element,
+)
+
+CASES = [
+    ("matrix_full", {"n": 2}),
+    ("upper_triangular", {"n": 3}),
+    ("scalar_plus_strict_upper", {"n": 3}),
+    ("strict_upper", {"n": 3}),
+    ("truncated_poly", {"k": 4}),
+    ("matrix_over_commutative", {"n": 2, "k": 2}),
+    ("r11_radical", {"n": 2, "k": 3}),
+    ("ema", {}),
+    ("exg", {}),
+]
+
+# primes near 10^20, so that the lcm of a few denominators exceeds 2^64
+BIG_PRIMES = (
+    100000000000000000039,
+    100000000000000000129,
+    100000000000000000151,
+    100000000000000000193,
+    100000000000000000211,
+)
+
+
+def _small_scales(rng, n):
+    return [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+
+
+def _big_scales(rng, n):
+    return [Fraction(rng.randint(1, 9), rng.choice(BIG_PRIMES)) for _ in range(n)]
+
+
+def _rescaled(a, d, perm):
+    """a in the basis f_i = d_i e_perm(i): c'_ijk = d_i d_j c[perm i][perm j][perm k] / d_k."""
+    new = {old: i for i, old in enumerate(perm)}
+    table = {}
+    for (i0, j0), pairs in a.table.items():
+        i, j = new[i0], new[j0]
+        table[(i, j)] = [(new[k0], d[i] * d[j] * c / d[new[k0]]) for k0, c in pairs]
+    return build_algebra(Q, a.dim, table)
+
+
+def _to_f(x, d, perm):
+    # x = sum_m x_m e_m = sum_k (x_perm(k) / d_k) f_k
+    return tuple(Fraction(x[perm[k]]) / d[k] for k in range(len(d)))
+
+
+def _to_e(y, d, perm):
+    x = [Fraction(0)] * len(d)
+    for k, yk in enumerate(y):
+        x[perm[k]] = d[k] * yk
+    return tuple(x)
+
+
+def _mapped(s, d, perm):
+    return span(Q, [_to_f(r, d, perm) for r in s.rows], len(d))
+
+
+def _presentations(scales, seed):
+    rng = random.Random(seed)
+    for name, params in CASES:
+        entry = build(name, **params)
+        a = entry.algebra
+        perm = rng.sample(range(a.dim), a.dim)
+        d = scales(rng, a.dim)
+        yield entry, a, _rescaled(a, d, perm), d, perm
+
+
+def _integral_reference(b):
+    """b's table times its scale N, built with scale 1 (the basis N f_i)."""
+    n = b._scale
+    ref = build_algebra(Q, b.dim, {key: [(k, c * n) for k, c in pairs] for key, pairs in b.table.items()})
+    assert ref._scale == 1
+    return ref
+
+
+def _fractions_only(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+def _dense_product(table, x, y, dim):
+    out = [Fraction(0)] * dim
+    for (i, j), pairs in table.items():
+        for k, c in pairs:
+            out[k] += x[i] * y[j] * c
+    return tuple(out)
+
+
+def _certificate_vectors(cert):
+    """Every coordinate vector a certificate holds, nested ones included."""
+    for f in fields(cert):
+        val = getattr(cert, f.name)
+        if f.name.endswith("_rows"):
+            yield from val
+        elif isinstance(val, tuple):
+            yield val
+        elif is_dataclass(val):
+            yield from _certificate_vectors(val)
+
+
+@pytest.mark.parametrize("scales", [_small_scales, _big_scales])
+def test_mul_coords_matches_a_dense_product_over_the_table(scales):
+    rng = random.Random(5)
+    scaled = 0
+    for _, a, b, d, perm in _presentations(scales, 3):
+        scaled += b._scale > 1
+        for _ in range(4):
+            x, y = random_element(b, rng).coords, random_element(b, rng).coords
+            got = b.mul_coords(x, y)
+            assert got == _dense_product(b.table, x, y, b.dim)
+            assert _fractions_only([got])
+            assert got == _to_f(a.mul_coords(_to_e(x, d, perm), _to_e(y, d, perm)), d, perm)
+            assert (b.element(x) * b.element(y)).coords == got
+    assert scaled >= len(CASES) - 1
+
+
+def test_large_coprime_denominators_give_a_scale_above_two_to_the_64():
+    for _, _, b, _, _ in _presentations(_big_scales, 7):
+        assert b._scale > 2**64
+
+
+@pytest.mark.parametrize("scales", [_small_scales, _big_scales])
+def test_rescaled_outputs_match_the_catalog_algebra(scales):
+    rng = random.Random(11)
+    for entry, a, b, d, perm in _presentations(scales, 13):
+        if a.unity is None:
+            assert b.unity is None
+        else:
+            assert b.unity == _to_f(a.unity, d, perm)
+            assert _fractions_only([b.unity])
+        z, rad = center(b), radical(b)
+        assert z == _mapped(center(a), d, perm)
+        assert rad == _mapped(radical(a), d, perm)
+        assert (z.dim, rad.dim) == (entry.expected.center_dim, entry.expected.radical_dim)
+        x = random_element(a, rng).coords
+        ideal = ideal_generated(b, [_to_f(x, d, perm)])
+        assert ideal == _mapped(ideal_generated(a, [x]), d, perm)
+        assert _fractions_only(z.rows + rad.rows + ideal.rows)
+        assert algebra_centrally_stable(b).verdict == entry.expected.verdict
+        for _ in range(3):
+            x = random_element(a, rng).coords
+            want = element_centrally_stable(a.element(x)).verdict
+            assert element_centrally_stable(b.element(_to_f(x, d, perm))).verdict == want
+
+
+@pytest.mark.parametrize("scales", [_small_scales, _big_scales])
+def test_rescaled_reports_match_the_integral_reference_and_replay(scales):
+    rng = random.Random(17)
+    for _, _, b, _, _ in _presentations(scales, 19):
+        ref = _integral_reference(b)
+        reload = algebra_from_json(algebra_to_json(b))
+        reports = [(algebra_centrally_stable(b), algebra_centrally_stable(ref), "stable")]
+        for _ in range(3):
+            x = random_element(b, rng).coords
+            reports.append(
+                (element_centrally_stable(b.element(x)), element_centrally_stable(ref.element(x)), "element")
+            )
+        for got, want, command in reports:
+            # ref's basis N f_i is a uniform rescaling, which leaves every
+            # canonical row alone, and both read the same int index, so even
+            # the element vectors of the certificates agree entry by entry
+            assert (got.verdict, got.method, got.certificate) == (want.verdict, want.method, want.certificate)
+            assert _fractions_only(_certificate_vectors(got.certificate))
+            assert verify_report_json(reload, report_to_json(b, got, command=command))
+
+
+def test_reports_with_literals_longer_than_the_table_ones_replay():
+    # table literals of about 600 characters give certificate literals of
+    # over 2500, and the reader must take what the writer writes
+    rng = random.Random(31)
+    a = build("exg").algebra
+    d = [Fraction(rng.randrange(10**99, 10**100), rng.randrange(10**99, 10**100)) for _ in range(a.dim)]
+    b = _rescaled(a, d, list(range(a.dim)))
+    reload = algebra_from_json(json.loads(dump_json(algebra_to_json(b))))
+    reports = [algebra_centrally_stable(b)] + [element_centrally_stable(random_element(b, rng)) for _ in range(3)]
+    vectors = [v for rep in reports for v in _certificate_vectors(rep.certificate)]
+    assert max(len(b.field.format(x)) for v in vectors for x in v) > 2000
+    for rep in reports:
+        doc = json.loads(dump_json(report_to_json(b, rep, command="x")))
+        assert verify_report_json(reload, doc)
+
+
+def test_rescaled_non_associative_table_reports_the_same_triple():
+    rng = random.Random(23)
+    seen = 0
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        table = {}
+        for i in range(n):
+            for j in range(n):
+                if rng.random() < 0.5:
+                    table[(i, j)] = [(rng.randrange(n), rng.randint(-2, 2))]
+        try:
+            build_algebra(Q, n, table)
+            continue
+        except NotAssociative as exc:
+            want = exc.witness
+        # a diagonal rescaling multiplies both sides of each triple by
+        # d_i d_j d_k, so the same triples fail
+        d = _small_scales(rng, n)
+        scaled = {
+            (i, j): [(k, d[i] * d[j] * Fraction(c) / d[k]) for k, c in pairs] for (i, j), pairs in table.items()
+        }
+        with pytest.raises(NotAssociative) as info:
+            build_algebra(Q, n, scaled)
+        assert info.value.witness == want
+        seen += 1
+    assert seen >= 20
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = algebras_module.kernel_of_rows
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(algebras_module, "kernel_of_rows", counted)
+    return calls
+
+
+def test_center_is_computed_once_per_algebra(monkeypatch):
+    rng = random.Random(29)
+    a = _rescaled(build("upper_triangular", n=3).algebra, _small_scales(rng, 6), rng.sample(range(6), 6))
+    calls = _count_kernel_calls(monkeypatch)
+    queries = [a.basis_element(i) for i in range(4)] + [random_element(a, rng) for _ in range(4)]
+    reports = [element_centrally_stable(x) for x in queries]
+    assert len(calls) == 1
+    assert center(a) is center(a)
+    assert len(calls) == 1
+    # an independent reload computes its own center, so replay on it never
+    # reuses the one the decision read
+    reload = algebra_from_json(algebra_to_json(a))
+    for x, rep in zip(queries, reports):
+        assert verify_report_json(reload, report_to_json(a, rep, command="element"))
+    assert len(calls) == 2
+    assert center(reload) is not center(a)
+    assert center(reload) == center(a)
