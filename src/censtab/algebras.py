@@ -29,8 +29,8 @@ from .errors import (
     NotAnIdeal,
     NotAssociative,
 )
-from .linalg import (Subspace, _make_reducer, _subspace_from_reducer, _to_int_row,
-                     kernel_of_rows, solve_linear, span)
+from .linalg import (Subspace, _int_entries, _items, _make_reducer, _subspace_from_reducer,
+                     _to_int_row, kernel_of_rows, solve_linear)
 from .scalars import FieldSpec
 
 
@@ -114,8 +114,10 @@ class Algebra:
 
     # -- products (coordinate level) -----------------------------------------
     # The raw products below are N = `_scale` times the true ones, in raw
-    # ints where the inputs are ints; the reducers accept them, so only
-    # Element-facing results are divided by N and canonicalized.
+    # ints where the inputs are ints, as dicts of the entries they reach.
+    # Operands are sequences or dicts (such as reducer rows).  The reducers
+    # take the dicts as they are, so only Element-facing results are divided
+    # by N and canonicalized.
 
     def mul_coords(self, x, y):
         acc = self._product(x, y)
@@ -126,10 +128,11 @@ class Algebra:
         """N times the coordinates of x * y as a dict k -> value (absent means zero)."""
         acc = {}
         rows = self._rows
-        for i, xi in enumerate(x):
+        y_at = y.get if isinstance(y, dict) else y.__getitem__
+        for i, xi in _items(x):
             if xi:
                 for j, pairs in rows[i]:
-                    yj = y[j]
+                    yj = y_at(j)
                     if yj:
                         c = xi * yj
                         for k, ck in pairs:
@@ -137,24 +140,26 @@ class Algebra:
         return acc
 
     def _basis_mul_vec(self, i, v):
-        """N times the coordinates of e_i * v, or None when the product is zero."""
+        """N times the coordinates of e_i * v as a dict, or None when no index
+        entry meets v."""
         return self._accumulate(self._rows[i], v)
 
     def _vec_mul_basis(self, v, i):
-        """N times the coordinates of v * e_i, or None when the product is zero."""
+        """N times the coordinates of v * e_i as a dict, or None when no index
+        entry meets v."""
         return self._accumulate(self._cols[i], v)
 
-    def _accumulate(self, entries, v):
+    @staticmethod
+    def _accumulate(entries, v):
         # sum of v[j] * c over the index entries (j, c) of one row or column
+        v_at = v.get if isinstance(v, dict) else v.__getitem__
         acc = {}
         for j, pairs in entries:
-            x = v[j]
+            x = v_at(j)
             if x:
                 for k, c in pairs:
                     acc[k] = acc.get(k, 0) + x * c
-        if not acc:
-            return None
-        return [acc.get(k, 0) for k in range(self.dim)]
+        return acc or None
 
 
 class Element:
@@ -320,11 +325,21 @@ def _find_unity(a: Algebra):
 
 
 def _unity_failure(a: Algebra, u):
-    """First i with u e_i != e_i or e_i u != e_i, or None if u is a unity."""
+    """First i with u e_i != e_i or e_i u != e_i, or None if u is a unity.
+
+    Checked on the int index: with m the lcm of u's denominators (1 over
+    GF(p)), u e_i = e_i exactly when (m u) f_i = m N f_i in the basis
+    f_i = N e_i, whose products the index gives, and likewise on the left.
+    """
+    p = a.field.p
+    mu = _to_int_row(u)
+    one = lcm(*[x.denominator for x in u if x]) * a._scale  # m N
     for i in range(a.dim):
-        e = a.basis_element(i).coords
-        if not a.mul_coords(u, e) == e == a.mul_coords(e, u):
-            return i
+        for w in (a._vec_mul_basis(mu, i), a._basis_mul_vec(i, mu)):
+            diff = dict(w or ())
+            diff[i] = diff.get(i, 0) - one
+            if any(x if p is None else x % p for x in diff.values()):
+                return i
     return None
 
 
@@ -375,13 +390,15 @@ def center(a: Algebra) -> Subspace:
     """
     z = a._memo.get("center")
     if z is None:
-        rows = defaultdict(lambda: [0] * a.dim)
+        rows = defaultdict(dict)  # (j, k) -> equation row, a dict of entries
         for i, entries in enumerate(a._rows):
             for j, pairs in entries:
                 for k, c in pairs:
                     # c adds +c to row (j, k) at column i and -c to row (i, k) at column j
-                    rows[j, k][i] += c
-                    rows[i, k][j] -= c
+                    r = rows[j, k]
+                    r[i] = r.get(i, 0) + c
+                    r = rows[i, k]
+                    r[j] = r.get(j, 0) - c
         z = a._memo["center"] = kernel_of_rows(a.field, rows.values(), a.dim)
     return z
 
@@ -390,14 +407,16 @@ def commutator_space(x: Element) -> Subspace:
     """span{[x, e_i] : i = 0..dim-1}, from x with its denominators cleared
     (the same span), so only ints are multiplied."""
     a = x.algebra
-    v = _to_int_row(x.coords)
-    zero = [0] * a.dim
-    vecs = []
+    v = _int_entries(x.coords)
+    red = _make_reducer(a.field, a.dim)
     for i in range(a.dim):
         left, right = a._vec_mul_basis(v, i), a._basis_mul_vec(i, v)
         if left or right:
-            vecs.append([p - q for p, q in zip(left or zero, right or zero)])
-    return span(a.field, vecs, a.dim)
+            w = dict(left or ())
+            for k, y in (right or {}).items():
+                w[k] = w.get(k, 0) - y
+            red.insert(w)
+    return _subspace_from_reducer(a.field, a.dim, red)
 
 
 def _ideal_closure(a: Algebra, vectors, stop=None):
@@ -530,24 +549,21 @@ def _quotient_by_ideal(a: Algebra, ideal: Subspace) -> QuotientMap:
     pivot_set = set(ideal.pivots)
     free = tuple(c for c in range(n) if c not in pivot_set)
     m = len(free)
-    reduce = ideal.reduce
+    pos = {c: i for i, c in enumerate(free)}
     table = {}
     for ai, x in enumerate(free):
         for bi, y in enumerate(free):
             pairs = a.table.get((x, y))
             if not pairs:
                 continue
-            v = [a.field.zero] * n
-            for k, c in pairs:
-                v[k] = c
-            img = reduce(v)
-            entry = tuple((k, val) for k, val in enumerate(img[c] for c in free) if val)
-            if entry:
-                table[(ai, bi)] = entry
+            # only free coordinates survive the reduction
+            img = ideal._reduce_entries(dict(pairs))
+            if img:
+                table[(ai, bi)] = tuple(sorted((pos[k], val) for k, val in img.items()))
     labels = tuple(a.label(c) for c in free) if a.labels else None
     target = _derived(a.field, m, table, labels)
     if a.unity is not None:
-        w0 = reduce(a.unity)
+        w0 = ideal.reduce(a.unity)
         target.unity = tuple(w0[c] for c in free)
     else:
         target.unity = _find_unity(target)
@@ -690,7 +706,7 @@ def nilpotency_index(a: Algebra):
 
 
 def _identity_rows(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    return [{i: 1} for i in range(n)]
 
 
 def _power_chain_index(a: Algebra, basis):
@@ -741,7 +757,7 @@ def _power_product(a: Algebra, left, right, bound):
         for w in right:
             acc = a._product(v, w)
             if acc:
-                r = red.insert([acc.get(q, 0) for q in range(a.dim)])
+                r = red.insert(acc)
                 if r is not None:
                     out.append(r)
                     if len(out) >= bound:

@@ -3,7 +3,8 @@
 Exit codes: 0 on success (a NotStable verdict is a successful query), 1 on
 usage errors, 2 on invalid input (bad file, non-associative table, not an
 ideal, bad parameters such as a malformed --field or a non-unital algebra
-given to decompose), 3 when the base field's characteristic is too small
+given to decompose, a result with a scalar longer than a file may hold), 3
+when the base field's characteristic is too small
 for the radical criterion, 4 when the engine fails one of its own
 consistency checks (a bug: the line names the command line, the seed and
 the SHA-256 of each input file, enough to reproduce the run); codes 2, 3
@@ -53,6 +54,7 @@ from .errors import (
     NotAnIdeal,
     NotAssociative,
     ParseError,
+    ScalarTooLong,
     UnsupportedCharacteristic,
 )
 from .fileformat import (
@@ -84,6 +86,7 @@ _INPUT_ERRORS = (
     DimensionMismatch,
     FieldMismatch,
     IndexOutOfRange,
+    ScalarTooLong,
     ZeroDivisionError,
     OSError,
 )

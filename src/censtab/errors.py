@@ -64,6 +64,14 @@ class ConsistencyError(RuntimeError):
     """
 
 
+class ScalarTooLong(ValueError):
+    """A computed scalar has an integer longer than a file may hold.
+
+    Raised when such a scalar is formatted: the engine writes no literal
+    that its own parser (`scalars.MAX_LITERAL_DIGITS`) would refuse.
+    """
+
+
 class BadParams(ValueError):
     """Catalog constructor parameters outside the documented ranges."""
 

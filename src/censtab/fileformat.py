@@ -225,6 +225,30 @@ def certificate_from_json(field, doc):
     return cls(*args)
 
 
+def _check_lengths(cert, dim) -> None:
+    """FileFormatError unless every vector of cert has as many coordinates
+    as its ambient space: dim, or dim + 1 for the unitization."""
+    ambient = getattr(cert, "ambient", "algebra")
+    if ambient not in ("algebra", "unitization"):
+        raise FileFormatError(f"{cert.kind} ambient must be 'algebra' or 'unitization'")
+    n = dim + 1 if ambient == "unitization" else dim
+    for name, key, typ in _members(type(cert)):
+        val = getattr(cert, name)
+        if name.endswith("_rows"):
+            vecs = val
+        elif typ == "tuple":
+            vecs = (val,)
+        else:
+            if typ not in _PLAIN:
+                _check_lengths(val, dim)
+            continue
+        for v in vecs:
+            if len(v) != n:
+                raise FileFormatError(
+                    f"{cert.kind} member {key!r} has a vector of {len(v)} coordinates, expected {n}"
+                )
+
+
 def report_to_json(
     a: Algebra,
     report: StabilityReport,
@@ -263,8 +287,9 @@ def verify_report_json(a: Algebra, doc: dict) -> bool:
     """Replay a serialized report's certificate against an algebra.
 
     Raises FileFormatError when the report lacks a member the replay reads,
-    a member has the wrong JSON type, or a certificate scalar is not a
-    literal of the field's grammar within `scalars.MAX_LITERAL_DIGITS`.
+    a member has the wrong JSON type, a certificate vector has the wrong
+    number of coordinates, or a certificate scalar is not a literal of the
+    field's grammar within `scalars.MAX_LITERAL_DIGITS`.
     """
     if not isinstance(doc, dict):
         raise FileFormatError("report must be a JSON object")
@@ -274,6 +299,7 @@ def verify_report_json(a: Algebra, doc: dict) -> bool:
     if not (isinstance(doc["verdict"], str) and isinstance(doc["method"], str)):
         raise FileFormatError("report verdict and method must be strings")
     cert = certificate_from_json(a.field, doc["certificate"])
+    _check_lengths(cert, a.dim)
     report = StabilityReport(doc["verdict"], doc["method"], cert)
     if not verify_certificate(a, report):
         return False

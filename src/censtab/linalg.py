@@ -8,17 +8,27 @@ closures, stability criteria) reduce to the operations here.
 The two echelon reducers are the only elimination code: spans, kernels,
 sums, intersections and solved systems all run through one of them.  Over
 GF(p) rows are reduced mod p and kept with unit pivots.  Over Q a vector
-enters as an int row (its denominators cleared by their lcm), is eliminated
-by cross-multiplication and kept primitive.  Fractions are built only on
-the way out, in canonical rows and solution vectors, since per-entry
-Fraction normalization inside the elimination loop would dominate.
+enters as int entries (its denominators cleared by their lcm), is
+eliminated by cross-multiplication and kept primitive.  Fractions are built
+only on the way out, in canonical rows and solution vectors, since
+per-entry Fraction normalization inside the elimination loop would
+dominate.
 
-Rows handed to a reducer may mix ints and Fractions, need not be reduced
-mod p, and only count up to a nonzero multiple, so the N-scaled products
-of an algebra's int index go in as they are.  Only nonzero entries are
-read, and a Fraction is slow even to test for zero, so rows built just to
-feed a reducer should hold their zeros as the int 0.  What leaves this
-module is canonical: over Q, every entry of `Subspace.rows` and of a
+The reducers are sparse.  Each basis row is a dict of its nonzero entries,
+column -> value.  `residual`, `contains` and `insert` take a vector as such
+a dict or as a sequence and read only its nonzero entries.  The vector is
+eliminated only at the pivots it actually hits, in ascending pivot order,
+and each elimination touches only the entries of one basis row, so a
+membership test on a mostly-zero vector costs little however wide the
+reducer is.  `residual` returns the nonzero entries of the reduced vector as
+a dict (empty means membership) and `insert` returns the new basis row.
+
+Vectors handed to a reducer may mix ints and Fractions, need not be
+reduced mod p, and only count up to a nonzero multiple, so the N-scaled
+product dicts of an algebra's int index go in as they are.  A Fraction is
+slow even to test for zero, so vectors built just to feed a reducer should
+leave their zeros out or hold them as the int 0.  What leaves this module
+is dense and canonical: over Q, every entry of `Subspace.rows` and of a
 solution vector is a Fraction.
 """
 
@@ -26,6 +36,7 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import DimensionMismatch
@@ -34,55 +45,108 @@ from .scalars import RATIONALS, FieldSpec
 _ZERO = RATIONALS.zero
 
 
-def _row_gcd(row):
+def _items(vec):
+    """The (index, entry) pairs of a vector given as a dict or a sequence."""
+    return vec.items() if isinstance(vec, dict) else enumerate(vec)
+
+
+def _row_gcd(values):
     g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return 1
+    for x in values:
+        g = gcd(g, x)
+        if g == 1:
+            return 1
     return g
 
 
+def _int_entries(vec):
+    """The nonzero entries of vec times the lcm of their denominators, as a
+    dict of ints; when every entry is an int, the entries are unchanged."""
+    v = {i: x for i, x in _items(vec) if x}
+    for x in v.values():
+        if type(x) is not int:
+            m = lcm(*[x.denominator for x in v.values()])
+            return {i: x.numerator * (m // x.denominator) for i, x in v.items()}
+    return v
+
+
+def _to_int_row(vec):
+    """vec times the lcm of its denominators, as a dense list of ints."""
+    out = [0] * len(vec)
+    for i, x in _int_entries(vec).items():
+        out[i] = x
+    return out
+
+
 class _Reducer:
-    """Incremental echelon basis; subclasses give residual, _normalize and
-    canonical_rows for their field."""
+    """Incremental echelon basis of sparse rows; subclasses give _entries,
+    _eliminate, _normalize and _unit for their field."""
 
     __slots__ = ("width", "pivots", "rows")
 
     def __init__(self, width):
         self.width = width
         self.pivots = []  # sorted pivot columns
-        self.rows = {}  # pivot column -> full-width row of ints
+        self.rows = {}  # pivot column -> basis row, a dict of its nonzero entries
 
     @property
     def dim(self):
         return len(self.pivots)
 
+    def residual(self, vec):
+        """The nonzero entries of vec reduced against the current rows, as a
+        dict; an empty dict means membership."""
+        v = self._entries(vec)
+        rows = self.rows
+        hits = [c for c in v if c in rows]
+        heapify(hits)
+        while hits:
+            p = heappop(hits)
+            c = v.get(p)
+            if c:  # a column may be queued twice; the second pop finds it zero
+                self._eliminate(v, c, rows[p], p, hits)
+        return v
+
     def contains(self, vec) -> bool:
-        return not any(self.residual(vec))
+        return not self.residual(vec)
 
     def insert(self, vec):
         """Add vec to the span.  Returns the new basis row, or None if dependent."""
         v = self.residual(vec)
-        for p, x in enumerate(v):
-            if x:
-                v = self._normalize(v, x)
-                self.rows[p] = v
-                insort(self.pivots, p)
-                return v
-        return None
+        if not v:
+            return None
+        p = min(v)
+        v = self._normalize(v, v[p])
+        self.rows[p] = v
+        insort(self.pivots, p)
+        return v
 
+    def _canonical_entries(self):
+        """(pivot, entries) of the fully reduced basis, in pivot order, with
+        unit pivots and canonical scalars.
 
-def _to_int_row(vec):
-    """vec times the lcm of its denominators, as ints; an int row is unchanged."""
-    # zeros have denominator 1, so only the nonzero entries are read
-    nonzero = [(i, x) for i, x in enumerate(vec) if x]
-    m = lcm(*[x.denominator for _, x in nonzero])
-    out = [0] * len(vec)
-    for i, x in nonzero:
-        out[i] = x.numerator * (m // x.denominator)
-    return out
+        Back-substitution: each row is cleared at every later pivot by that
+        pivot's row, itself already cleared, so no other pivot is hit.
+        """
+        rows = dict(self.rows)
+        for i in reversed(range(len(self.pivots))):
+            p = self.pivots[i]
+            for q in self.pivots[:i]:
+                c = rows[q].get(p)
+                if c:
+                    rows[q] = r = dict(rows[q])
+                    self._eliminate(r, c, rows[p], p, [])
+        return [(p, self._unit(rows[p], p)) for p in self.pivots]
+
+    def canonical_rows(self):
+        """The fully reduced basis as dense tuples of canonical scalars."""
+        out = []
+        for _, entries in self._canonical_entries():
+            row = [self._zero] * self.width
+            for k, x in entries.items():
+                row[k] = x
+            out.append(tuple(row))
+        return out
 
 
 class _RationalReducer(_Reducer):
@@ -90,60 +154,50 @@ class _RationalReducer(_Reducer):
 
     __slots__ = ()
 
-    _to_int_row = staticmethod(_to_int_row)
+    _zero = _ZERO
+    _entries = staticmethod(_int_entries)
+    _to_int_row = staticmethod(_to_int_row)  # the same scaling, dense
 
-    def residual(self, vec):
-        """Reduce vec against the current rows; zero residual means membership."""
-        v = self._to_int_row(vec)
-        for p in self.pivots:
-            c = v[p]
-            if c:
-                r = self.rows[p]
-                g = gcd(r[p], c)
-                a, b = r[p] // g, c // g  # a > 0 since pivots are positive
-                if a == 1:
-                    v[p:] = [x - b * y for x, y in zip(v[p:], r[p:])]
+    def _eliminate(self, v, c, r, p, hits):
+        """Clear v[p] = c with the row r of pivot p, by cross-multiplication."""
+        g = gcd(r[p], c)
+        a, b = r[p] // g, c // g  # a > 0 since pivots are positive
+        if a != 1:
+            # the whole vector is scaled by a, not just the entries r meets
+            for k in v:
+                v[k] *= a
+        rows = self.rows
+        for k, y in r.items():
+            x = v.get(k)
+            if x is None:
+                v[k] = -b * y
+                if k in rows:  # a pivot this vector now hits
+                    heappush(hits, k)
+            else:
+                x -= b * y
+                if x:
+                    v[k] = x
                 else:
-                    # the whole row is scaled by a, not just the tail
-                    v[:p] = [a * x for x in v[:p]]
-                    v[p:] = [a * x - b * y for x, y in zip(v[p:], r[p:])]
-                    g = _row_gcd(v)
-                    if g > 1:
-                        v = [x // g for x in v]
-        return v
+                    del v[k]
+        if a != 1:
+            g = _row_gcd(v.values())
+            if g > 1:
+                for k in v:
+                    v[k] //= g
 
     @staticmethod
     def _normalize(v, lead):
         """v made primitive, with a positive leading entry."""
-        g = _row_gcd(v)
+        g = _row_gcd(v.values())
         if lead < 0:
             g = -g
-        return [y // g for y in v] if g != 1 else v
+        return {k: y // g for k, y in v.items()} if g != 1 else v
 
-    def canonical_rows(self):
-        """Fully reduced rows with unit pivots, as Fraction tuples."""
-        rows = {p: list(r) for p, r in self.rows.items()}
-        for p in reversed(self.pivots):
-            base = rows[p]
-            for q in self.pivots:
-                if q >= p:
-                    break
-                r = rows[q]
-                c = r[p]
-                if c:
-                    g = gcd(base[p], c)
-                    a, b = base[p] // g, c // g
-                    merged = [a * x - b * y for x, y in zip(r, base)]
-                    g = _row_gcd(merged)
-                    if g > 1:
-                        merged = [x // g for x in merged]
-                    rows[q] = merged
-        out = []
-        for p in self.pivots:
-            r = rows[p]
-            piv = r[p]
-            out.append(tuple(Fraction(x, piv) if x else _ZERO for x in r))
-        return out
+    @staticmethod
+    def _unit(row, p):
+        """row divided by its pivot entry, as Fractions."""
+        piv = row[p]
+        return {k: Fraction(x, piv) for k, x in row.items()}
 
 
 class _PrimeReducer(_Reducer):
@@ -151,37 +205,40 @@ class _PrimeReducer(_Reducer):
 
     __slots__ = ("p",)
 
+    _zero = 0
+
     def __init__(self, width, p):
         super().__init__(width)
         self.p = p
 
-    def residual(self, vec):
-        p_ = self.p
-        v = [int(x) % p_ for x in vec]
-        for p in self.pivots:
-            c = v[p]
-            if c:
-                r = self.rows[p]
-                v[p:] = [(x - c * y) % p_ for x, y in zip(v[p:], r[p:])]
-        return v
+    def _entries(self, vec):
+        p = self.p
+        return {i: y for i, x in _items(vec) if x and (y := x % p)}
+
+    def _eliminate(self, v, c, r, p, hits):
+        """Clear v[p] = c with the unit-pivot row r of pivot p."""
+        p_, rows = self.p, self.rows
+        for k, y in r.items():
+            x = v.get(k)
+            if x is None:
+                v[k] = -c * y % p_
+                if k in rows:  # a pivot this vector now hits
+                    heappush(hits, k)
+            else:
+                x = (x - c * y) % p_
+                if x:
+                    v[k] = x
+                else:
+                    del v[k]
 
     def _normalize(self, v, lead):
         """v scaled to a unit leading entry."""
         inv = pow(lead, -1, self.p)
-        return [y * inv % self.p for y in v]
+        return {k: y * inv % self.p for k, y in v.items()}
 
-    def canonical_rows(self):
-        rows = {p: list(r) for p, r in self.rows.items()}
-        for p in reversed(self.pivots):
-            base = rows[p]
-            for q in self.pivots:
-                if q >= p:
-                    break
-                r = rows[q]
-                c = r[p]
-                if c:
-                    rows[q] = [(x - c * y) % self.p for x, y in zip(r, base)]
-        return [tuple(rows[p]) for p in self.pivots]
+    @staticmethod
+    def _unit(row, p):
+        return row  # pivots are kept at one
 
 
 def _make_reducer(field: FieldSpec, width: int):
@@ -193,7 +250,7 @@ def _make_reducer(field: FieldSpec, width: int):
 class Subspace:
     """A linear subspace held as its canonical RREF basis (no zero rows)."""
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_sparse")
 
     def __init__(self, field, ambient_dim, rows, pivots):
         # rows/pivots must already be canonical; use span() to build one.
@@ -201,6 +258,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.rows = rows
         self.pivots = pivots
+        self._sparse = None  # pivot -> nonzero (column, entry) pairs of its row, on first use
 
     @property
     def dim(self) -> int:
@@ -216,30 +274,50 @@ class Subspace:
                 f"vector length {len(v)} != ambient dimension {self.ambient_dim}"
             )
 
-    def reduce(self, v):
-        """Residual of v after eliminating all pivot coordinates."""
-        self._check_len(v)
-        f = self.field
-        w = [f.coerce(x) for x in v]
-        for p, row in zip(self.pivots, self.rows):
-            c = w[p]
-            if c:
-                for j in range(p, self.ambient_dim):
-                    if row[j]:
-                        w[j] = f.sub(w[j], f.mul(c, row[j]))
+    def _reduce_entries(self, w):
+        """Eliminate the pivot coordinates of w, a dict of nonzero canonical
+        scalars, in place; returns w.
+
+        A row of the RREF basis is zero at every other pivot, so eliminating
+        one pivot never changes another: the pivots to clear are those in w
+        from the start, in any order.
+        """
+        if self._sparse is None:
+            self._sparse = {
+                p: tuple((j, x) for j, x in enumerate(r) if x and j != p)
+                for p, r in zip(self.pivots, self.rows)
+            }
+        f, sparse = self.field, self._sparse
+        for p in [p for p in w if p in sparse]:
+            c = w.pop(p)  # the pivot entry is one, so it cancels exactly
+            for j, x in sparse[p]:
+                y = f.sub(w.get(j, f.zero), f.mul(c, x))
+                if y:
+                    w[j] = y
+                else:
+                    del w[j]
         return w
 
+    def _nonzero(self, v):
+        self._check_len(v)
+        coerce = self.field.coerce
+        return {i: y for i, x in enumerate(v) if (y := coerce(x))}
+
+    def reduce(self, v):
+        """Residual of v after eliminating all pivot coordinates."""
+        out = [self.field.zero] * self.ambient_dim
+        for j, x in self._reduce_entries(self._nonzero(v)).items():
+            out[j] = x
+        return out
+
     def contains(self, v) -> bool:
-        return not any(self.reduce(v))
+        return not self._reduce_entries(self._nonzero(v))
 
     def coordinates(self, v):
         """Coefficients of v over the RREF basis, or None if v is outside."""
-        self._check_len(v)
-        f = self.field
-        coords = tuple(f.coerce(v[p]) for p in self.pivots)
-        if any(self.reduce(v)):
+        if not self.contains(v):
             return None
-        return coords
+        return tuple(self.field.coerce(v[p]) for p in self.pivots)
 
     def __eq__(self, other):
         return (
@@ -282,8 +360,10 @@ def zero_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
 
 def full_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
     one, zero = field.one, field.zero
-    rows = [[one if i == j else zero for j in range(ambient_dim)] for i in range(ambient_dim)]
-    return span(field, rows, ambient_dim)
+    rows = tuple(
+        tuple(one if i == j else zero for j in range(ambient_dim)) for i in range(ambient_dim)
+    )
+    return Subspace(field, ambient_dim, rows, tuple(range(ambient_dim)))
 
 
 def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
@@ -293,24 +373,21 @@ def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
 
 
 def kernel_of_rows(field: FieldSpec, rows, ncols: int) -> Subspace:
-    """Solutions x of R x = 0 for the given equation rows."""
+    """Solutions x of R x = 0 for the given equation rows (sequences or dicts)."""
     red = _make_reducer(field, ncols)
     for r in rows:
         red.insert(r)
-    rref_rows = red.canonical_rows()
-    pivots = list(red.pivots)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for p, row in zip(pivots, rref_rows):
-            if row[free]:
-                v[p] = field.neg(row[free])
-        basis.append(v)
-    return span(field, basis, ncols)
+    # x_free = 1 and x_p = -(entry of pivot row p at free) for each free column;
+    # in RREF a pivot row is nonzero off its pivot only at free columns
+    basis = {free: {free: 1} for free in range(ncols) if free not in red.rows}
+    for p, entries in red._canonical_entries():
+        for k, x in entries.items():
+            if k != p:
+                basis[k][p] = field.neg(x)
+    kernel = _make_reducer(field, ncols)
+    for v in basis.values():
+        kernel.insert(v)
+    return _subspace_from_reducer(field, ncols, kernel)
 
 
 def subspace_intersect(s: Subspace, t: Subspace) -> Subspace:
@@ -326,10 +403,13 @@ def subspace_intersect(s: Subspace, t: Subspace) -> Subspace:
     red = _make_reducer(field, 2 * n)
     for v in s.rows:
         red.insert(v + v)
-    zeros = (0,) * n
     for v in t.rows:
-        red.insert(v + zeros)
-    return span(field, [red.rows[p][n:] for p in red.pivots if p >= n], n)
+        red.insert(v)  # (v | 0): the right half is left out
+    inter = _make_reducer(field, n)
+    for p in red.pivots:
+        if p >= n:
+            inter.insert({k - n: x for k, x in red.rows[p].items()})
+    return _subspace_from_reducer(field, n, inter)
 
 
 def _linear_combination(field, coeffs, rows, width):
@@ -347,31 +427,33 @@ def _linear_combination(field, coeffs, rows, width):
 def express_in_span(field: FieldSpec, generators, target, width: int):
     """Coefficients writing target as a combination of the generators.
 
-    The generators need not be independent.  Returns a list of scalars, or
-    None if target is outside the span.  Works by augmenting each generator
-    with an indicator block and a bookkeeping column, so the reduction of
-    the target carries its own combination along.
+    The generators (sequences of length width, or dicts of entries) need not
+    be independent.  Returns a list of scalars, or None if target is outside
+    the span.  Works by augmenting each generator with an indicator column
+    and the target with a bookkeeping column, so the reduction of the target
+    carries its own combination along.
     """
     gens = list(generators)
     g = len(gens)
     red = _make_reducer(field, width + g + 1)
     for i, v in enumerate(gens):
-        if len(v) != width:
+        if not isinstance(v, dict) and len(v) != width:
             raise DimensionMismatch("generator has wrong length")
-        aug = [0] * (g + 1)
-        aug[i] = 1
-        red.insert(list(v) + aug)
+        aug = dict(_items(v))
+        aug[width + i] = 1
+        red.insert(aug)
     if len(target) != width:
         raise DimensionMismatch("target has wrong length")
-    w = red.residual(list(target) + [0] * g + [1])
-    if any(w[:width]):
+    aug = dict(_items(target))
+    aug[width + g] = 1
+    w = red.residual(aug)
+    if any(k < width for k in w):
         return None
     scale = w[width + g]
-    assert scale != 0
     if field.p is None:
-        return [-Fraction(w[width + i], scale) for i in range(g)]
+        return [-Fraction(w.get(width + i, 0), scale) for i in range(g)]
     inv = pow(scale, -1, field.p)
-    return [(-w[width + i]) * inv % field.p for i in range(g)]
+    return [(-w.get(width + i, 0)) * inv % field.p for i in range(g)]
 
 
 def solve_linear(field: FieldSpec, eq_rows, rhs):
@@ -390,15 +472,11 @@ def solve_linear(field: FieldSpec, eq_rows, rhs):
     red = _make_reducer(field, n + 1)
     for row, b in zip(eq_rows, rhs):
         red.insert(list(row) + [b])
-        if n in red.pivots:  # pivot in the rhs column: inconsistent
+        if n in red.rows:  # pivot in the rhs column: inconsistent
             return None
-    rows = red.canonical_rows()
+    # in RREF a pivot row is nonzero off its pivot only at free columns, which
+    # are set to zero, so each pivot variable is its row's right-hand side
     x = [field.zero] * n
-    pivot_rows = list(zip(red.pivots, rows))
-    for p, row in reversed(pivot_rows):
-        acc = row[n]
-        for c in range(p + 1, n):
-            if row[c] and x[c]:
-                acc = field.sub(acc, field.mul(row[c], x[c]))
-        x[p] = acc
+    for p, entries in red._canonical_entries():
+        x[p] = entries.get(n, field.zero)
     return tuple(x)

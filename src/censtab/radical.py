@@ -33,6 +33,7 @@ def _trace_form_rows(a: Algebra):
 
     Read from the algebra's int index, so the rows are N^2 G for its scale
     N: the same kernel, with int entries (not reduced mod p over GF(p)).
+    Each row is a dict of the entries it reaches.
     """
     t = [0] * a.dim
     for k, entries in enumerate(a._rows):
@@ -42,10 +43,11 @@ def _trace_form_rows(a: Algebra):
                     t[k] += c
     rows = []
     for entries in a._rows:
-        row = [0] * a.dim
+        row = {}
         for j, pairs in entries:
             for k, c in pairs:
-                row[j] += c * t[k]
+                if t[k]:
+                    row[j] = row.get(j, 0) + c * t[k]
         rows.append(row)
     return rows
 

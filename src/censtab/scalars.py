@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import FieldMismatch, ParseError
+from .errors import FieldMismatch, ParseError, ScalarTooLong
 
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 _RESIDUE_RE = re.compile(r"\d+")
@@ -22,6 +22,7 @@ _RESIDUE_RE = re.compile(r"\d+")
 # writes reads back, and it bounds the cost of arithmetic on parsed values
 # and each denominator of a table.
 MAX_LITERAL_DIGITS = 4300
+_TOO_LONG = 10**MAX_LITERAL_DIGITS  # the least int with more digits
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24 (covers the
 # machine-word range we allow for p).
@@ -161,9 +162,12 @@ class FieldSpec:
     def format(self, x) -> str:
         if self.p is None:
             x = Fraction(x)
-            if x.denominator == 1:
-                return str(x.numerator)
-            return f"{x.numerator}/{x.denominator}"
+            n, d = x.numerator, x.denominator
+            if d >= _TOO_LONG or abs(n) >= _TOO_LONG:
+                raise ScalarTooLong(
+                    f"a computed scalar exceeds the limit of {MAX_LITERAL_DIGITS} digits per integer"
+                )
+            return str(n) if d == 1 else f"{n}/{d}"
         return str(x % self.p)
 
     # -- sampling -----------------------------------------------------------

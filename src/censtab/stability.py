@@ -33,6 +33,7 @@ from .algebras import (
 )
 from .errors import BadParams, ConsistencyError, DimensionMismatch
 from .linalg import (
+    _int_entries,
     _linear_combination,
     _make_reducer,
     _subspace_from_reducer,
@@ -158,14 +159,15 @@ def element_centrally_stable(x: Element) -> StabilityReport:
     combined = _make_reducer(f, a.dim)
     for row in z_space.rows:
         combined.insert(row)
+    target = _int_entries(x.coords)  # the same membership, converted once
 
     def mirror(red, row):
         combined.insert(row)
-        return combined.contains(x.coords)
+        return combined.contains(target)
 
     ideal_red, complete = _ideal_closure(a, list(comm.rows), mirror)
 
-    if complete and not combined.contains(x.coords):
+    if complete and not combined.contains(target):
         ideal_space = _subspace_from_reducer(f, a.dim, ideal_red)
         total = subspace_sum(z_space, ideal_space)
         cert = UnstableElementWitness(
@@ -365,9 +367,11 @@ def decompose_tensor_element(
     t_el = T.element(t_coords)
     s_el = T.element(s)
 
+    target = _int_entries(s)
+
     def s_in_commutator_ideal_of(x):
-        red, _ = _ideal_closure(T, commutator_space(x).rows, lambda red, _: red.contains(s))
-        return red.contains(s)
+        red, _ = _ideal_closure(T, commutator_space(x).rows, lambda red, _: red.contains(target))
+        return red.contains(target)
 
     checks = {
         "stable_part_in_own_commutator_ideal": s_in_commutator_ideal_of(s_el),
@@ -481,8 +485,9 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
         if not center(a).contains(z):
             return False
         comm = commutator_space(Element(a, tuple(x))).rows
-        red, _ = _ideal_closure(a, comm, lambda red, _: red.contains(u))
-        return red.contains(u)
+        target = _int_entries(u)
+        red, _ = _ideal_closure(a, comm, lambda red, _: red.contains(target))
+        return red.contains(target)
     if isinstance(cert, UnstableElementWitness):
         x = cert.element
         z = center(a)

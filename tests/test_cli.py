@@ -359,3 +359,30 @@ def test_overlong_scalar_literal_is_invalid_input(tmp_path, capsys):
     run(capsys, "construct", "upper_triangular", "--n", "3", "-o", t3)
     code, _, err = run(capsys, "element", t3, "--coords", "1" * 5000 + ",0,0,0,0,0")
     assert code == 2 and len(err.splitlines()) == 1
+
+
+def test_overlong_computed_scalar_is_invalid_input(tmp_path, capsys):
+    # exg presented on f_i = d_i e_i, d_i = a/b with 600-digit a, b: every
+    # table literal is under the limit, but the certificate's are not
+    import random
+    from fractions import Fraction
+
+    from censtab.catalog import build
+    from censtab.scalars import MAX_LITERAL_DIGITS
+
+    a = build("exg").algebra
+    rng = random.Random(5)
+    d = [Fraction(rng.randint(10**599, 10**600), rng.randint(10**599, 10**600)) for _ in range(a.dim)]
+    table = [[i, j, [[k, str(d[i] * d[j] * c / d[k])] for k, c in pairs]]
+             for (i, j), pairs in sorted(a.table.items())]
+    assert max(len(s) for _, _, pairs in table for _, s in pairs) < MAX_LITERAL_DIGITS
+    path = tmp_path / "exg.json"
+    path.write_text(json.dumps({"field": "Q", "dim": a.dim, "table": table}))
+    coords = ",".join(["1"] * a.dim)
+    for extra in (("--json",), ()):
+        code, out, err = run(capsys, "element", str(path), "--coords", coords, *extra)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: a computed scalar exceeds the limit of {MAX_LITERAL_DIGITS} digits per integer"
+        ]

@@ -224,3 +224,53 @@ def test_replay_of_a_literal_outside_the_grammar_raises_file_format_error():
     doc["certificate"]["missing_vector"][0] = "1e5"
     with pytest.raises(FileFormatError, match="1e5"):
         verify_report_json(alg, doc)
+
+
+def _resized(vec, n):
+    """vec cut or padded with zeros to n coordinates."""
+    return (vec + ["0"] * n)[:n]
+
+
+def test_replay_of_a_stable_witness_of_the_wrong_length_is_a_file_format_error():
+    alg = build("upper_triangular", n=3).algebra  # dim 6
+    for key in ("element", "central_part", "ideal_part"):
+        for n in (3, 7):
+            doc = _element_report(alg)
+            doc["certificate"][key] = _resized(doc["certificate"][key], n)
+            with pytest.raises(FileFormatError, match=f"'{key}' has a vector of {n} coordinates"):
+                verify_report_json(alg, doc)
+
+
+def test_replay_of_an_unstable_witness_of_the_wrong_length_is_a_file_format_error():
+    alg = build("upper_triangular", n=3).algebra
+    doc = report_to_json(alg, element_centrally_stable(alg.basis_element(0)), command="element")
+    assert doc["certificate"]["kind"] == "UnstableElementWitness"
+    assert verify_report_json(alg, doc)
+    doc["certificate"]["element"] = doc["certificate"]["element"][:3]
+    with pytest.raises(FileFormatError, match="'element' has a vector of 3 coordinates"):
+        verify_report_json(alg, doc)
+
+
+def test_replay_of_a_radical_gap_of_the_wrong_length_is_a_file_format_error():
+    alg = build("upper_triangular", n=3).algebra
+    doc = report_to_json(alg, algebra_centrally_stable(alg, witness_budget=0), command="stable")
+    assert doc["certificate"]["kind"] == "RadicalGap"
+    assert doc["certificate"]["ambient"] == "algebra"
+    doc["certificate"]["missing_vector"] = doc["certificate"]["missing_vector"][:2]
+    with pytest.raises(FileFormatError, match="'missing_vector' has a vector of 2 coordinates"):
+        verify_report_json(alg, doc)
+
+
+def test_replay_on_the_unitization_expects_one_more_coordinate():
+    alg = build("strict_upper", n=3).algebra  # dim 3, no unity
+    doc = report_to_json(alg, algebra_centrally_stable(alg, witness_budget=0), command="stable")
+    gap = doc["certificate"]["gap"] if "gap" in doc["certificate"] else doc["certificate"]
+    assert gap["ambient"] == "unitization"
+    assert len(gap["radical_basis"][0]) == alg.dim + 1
+    assert verify_report_json(alg, doc)
+    gap["radical_basis"][0] = gap["radical_basis"][0][1:]
+    with pytest.raises(FileFormatError, match=f"expected {alg.dim + 1}"):
+        verify_report_json(alg, doc)
+    gap["ambient"] = "quotient"
+    with pytest.raises(FileFormatError, match="ambient"):
+        verify_report_json(alg, doc)

@@ -272,3 +272,32 @@ def test_center_is_computed_once_per_algebra(monkeypatch):
     assert len(calls) == 2
     assert center(reload) is not center(a)
     assert center(reload) == center(a)
+
+
+def _unity_failure_reference(a, u):
+    """The first i with u e_i != e_i or e_i u != e_i, from exact products over the table."""
+    for i in range(a.dim):
+        e = a.basis_element(i).coords
+        if not _dense_product(a.table, u, e, a.dim) == e == _dense_product(a.table, e, u, a.dim):
+            return i
+    return None
+
+
+@pytest.mark.parametrize("scales", [_small_scales, _big_scales])
+def test_unity_check_on_the_int_index_finds_the_same_first_failure(scales):
+    rng = random.Random(37)
+    seen = set()
+    for _, _, b, _, _ in _presentations(scales, 41):
+        candidates = [random_element(b, rng).coords, (Q.zero,) * b.dim]
+        if b.unity is not None:
+            u = list(b.unity)
+            candidates.append(tuple(u))
+            for _ in range(3):
+                # the unity with one coordinate moved: fails at some basis vector
+                k = rng.randrange(b.dim)
+                candidates.append(tuple(x + (Fraction(1, 3) if i == k else 0) for i, x in enumerate(u)))
+        for u in candidates:
+            want = _unity_failure_reference(b, u)
+            assert algebras_module._unity_failure(b, u) == want
+            seen.add(want is None)
+    assert seen == {True, False}

@@ -1,0 +1,298 @@
+"""The sparse echelon reducers against the dense elimination they replaced.
+
+The reference below is the dense elimination that `censtab.linalg` used
+before its reducers went sparse, kept verbatim in behaviour: full-width int
+rows, a scan over every pivot, and the same cross-multiplication, whole-row
+scale and gcd normalization over Q, reduction mod p over GF(p).  The sparse
+reducers must reproduce its residuals, rows, pivots and canonical rows
+exactly, and the linear solvers built on them their results.
+"""
+
+import random
+from bisect import insort
+from fractions import Fraction
+from math import gcd, lcm
+
+import pytest
+
+from censtab.linalg import _make_reducer, express_in_span, solve_linear
+from censtab.scalars import RATIONALS, prime_field
+
+P = 1000003
+FIELDS = [RATIONALS, prime_field(P)]
+
+
+# -- dense reference -----------------------------------------------------------
+
+
+def _dense_row_gcd(row):
+    g = 0
+    for x in row:
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                return 1
+    return g
+
+
+def _dense_to_int_row(vec):
+    nonzero = [(i, x) for i, x in enumerate(vec) if x]
+    m = lcm(*[x.denominator for _, x in nonzero])
+    out = [0] * len(vec)
+    for i, x in nonzero:
+        out[i] = x.numerator * (m // x.denominator)
+    return out
+
+
+class DenseReducer:
+    def __init__(self, field, width):
+        self.p = field.p
+        self.width = width
+        self.pivots = []
+        self.rows = {}
+        self.hits = []  # the pivots each residual eliminated at, in order
+
+    def residual(self, vec):
+        if self.p is not None:
+            v = [int(x) % self.p for x in vec]
+            for p in self.pivots:
+                c = v[p]
+                if c:
+                    self.hits.append(p)
+                    r = self.rows[p]
+                    v[p:] = [(x - c * y) % self.p for x, y in zip(v[p:], r[p:])]
+            return v
+        v = _dense_to_int_row(vec)
+        for p in self.pivots:
+            c = v[p]
+            if c:
+                self.hits.append(p)
+                r = self.rows[p]
+                g = gcd(r[p], c)
+                a, b = r[p] // g, c // g
+                if a == 1:
+                    v[p:] = [x - b * y for x, y in zip(v[p:], r[p:])]
+                else:
+                    v[:p] = [a * x for x in v[:p]]
+                    v[p:] = [a * x - b * y for x, y in zip(v[p:], r[p:])]
+                    g = _dense_row_gcd(v)
+                    if g > 1:
+                        v = [x // g for x in v]
+        return v
+
+    def insert(self, vec):
+        v = self.residual(vec)
+        for p, x in enumerate(v):
+            if x:
+                if self.p is not None:
+                    inv = pow(x, -1, self.p)
+                    v = [y * inv % self.p for y in v]
+                else:
+                    g = _dense_row_gcd(v)
+                    if x < 0:
+                        g = -g
+                    v = [y // g for y in v] if g != 1 else v
+                self.rows[p] = v
+                insort(self.pivots, p)
+                return v
+        return None
+
+    def canonical_rows(self):
+        rows = {p: list(r) for p, r in self.rows.items()}
+        for p in reversed(self.pivots):
+            base = rows[p]
+            for q in self.pivots:
+                if q >= p:
+                    break
+                r = rows[q]
+                c = r[p]
+                if c:
+                    if self.p is not None:
+                        rows[q] = [(x - c * y) % self.p for x, y in zip(r, base)]
+                        continue
+                    g = gcd(base[p], c)
+                    a, b = base[p] // g, c // g
+                    merged = [a * x - b * y for x, y in zip(r, base)]
+                    g = _dense_row_gcd(merged)
+                    if g > 1:
+                        merged = [x // g for x in merged]
+                    rows[q] = merged
+        if self.p is not None:
+            return [tuple(rows[p]) for p in self.pivots]
+        return [tuple(Fraction(x, rows[p][p]) for x in rows[p]) for p in self.pivots]
+
+
+def dense_express_in_span(field, gens, target, width):
+    g = len(gens)
+    red = DenseReducer(field, width + g + 1)
+    for i, v in enumerate(gens):
+        aug = [0] * (g + 1)
+        aug[i] = 1
+        red.insert(list(v) + aug)
+    w = red.residual(list(target) + [0] * g + [1])
+    if any(w[:width]):
+        return None
+    scale = w[width + g]
+    if field.p is None:
+        return [-Fraction(w[width + i], scale) for i in range(g)]
+    inv = pow(scale, -1, field.p)
+    return [(-w[width + i]) * inv % field.p for i in range(g)]
+
+
+def dense_solve_linear(field, eq_rows, rhs):
+    n = len(eq_rows[0])
+    red = DenseReducer(field, n + 1)
+    for row, b in zip(eq_rows, rhs):
+        red.insert(list(row) + [b])
+        if n in red.pivots:
+            return None
+    rows = red.canonical_rows()
+    x = [field.zero] * n
+    for p, row in reversed(list(zip(red.pivots, rows))):
+        acc = row[n]
+        for c in range(p + 1, n):
+            if row[c] and x[c]:
+                acc = field.sub(acc, field.mul(row[c], x[c]))
+        x[p] = acc
+    return tuple(x)
+
+
+# -- random inputs -------------------------------------------------------------
+
+
+def _entry(field, rng):
+    """A nonzero entry: small or huge, int or (over Q) Fraction, maybe unreduced."""
+    big = rng.random() < 0.2
+    n = rng.choice((-1, 1)) * (rng.randint(1, 10**30) if big else rng.randint(1, 9))
+    if field.p is None and rng.random() < 0.5:
+        return Fraction(n, rng.randint(1, 10**12 if big else 6))
+    return n
+
+
+def _vector(field, rng, width, density):
+    """A dense list: each coordinate nonzero with the given probability, zeros
+    as int 0 or (over Q) Fraction(0)."""
+    zero = (0, Fraction(0)) if field.p is None else (0, P, -P)
+    return [_entry(field, rng) if rng.random() < density else rng.choice(zero)
+            for _ in range(width)]
+
+
+def _as_dict(vec, rng):
+    """The same vector as a dict, keeping some of its zero entries."""
+    return {i: x for i, x in enumerate(vec) if x or rng.random() < 0.1}
+
+
+def _dense(entries, width):
+    out = [0] * width
+    for k, x in entries.items():
+        out[k] = x
+    return out
+
+
+def _cases(seed):
+    rng = random.Random(seed)
+    for trial in range(60):
+        field = FIELDS[trial % 2]
+        width = rng.randint(1, 24)
+        density = rng.choice((0.05, 0.15, 0.5, 1.0))
+        count = rng.randint(1, 2 * width)
+        # repeat some vectors and their combinations, so dependent inserts occur
+        vecs = [_vector(field, rng, width, density) for _ in range(count)]
+        for _ in range(count // 3):
+            u, w = rng.choice(vecs), rng.choice(vecs)
+            c = rng.randint(-3, 3)
+            vecs.append([x + c * y for x, y in zip(u, w)])
+        rng.shuffle(vecs)
+        yield field, width, vecs, rng
+
+
+def test_sparse_reducers_match_the_dense_elimination():
+    seen = {"dependent": 0, "independent": 0, "scaled": 0}
+    for field, width, vecs, rng in _cases(71):
+        sparse, dense = _make_reducer(field, width), DenseReducer(field, width)
+        for v in vecs:
+            arg = _as_dict(v, rng) if rng.random() < 0.5 else v
+            want = dense.residual(v)
+            got = sparse.residual(arg)
+            assert _dense(got, width) == want
+            assert all(x for x in got.values())
+            assert sparse.contains(arg) == (not any(want))
+            r_want = dense.insert(v)
+            r_got = sparse.insert(arg)
+            if r_want is None:
+                assert r_got is None
+                seen["dependent"] += 1
+            else:
+                assert _dense(r_got, width) == r_want
+                seen["independent"] += 1
+            assert sparse.pivots == dense.pivots
+            assert {p: _dense(r, width) for p, r in sparse.rows.items()} == dense.rows
+        got_rows = sparse.canonical_rows()
+        assert got_rows == dense.canonical_rows()
+        if field.p is None:
+            assert all(type(x) is Fraction for r in got_rows for x in r)
+            seen["scaled"] += any(r[p] != 1 for p, r in dense.rows.items())
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_linear_solvers_match_the_dense_elimination(field):
+    rng = random.Random(f"solvers:{field}")
+    for _ in range(40):
+        width = rng.randint(1, 12)
+        density = rng.choice((0.1, 0.4, 1.0))
+        gens = [_vector(field, rng, width, density) for _ in range(rng.randint(1, 8))]
+        canon = [tuple(field.coerce(x) for x in v) for v in gens]
+        inside = [sum(rng.randint(-2, 2) * v[i] for v in canon) for i in range(width)]
+        for target in (inside, _vector(field, rng, width, density)):
+            target = [field.coerce(x) for x in target]
+            want = dense_express_in_span(field, canon, target, width)
+            assert express_in_span(field, canon, target, width) == want
+            as_dicts = [_as_dict(v, rng) for v in canon]
+            assert express_in_span(field, as_dicts, target, width) == want
+        rhs = [field.coerce(_entry(field, rng)) for _ in canon]
+        assert solve_linear(field, canon, rhs) == dense_solve_linear(field, canon, rhs)
+        x = [rng.randint(-2, 2) for _ in range(width)]
+        rhs = [field.coerce(sum(xi * vi for xi, vi in zip(x, v))) for v in canon]
+        got = solve_linear(field, canon, rhs)
+        assert got is not None and got == dense_solve_linear(field, canon, rhs)
+
+
+class _CountingRow(dict):
+    """A reducer row that records each time its entries are read."""
+
+    touched = None
+
+    def items(self):
+        self.touched.append(self.pivot)
+        return super().items()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_membership_work_is_bounded_by_the_pivots_hit(field):
+    # a width-256 reducer with 200 rows, each with a few entries past its pivot
+    rng = random.Random(f"work:{field}")
+    width = 256
+    red = _make_reducer(field, width)
+    for p in rng.sample(range(width - 8), 200):
+        red.insert({p: _entry(field, rng), p + rng.randint(1, 8): _entry(field, rng)})
+    assert red.dim == 200
+    touched = []
+    for p, row in list(red.rows.items()):
+        counted = _CountingRow(row)
+        counted.pivot, counted.touched = p, touched
+        red.rows[p] = counted
+    dense = DenseReducer(field, width)
+    dense.pivots = list(red.pivots)
+    dense.rows = {p: _dense(r, width) for p, r in red.rows.items()}
+    total = 0
+    for col in range(width):
+        touched.clear()
+        dense.hits.clear()
+        want = dense.residual(_dense({col: 1}, width))
+        assert red.contains({col: 1}) == (not any(want))
+        # the rows read are exactly those of the pivots the vector hits, in order
+        assert touched == dense.hits
+        total += len(touched)
+    # a dense scan would look at all 200 rows for each of the 256 vectors
+    assert total < 256 * 200 // 10
