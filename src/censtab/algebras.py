@@ -30,7 +30,7 @@ from .errors import (
     NotAssociative,
 )
 from .linalg import (Subspace, _int_entries, _items, _make_reducer, _subspace_from_reducer,
-                     _to_int_row, kernel_of_rows, solve_linear)
+                     express_in_span, kernel_of_rows)
 from .scalars import FieldSpec
 
 
@@ -304,21 +304,13 @@ def _find_unity(a: Algebra):
     and u' is any left unity, then u' = u' u = u, so the left system has
     the single solution u; if a has none, the check fails for every u.
     """
-    field, dim = a.field, a.dim
+    dim = a.dim
     if dim == 0:
         return None
-    # u e_j = e_j reads sum_i u_i N c_ij^k = N [j == k]: one row per (j, k)
-    rows = {}
-    for i, entries in enumerate(a._rows):
-        for j, pairs in entries:
-            for k, c in pairs:
-                rows.setdefault((j, k), [0] * dim)[i] = c
-    for j in range(dim):
-        if (j, j) not in rows:
-            return None  # no u can reproduce e_j
-    keys = sorted(rows.keys())
-    rhs = [a._scale if j == k else 0 for (j, k) in keys]
-    u = solve_linear(field, [rows[key] for key in keys], rhs)
+    # u e_j = e_j for all j reads sum_i u_i N c_ij^k = N [j == k]: generator i
+    # is the index row of e_i flattened over (j, k), the target N at every (j, j)
+    gens = [{j * dim + k: c for j, pairs in entries for k, c in pairs} for entries in a._rows]
+    u = express_in_span(a.field, gens, {j * dim + j: a._scale for j in range(dim)}, dim * dim)
     if u is None:
         return None
     return tuple(u) if _unity_failure(a, u) is None else None
@@ -332,7 +324,7 @@ def _unity_failure(a: Algebra, u):
     f_i = N e_i, whose products the index gives, and likewise on the left.
     """
     p = a.field.p
-    mu = _to_int_row(u)
+    mu = _int_entries(u)
     one = lcm(*[x.denominator for x in u if x]) * a._scale  # m N
     for i in range(a.dim):
         for w in (a._vec_mul_basis(mu, i), a._basis_mul_vec(i, mu)):

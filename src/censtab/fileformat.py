@@ -16,6 +16,11 @@ from .algebras import Algebra, build_algebra
 from .errors import FileFormatError
 from .scalars import RATIONALS, FieldSpec, prime_field
 from .stability import (
+    METHOD_ELEMENT,
+    METHOD_RADICAL,
+    METHOD_UNITIZATION,
+    NOT_STABLE,
+    STABLE,
     RadicalGap,
     RadicalMatch,
     StabilityReport,
@@ -46,7 +51,8 @@ def vector_to_json(field, vec):
 
 
 # A bad scalar: ParseError, a zero denominator, or str() of too long an int
-_SCALAR_ERRORS = (ValueError, ZeroDivisionError)
+# or of a value nested too deeply
+_SCALAR_ERRORS = (ValueError, ZeroDivisionError, RecursionError)
 
 
 def vector_from_json(field, doc, length=None):
@@ -95,7 +101,7 @@ def algebra_from_json(doc) -> Algebra:
             raise FileFormatError(f"missing member {key!r}")
     unknown = set(doc) - {"field", "dim", "table", "labels"}
     if unknown:
-        raise FileFormatError(f"unknown members {sorted(unknown)}")
+        raise FileFormatError(f"unknown members {sorted(unknown, key=str)}")
     field = field_from_json(doc["field"])
     dim = doc["dim"]
     if not _is_int(dim) or dim < 0:
@@ -104,7 +110,8 @@ def algebra_from_json(doc) -> Algebra:
         raise FileFormatError(f"dim {dim} exceeds the limit of {MAX_DIM}")
     labels = doc.get("labels")
     if labels is not None:
-        if not isinstance(labels, list) or len(labels) != dim:
+        if not (isinstance(labels, list) and len(labels) == dim
+                and all(isinstance(s, str) for s in labels)):
             raise FileFormatError("labels must list one string per basis vector")
     table = {}
     if not isinstance(doc["table"], list):
@@ -146,6 +153,8 @@ def load_algebra(path) -> Algebra:
             doc = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or a number over the int limit
             raise FileFormatError(f"not valid JSON: {exc}") from None
+        except RecursionError:
+            raise FileFormatError("not valid JSON: nested too deeply") from None
     return algebra_from_json(doc)
 
 
@@ -202,7 +211,8 @@ def certificate_from_json(field, doc):
     kind = doc.get("kind")
     cls = _CERTIFICATES.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise FileFormatError(f"unknown certificate kind {kind!r}")
+        shown = repr(kind) if isinstance(kind, str) else f"of type {type(kind).__name__}"
+        raise FileFormatError(f"unknown certificate kind {shown}")
     args = []
     for name, key, typ in _members(cls):
         if key not in doc:
@@ -218,10 +228,14 @@ def certificate_from_json(field, doc):
             if type(val) is not _PLAIN[typ]:
                 raise FileFormatError(f"{kind} member {key!r} must be of JSON type {typ}")
         else:
-            val = certificate_from_json(field, val)
-            if val.kind != typ:
+            # the kind first, so a chain of wrong nestings is not followed
+            if not (isinstance(val, dict) and val.get("kind") == typ):
                 raise FileFormatError(f"{kind} member {key!r} must be a {typ} certificate")
+            val = certificate_from_json(field, val)
         args.append(val)
+    unknown = set(doc) - {"kind"} - {key for _, key, _ in _members(cls)}
+    if unknown:
+        raise FileFormatError(f"{kind} certificate has unknown members {sorted(unknown, key=str)}")
     return cls(*args)
 
 
@@ -283,26 +297,46 @@ def report_to_json(
     return doc
 
 
+_METHODS = (METHOD_RADICAL, METHOD_UNITIZATION, METHOD_ELEMENT)
+_RADICAL_METHODS = {"algebra": METHOD_RADICAL, "unitization": METHOD_UNITIZATION}
+
+
+def _claims_fit(verdict, method, cert) -> bool:
+    """Whether a certificate of this kind comes with the claimed method and
+    verdict: a radical kind with the method of its ambient, a stable
+    element witness only with the element criterion (an unstable one also
+    answers an algebra decision), and Stable only for a stable kind."""
+    if isinstance(cert, (RadicalMatch, RadicalGap, WitnessSearchExhausted)):
+        gap = cert.gap if isinstance(cert, WitnessSearchExhausted) else cert
+        fits = method == _RADICAL_METHODS[gap.ambient]
+    else:
+        fits = method == METHOD_ELEMENT or isinstance(cert, UnstableElementWitness)
+    return fits and isinstance(cert, (StableElementWitness, RadicalMatch)) == (verdict == STABLE)
+
+
 def verify_report_json(a: Algebra, doc: dict) -> bool:
     """Replay a serialized report's certificate against an algebra.
 
     Raises FileFormatError when the report lacks a member the replay reads,
-    a member has the wrong JSON type, a certificate vector has the wrong
-    number of coordinates, or a certificate scalar is not a literal of the
-    field's grammar within `scalars.MAX_LITERAL_DIGITS`.
+    a member has the wrong JSON type, the verdict or method is not one the
+    engine writes, a certificate has a member its kind does not have, a
+    certificate vector has the wrong number of coordinates, or a
+    certificate scalar is not a literal of the field's grammar within
+    `scalars.MAX_LITERAL_DIGITS`.  Returns False when the verdict or method
+    does not fit the certificate's kind, or the certificate does not hold.
     """
     if not isinstance(doc, dict):
         raise FileFormatError("report must be a JSON object")
     for key in ("verdict", "method", "certificate"):
         if key not in doc:
             raise FileFormatError(f"report misses member {key!r}")
-    if not (isinstance(doc["verdict"], str) and isinstance(doc["method"], str)):
-        raise FileFormatError("report verdict and method must be strings")
+    verdict, method = doc["verdict"], doc["method"]
+    if verdict not in (STABLE, NOT_STABLE):
+        raise FileFormatError(f"report verdict must be {STABLE!r} or {NOT_STABLE!r}")
+    if method not in _METHODS:
+        raise FileFormatError(f"report method must be one of {', '.join(_METHODS)}")
     cert = certificate_from_json(a.field, doc["certificate"])
     _check_lengths(cert, a.dim)
-    report = StabilityReport(doc["verdict"], doc["method"], cert)
-    if not verify_certificate(a, report):
-        return False
-    # the certificate kind must actually support the claimed verdict
-    is_stable_cert = cert.kind in ("StableElementWitness", "RadicalMatch")
-    return is_stable_cert == (doc["verdict"] == "Stable")
+    return _claims_fit(verdict, method, cert) and verify_certificate(
+        a, StabilityReport(verdict, method, cert)
+    )

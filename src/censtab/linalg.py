@@ -6,13 +6,13 @@ comparison.  All decisions in the package (centers, radicals, ideal
 closures, stability criteria) reduce to the operations here.
 
 The two echelon reducers are the only elimination code: spans, kernels,
-sums, intersections and solved systems all run through one of them.  Over
-GF(p) rows are reduced mod p and kept with unit pivots.  Over Q a vector
-enters as int entries (its denominators cleared by their lcm), is
-eliminated by cross-multiplication and kept primitive.  Fractions are built
-only on the way out, in canonical rows and solution vectors, since
-per-entry Fraction normalization inside the elimination loop would
-dominate.
+sums and intersections all run through one of them, and so does
+`express_in_span`, the one solver of linear systems.  Over GF(p) rows are
+reduced mod p and kept with unit pivots.  Over Q a vector enters as int
+entries (its denominators cleared by their lcm), is eliminated by
+cross-multiplication and kept primitive.  Fractions are built only on the
+way out, in canonical rows and solution vectors, since per-entry Fraction
+normalization inside the elimination loop would dominate.
 
 The reducers are sparse.  Each basis row is a dict of its nonzero entries,
 column -> value.  `residual`, `contains` and `insert` take a vector as such
@@ -68,14 +68,6 @@ def _int_entries(vec):
             m = lcm(*[x.denominator for x in v.values()])
             return {i: x.numerator * (m // x.denominator) for i, x in v.items()}
     return v
-
-
-def _to_int_row(vec):
-    """vec times the lcm of its denominators, as a dense list of ints."""
-    out = [0] * len(vec)
-    for i, x in _int_entries(vec).items():
-        out[i] = x
-    return out
 
 
 class _Reducer:
@@ -156,7 +148,6 @@ class _RationalReducer(_Reducer):
 
     _zero = _ZERO
     _entries = staticmethod(_int_entries)
-    _to_int_row = staticmethod(_to_int_row)  # the same scaling, dense
 
     def _eliminate(self, v, c, r, p, hits):
         """Clear v[p] = c with the row r of pivot p, by cross-multiplication."""
@@ -427,11 +418,12 @@ def _linear_combination(field, coeffs, rows, width):
 def express_in_span(field: FieldSpec, generators, target, width: int):
     """Coefficients writing target as a combination of the generators.
 
-    The generators (sequences of length width, or dicts of entries) need not
-    be independent.  Returns a list of scalars, or None if target is outside
-    the span.  Works by augmenting each generator with an indicator column
-    and the target with a bookkeeping column, so the reduction of the target
-    carries its own combination along.
+    The generators and the target are sequences of length width or dicts of
+    entries; the generators need not be independent.  Returns a list of
+    scalars, or None if target is outside the span.  Works by augmenting
+    each generator with an indicator column and the target with a
+    bookkeeping column, so the reduction of the target carries its own
+    combination along.
     """
     gens = list(generators)
     g = len(gens)
@@ -442,7 +434,7 @@ def express_in_span(field: FieldSpec, generators, target, width: int):
         aug = dict(_items(v))
         aug[width + i] = 1
         red.insert(aug)
-    if len(target) != width:
+    if not isinstance(target, dict) and len(target) != width:
         raise DimensionMismatch("target has wrong length")
     aug = dict(_items(target))
     aug[width + g] = 1
@@ -454,29 +446,3 @@ def express_in_span(field: FieldSpec, generators, target, width: int):
         return [-Fraction(w.get(width + i, 0), scale) for i in range(g)]
     inv = pow(scale, -1, field.p)
     return [(-w.get(width + i, 0)) * inv % field.p for i in range(g)]
-
-
-def solve_linear(field: FieldSpec, eq_rows, rhs):
-    """A particular solution x of the system rows . x = rhs, or None.
-
-    Free variables are set to zero.  eq_rows is an iterable of equation
-    rows; rhs the matching right-hand sides.
-    """
-    eq_rows = list(eq_rows)
-    rhs = list(rhs)
-    if len(eq_rows) != len(rhs):
-        raise DimensionMismatch("system and right-hand side differ in length")
-    if not eq_rows:
-        return ()
-    n = len(eq_rows[0])
-    red = _make_reducer(field, n + 1)
-    for row, b in zip(eq_rows, rhs):
-        red.insert(list(row) + [b])
-        if n in red.rows:  # pivot in the rhs column: inconsistent
-            return None
-    # in RREF a pivot row is nonzero off its pivot only at free columns, which
-    # are set to zero, so each pivot variable is its row's right-hand side
-    x = [field.zero] * n
-    for p, entries in red._canonical_entries():
-        x[p] = entries.get(n, field.zero)
-    return tuple(x)

@@ -368,14 +368,9 @@ def decompose_tensor_element(
     s_el = T.element(s)
 
     target = _int_entries(s)
-
-    def s_in_commutator_ideal_of(x):
-        red, _ = _ideal_closure(T, commutator_space(x).rows, lambda red, _: red.contains(target))
-        return red.contains(target)
-
     checks = {
-        "stable_part_in_own_commutator_ideal": s_in_commutator_ideal_of(s_el),
-        "stable_part_in_full_commutator_ideal": s_in_commutator_ideal_of(t_el),
+        "stable_part_in_own_commutator_ideal": _in_commutator_ideal(s_el, target),
+        "stable_part_in_full_commutator_ideal": _in_commutator_ideal(t_el, target),
     }
     if not all(checks.values()):
         raise ConsistencyError(f"tensor decomposition postcondition failed: {checks}")
@@ -484,10 +479,7 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
             return False
         if not center(a).contains(z):
             return False
-        comm = commutator_space(Element(a, tuple(x))).rows
-        target = _int_entries(u)
-        red, _ = _ideal_closure(a, comm, lambda red, _: red.contains(target))
-        return red.contains(target)
+        return _in_commutator_ideal(Element(a, tuple(x)), _int_entries(u))
     if isinstance(cert, UnstableElementWitness):
         x = cert.element
         z = center(a)
@@ -516,6 +508,14 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
             return False
         return rad.contains(gap.missing_vector) and not j.contains(gap.missing_vector)
     return False
+
+
+def _in_commutator_ideal(x: Element, target) -> bool:
+    """Whether target, a dict of int entries, lies in Id([x, A]); the closure
+    stops as soon as it does."""
+    comm = commutator_space(x).rows
+    red, _ = _ideal_closure(x.algebra, comm, lambda red, _: red.contains(target))
+    return red.contains(target)
 
 
 def _commutator_ideal(a: Algebra, coords):

@@ -23,7 +23,7 @@ from censtab.catalog import build, standard_entries
 from censtab.cli import main as cli_main
 from censtab.errors import UnsupportedCharacteristic
 from censtab.fileformat import dump_json, report_to_json
-from censtab.linalg import solve_linear, span, subspace_intersect
+from censtab.linalg import span, subspace_intersect
 from censtab.radical import radical
 from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import (
@@ -312,7 +312,9 @@ def _has_separability_idempotent(alg):
                     row[i * n + j] = f.add(row[i * n + j], c)
         eq_rows.append(row)
         rhs.append(alg.unity[k])
-    return solve_linear(f, eq_rows, rhs) is not None
+    # solvable exactly when rank [R] = rank [R | b]
+    augmented = [list(row) + [b] for row, b in zip(eq_rows, rhs)]
+    return span(f, eq_rows, n * n).dim == span(f, augmented, n * n + 1).dim
 
 
 def test_criterion_8_radical_postconditions():

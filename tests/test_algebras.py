@@ -201,22 +201,23 @@ def test_unity_matches_dense_two_sided_solve():
 
 
 def test_unity_solve_uses_only_the_left_equations(monkeypatch):
-    # M_4: the left equations u e_j = e_j have one row per (j, k) with
-    # e_j = e_rs and e_k = e_ps, so 16 * 4 = 64 rows (both sides: 128)
+    # M_4: one express_in_span call whose generator i is the left-unity row of
+    # e_i, its products e_i e_j flattened over (j, k): 16 generators holding
+    # one entry per nonzero product, 64 in all (both sides would need 128)
     algebras = importlib.import_module("censtab.algebras")
-    rows_seen = []
-    solve = algebras.solve_linear
+    calls = []
+    solve = algebras.express_in_span
 
-    def counted(field, eq_rows, rhs):
-        eq_rows = list(eq_rows)
-        rows_seen.append(len(eq_rows))
-        return solve(field, eq_rows, rhs)
+    def counted(field, generators, target, width):
+        generators = list(generators)
+        calls.append((len(generators), sum(len(g) for g in generators), width))
+        return solve(field, generators, target, width)
 
     m4 = build("matrix_full", n=4).algebra
-    monkeypatch.setattr(algebras, "solve_linear", counted)
+    monkeypatch.setattr(algebras, "express_in_span", counted)
     rebuilt = build_algebra(Q, m4.dim, m4.table)
     assert rebuilt.unity == m4.unity
-    assert rows_seen and sum(rows_seen) <= 64
+    assert calls == [(16, 64, 16 * 16)]
 
 
 # -- products and commutators --------------------------------------------------

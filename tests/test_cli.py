@@ -361,6 +361,16 @@ def test_overlong_scalar_literal_is_invalid_input(tmp_path, capsys):
     assert code == 2 and len(err.splitlines()) == 1
 
 
+def test_deeply_nested_json_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "nested too deeply" in err
+
+
 def test_overlong_computed_scalar_is_invalid_input(tmp_path, capsys):
     # exg presented on f_i = d_i e_i, d_i = a/b with 600-digit a, b: every
     # table literal is under the limit, but the certificate's are not

@@ -274,3 +274,112 @@ def test_replay_on_the_unitization_expects_one_more_coordinate():
     gap["ambient"] = "quotient"
     with pytest.raises(FileFormatError, match="ambient"):
         verify_report_json(alg, doc)
+
+
+def test_non_string_labels_are_rejected():
+    doc = {"field": "Q", "dim": 2, "table": [], "labels": ["a", "b"]}
+    assert algebra_from_json(doc).labels == ("a", "b")
+    for labels in ([{"a": 1}, 2], ["a", 2], ["a", None]):
+        with pytest.raises(FileFormatError, match="one string per basis vector"):
+            algebra_from_json({**doc, "labels": labels})
+
+
+def test_a_deep_chain_of_nested_certificates_is_a_file_format_error():
+    alg = build("upper_triangular", n=3).algebra
+    doc = report_to_json(alg, algebra_centrally_stable(alg, witness_budget=0), command="stable")
+    cert = doc["certificate"]
+    for _ in range(3000):
+        cert = {"kind": "WitnessSearchExhausted", "samples_tried": 0, "gap": cert}
+    with pytest.raises(FileFormatError, match="must be a RadicalGap certificate"):
+        verify_report_json(alg, {**doc, "certificate": cert})
+    # deep values built in Python where a kind, a member name or a scalar goes
+    deep = []
+    for _ in range(100000):
+        deep = [deep]
+    element = _element_report(alg)
+    element["certificate"]["element"][0] = deep
+    for bad in (
+        {**doc, "certificate": {"kind": deep}},
+        {**doc, "certificate": {**doc["certificate"], 1: deep, "x": 0}},
+        element,
+    ):
+        with pytest.raises(FileFormatError):
+            verify_report_json(alg, bad)
+
+
+def _t3_reports():
+    """An UnstableElementWitness, a StableElementWitness and a RadicalGap
+    report on T_3, each of which replays."""
+    t3 = build("upper_triangular", n=3).algebra
+    docs = [
+        report_to_json(t3, element_centrally_stable(t3.basis_element(0)), command="element"),
+        _element_report(t3),
+        report_to_json(t3, algebra_centrally_stable(t3, witness_budget=0), command="stable"),
+    ]
+    assert [d["certificate"]["kind"] for d in docs] == [
+        "UnstableElementWitness", "StableElementWitness", "RadicalGap",
+    ]
+    assert all(verify_report_json(t3, d) for d in docs)
+    return t3, docs
+
+
+def test_an_unknown_verdict_is_a_file_format_error():
+    t3, (unstable, _, _) = _t3_reports()
+    for verdict in ("Banana", "stable", 1, None):
+        with pytest.raises(FileFormatError, match="verdict"):
+            verify_report_json(t3, {**unstable, "verdict": verdict})
+
+
+def test_an_unknown_method_is_a_file_format_error():
+    t3, (unstable, _, _) = _t3_reports()
+    for method in ("Oracle", "", ["ElementCriterion"]):
+        with pytest.raises(FileFormatError, match="method"):
+            verify_report_json(t3, {**unstable, "method": method})
+
+
+def test_an_unknown_certificate_member_is_a_file_format_error():
+    from censtab.stability import WitnessSearchExhausted
+
+    t3, docs = _t3_reports()
+    for doc in docs:
+        extra = {**doc, "certificate": {**doc["certificate"], "note": "x"}}
+        with pytest.raises(FileFormatError, match="unknown members"):
+            verify_report_json(t3, extra)
+    # a member unknown to the nested gap, not to the wrapper
+    gap = algebra_centrally_stable(t3, witness_budget=0).certificate
+    wrapped = certificate_to_json(t3.field, WitnessSearchExhausted(3, gap))
+    doc = {**docs[2], "certificate": wrapped}
+    assert verify_report_json(t3, doc)
+    wrapped["gap"]["samples_tried"] = 3
+    with pytest.raises(FileFormatError, match="RadicalGap certificate has unknown members"):
+        verify_report_json(t3, doc)
+
+
+def test_a_radical_certificate_under_the_element_criterion_does_not_replay():
+    m2 = build("matrix_full", n=2).algebra
+    doc = report_to_json(m2, algebra_centrally_stable(m2), command="stable")
+    assert doc["certificate"]["kind"] == "RadicalMatch"
+    assert verify_report_json(m2, doc)
+    assert not verify_report_json(m2, {**doc, "method": "ElementCriterion"})
+    t3, (_, _, gap) = _t3_reports()
+    assert not verify_report_json(t3, {**gap, "method": "ElementCriterion"})
+
+
+def test_a_stable_element_witness_under_a_radical_method_does_not_replay():
+    t3, (unstable, stable, _) = _t3_reports()
+    for method in ("RadicalCriterion", "UnitizationThenRadicalCriterion"):
+        assert not verify_report_json(t3, {**stable, "method": method})
+    # an algebra decision may report an unstable element witness
+    assert verify_report_json(t3, {**unstable, "method": "RadicalCriterion"})
+
+
+def test_a_radical_certificate_replays_only_under_the_method_of_its_ambient():
+    m2 = build("matrix_full", n=2).algebra  # unital: ambient "algebra"
+    doc = report_to_json(m2, algebra_centrally_stable(m2), command="stable")
+    assert (doc["method"], doc["certificate"]["ambient"]) == ("RadicalCriterion", "algebra")
+    assert not verify_report_json(m2, {**doc, "method": "UnitizationThenRadicalCriterion"})
+    n3 = build("strict_upper", n=3).algebra  # no unity: ambient "unitization"
+    doc = report_to_json(n3, algebra_centrally_stable(n3, witness_budget=0), command="stable")
+    assert doc["method"] == "UnitizationThenRadicalCriterion"
+    assert verify_report_json(n3, doc)
+    assert not verify_report_json(n3, {**doc, "method": "RadicalCriterion"})
