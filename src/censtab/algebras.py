@@ -195,11 +195,6 @@ class Element:
         self._check_same(other)
         return Element(self.algebra, self.algebra.mul_coords(self.coords, other.coords))
 
-    def scale(self, c):
-        f = self.algebra.field
-        c = f.coerce(c)
-        return Element(self.algebra, tuple(f.mul(c, a) for a in self.coords))
-
     @property
     def is_zero(self) -> bool:
         return not any(self.coords)

@@ -298,20 +298,6 @@ def report_to_json(
 
 
 _METHODS = (METHOD_RADICAL, METHOD_UNITIZATION, METHOD_ELEMENT)
-_RADICAL_METHODS = {"algebra": METHOD_RADICAL, "unitization": METHOD_UNITIZATION}
-
-
-def _claims_fit(verdict, method, cert) -> bool:
-    """Whether a certificate of this kind comes with the claimed method and
-    verdict: a radical kind with the method of its ambient, a stable
-    element witness only with the element criterion (an unstable one also
-    answers an algebra decision), and Stable only for a stable kind."""
-    if isinstance(cert, (RadicalMatch, RadicalGap, WitnessSearchExhausted)):
-        gap = cert.gap if isinstance(cert, WitnessSearchExhausted) else cert
-        fits = method == _RADICAL_METHODS[gap.ambient]
-    else:
-        fits = method == METHOD_ELEMENT or isinstance(cert, UnstableElementWitness)
-    return fits and isinstance(cert, (StableElementWitness, RadicalMatch)) == (verdict == STABLE)
 
 
 def verify_report_json(a: Algebra, doc: dict) -> bool:
@@ -337,6 +323,4 @@ def verify_report_json(a: Algebra, doc: dict) -> bool:
         raise FileFormatError(f"report method must be one of {', '.join(_METHODS)}")
     cert = certificate_from_json(a.field, doc["certificate"])
     _check_lengths(cert, a.dim)
-    return _claims_fit(verdict, method, cert) and verify_certificate(
-        a, StabilityReport(verdict, method, cert)
-    )
+    return verify_certificate(a, StabilityReport(verdict, method, cert))

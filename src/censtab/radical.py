@@ -7,12 +7,12 @@ multiplication in the regular representation.  Outside that validity range
 the computation refuses (UnsupportedCharacteristic) rather than risk a wrong
 answer.
 
-Every input is routed through its unitization first, so unital and
-non-unital algebras share one code path; the validity bound is therefore
-p > dim + 1, and the result is pulled back into the original coordinates.
-The returned subspace is re-checked to be a nilpotent two-sided ideal with a
-semisimple quotient, so a bug here surfaces as a ConsistencyError instead of
-a wrong verdict downstream.  Each of the three checks runs once.
+A unital algebra is worked on as it is, a non-unital one in its
+unitization A#, whose radical lies in A since A#/A is the field.  The bound
+p > dim + 1, that of A#, applies to every input alike.  The result is
+re-checked by radical_failure, the one test of "this subspace is the
+radical", which certificate replay also uses, so a bug here surfaces as a
+ConsistencyError instead of a wrong verdict downstream.
 """
 
 from __future__ import annotations
@@ -64,50 +64,42 @@ def check_characteristic(a: Algebra) -> None:
 def radical(a: Algebra) -> Subspace:
     """The Jacobson radical of a, as a canonical subspace of a.
 
-    Computed on the unitization: rad = {x : trace(L_{x y}) = 0 for all y},
-    intersected with the embedded copy of a.  Postconditions (two-sided
-    ideal, nilpotent, semisimple quotient) are re-verified before returning.
+    rad = {x : trace(L_{x y}) = 0 for all y}, taken in a itself when a is
+    unital and in its unitization otherwise; radical_failure re-checks it
+    before it is returned.
     """
     check_characteristic(a)
-    u = unitization(a)
-    ua = u.algebra
-    f = a.field
-    gram = _trace_form_rows(ua)
-    rad_sharp = kernel_of_rows(f, gram, ua.dim)
-    # rad_sharp must lie in the embedded copy of a (first coordinate zero);
-    # in RREF only a row with pivot 0 is nonzero there
-    if rad_sharp.pivots[:1] == (0,):
-        raise ConsistencyError("trace-form radical escapes the embedded algebra")
-    rows = tuple(tuple(r[1:]) for r in rad_sharp.rows)
-    pivots = tuple(p - 1 for p in rad_sharp.pivots)
-    rad = Subspace(f, a.dim, rows, pivots)
-    _verify_radical(a, rad, ua, rad_sharp)
-    return rad
+    work = a if a.is_unital else unitization(a).algebra
+    rad = kernel_of_rows(a.field, _trace_form_rows(work), work.dim)
+    if (reason := radical_failure(work, rad)) is not None:
+        raise ConsistencyError(reason)
+    if work is a:
+        return rad
+    # a nilpotent ideal of A# lies in A, so every row is zero at the
+    # adjoined unity and stripping it keeps the rows canonical
+    rows = tuple(tuple(r[1:]) for r in rad.rows)
+    return Subspace(a.field, a.dim, rows, tuple(p - 1 for p in rad.pivots))
 
 
-def _verify_radical(a, rad, ua, rad_sharp):
-    """Raise ConsistencyError unless rad is a nilpotent ideal of a with a
-    semisimple quotient, and rad_sharp = 0 + rad is its image in ua = A#.
+def radical_failure(a: Algebra, rad: Subspace):
+    """None if rad is the radical of the unital algebra a, else the reason.
 
-    Each property is checked once.  Nilpotency is checked by squaring, which
-    is exact for the ideal the first check has passed.  The quotient A#/rad#
-    is built without repeating the ideal check: the adjoined unity acts as
-    the identity, so 0 + rad is an ideal of A# exactly when rad is an ideal
-    of A, and the first check has shown that.
+    rad is the radical exactly when it is a nilpotent ideal with a
+    semisimple quotient; each property is checked once.  Squaring is exact
+    for the ideal the first check has passed, which also licenses building
+    the quotient unchecked.  The quotient is unital, so its trace form has a
+    zero kernel exactly when it is semisimple, for the characteristics
+    check_characteristic admits; the caller checks the characteristic.
     """
     w = ideal_witness(a, rad)
     if w is not None:
-        raise ConsistencyError(f"radical candidate is not an ideal: witness {w}")
+        return f"radical candidate is not an ideal: witness {w}"
     if not _nilpotent_by_squaring(a, rad.rows):
-        raise ConsistencyError("radical candidate is not nilpotent")
-    zero = a.field.zero
-    if rad_sharp.rows != tuple((zero,) + tuple(r) for r in rad.rows):
-        raise ConsistencyError("radical candidate differs from its image in the unitization")
-    # semisimple quotient: the trace form of A#/rad(A#) has zero kernel
-    qm = _quotient_by_ideal(ua, rad_sharp)
-    qgram = _trace_form_rows(qm.target)
-    if kernel_of_rows(a.field, qgram, qm.target.dim).dim != 0:
-        raise ConsistencyError("quotient by radical candidate is not semisimple")
+        return "radical candidate is not nilpotent"
+    q = _quotient_by_ideal(a, rad).target
+    if kernel_of_rows(a.field, _trace_form_rows(q), q.dim).dim != 0:
+        return "quotient by radical candidate is not semisimple"
+    return None
 
 
 def is_semisimple(a: Algebra) -> bool:

@@ -23,6 +23,7 @@ from .algebras import (
     Algebra,
     Element,
     _ideal_closure,
+    _quotient_by_ideal,
     center,
     commutator_space,
     ideal_generated,
@@ -42,7 +43,7 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from .radical import radical
+from .radical import check_characteristic, radical, radical_failure
 
 STABLE = "Stable"
 NOT_STABLE = "NotStable"
@@ -253,8 +254,9 @@ def _witness_candidates(a, work, embed, rad_space, j, budget, seed):
     # proof such an element can never be centrally stable in A.  J lies in
     # rad(A), so rad(A/J) = rad(A)/J: rad(A)/J is a nilpotent ideal of A/J
     # with quotient A/rad(A), which is semisimple.  Its span is canonical,
-    # so it has the same rows radical(A/J) would return.
-    qm = quotient(work, j)
+    # so it has the same rows radical(A/J) would return.  J comes from
+    # ideal_generated, an ideal by construction: it is not checked again.
+    qm = _quotient_by_ideal(work, j)
     if qm.target.dim > 0:
         proj = [qm.project_vec(row) for row in rad_space.rows]
         rq = span(f, proj, qm.target.dim)
@@ -469,9 +471,29 @@ def fuzz_consistency(
 # ---------------------------------------------------------------------------
 
 
+_RADICAL_METHODS = {"algebra": METHOD_RADICAL, "unitization": METHOD_UNITIZATION}
+
+
+def _claims_fit(verdict, method, cert) -> bool:
+    """Whether a certificate of this kind comes with the claimed method and
+    verdict: a radical kind with the method of its ambient, a stable
+    element witness only with the element criterion (an unstable one also
+    answers an algebra decision), and Stable only for a stable kind."""
+    if isinstance(cert, (RadicalMatch, RadicalGap, WitnessSearchExhausted)):
+        gap = cert.gap if isinstance(cert, WitnessSearchExhausted) else cert
+        fits = method == _RADICAL_METHODS.get(gap.ambient)
+    else:
+        fits = method == METHOD_ELEMENT or isinstance(cert, UnstableElementWitness)
+    return fits and isinstance(cert, (StableElementWitness, RadicalMatch)) == (verdict == STABLE)
+
+
 def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
-    """Re-verify a report's certificate from the algebra alone."""
+    """Re-verify a report from the algebra alone: its verdict and method
+    must fit its certificate, which must hold.  A claimed radical is checked
+    by radical_failure, as radical() checks its own, not computed again."""
     cert = report.certificate
+    if not _claims_fit(report.verdict, report.method, cert):
+        return False
     f = a.field
     if isinstance(cert, StableElementWitness):
         x, z, u = cert.element, cert.central_part, cert.ideal_part
@@ -495,8 +517,11 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
     if isinstance(cert, (RadicalMatch, RadicalGap, WitnessSearchExhausted)):
         gap = cert.gap if isinstance(cert, WitnessSearchExhausted) else cert
         work = a if gap.ambient == "algebra" else unitization(a).algebra
-        rad = radical(work)
-        if rad.rows != gap.radical_rows:
+        check_characteristic(work)
+        if any(len(row) != work.dim for row in gap.radical_rows):
+            return False
+        rad = span(f, gap.radical_rows, work.dim)
+        if rad.rows != gap.radical_rows or radical_failure(work, rad) is not None:
             return False
         c = subspace_intersect(center(work), rad)
         if c.rows != gap.center_cap_radical_rows:

@@ -5,6 +5,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from censtab.cli import main
 from censtab.errors import ConsistencyError
 
@@ -119,6 +121,22 @@ def test_decompose_command(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["checks"]["stable_part_in_own_commutator_ideal"] is True
     assert doc["diagonal_verdict"] == "Stable"
+
+
+@pytest.mark.parametrize(
+    "name, n, p, info_code, stable_code",
+    [
+        ("strict_upper", 3, 5, 0, 3),  # the radical answers, the decision on A# is refused
+        ("strict_upper", 3, 7, 0, 0),
+        ("upper_triangular", 2, 3, 3, 3),
+        ("upper_triangular", 2, 5, 0, 0),
+    ],
+)
+def test_characteristic_exit_codes(tmp_path, capsys, name, n, p, info_code, stable_code):
+    path = str(tmp_path / "a.json")
+    assert run(capsys, "construct", name, "--field", f"GF:{p}", "--n", str(n), "-o", path)[0] == 0
+    assert run(capsys, "info", path)[0] == info_code
+    assert run(capsys, "stable", path)[0] == stable_code
 
 
 def test_exit_codes(tmp_path, capsys):

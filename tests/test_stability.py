@@ -563,6 +563,90 @@ def test_verify_witness_search_exhausted_wrapper():
     assert verify_certificate(alg, SR(NOT_STABLE, rep.method, wrapped))
 
 
+# -- replay checks a claimed radical; it does not compute one -------------------
+
+
+def _claim_radical(a, rows):
+    """A RadicalMatch of a claiming span(rows) as its radical, consistent in
+    everything else: Z cap rad and Id(Z cap rad) are taken from the claim."""
+    from censtab.algebras import center, ideal_generated
+
+    rad = span(a.field, rows, a.dim)
+    c = subspace_intersect(center(a), rad)
+    assert ideal_generated(a, [a.element(r) for r in c.rows]) == rad
+    return RadicalMatch(rad.rows, c.rows, "algebra")
+
+
+def test_replay_rejects_a_claimed_radical_that_is_not_the_radical():
+    from censtab.radical import radical_failure
+    from censtab.stability import StabilityReport as SR
+
+    a = build("truncated_poly", k=4).algebra  # basis 1, x, x^2, x^3
+    rep = algebra_centrally_stable(a)
+    assert rep.certificate.radical_rows == radical(a).rows
+    assert verify_certificate(a, rep)
+    e = [tuple(Q.one if i == j else Q.zero for i in range(4)) for j in range(4)]
+    # (x^2) is a nilpotent ideal, but the quotient F[x]/(x^2) is not semisimple
+    small = _claim_radical(a, e[2:])
+    assert "not semisimple" in radical_failure(a, span(Q, e[2:], 4))
+    assert not verify_certificate(a, SR(STABLE, rep.method, small))
+    # the whole algebra is an ideal, but not a nilpotent one
+    large = _claim_radical(a, e)
+    assert "not nilpotent" in radical_failure(a, span(Q, e, 4))
+    assert not verify_certificate(a, SR(STABLE, rep.method, large))
+    # the true radical with rows that are not its canonical basis
+    true = rep.certificate
+    for rows in (true.radical_rows[::-1], tuple(tuple(2 * c for c in r) for r in true.radical_rows)):
+        assert radical_failure(a, span(Q, rows, 4)) is None
+        bad = RadicalMatch(rows, true.center_cap_radical_rows, true.ambient)
+        assert not verify_certificate(a, SR(STABLE, rep.method, bad))
+    # rows of the wrong length are refused, not raised on
+    short = RadicalMatch(tuple(r[1:] for r in true.radical_rows), true.center_cap_radical_rows, "algebra")
+    assert not verify_certificate(a, SR(STABLE, rep.method, short))
+
+
+def test_replay_of_a_radical_certificate_computes_no_radical(monkeypatch):
+    import importlib
+
+    from censtab.stability import StabilityReport as SR
+
+    reports = []
+    for name, params in (("truncated_poly", {"k": 4}), ("ema", {}), ("strict_upper", {"n": 2}),
+                         ("strict_upper", {"n": 3})):
+        a = build(name, **params).algebra
+        rep = algebra_centrally_stable(a, witness_budget=0)
+        reports.append((a, rep))
+        if isinstance(rep.certificate, RadicalGap):
+            wrapped = WitnessSearchExhausted(3, rep.certificate)
+            reports.append((a, SR(rep.verdict, rep.method, wrapped)))
+    assert {(a.is_unital, type(rep.certificate).__name__) for a, rep in reports} == {
+        (u, k) for u in (True, False) for k in ("RadicalMatch", "RadicalGap", "WitnessSearchExhausted")
+    }
+    calls = []
+    stability = importlib.import_module("censtab.stability")
+    radical_module = importlib.import_module("censtab.radical")
+    for module in (stability, radical_module):
+        real = module.radical
+        monkeypatch.setattr(module, "radical", lambda a, real=real: calls.append(a) or real(a))
+    for a, rep in reports:
+        assert verify_certificate(a, rep)
+    assert calls == []
+
+
+def test_replay_checks_that_the_report_fits_its_certificate():
+    from censtab.stability import StabilityReport as SR
+
+    m2 = build("matrix_full", n=2).algebra
+    rep = algebra_centrally_stable(m2)
+    match = rep.certificate
+    assert isinstance(match, RadicalMatch) and verify_certificate(m2, rep)
+    assert not verify_certificate(m2, SR("Banana", "ElementCriterion", match))
+    assert not verify_certificate(m2, SR(STABLE, "ElementCriterion", match))
+    assert not verify_certificate(m2, SR(NOT_STABLE, rep.method, match))
+    elsewhere = RadicalMatch(match.radical_rows, match.center_cap_radical_rows, "elsewhere")
+    assert not verify_certificate(m2, SR(STABLE, rep.method, elsewhere))
+
+
 def test_tensor_with_matrices_is_cached_per_algebra():
     alg = t3()
     coords = [Q.zero] * (alg.dim * 4)
