@@ -151,8 +151,9 @@ class Algebra:
 
     @staticmethod
     def _accumulate(entries, v):
-        # sum of v[j] * c over the index entries (j, c) of one row or column
-        v_at = v.get if isinstance(v, dict) else v.__getitem__
+        # sum of v[j] * c over the index entries (j, c) of one row or column,
+        # v a dict of coordinates (absent means zero)
+        v_at = v.get
         acc = {}
         for j, pairs in entries:
             x = v_at(j)
@@ -228,25 +229,11 @@ def commutator(x: Element, y: Element) -> Element:
 
 
 def _normalize_table(field, dim, table):
-    """Accept a sparse dict or a dense nested list, produce the canonical dict."""
+    """The canonical table of a dict {(i, j): [(k, scalar), ...]}: indices
+    range-checked, scalars coerced, a repeated k summed, zeros dropped and
+    each entry sorted by k."""
     out = {}
-    if isinstance(table, dict):
-        items = []
-        for key, val in table.items():
-            i, j = key
-            if isinstance(val, dict):
-                pairs = list(val.items())
-            else:
-                pairs = [(k, c) for k, c in val]
-            items.append((i, j, pairs))
-    else:
-        items = []
-        for i, row in enumerate(table):
-            for j, entry in enumerate(row):
-                if len(entry) != dim:
-                    raise DimensionMismatch(f"dense table entry ({i},{j}) has wrong length")
-                items.append((i, j, list(enumerate(entry))))
-    for i, j, pairs in items:
+    for (i, j), pairs in table.items():
         if not (0 <= i < dim and 0 <= j < dim):
             raise IndexOutOfRange(f"pair index ({i},{j}) outside [0,{dim})")
         canon = {}
@@ -331,7 +318,7 @@ def _unity_failure(a: Algebra, u):
 
 
 def build_algebra(field: FieldSpec, dim: int, table, labels=None) -> Algebra:
-    """Validate a structure-constant table and wrap it as an Algebra.
+    """Validate a table {(i, j): [(k, scalar), ...]} and wrap it as an Algebra.
 
     Checks index ranges, associativity on all basis triples and solves for a
     two-sided unity (cached if present).  Raises NotAssociative with a
@@ -614,19 +601,26 @@ def tensor_product(a: Algebra, b: Algebra) -> Algebra:
     return _derived(f, a.dim * nb, table, labels, unity)
 
 
-def matrix_units_algebra(field: FieldSpec, n: int) -> Algebra:
-    """M_n(F) on the matrix-unit basis e_pq, index p*n + q (0-based)."""
+def _cell_algebra(field: FieldSpec, n: int, cells) -> Algebra:
+    """Span of the n x n matrix units e_pq, (p, q) in cells, in that order,
+    with e_pq e_qs = e_ps when (p, s) is a cell; unchecked.  The unity is set
+    when every diagonal cell is present."""
+    index = {cell: i for i, cell in enumerate(cells)}
     table = {}
     one = field.one
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    if q == r:
-                        table[(p * n + q, r * n + s)] = ((p * n + s, one),)
-    labels = tuple(f"e{p + 1}{q + 1}" for p in range(n) for q in range(n))
-    unity = tuple(one if p == q else field.zero for p in range(n) for q in range(n))
-    return _derived(field, n * n, table, labels, unity)
+    for (p, q), i in index.items():
+        for (r, s), j in index.items():
+            if q == r and (p, s) in index:
+                table[(i, j)] = ((index[(p, s)], one),)
+    unity = None
+    if all((p, p) in index for p in range(n)):
+        unity = tuple(one if p == q else field.zero for p, q in cells)
+    return _derived(field, len(cells), table, [f"e{p + 1}{q + 1}" for p, q in cells], unity)
+
+
+def matrix_units_algebra(field: FieldSpec, n: int) -> Algebra:
+    """M_n(F) on the matrix-unit basis e_pq, index p*n + q (0-based)."""
+    return _cell_algebra(field, n, [(p, q) for p in range(n) for q in range(n)])
 
 
 def matrix_algebra(a: Algebra, n: int) -> Algebra:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .algebras import (
     Algebra,
-    _derived,
+    _cell_algebra,
     build_algebra,
     matrix_algebra,
     matrix_units_algebra,
@@ -68,22 +68,14 @@ def _matrix_full(n: int, field: FieldSpec = RATIONALS) -> CatalogEntry:
     )
 
 
-def _cell_algebra(field, n, strict=False) -> Algebra:
-    """Span of the (strictly) upper triangular n x n matrix units, unchecked."""
-    cells = [(p, q) for p in range(n) for q in range(p + 1 if strict else p, n)]
-    index = {cell: i for i, cell in enumerate(cells)}
-    table = {}
-    one = field.one
-    for (p, q), i in index.items():
-        for (r, s), j in index.items():
-            if q == r and (p, s) in index:
-                table[(i, j)] = ((index[(p, s)], one),)
-    return _derived(field, len(cells), table, [f"e{p + 1}{q + 1}" for p, q in cells])
+def _upper_cells(n, strict=False):
+    """The (strictly) upper triangular cells (p, q) of an n x n matrix."""
+    return [(p, q) for p in range(n) for q in range(p + 1 if strict else p, n)]
 
 
 def _upper_triangular(n: int, field: FieldSpec = RATIONALS) -> CatalogEntry:
     _require(n >= 1, "upper_triangular needs n >= 1")
-    alg = _revalidated(_cell_algebra(field, n))
+    alg = _revalidated(_cell_algebra(field, n, _upper_cells(n)))
     if n == 1:
         expected = Expected(STABLE, 1, 0, "one-dimensional, hence commutative")
     else:
@@ -104,7 +96,7 @@ def _upper_triangular(n: int, field: FieldSpec = RATIONALS) -> CatalogEntry:
 
 def _scalar_plus_strict_upper(n: int, field: FieldSpec = RATIONALS) -> CatalogEntry:
     _require(n >= 1, "scalar_plus_strict_upper needs n >= 1")
-    strict = _cell_algebra(field, n, strict=True)
+    strict = _cell_algebra(field, n, _upper_cells(n, strict=True))
     u = unitization(strict).algebra
     # labels given in full: for n = 1 there are no cells, and u has no labels
     alg = build_algebra(field, u.dim, u.table, ("1",) + strict.labels)
@@ -130,7 +122,7 @@ def _scalar_plus_strict_upper(n: int, field: FieldSpec = RATIONALS) -> CatalogEn
 
 def _strict_upper(n: int, field: FieldSpec = RATIONALS) -> CatalogEntry:
     _require(n >= 2, "strict_upper needs n >= 2")
-    alg = _revalidated(_cell_algebra(field, n, strict=True))
+    alg = _revalidated(_cell_algebra(field, n, _upper_cells(n, strict=True)))
     dim = alg.dim
     if n == 2:
         expected = Expected(STABLE, 1, 1, "one-dimensional null algebra")

@@ -205,7 +205,14 @@ def certificate_to_json(field, cert) -> dict:
     return doc
 
 
-def certificate_from_json(field, doc):
+def certificate_from_json(field, doc, dim):
+    """Parse a certificate over an algebra of dimension dim.
+
+    A radical kind's `ambient` is read before any vector: it must be
+    "algebra" or "unitization" and fixes the number n of coordinates, dim or
+    dim + 1.  Every vector must have n coordinates, checked as it is parsed;
+    a nested certificate is read with the same dim and its own ambient.
+    """
     if not isinstance(doc, dict):
         raise FileFormatError("certificate must be a JSON object")
     kind = doc.get("kind")
@@ -213,54 +220,43 @@ def certificate_from_json(field, doc):
     if cls is None:
         shown = repr(kind) if isinstance(kind, str) else f"of type {type(kind).__name__}"
         raise FileFormatError(f"unknown certificate kind {shown}")
-    args = []
-    for name, key, typ in _members(cls):
+    args, n = {}, dim
+    for name, key, typ in sorted(_members(cls), key=lambda m: m[0] != "ambient"):
         if key not in doc:
             raise FileFormatError(f"{kind} certificate misses member {key!r}")
         val = doc[key]
         if name.endswith("_rows"):
             if not isinstance(val, list):
                 raise FileFormatError(f"{kind} member {key!r} must be a list of vectors")
-            val = tuple(vector_from_json(field, row) for row in val)
+            val = tuple(_vector_of_length(field, row, n, kind, key) for row in val)
         elif typ == "tuple":
-            val = vector_from_json(field, val)
+            val = _vector_of_length(field, val, n, kind, key)
         elif typ in _PLAIN:
             if type(val) is not _PLAIN[typ]:
                 raise FileFormatError(f"{kind} member {key!r} must be of JSON type {typ}")
+            if name == "ambient":
+                if val not in ("algebra", "unitization"):
+                    raise FileFormatError(f"{kind} ambient must be 'algebra' or 'unitization'")
+                n = dim + 1 if val == "unitization" else dim
         else:
             # the kind first, so a chain of wrong nestings is not followed
             if not (isinstance(val, dict) and val.get("kind") == typ):
                 raise FileFormatError(f"{kind} member {key!r} must be a {typ} certificate")
-            val = certificate_from_json(field, val)
-        args.append(val)
+            val = certificate_from_json(field, val, dim)
+        args[name] = val
     unknown = set(doc) - {"kind"} - {key for _, key, _ in _members(cls)}
     if unknown:
         raise FileFormatError(f"{kind} certificate has unknown members {sorted(unknown, key=str)}")
-    return cls(*args)
+    return cls(**args)
 
 
-def _check_lengths(cert, dim) -> None:
-    """FileFormatError unless every vector of cert has as many coordinates
-    as its ambient space: dim, or dim + 1 for the unitization."""
-    ambient = getattr(cert, "ambient", "algebra")
-    if ambient not in ("algebra", "unitization"):
-        raise FileFormatError(f"{cert.kind} ambient must be 'algebra' or 'unitization'")
-    n = dim + 1 if ambient == "unitization" else dim
-    for name, key, typ in _members(type(cert)):
-        val = getattr(cert, name)
-        if name.endswith("_rows"):
-            vecs = val
-        elif typ == "tuple":
-            vecs = (val,)
-        else:
-            if typ not in _PLAIN:
-                _check_lengths(val, dim)
-            continue
-        for v in vecs:
-            if len(v) != n:
-                raise FileFormatError(
-                    f"{cert.kind} member {key!r} has a vector of {len(v)} coordinates, expected {n}"
-                )
+def _vector_of_length(field, doc, n, kind, key):
+    v = vector_from_json(field, doc)
+    if len(v) != n:
+        raise FileFormatError(
+            f"{kind} member {key!r} has a vector of {len(v)} coordinates, expected {n}"
+        )
+    return v
 
 
 def report_to_json(
@@ -321,6 +317,5 @@ def verify_report_json(a: Algebra, doc: dict) -> bool:
         raise FileFormatError(f"report verdict must be {STABLE!r} or {NOT_STABLE!r}")
     if method not in _METHODS:
         raise FileFormatError(f"report method must be one of {', '.join(_METHODS)}")
-    cert = certificate_from_json(a.field, doc["certificate"])
-    _check_lengths(cert, a.dim)
+    cert = certificate_from_json(a.field, doc["certificate"], a.dim)
     return verify_certificate(a, StabilityReport(verdict, method, cert))

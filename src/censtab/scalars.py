@@ -161,8 +161,7 @@ class FieldSpec:
 
     def format(self, x) -> str:
         if self.p is None:
-            x = Fraction(x)
-            n, d = x.numerator, x.denominator
+            n, d = x.numerator, x.denominator  # x is a Fraction or an int
             if d >= _TOO_LONG or abs(n) >= _TOO_LONG:
                 raise ScalarTooLong(
                     f"a computed scalar exceeds the limit of {MAX_LITERAL_DIGITS} digits per integer"

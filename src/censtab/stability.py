@@ -420,47 +420,48 @@ def fuzz_consistency(
 
     For a Stable algebra every random quotient must pass the center oracle
     and re-test Stable, and every random element must test Stable; any
-    violation is recorded as a FATAL finding.  Sample streams are derived
-    from (seed, index), so the report is reproducible.
+    violation is recorded as a FATAL finding.  A NotStable algebra binds
+    none of these, so nothing is sampled.  Sample streams are derived from
+    (seed, index), so the report is reproducible.
     """
     base = algebra_centrally_stable(a, witness_budget=0, seed=seed)
+    if not base.is_stable:
+        return FuzzReport(base.verdict, ideal_samples, element_samples, seed, ())
     findings = []
     for idx in range(ideal_samples):
         rng = random.Random(f"{seed}:ideal:{idx}")
         gens = [random_element(a, rng) for _ in range(rng.randint(1, 2))]
         ideal = ideal_generated(a, gens)
         res = quotient_center_oracle(a, ideal)
-        if base.is_stable:
-            if not res.equal:
-                findings.append(
-                    FuzzFinding(
-                        "FATAL:quotient-center",
-                        idx,
-                        f"Z(A/I) dim {res.quotient_center.dim} != image dim {res.center_image.dim}",
-                    )
+        if not res.equal:
+            findings.append(
+                FuzzFinding(
+                    "FATAL:quotient-center",
+                    idx,
+                    f"Z(A/I) dim {res.quotient_center.dim} != image dim {res.center_image.dim}",
                 )
-            sub = algebra_centrally_stable(res.map.target, witness_budget=0, seed=seed)
-            if not sub.is_stable:
-                findings.append(
-                    FuzzFinding(
-                        "FATAL:quotient-verdict",
-                        idx,
-                        f"quotient of a stable algebra by a dim-{ideal.dim} ideal tested NotStable",
-                    )
+            )
+        sub = algebra_centrally_stable(res.map.target, witness_budget=0, seed=seed)
+        if not sub.is_stable:
+            findings.append(
+                FuzzFinding(
+                    "FATAL:quotient-verdict",
+                    idx,
+                    f"quotient of a stable algebra by a dim-{ideal.dim} ideal tested NotStable",
                 )
+            )
     for idx in range(element_samples):
         rng = random.Random(f"{seed}:element:{idx}")
         x = random_element(a, rng)
-        if base.is_stable:
-            rep = element_centrally_stable(x)
-            if rep.verdict != STABLE:
-                findings.append(
-                    FuzzFinding(
-                        "FATAL:element-verdict",
-                        idx,
-                        "element of a stable algebra tested NotStable",
-                    )
+        rep = element_centrally_stable(x)
+        if rep.verdict != STABLE:
+            findings.append(
+                FuzzFinding(
+                    "FATAL:element-verdict",
+                    idx,
+                    "element of a stable algebra tested NotStable",
                 )
+            )
     return FuzzReport(
         base.verdict, ideal_samples, element_samples, seed, tuple(findings)
     )

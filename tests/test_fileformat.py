@@ -87,7 +87,7 @@ def test_certificate_json_round_trip():
         alg = build(name, **kw).algebra
         rep = algebra_centrally_stable(alg)
         doc = certificate_to_json(alg.field, rep.certificate)
-        back = certificate_from_json(alg.field, doc)
+        back = certificate_from_json(alg.field, doc, alg.dim)
         assert back == rep.certificate
 
 
@@ -128,7 +128,7 @@ def test_certificate_round_trip_covers_every_kind():
     ]
     for cert in certs:
         doc = certificate_to_json(t3.field, cert)
-        assert certificate_from_json(t3.field, json.loads(dump_json(doc))) == cert
+        assert certificate_from_json(t3.field, json.loads(dump_json(doc)), t3.dim) == cert
     assert set(certificate_to_json(t3.field, certs[1])) == {
         "kind", "element", "center_basis", "ideal_basis", "sum_basis",
     }
@@ -157,15 +157,15 @@ def test_certificate_from_json_rejects_mistyped_members():
     doc = certificate_to_json(alg.field, gap)
     for key, bad in (("ambient", 1), ("radical_basis", "x"), ("missing_vector", 3)):
         with pytest.raises(FileFormatError):
-            certificate_from_json(alg.field, {**doc, key: bad})
+            certificate_from_json(alg.field, {**doc, key: bad}, alg.dim)
     wrapped = {"kind": "WitnessSearchExhausted", "samples_tried": True, "gap": doc}
     with pytest.raises(FileFormatError):
-        certificate_from_json(alg.field, wrapped)
+        certificate_from_json(alg.field, wrapped, alg.dim)
     inner = certificate_to_json(alg.field, element_centrally_stable(alg.basis_element(1)).certificate)
     with pytest.raises(FileFormatError):
-        certificate_from_json(alg.field, {**wrapped, "samples_tried": 3, "gap": inner})
+        certificate_from_json(alg.field, {**wrapped, "samples_tried": 3, "gap": inner}, alg.dim)
     with pytest.raises(FileFormatError):
-        certificate_from_json(alg.field, {"kind": ["RadicalGap"]})
+        certificate_from_json(alg.field, {"kind": ["RadicalGap"]}, alg.dim)
 
 
 def test_bool_dimension_and_indices_are_rejected():

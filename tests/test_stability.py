@@ -321,10 +321,18 @@ def test_fuzz_stable_matrix_over_commutative():
     assert rep.ok
 
 
-def test_fuzz_not_stable_algebra_is_vacuous():
+def test_fuzz_not_stable_algebra_is_vacuous(monkeypatch):
+    import importlib
+
+    stability = importlib.import_module("censtab.stability")
+    calls = []
+    real = stability.quotient_center_oracle
+    monkeypatch.setattr(stability, "quotient_center_oracle",
+                        lambda a, ideal: calls.append(ideal) or real(a, ideal))
     rep = fuzz_consistency(t3(), ideal_samples=5, element_samples=5, seed=1)
     assert rep.algebra_verdict == NOT_STABLE
     assert rep.ok
+    assert calls == []  # a NotStable verdict binds no cross-check, so none is run
 
 
 def test_fuzz_dimension_one():
