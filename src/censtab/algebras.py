@@ -381,16 +381,22 @@ def commutator_space(x: Element) -> Subspace:
     """span{[x, e_i] : i = 0..dim-1}, from x with its denominators cleared
     (the same span), so only ints are multiplied."""
     a = x.algebra
-    v = _int_entries(x.coords)
     red = _make_reducer(a.field, a.dim)
+    for w in _commutator_rows(a, _int_entries(x.coords)):
+        red.insert(w)
+    return _subspace_from_reducer(a.field, a.dim, red)
+
+
+def _commutator_rows(a: Algebra, v):
+    """N times [v, e_i] for each i where a product meets v, as dicts; v is a
+    dict of coordinates."""
     for i in range(a.dim):
         left, right = a._vec_mul_basis(v, i), a._basis_mul_vec(i, v)
         if left or right:
             w = dict(left or ())
             for k, y in (right or {}).items():
                 w[k] = w.get(k, 0) - y
-            red.insert(w)
-    return _subspace_from_reducer(a.field, a.dim, red)
+            yield w
 
 
 def _ideal_closure(a: Algebra, vectors, stop=None):
@@ -399,9 +405,14 @@ def _ideal_closure(a: Algebra, vectors, stop=None):
     Returns (reducer, complete).  stop, when given, is called as
     stop(reducer, row) after each newly added basis row; returning True ends
     the closure early (complete=False) -- used for membership tests that
-    only need a lower bound of the ideal.  The closure converges after at
-    most two growth rounds plus one verification round, since e.g.
-    e_j (e_i v) = (e_j e_i) v already lies in span(A v).
+    only need a lower bound of the ideal.  Such a stop test keeps a running
+    residual of its target: reducer.advance_residual(res, row) eliminates it
+    at row's pivot only, so the target is never reduced from scratch and
+    each test costs at most one elimination.
+
+    The closure converges after at most two growth rounds plus one
+    verification round, since e.g. e_j (e_i v) = (e_j e_i) v already lies
+    in span(A v).
     """
     n = a.dim
     red = _make_reducer(a.field, n)

@@ -363,7 +363,9 @@ def _cmd_fuzz(args):
 def _cmd_decompose(args):
     alg = load_algebra(args.file)
     n = args.n
-    _check_output_dim(alg.dim * max(n, 0) ** 2)
+    if n < 1:
+        raise DimensionMismatch("matrix size must be >= 1")
+    _check_output_dim(alg.dim * n * n)
     coords = _parse_coords(alg.field, args.coords, alg.dim * n * n)
     t0 = time.perf_counter()
     dec = decompose_tensor_element(alg, n, coords, pivot=args.pivot)

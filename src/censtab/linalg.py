@@ -23,6 +23,12 @@ membership test on a mostly-zero vector costs little however wide the
 reducer is.  `residual` returns the nonzero entries of the reduced vector as
 a dict (empty means membership) and `insert` returns the new basis row.
 
+A membership test that repeats while a span grows keeps a running
+residual.  A row `insert` returns is zero at every older pivot, so a
+residual against the older rows needs one elimination, at the new row's
+pivot, to become a residual against all of them (`advance_residual`).  The
+target is reduced once, not again after every insert.
+
 Vectors handed to a reducer may mix ints and Fractions, need not be
 reduced mod p, and only count up to a nonzero multiple, so the N-scaled
 product dicts of an algebra's int index go in as they are.  A Fraction is
@@ -112,6 +118,19 @@ class _Reducer:
         self.rows[p] = v
         insort(self.pivots, p)
         return v
+
+    def advance_residual(self, v, row):
+        """Keep v a residual once row, the row insert just returned, is in.
+
+        v is a residual dict against every row before row.  row is zero at
+        those older pivots, so one elimination at its own pivot, in place,
+        makes v a residual against all rows: empty exactly when the vector v
+        came from lies in the span.
+        """
+        p = min(row)
+        c = v.get(p)
+        if c:
+            self._eliminate(v, c, row, p, [])  # row meets no other pivot
 
     def _canonical_entries(self):
         """(pivot, entries) of the fully reduced basis, in pivot order, with

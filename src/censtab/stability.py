@@ -22,6 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from .algebras import (
     Algebra,
     Element,
+    _commutator_rows,
     _ideal_closure,
     _quotient_by_ideal,
     center,
@@ -160,15 +161,17 @@ def element_centrally_stable(x: Element) -> StabilityReport:
     combined = _make_reducer(f, a.dim)
     for row in z_space.rows:
         combined.insert(row)
-    target = _int_entries(x.coords)  # the same membership, converted once
+    res = combined.residual(x.coords)  # of x against Z + the closure so far
 
     def mirror(red, row):
-        combined.insert(row)
-        return combined.contains(target)
+        new = combined.insert(row)
+        if new is not None:
+            combined.advance_residual(res, new)
+        return not res
 
     ideal_red, complete = _ideal_closure(a, list(comm.rows), mirror)
 
-    if complete and not combined.contains(target):
+    if complete and res:
         ideal_space = _subspace_from_reducer(f, a.dim, ideal_red)
         total = subspace_sum(z_space, ideal_space)
         cert = UnstableElementWitness(
@@ -342,7 +345,8 @@ def decompose_tensor_element(
     swaps the two slots.  Verified on the way out: s lies in Id([s, T]) and
     in Id([t, T]), and when the diagonal part is a stable element of A, t is
     a stable element of T.  A failure of either check raises
-    ConsistencyError, since both are theorems.
+    ConsistencyError, since both are theorems.  The two memberships are
+    decided in A, not in T, by _in_tensor_commutator_ideal.
     """
     if a.unity is None:
         raise BadParams("tensor decomposition needs a unital left factor")
@@ -369,10 +373,9 @@ def decompose_tensor_element(
     t_el = T.element(t_coords)
     s_el = T.element(s)
 
-    target = _int_entries(s)
     checks = {
-        "stable_part_in_own_commutator_ideal": _in_commutator_ideal(s_el, target),
-        "stable_part_in_full_commutator_ideal": _in_commutator_ideal(t_el, target),
+        "stable_part_in_own_commutator_ideal": _in_tensor_commutator_ideal(a, n, s, s),
+        "stable_part_in_full_commutator_ideal": _in_tensor_commutator_ideal(a, n, t_coords, s),
     }
     if not all(checks.values()):
         raise ConsistencyError(f"tensor decomposition postcondition failed: {checks}")
@@ -386,6 +389,54 @@ def decompose_tensor_element(
                 "stable diagonal part but unstable tensor element"
             )
     return TensorDecomposition(T, a.element(diag), s_el, p, checks, diag_rep, full_rep)
+
+
+def _in_tensor_commutator_ideal(a: Algebra, n: int, x, target) -> bool:
+    """Whether target lies in Id_T([x, T]), T = A (x) M_n(F), for unital A;
+    x and target are T-coordinates, decided by one ideal closure in A.
+
+    Write x = sum_pq S_pq (x) E_pq with S_pq in A; the basis index of
+    e_j (x) E_pq is j*n*n + p*n + q.  Since E_pq E_rs = delta_qr E_ps,
+
+        [x, e_b (x) E_rs] = sum_p S_pr e_b (x) E_ps - sum_q e_b S_sq (x) E_rq,
+
+    whose entries are S_pr e_b at (p, s) for p != r, -e_b S_sq at (r, q)
+    for q != s, and S_rr e_b - e_b S_ss at (r, s).  The ideal of M_n(A)
+    generated by a set X is M_n(I_X), I_X the A-ideal generated by the
+    entries of X (E_1p y E_q1 = y_pq (x) E_11, and E_r1 (c (x) E_11) E_1s =
+    c (x) E_rs).  With e_b running over a basis, so over 1 too, and
+    S_rr e_b - e_b S_ss = (S_rr - S_ss) e_b + [S_ss, e_b]:
+
+        Id_T([x, T]) = M_n(I_x),
+        I_x = Id_A({S_pq : p != q} + {S_rr - S_ss} + [S_rr, A]).
+
+    One diagonal slot r = m serves for the last two sets, since
+    S_rr - S_ss = (S_rr - S_mm) - (S_ss - S_mm) and [S_rr, e] =
+    [S_mm, e] + [S_rr - S_mm, e]; m is the slot with the sparsest block.
+    target lies in M_n(I_x) exactly when each of its n*n entries lies in
+    I_x.
+    """
+    nn = n * n
+
+    def blocks(vec):
+        out = [{} for _ in range(nn)]
+        for k, c in _int_entries(vec).items():
+            j, pq = divmod(k, nn)
+            out[pq][j] = c
+        return out
+
+    S = blocks(x)
+    m = min(range(n), key=lambda r: len(S[r * n + r]))
+    base = S[m * n + m]
+    gens = [S[p * n + q] for p in range(n) for q in range(n) if p != q]
+    for r in range(n):
+        if r != m:
+            d = dict(S[r * n + r])
+            for j, c in base.items():
+                d[j] = d.get(j, 0) - c
+            gens.append(d)
+    gens.extend(_commutator_rows(a, base))
+    return _in_ideal(a, gens, blocks(target))
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +588,27 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
 
 
 def _in_commutator_ideal(x: Element, target) -> bool:
-    """Whether target, a dict of int entries, lies in Id([x, A]); the closure
-    stops as soon as it does."""
-    comm = commutator_space(x).rows
-    red, _ = _ideal_closure(x.algebra, comm, lambda red, _: red.contains(target))
-    return red.contains(target)
+    """Whether target, a dict of int entries, lies in Id([x, A])."""
+    a = x.algebra
+    return _in_ideal(a, _commutator_rows(a, _int_entries(x.coords)), [target])
+
+
+def _in_ideal(a: Algebra, gens, targets) -> bool:
+    """Whether every target, a dict or sequence of entries, lies in the ideal
+    of a generated by gens.  The closure keeps a running residual of each
+    target and stops once all of them are empty."""
+    empty = _make_reducer(a.field, a.dim)
+    pending = [res for res in map(empty.residual, targets) if res]
+
+    def stop(red, row):
+        for res in pending:
+            red.advance_residual(res, row)
+        pending[:] = [res for res in pending if res]
+        return not pending
+
+    if pending:  # gens is only read when some target is nonzero
+        _ideal_closure(a, gens, stop)
+    return not pending
 
 
 def _commutator_ideal(a: Algebra, coords):

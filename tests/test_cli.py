@@ -207,6 +207,15 @@ def test_decompose_of_non_unital_algebra_is_invalid_input(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "unital" in err
 
 
+def test_decompose_checks_the_matrix_size_before_the_coordinates(tmp_path, capsys):
+    p2 = str(tmp_path / "p2.json")
+    run(capsys, "construct", "truncated_poly", "--k", "2", "-o", p2)
+    for n, coords in (("0", ""), ("-1", "1")):
+        code, out, err = run(capsys, "decompose", p2, "--n", n, "--coords", coords)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: matrix size must be >= 1"]
+
+
 def test_malformed_field_is_rejected(tmp_path, capsys):
     path = str(tmp_path / "m.json")
     for spec in ("GF(7", "GF:7)", "GF(7))", "GF7", "GF:", "GF(x)"):

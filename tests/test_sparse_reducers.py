@@ -217,6 +217,27 @@ def test_sparse_reducers_match_the_dense_elimination():
     assert all(seen.values()), seen
 
 
+def test_running_residual_is_empty_exactly_when_the_target_is_inside():
+    seen = {True: 0, False: 0}
+    for field, width, vecs, rng in _cases(73):
+        # a combination of a few of the rows, which turns member at some
+        # insert, and a vector that may never do so
+        picked = rng.sample(vecs, min(3, len(vecs)))
+        inside = [sum(rng.randint(-2, 2) * v[i] for v in picked) for i in range(width)]
+        for target in (inside, _vector(field, rng, width, 0.3)):
+            red = _make_reducer(field, width)
+            res = red.residual(_as_dict(target, rng))
+            for v in vecs:
+                row = red.insert(_as_dict(v, rng) if rng.random() < 0.5 else v)
+                if row is not None:
+                    red.advance_residual(res, row)
+                assert all(x for x in res.values())
+                member = red.contains(target)
+                assert (not res) == member
+                seen[member] += 1
+    assert all(seen.values()), seen
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_linear_solvers_match_the_dense_elimination(field):
     rng = random.Random(f"solvers:{field}")

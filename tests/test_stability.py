@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from censtab import stability
 from censtab.algebras import (
     build_algebra,
     center,
@@ -15,7 +16,7 @@ from censtab.algebras import (
 )
 from censtab.catalog import build, standard_entries
 from censtab.errors import NotAnIdeal
-from censtab.linalg import span, subspace_intersect, zero_subspace
+from censtab.linalg import _int_entries, _Reducer, span, subspace_intersect, zero_subspace
 from censtab.radical import radical
 from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import (
@@ -309,6 +310,69 @@ def test_decompose_random_elements():
                 t_el = random_element(T, rng)
                 dec = decompose_tensor_element(alg, n, t_el.coords)
                 assert all(dec.checks.values())
+
+
+def _sparse_coords(f, rng, dim):
+    v = [f.zero] * dim
+    for i in rng.sample(range(dim), rng.randint(1, 3)):
+        v[i] = f.random_scalar(rng) or f.one
+    return v
+
+
+def test_tensor_commutator_ideal_in_a_matches_the_closure_in_t():
+    # the closure in T = A (x) M_n is the reference for the one in A; sparse x
+    # keeps Id_T([x, T]) often proper, so both answers occur
+    seen = {True: 0, False: 0}
+    both = ({"field": Q}, {"field": prime_field(101)})
+    families = (("truncated_poly", {"k": 4}, both), ("upper_triangular", {"n": 3}, both),
+                ("matrix_full", {"n": 2}, both), ("scalar_plus_strict_upper", {"n": 3}, both),
+                ("ema", {}, ({},)), ("exg", {}, ({},)))
+    for name, params, fields in families:
+        for field in fields:
+            a = build(name, **params, **field).algebra
+            for n in (1, 2, 3):
+                T = tensor_with_matrices(a, n)
+                rng = random.Random(f"{name}:{a.field}:{n}")
+                for _ in range(6):
+                    x = _sparse_coords(a.field, rng, T.dim)
+                    for _ in range(3):
+                        target = _sparse_coords(a.field, rng, T.dim)
+                        want = stability._in_commutator_ideal(T.element(tuple(x)), _int_entries(target))
+                        assert stability._in_tensor_commutator_ideal(a, n, x, target) == want
+                        seen[want] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_decompose_decides_its_checks_without_the_closure_in_t(monkeypatch):
+    calls = []
+    real = stability._in_commutator_ideal
+    monkeypatch.setattr(stability, "_in_commutator_ideal", lambda *args: calls.append(args) or real(*args))
+    alg = t3()
+    rng = random.Random(5)
+    for n in (1, 2, 3):
+        T = tensor_with_matrices(alg, n)
+        dec = decompose_tensor_element(alg, n, random_element(T, rng).coords)
+        assert all(dec.checks.values())
+    assert calls == []
+
+
+def test_membership_stop_tests_keep_a_running_residual(monkeypatch):
+    # no stop test reduces its target from scratch after a new closure row
+    calls = []
+    real = _Reducer.contains
+    monkeypatch.setattr(_Reducer, "contains", lambda self, vec: calls.append(vec) or real(self, vec))
+    verdicts = set()
+    for name, params in (("upper_triangular", {"n": 3}), ("exg", {})):
+        alg = build(name, **params).algebra
+        rng = random.Random(name)
+        for x in [*alg.basis(), *(random_element(alg, rng) for _ in range(5))]:
+            rep = element_centrally_stable(x)
+            verdicts.add(rep.verdict)
+            if rep.verdict == STABLE:
+                u = _int_entries(rep.certificate.ideal_part)
+                assert stability._in_commutator_ideal(x, u)
+    assert verdicts == {STABLE, NOT_STABLE}
+    assert calls == []
 
 
 # -- fuzzing ------------------------------------------------------------------------
