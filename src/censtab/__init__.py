@@ -53,13 +53,11 @@ from .stability import (
     STABLE,
     FuzzReport,
     OracleResult,
-    RadicalGap,
     RadicalMatch,
     StabilityReport,
     StableElementWitness,
     TensorDecomposition,
     UnstableElementWitness,
-    WitnessSearchExhausted,
     algebra_centrally_stable,
     decompose_tensor_element,
     element_centrally_stable,

@@ -652,7 +652,7 @@ class Unitization:
         return (self.algebra.field.zero,) + tuple(v)
 
     def strip_vec(self, v):
-        # drops the adjoined-unity coordinate; caller must know it is zero
+        # v - v[0]*1 as a vector of the original algebra
         return tuple(v[1:])
 
 

@@ -11,10 +11,10 @@ the SHA-256 of each input file, enough to reproduce the run); codes 2, 3
 and 4 print one line to stderr.  All
 report commands accept --json; identical inputs and seeds produce
 byte-identical JSON up to the "timings" member.  Fields are written Q, GF:p
-or GF(p).  The default seed is 0, overridable with the CENSTAB_SEED
-environment variable; a CENSTAB_SEED that is not an integer is a usage
-error, and so is a negative --ideals, --elements or --witness-budget; each
-of these prints one line to stderr.  decompose refuses (code 2) an A (x) M_n
+or GF(p).  The seed of fuzz, the one command that samples, is 0 by default,
+overridable with the CENSTAB_SEED environment variable; a CENSTAB_SEED that
+is not an integer is a usage error there, and so is a negative --ideals or
+--elements; each of these prints one line to stderr.  decompose refuses (code 2) an A (x) M_n
 above the file limit on dimension before it reads the coordinates.
 """
 
@@ -113,10 +113,10 @@ def _env_seed() -> int:
 def _check_usage(args):
     """The usage checks argparse does not make: counts are non-negative,
     and a missing --seed is read from CENSTAB_SEED."""
-    for name in ("ideals", "elements", "witness_budget"):
+    for name in ("ideals", "elements"):
         value = getattr(args, name, 0)
         if value < 0:
-            raise ValueError(f"--{name.replace('_', '-')} must be non-negative, got {value}")
+            raise ValueError(f"--{name} must be non-negative, got {value}")
     if getattr(args, "seed", 0) is None:
         args.seed = _env_seed()
 
@@ -225,15 +225,10 @@ def _cmd_info(args):
 def _cmd_stable(args):
     alg = load_algebra(args.file)
     t0 = time.perf_counter()
-    report = algebra_centrally_stable(alg, witness_budget=args.witness_budget, seed=args.seed)
+    report = algebra_centrally_stable(alg)
     elapsed = time.perf_counter() - t0
     doc = report_to_json(
-        alg,
-        report,
-        command="stable",
-        seed=args.seed,
-        witness_budget=args.witness_budget,
-        timings={"seconds": round(elapsed, 6)},
+        alg, report, command="stable", timings={"seconds": round(elapsed, 6)}
     )
     lines = [
         f"verdict: {report.verdict}",
@@ -417,8 +412,6 @@ def _build_parser() -> _Parser:
 
     p = add("stable", _cmd_stable, "decide central stability of the whole algebra")
     p.add_argument("file")
-    p.add_argument("--witness-budget", type=int, default=200)
-    p.add_argument("--seed", type=int)
 
     p = add("element", _cmd_element, "decide central stability of one element")
     p.add_argument("file")

@@ -21,12 +21,10 @@ from .stability import (
     METHOD_UNITIZATION,
     NOT_STABLE,
     STABLE,
-    RadicalGap,
     RadicalMatch,
     StabilityReport,
     StableElementWitness,
     UnstableElementWitness,
-    WitnessSearchExhausted,
     verify_certificate,
 )
 
@@ -164,54 +162,42 @@ def load_algebra(path) -> Algebra:
 
 
 _CERTIFICATES = {
-    cls.kind: cls
-    for cls in (
-        StableElementWitness,
-        UnstableElementWitness,
-        RadicalMatch,
-        RadicalGap,
-        WitnessSearchExhausted,
-    )
+    cls.kind: cls for cls in (StableElementWitness, UnstableElementWitness, RadicalMatch)
 }
-_PLAIN = {"str": str, "int": int}
 
 
 def _members(cls):
-    """(attribute, JSON key, type name) per field of a certificate class.
+    """(attribute, JSON key) per field of a certificate class.
 
-    A `*_rows` field is a list of vectors under the key `*_basis`; a `tuple`
-    field is one vector; `str` and `int` fields are stored as they are; any
-    other type names a nested certificate.
+    A `*_rows` field is a list of vectors under the key `*_basis`; the
+    `ambient` field is a string; any other field is one vector.
     """
     for f in fields(cls):
         key = f.name[: -len("_rows")] + "_basis" if f.name.endswith("_rows") else f.name
-        yield f.name, key, f.type
+        yield f.name, key
 
 
 def certificate_to_json(field, cert) -> dict:
     if _CERTIFICATES.get(getattr(cert, "kind", None)) is not type(cert):
         raise TypeError(f"unknown certificate {cert!r}")
     doc = {"kind": cert.kind}
-    for name, key, typ in _members(type(cert)):
+    for name, key in _members(type(cert)):
         val = getattr(cert, name)
         if name.endswith("_rows"):
             doc[key] = rows_to_json(field, val)
-        elif typ == "tuple":
-            doc[key] = vector_to_json(field, val)
-        elif typ in _PLAIN:
+        elif name == "ambient":
             doc[key] = val
         else:
-            doc[key] = certificate_to_json(field, val)
+            doc[key] = vector_to_json(field, val)
     return doc
 
 
 def certificate_from_json(field, doc, dim):
     """Parse a certificate over an algebra of dimension dim.
 
-    A radical kind's `ambient` is read before any vector: it must be
+    A RadicalMatch's `ambient` is read before any vector: it must be
     "algebra" or "unitization" and fixes the number n of coordinates, dim or
-    dim + 1.  Every vector must have n coordinates, checked as it is parsed;
-    a nested certificate is read with the same dim and its own ambient.
+    dim + 1.  Every vector must have n coordinates, checked as it is parsed.
     """
     if not isinstance(doc, dict):
         raise FileFormatError("certificate must be a JSON object")
@@ -221,7 +207,7 @@ def certificate_from_json(field, doc, dim):
         shown = repr(kind) if isinstance(kind, str) else f"of type {type(kind).__name__}"
         raise FileFormatError(f"unknown certificate kind {shown}")
     args, n = {}, dim
-    for name, key, typ in sorted(_members(cls), key=lambda m: m[0] != "ambient"):
+    for name, key in sorted(_members(cls), key=lambda m: m[0] != "ambient"):
         if key not in doc:
             raise FileFormatError(f"{kind} certificate misses member {key!r}")
         val = doc[key]
@@ -229,22 +215,14 @@ def certificate_from_json(field, doc, dim):
             if not isinstance(val, list):
                 raise FileFormatError(f"{kind} member {key!r} must be a list of vectors")
             val = tuple(_vector_of_length(field, row, n, kind, key) for row in val)
-        elif typ == "tuple":
-            val = _vector_of_length(field, val, n, kind, key)
-        elif typ in _PLAIN:
-            if type(val) is not _PLAIN[typ]:
-                raise FileFormatError(f"{kind} member {key!r} must be of JSON type {typ}")
-            if name == "ambient":
-                if val not in ("algebra", "unitization"):
-                    raise FileFormatError(f"{kind} ambient must be 'algebra' or 'unitization'")
-                n = dim + 1 if val == "unitization" else dim
+        elif name == "ambient":
+            if val not in ("algebra", "unitization"):
+                raise FileFormatError(f"{kind} ambient must be 'algebra' or 'unitization'")
+            n = dim + 1 if val == "unitization" else dim
         else:
-            # the kind first, so a chain of wrong nestings is not followed
-            if not (isinstance(val, dict) and val.get("kind") == typ):
-                raise FileFormatError(f"{kind} member {key!r} must be a {typ} certificate")
-            val = certificate_from_json(field, val, dim)
+            val = _vector_of_length(field, val, n, kind, key)
         args[name] = val
-    unknown = set(doc) - {"kind"} - {key for _, key, _ in _members(cls)}
+    unknown = set(doc) - {"kind"} - {key for _, key in _members(cls)}
     if unknown:
         raise FileFormatError(f"{kind} certificate has unknown members {sorted(unknown, key=str)}")
     return cls(**args)
@@ -264,18 +242,14 @@ def report_to_json(
     report: StabilityReport,
     *,
     command: str,
-    seed=None,
-    witness_budget=None,
     timings=None,
 ) -> dict:
     from . import __version__
 
-    bases = {}
-    for key, rows in report.bases.items():
-        if key == "ambient":
-            bases[key] = rows
-        else:
-            bases[key] = rows_to_json(a.field, rows)
+    bases = {
+        key: val if isinstance(val, str) else rows_to_json(a.field, val)
+        for key, val in report.bases.items()
+    }
     doc = {
         "command": command,
         "verdict": report.verdict,
@@ -284,10 +258,6 @@ def report_to_json(
         "bases": bases,
         "version": __version__,
     }
-    if seed is not None:
-        doc["seed"] = seed
-    if witness_budget is not None:
-        doc["witness_budget"] = witness_budget
     if timings is not None:
         doc["timings"] = timings
     return doc

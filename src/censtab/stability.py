@@ -6,9 +6,10 @@ Algebra criterion: a finite-dimensional unital algebra over a perfect field
 is centrally stable iff rad(A) = Id(Z(A) cap rad(A)); a non-unital algebra
 is decided on its unitization, which is equivalent.  The algebra decision
 never samples elements -- the centrally stable elements need not form a
-subspace, so no amount of sampling could decide the algebra.  Sampling only
-serves to produce a concrete non-stable element witness once the criterion
-has already answered NotStable.
+subspace, so no amount of sampling could decide the algebra.  Nor is a
+NotStable witness searched for: it is lifted from the center of A/J or of
+A/rad(A), J = Id(Z(A) cap rad(A)), one of which always holds one (see
+algebra_centrally_stable).
 
 Every verdict carries a certificate that re-verifies through the linear
 algebra layer (see verify_certificate).
@@ -94,29 +95,6 @@ class RadicalMatch:
 
 
 @dataclass(frozen=True)
-class RadicalGap:
-    """NotStable algebra: a radical vector outside Id(Z cap rad)."""
-
-    radical_rows: tuple
-    center_cap_radical_rows: tuple
-    ideal_rows: tuple
-    missing_vector: tuple
-    ambient: str
-
-    kind = "RadicalGap"
-
-
-@dataclass(frozen=True)
-class WitnessSearchExhausted:
-    """NotStable algebra; no element witness found within the budget."""
-
-    samples_tried: int
-    gap: RadicalGap
-
-    kind = "WitnessSearchExhausted"
-
-
-@dataclass(frozen=True)
 class StabilityReport:
     verdict: str
     method: str
@@ -199,19 +177,39 @@ def element_centrally_stable(x: Element) -> StabilityReport:
 # ---------------------------------------------------------------------------
 
 
-def algebra_centrally_stable(
-    a: Algebra, witness_budget: int = 200, seed: int = 0
-) -> StabilityReport:
+def algebra_centrally_stable(a: Algebra) -> StabilityReport:
     """Decide central stability of a whole algebra.
 
     Unital input is decided by rad(A) = Id(Z(A) cap rad(A)); non-unital
-    input is decided on the unitization (an equivalence).  On NotStable a
-    concrete non-stable element is searched for: first a lift of a nonzero
-    element of Z(A/J) cap rad(A/J) through the quotient by J = Id(Z cap rad)
-    (such a lift can never be stable), then all basis elements, then up to
-    witness_budget random elements.  Witnesses are always elements of the
-    input algebra, also in the unitization route, and each is confirmed by
-    element_centrally_stable before being reported.
+    input is decided on the unitization A# (an equivalence).  A NotStable
+    report carries a non-stable element of the input algebra, lifted from
+    the center of a quotient and confirmed by element_centrally_stable; its
+    bases name that quotient under "witness_quotient".
+
+    Why a lift always exists.  Let A be unital over a perfect field (A#
+    for non-unital input), R = rad A, J = Id(Z(A) cap R) != R and pi the
+    projections.  Then (a) Z(A/J) cap R/J != 0 or (b) Z(A/R) != pi(Z(A)).
+    Suppose (b) fails.  Put B = A/J and N = R/J = rad B (J lies in R), and
+    take k maximal with N^k != 0.  Z(A) maps onto Z(A/R), so Z(B) maps onto
+    Z(B/N).  Wedderburn-Malcev gives B = S + N with S ~ A/R a subalgebra
+    holding 1.  Each s in Z(S) is the S-part of a central c = s + m of B,
+    m in N; as N N^k = N^k N = 0, s acts on N^k from each side as c does,
+    so the two actions agree.  N^k is then a module over S (x)_Z(S) S^op,
+    a product of simple algebras S_i (x)_K_i S_i^op whose simple modules
+    are the S_i.  So N^k has a summand S_i, and the image n0 != 0 of the
+    unity of S_i there commutes with S; and n0 N = N n0 = 0.  So n0 lies in
+    Z(B) cap N, which is (a).
+
+    Why a lift is a witness.  Let phi be A -> A/J in case (a), A -> A/R in
+    case (b), and zeta central in the image but outside phi(Z(A)).  In case
+    (a) every nonzero zeta in R/J qualifies: phi(Z(A)) cap R/J is the image
+    of Z(A) cap R, which lies in J.  If a lift x were stable, x = z + u
+    with z central and u in Id([x, A]); phi kills [x, A], since zeta is
+    central, so zeta = phi(z), a contradiction.  Over A#, x - x_0 1 differs
+    from x by a central element, so it is not stable in A# either; it lies
+    in A, where it is not stable, since Z(A) + Id_A([x, A]) lies in
+    Z(A#) + Id_A#([x, A#]).  A lift that tests stable is an engine fault:
+    ConsistencyError.
     """
     if a.dim == 0:
         return StabilityReport(STABLE, METHOD_RADICAL, RadicalMatch((), (), "algebra"))
@@ -235,50 +233,38 @@ def algebra_centrally_stable(
     if j == r:
         return StabilityReport(STABLE, method, RadicalMatch(r.rows, c.rows, ambient), bases)
 
-    missing = next(row for row in r.rows if not j.contains(row))
-    gap = RadicalGap(r.rows, c.rows, j.rows, tuple(missing), ambient)
-    if witness_budget <= 0:
-        return StabilityReport(NOT_STABLE, method, gap, bases)
-
-    tried = 0
-    for cand in _witness_candidates(a, work, embed, r, j, witness_budget, seed):
-        tried += 1
-        rep = element_centrally_stable(cand)
+    for where, v in _central_lifts(work, z, r, j):
+        # over A#, x - x_0 1 has the same commutators and lies in A
+        x = a.element(embed.strip_vec(v) if embed is not None else v)
+        rep = element_centrally_stable(x)
         if rep.verdict == NOT_STABLE:
-            return StabilityReport(NOT_STABLE, method, rep.certificate, bases)
-    return StabilityReport(
-        NOT_STABLE, method, WitnessSearchExhausted(tried, gap), bases
-    )
+            return StabilityReport(NOT_STABLE, method, rep.certificate, {**bases, "witness_quotient": where})
+    raise ConsistencyError("no lift from Z(A/J) or Z(A/rad) is a non-stable element")
 
 
-def _witness_candidates(a, work, embed, rad_space, j, budget, seed):
-    f = a.field
-    # (1) lift of a nonzero element of Z(A/J) cap rad(A/J); by the criterion's
-    # proof such an element can never be centrally stable in A.  J lies in
-    # rad(A), so rad(A/J) = rad(A)/J: rad(A)/J is a nilpotent ideal of A/J
-    # with quotient A/rad(A), which is semisimple.  Its span is canonical,
-    # so it has the same rows radical(A/J) would return.  J comes from
-    # ideal_generated, an ideal by construction: it is not checked again.
-    qm = _quotient_by_ideal(work, j)
-    if qm.target.dim > 0:
-        proj = [qm.project_vec(row) for row in rad_space.rows]
-        rq = span(f, proj, qm.target.dim)
-        inter = subspace_intersect(center(qm.target), rq)
-        if inter.dim > 0:
-            coeffs = express_in_span(f, proj, inter.rows[0], qm.target.dim)
-            v = _linear_combination(f, coeffs, rad_space.rows, work.dim)
-            if embed is not None:
-                assert v[0] == 0  # radical vectors avoid the adjoined unity
-                yield a.element(embed.strip_vec(v))
-            else:
-                yield a.element(v)
-    # (2) basis elements
-    for i in range(a.dim):
-        yield a.basis_element(i)
-    # (3) seeded random elements
-    rng = random.Random(f"{seed}:witness")
-    for _ in range(budget):
-        yield random_element(a, rng)
+def _central_lifts(work, z, r, j):
+    """("A/J", v) for a lift v of a nonzero element of Z(A/J) cap R/J, then
+    ("A/rad", v) for a lift of the first RREF row of Z(A/R) outside pi(Z(A)),
+    each only when it exists."""
+    f = work.field
+    # J lies in R, so rad(A/J) = R/J: R/J is a nilpotent ideal of A/J with
+    # quotient A/R, which is semisimple.  J comes from ideal_generated and R
+    # passed radical_failure, so neither is checked again as an ideal.
+    qj = _quotient_by_ideal(work, j)
+    proj = [qj.project_vec(row) for row in r.rows]
+    inter = subspace_intersect(center(qj.target), span(f, proj, qj.target.dim))
+    if inter.dim > 0:
+        coeffs = express_in_span(f, proj, inter.rows[0], qj.target.dim)
+        yield "A/J", _linear_combination(f, coeffs, r.rows, work.dim)
+    qr = _quotient_by_ideal(work, r)
+    image = span(f, [qr.project_vec(row) for row in z.rows], qr.target.dim)
+    for row in center(qr.target).rows:
+        if not image.contains(row):
+            v = [f.zero] * work.dim
+            for col, val in zip(qr.free_cols, row):
+                v[col] = val
+            yield "A/rad", tuple(v)
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +461,7 @@ def fuzz_consistency(
     none of these, so nothing is sampled.  Sample streams are derived from
     (seed, index), so the report is reproducible.
     """
-    base = algebra_centrally_stable(a, witness_budget=0, seed=seed)
+    base = algebra_centrally_stable(a)
     if not base.is_stable:
         return FuzzReport(base.verdict, ideal_samples, element_samples, seed, ())
     findings = []
@@ -492,7 +478,7 @@ def fuzz_consistency(
                     f"Z(A/I) dim {res.quotient_center.dim} != image dim {res.center_image.dim}",
                 )
             )
-        sub = algebra_centrally_stable(res.map.target, witness_budget=0, seed=seed)
+        sub = algebra_centrally_stable(res.map.target)
         if not sub.is_stable:
             findings.append(
                 FuzzFinding(
@@ -528,12 +514,11 @@ _RADICAL_METHODS = {"algebra": METHOD_RADICAL, "unitization": METHOD_UNITIZATION
 
 def _claims_fit(verdict, method, cert) -> bool:
     """Whether a certificate of this kind comes with the claimed method and
-    verdict: a radical kind with the method of its ambient, a stable
+    verdict: a RadicalMatch with the method of its ambient, a stable
     element witness only with the element criterion (an unstable one also
     answers an algebra decision), and Stable only for a stable kind."""
-    if isinstance(cert, (RadicalMatch, RadicalGap, WitnessSearchExhausted)):
-        gap = cert.gap if isinstance(cert, WitnessSearchExhausted) else cert
-        fits = method == _RADICAL_METHODS.get(gap.ambient)
+    if isinstance(cert, RadicalMatch):
+        fits = method == _RADICAL_METHODS.get(cert.ambient)
     else:
         fits = method == METHOD_ELEMENT or isinstance(cert, UnstableElementWitness)
     return fits and isinstance(cert, (StableElementWitness, RadicalMatch)) == (verdict == STABLE)
@@ -549,6 +534,8 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
     f = a.field
     if isinstance(cert, StableElementWitness):
         x, z, u = cert.element, cert.central_part, cert.ideal_part
+        if any(len(v) != a.dim for v in (x, z, u)):
+            return False
         if tuple(f.add(zi, ui) for zi, ui in zip(z, u)) != tuple(x):
             return False
         if not center(a).contains(z):
@@ -556,6 +543,8 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
         return _in_commutator_ideal(Element(a, tuple(x)), _int_entries(u))
     if isinstance(cert, UnstableElementWitness):
         x = cert.element
+        if len(x) != a.dim:
+            return False
         z = center(a)
         if z.rows != cert.center_rows:
             return False
@@ -566,24 +555,18 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
         if total.rows != cert.sum_rows:
             return False
         return not total.contains(x)
-    if isinstance(cert, (RadicalMatch, RadicalGap, WitnessSearchExhausted)):
-        gap = cert.gap if isinstance(cert, WitnessSearchExhausted) else cert
-        work = a if gap.ambient == "algebra" else unitization(a).algebra
+    if isinstance(cert, RadicalMatch):
+        work = a if cert.ambient == "algebra" else unitization(a).algebra
         check_characteristic(work)
-        if any(len(row) != work.dim for row in gap.radical_rows):
+        if any(len(row) != work.dim for row in cert.radical_rows):
             return False
-        rad = span(f, gap.radical_rows, work.dim)
-        if rad.rows != gap.radical_rows or radical_failure(work, rad) is not None:
+        rad = span(f, cert.radical_rows, work.dim)
+        if rad.rows != cert.radical_rows or radical_failure(work, rad) is not None:
             return False
         c = subspace_intersect(center(work), rad)
-        if c.rows != gap.center_cap_radical_rows:
+        if c.rows != cert.center_cap_radical_rows:
             return False
-        j = ideal_generated(work, [work.element(row) for row in c.rows])
-        if isinstance(cert, RadicalMatch):
-            return j == rad
-        if j.rows != gap.ideal_rows:
-            return False
-        return rad.contains(gap.missing_vector) and not j.contains(gap.missing_vector)
+        return ideal_generated(work, [work.element(row) for row in c.rows]) == rad
     return False
 
 

@@ -64,7 +64,7 @@ def test_criterion_1_verdict_table():
     with criterion(1, "verdict table"):
         for entry in standard_entries():
             t0 = time.perf_counter()
-            rep = algebra_centrally_stable(entry.algebra, witness_budget=200, seed=0)
+            rep = algebra_centrally_stable(entry.algebra)
             elapsed = time.perf_counter() - t0
             assert elapsed < 5.0, f"{entry_key(entry)} took {elapsed:.2f}s"
             assert rep.verdict == entry.expected.verdict, entry_key(entry)
@@ -136,7 +136,7 @@ def test_criterion_4_oracle_consistency():
                 ideal = ideal_generated(alg, gens)
                 res = quotient_center_oracle(alg, ideal)
                 assert res.equal, f"{entry_key(entry)} sample {idx}"
-                sub = algebra_centrally_stable(res.map.target, witness_budget=0)
+                sub = algebra_centrally_stable(res.map.target)
                 assert sub.verdict == STABLE, f"{entry_key(entry)} sample {idx}"
         ema = build("ema")
         res = quotient_center_oracle(ema.algebra, ema.extras["maximal_ideal"])
@@ -173,7 +173,7 @@ def test_criterion_6_closure_laws():
     with criterion(6, "closure laws"):
         entries = standard_entries()
         verdicts = {
-            id(e): algebra_centrally_stable(e.algebra, witness_budget=0).verdict
+            id(e): algebra_centrally_stable(e.algebra).verdict
             for e in entries
         }
         # direct products up to dimension 40
@@ -182,7 +182,7 @@ def test_criterion_6_closure_laws():
                 if a.algebra.dim + b.algebra.dim > 40:
                     continue
                 prod = direct_product(a.algebra, b.algebra).algebra
-                got = algebra_centrally_stable(prod, witness_budget=0).verdict
+                got = algebra_centrally_stable(prod).verdict
                 want = (
                     STABLE
                     if verdicts[id(a)] == STABLE and verdicts[id(b)] == STABLE
@@ -194,7 +194,7 @@ def test_criterion_6_closure_laws():
             if 4 * e.algebra.dim > 64:
                 continue
             m = tensor_with_matrices(e.algebra, 2)
-            got = algebra_centrally_stable(m, witness_budget=0).verdict
+            got = algebra_centrally_stable(m).verdict
             assert got == verdicts[id(e)], entry_key(e)
         # element transfer a -> a (x) 1 into A (x) M_2
         for name, kw in (("upper_triangular", {"n": 3}), ("ema", {})):
@@ -218,7 +218,7 @@ def test_criterion_7_unitization_coherence():
     with criterion(7, "unitization coherence"):
         for name, kw in (("strict_upper", {"n": 3}), ("r11_radical", {"n": 2, "k": 3})):
             entry = build(name, **kw)
-            rep = algebra_centrally_stable(entry.algebra, witness_budget=200, seed=0)
+            rep = algebra_centrally_stable(entry.algebra)
             assert rep.method == "UnitizationThenRadicalCriterion"
             assert rep.verdict == NOT_STABLE
             # the witness is an element of A itself, confirmed and certified
@@ -387,18 +387,8 @@ def test_criterion_9_determinism(tmp_path, capsys):
         def roster_reports():
             docs = []
             for entry in standard_entries():
-                rep = algebra_centrally_stable(entry.algebra, witness_budget=50, seed=11)
-                docs.append(
-                    dump_json(
-                        report_to_json(
-                            entry.algebra,
-                            rep,
-                            command="stable",
-                            seed=11,
-                            witness_budget=50,
-                        )
-                    )
-                )
+                rep = algebra_centrally_stable(entry.algebra)
+                docs.append(dump_json(report_to_json(entry.algebra, rep, command="stable")))
             return "".join(docs)
 
         assert roster_reports() == roster_reports()
@@ -409,8 +399,8 @@ def test_criterion_9_determinism(tmp_path, capsys):
         capsys.readouterr()
         outs = []
         for argv in (
-            ["stable", t3, "--json", "--seed", "3"],
-            ["stable", t3, "--json", "--seed", "3"],
+            ["stable", t3, "--json"],
+            ["stable", t3, "--json"],
             ["element", t3, "--coords", "1,0,0,0,0,0", "--json"],
             ["element", t3, "--coords", "1,0,0,0,0,0", "--json"],
             ["fuzz", t3, "--ideals", "5", "--elements", "5", "--seed", "3", "--json"],

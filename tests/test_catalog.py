@@ -47,7 +47,7 @@ def test_expected_metadata_matches_computation():
     for entry in standard_entries():
         assert center(entry.algebra).dim == entry.expected.center_dim, entry.name
         assert radical(entry.algebra).dim == entry.expected.radical_dim, entry.name
-        verdict = algebra_centrally_stable(entry.algebra, witness_budget=0).verdict
+        verdict = algebra_centrally_stable(entry.algebra).verdict
         assert verdict == entry.expected.verdict, entry.name
 
 

@@ -52,7 +52,7 @@ def test_json_reports_are_deterministic(tmp_path, capsys):
     run(capsys, "construct", "upper_triangular", "--n", "3", "-o", t3)
     outs = []
     for _ in range(2):
-        code, out, _ = run(capsys, "stable", t3, "--json", "--seed", "5")
+        code, out, _ = run(capsys, "stable", t3, "--json")
         assert code == 0
         outs.append(strip_timings(out))
     assert outs[0] == outs[1]
@@ -183,9 +183,12 @@ def test_seed_env_default(tmp_path, capsys, monkeypatch):
     t3 = str(tmp_path / "t3.json")
     run(capsys, "construct", "upper_triangular", "--n", "3", "-o", t3)
     monkeypatch.setenv("CENSTAB_SEED", "77")
-    code, out, _ = run(capsys, "stable", t3, "--json")
+    code, out, _ = run(capsys, "fuzz", t3, "--ideals", "1", "--elements", "1", "--json")
     assert code == 0
     assert json.loads(out)["seed"] == 77
+    # stable samples nothing, so its report has no seed
+    code, out, _ = run(capsys, "stable", t3, "--json")
+    assert code == 0 and "seed" not in json.loads(out)
 
 
 def test_console_entry_point():
@@ -238,13 +241,14 @@ def test_non_integer_seed_env_is_a_usage_error(tmp_path, capsys, monkeypatch):
     t3 = str(tmp_path / "t3.json")
     run(capsys, "construct", "upper_triangular", "--n", "3", "-o", t3)
     monkeypatch.setenv("CENSTAB_SEED", "abc")
-    for argv in (("stable", t3), ("fuzz", t3, "--ideals", "1", "--elements", "1")):
-        code, out, err = run(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert err.splitlines() == ["censtab: error: CENSTAB_SEED must be an integer, got 'abc'"]
-    # an explicit --seed does not read the variable, and validate has no seed
-    assert run(capsys, "stable", t3, "--seed", "2")[0] == 0
+    code, out, err = run(capsys, "fuzz", t3, "--ideals", "1", "--elements", "1")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["censtab: error: CENSTAB_SEED must be an integer, got 'abc'"]
+    # an explicit --seed does not read the variable, and stable and validate
+    # have no seed
+    assert run(capsys, "fuzz", t3, "--ideals", "1", "--elements", "1", "--seed", "2")[0] == 0
+    assert run(capsys, "stable", t3)[0] == 0
     assert run(capsys, "validate", t3)[0] == 0
 
 
@@ -281,10 +285,27 @@ def test_consistency_error_exits_4_with_a_reproduction_line(tmp_path, capsys, mo
     assert f"sha256 {t3}: {digest}" in err
 
     monkeypatch.setattr("censtab.stability.radical", broken)
-    code, out, err = run(capsys, "stable", t3, "--seed", "7")
+    code, out, err = run(capsys, "fuzz", t3, "--seed", "7")
     assert code == 4
     assert len(err.splitlines()) == 1
     assert "seed: 7" in err and digest in err
+
+
+def test_a_stable_lift_makes_stable_exit_4(tmp_path, capsys, monkeypatch):
+    from censtab.stability import StabilityReport
+
+    t3 = str(tmp_path / "t3.json")
+    run(capsys, "construct", "upper_triangular", "--n", "3", "-o", t3)
+    monkeypatch.setattr(
+        "censtab.stability.element_centrally_stable",
+        lambda x: StabilityReport("Stable", "ElementCriterion", None),
+    )
+    code, out, err = run(capsys, "stable", t3, "--json")
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: no lift from Z(A/J) or Z(A/rad)")
+    assert f"command: censtab stable {t3} --json" in err
 
 
 def test_results_too_large_to_load_are_refused_before_building(tmp_path, capsys):
@@ -361,7 +382,6 @@ def test_negative_counts_are_usage_errors(tmp_path, capsys):
     cases = [
         (("fuzz", t3, "--ideals", "-5"), "--ideals must be non-negative, got -5"),
         (("fuzz", t3, "--elements", "-2"), "--elements must be non-negative, got -2"),
-        (("stable", t3, "--witness-budget", "-4"), "--witness-budget must be non-negative, got -4"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
@@ -370,7 +390,11 @@ def test_negative_counts_are_usage_errors(tmp_path, capsys):
         assert err.splitlines() == [f"censtab: error: {message}"]
     # zero is still a count
     assert run(capsys, "fuzz", t3, "--ideals", "0", "--elements", "0")[0] == 0
-    assert run(capsys, "stable", t3, "--witness-budget", "0")[0] == 0
+    # stable has no count, and no seed, to set
+    for option in ("--witness-budget", "--seed"):
+        code, out, err = run(capsys, "stable", t3, option, "3")
+        assert code == 1 and out == ""
+        assert f"unrecognized arguments: {option} 3" in err
 
 
 def test_overlong_scalar_literal_is_invalid_input(tmp_path, capsys):

@@ -94,7 +94,7 @@ def test_certificate_json_round_trip():
 def test_verify_report_json():
     alg = build("ema").algebra
     rep = algebra_centrally_stable(alg)
-    doc = report_to_json(alg, rep, command="stable", seed=0, witness_budget=200)
+    doc = report_to_json(alg, rep, command="stable")
     assert verify_report_json(alg, doc)
     # tamper with the verdict: the certificate kind no longer matches
     doc_bad = json.loads(dump_json(doc))
@@ -111,28 +111,25 @@ def test_verify_element_report_json():
 
 
 def test_certificate_round_trip_covers_every_kind():
-    from censtab.stability import WitnessSearchExhausted
-
     t3 = build("upper_triangular", n=3).algebra
-    reps = [
-        element_centrally_stable(t3.basis_element(1)),  # StableElementWitness
-        element_centrally_stable(t3.basis_element(0)),  # UnstableElementWitness
-        algebra_centrally_stable(build("matrix_full", n=2).algebra),  # RadicalMatch
-        algebra_centrally_stable(t3, witness_budget=0),  # RadicalGap
+    p3 = build("truncated_poly", k=3).algebra
+    cases = [
+        (t3, element_centrally_stable(t3.basis_element(1)).certificate),
+        (t3, element_centrally_stable(t3.basis_element(0)).certificate),
+        (p3, algebra_centrally_stable(p3).certificate),
     ]
-    gap = reps[3].certificate
-    certs = [r.certificate for r in reps] + [WitnessSearchExhausted(7, gap)]
-    assert [c.kind for c in certs] == [
+    assert [c.kind for _, c in cases] == [
         "StableElementWitness", "UnstableElementWitness", "RadicalMatch",
-        "RadicalGap", "WitnessSearchExhausted",
     ]
-    for cert in certs:
-        doc = certificate_to_json(t3.field, cert)
-        assert certificate_from_json(t3.field, json.loads(dump_json(doc)), t3.dim) == cert
-    assert set(certificate_to_json(t3.field, certs[1])) == {
+    for alg, cert in cases:
+        doc = certificate_to_json(alg.field, cert)
+        assert certificate_from_json(alg.field, json.loads(dump_json(doc)), alg.dim) == cert
+    assert set(certificate_to_json(t3.field, cases[1][1])) == {
         "kind", "element", "center_basis", "ideal_basis", "sum_basis",
     }
-    assert certificate_to_json(t3.field, certs[4])["samples_tried"] == 7
+    assert set(certificate_to_json(p3.field, cases[2][1])) == {
+        "kind", "radical_basis", "center_cap_radical_basis", "ambient",
+    }
 
 
 def test_verify_report_json_rejects_a_report_without_certificate():
@@ -152,20 +149,41 @@ def test_verify_report_json_rejects_a_certificate_without_element():
 
 
 def test_certificate_from_json_rejects_mistyped_members():
-    alg = build("upper_triangular", n=3).algebra
-    gap = algebra_centrally_stable(alg, witness_budget=0).certificate
-    doc = certificate_to_json(alg.field, gap)
-    for key, bad in (("ambient", 1), ("radical_basis", "x"), ("missing_vector", 3)):
+    p3 = build("truncated_poly", k=3).algebra
+    t3 = build("upper_triangular", n=3).algebra
+    match = certificate_to_json(p3.field, algebra_centrally_stable(p3).certificate)
+    unstable = certificate_to_json(t3.field, algebra_centrally_stable(t3).certificate)
+    assert certificate_from_json(p3.field, match, p3.dim)
+    assert certificate_from_json(t3.field, unstable, t3.dim)
+    for alg, doc, key, bad in (
+        (p3, match, "ambient", 1),
+        (p3, match, "ambient", ["algebra"]),
+        (p3, match, "radical_basis", "x"),
+        (p3, match, "radical_basis", [3]),
+        (t3, unstable, "element", 3),
+        (t3, unstable, "center_basis", [3]),
+    ):
         with pytest.raises(FileFormatError):
             certificate_from_json(alg.field, {**doc, key: bad}, alg.dim)
-    wrapped = {"kind": "WitnessSearchExhausted", "samples_tried": True, "gap": doc}
     with pytest.raises(FileFormatError):
-        certificate_from_json(alg.field, wrapped, alg.dim)
-    inner = certificate_to_json(alg.field, element_centrally_stable(alg.basis_element(1)).certificate)
-    with pytest.raises(FileFormatError):
-        certificate_from_json(alg.field, {**wrapped, "samples_tried": 3, "gap": inner}, alg.dim)
-    with pytest.raises(FileFormatError):
-        certificate_from_json(alg.field, {"kind": ["RadicalGap"]}, alg.dim)
+        certificate_from_json(p3.field, {"kind": ["RadicalMatch"]}, p3.dim)
+
+
+def test_reports_of_the_removed_certificate_kinds_are_file_format_errors():
+    alg = build("ema").algebra
+    doc = report_to_json(alg, algebra_centrally_stable(alg), command="stable")
+    gap = {
+        "kind": "RadicalGap",
+        "radical_basis": doc["bases"]["radical"],
+        "center_cap_radical_basis": doc["bases"]["center_cap_radical"],
+        "ideal_basis": doc["bases"]["criterion_ideal"],
+        "missing_vector": doc["bases"]["radical"][0],
+        "ambient": "algebra",
+    }
+    exhausted = {"kind": "WitnessSearchExhausted", "samples_tried": 200, "gap": gap}
+    for cert in (gap, exhausted):
+        with pytest.raises(FileFormatError, match=f"unknown certificate kind '{cert['kind']}'"):
+            verify_report_json(alg, {**doc, "certificate": cert})
 
 
 def test_bool_dimension_and_indices_are_rejected():
@@ -220,10 +238,16 @@ def test_replay_of_an_overlong_literal_raises_file_format_error():
 
 def test_replay_of_a_literal_outside_the_grammar_raises_file_format_error():
     alg = build("upper_triangular", n=3).algebra
-    doc = report_to_json(alg, algebra_centrally_stable(alg, witness_budget=0), command="stable")
-    doc["certificate"]["missing_vector"][0] = "1e5"
+    doc = report_to_json(alg, algebra_centrally_stable(alg), command="stable")
+    assert doc["certificate"]["kind"] == "UnstableElementWitness"
+    doc["certificate"]["element"][0] = "1e5"
     with pytest.raises(FileFormatError, match="1e5"):
         verify_report_json(alg, doc)
+    p3 = build("truncated_poly", k=3).algebra
+    doc = report_to_json(p3, algebra_centrally_stable(p3), command="stable")
+    doc["certificate"]["radical_basis"][0][0] = "1e5"
+    with pytest.raises(FileFormatError, match="1e5"):
+        verify_report_json(p3, doc)
 
 
 def _resized(vec, n):
@@ -251,27 +275,29 @@ def test_replay_of_an_unstable_witness_of_the_wrong_length_is_a_file_format_erro
         verify_report_json(alg, doc)
 
 
-def test_replay_of_a_radical_gap_of_the_wrong_length_is_a_file_format_error():
-    alg = build("upper_triangular", n=3).algebra
-    doc = report_to_json(alg, algebra_centrally_stable(alg, witness_budget=0), command="stable")
-    assert doc["certificate"]["kind"] == "RadicalGap"
+def test_replay_of_a_radical_match_of_the_wrong_length_is_a_file_format_error():
+    alg = build("truncated_poly", k=3).algebra
+    doc = report_to_json(alg, algebra_centrally_stable(alg), command="stable")
+    assert doc["certificate"]["kind"] == "RadicalMatch"
     assert doc["certificate"]["ambient"] == "algebra"
-    doc["certificate"]["missing_vector"] = doc["certificate"]["missing_vector"][:2]
-    with pytest.raises(FileFormatError, match="'missing_vector' has a vector of 2 coordinates"):
-        verify_report_json(alg, doc)
+    for key in ("radical_basis", "center_cap_radical_basis"):
+        bad = json.loads(dump_json(doc))
+        bad["certificate"][key][0] = bad["certificate"][key][0][:2]
+        with pytest.raises(FileFormatError, match=f"'{key}' has a vector of 2 coordinates"):
+            verify_report_json(alg, bad)
 
 
 def test_replay_on_the_unitization_expects_one_more_coordinate():
-    alg = build("strict_upper", n=3).algebra  # dim 3, no unity
-    doc = report_to_json(alg, algebra_centrally_stable(alg, witness_budget=0), command="stable")
-    gap = doc["certificate"]["gap"] if "gap" in doc["certificate"] else doc["certificate"]
-    assert gap["ambient"] == "unitization"
-    assert len(gap["radical_basis"][0]) == alg.dim + 1
+    alg = build("strict_upper", n=2).algebra  # dim 1, no unity, Stable
+    doc = report_to_json(alg, algebra_centrally_stable(alg), command="stable")
+    match = doc["certificate"]
+    assert match["kind"] == "RadicalMatch" and match["ambient"] == "unitization"
+    assert len(match["radical_basis"][0]) == alg.dim + 1
     assert verify_report_json(alg, doc)
-    gap["radical_basis"][0] = gap["radical_basis"][0][1:]
+    match["radical_basis"][0] = match["radical_basis"][0][1:]
     with pytest.raises(FileFormatError, match=f"expected {alg.dim + 1}"):
         verify_report_json(alg, doc)
-    gap["ambient"] = "quotient"
+    match["ambient"] = "quotient"
     with pytest.raises(FileFormatError, match="ambient"):
         verify_report_json(alg, doc)
 
@@ -286,11 +312,11 @@ def test_non_string_labels_are_rejected():
 
 def test_a_deep_chain_of_nested_certificates_is_a_file_format_error():
     alg = build("upper_triangular", n=3).algebra
-    doc = report_to_json(alg, algebra_centrally_stable(alg, witness_budget=0), command="stable")
+    doc = report_to_json(alg, algebra_centrally_stable(alg), command="stable")
     cert = doc["certificate"]
     for _ in range(3000):
         cert = {"kind": "WitnessSearchExhausted", "samples_tried": 0, "gap": cert}
-    with pytest.raises(FileFormatError, match="must be a RadicalGap certificate"):
+    with pytest.raises(FileFormatError, match="unknown certificate kind"):
         verify_report_json(alg, {**doc, "certificate": cert})
     # deep values built in Python where a kind, a member name or a scalar goes
     deep = []
@@ -308,16 +334,16 @@ def test_a_deep_chain_of_nested_certificates_is_a_file_format_error():
 
 
 def _t3_reports():
-    """An UnstableElementWitness, a StableElementWitness and a RadicalGap
-    report on T_3, each of which replays."""
+    """An UnstableElementWitness and a StableElementWitness element report
+    on T_3, and its NotStable algebra report, each of which replays."""
     t3 = build("upper_triangular", n=3).algebra
     docs = [
         report_to_json(t3, element_centrally_stable(t3.basis_element(0)), command="element"),
         _element_report(t3),
-        report_to_json(t3, algebra_centrally_stable(t3, witness_budget=0), command="stable"),
+        report_to_json(t3, algebra_centrally_stable(t3), command="stable"),
     ]
     assert [d["certificate"]["kind"] for d in docs] == [
-        "UnstableElementWitness", "StableElementWitness", "RadicalGap",
+        "UnstableElementWitness", "StableElementWitness", "UnstableElementWitness",
     ]
     assert all(verify_report_json(t3, d) for d in docs)
     return t3, docs
@@ -338,21 +364,13 @@ def test_an_unknown_method_is_a_file_format_error():
 
 
 def test_an_unknown_certificate_member_is_a_file_format_error():
-    from censtab.stability import WitnessSearchExhausted
-
     t3, docs = _t3_reports()
-    for doc in docs:
+    m2 = build("matrix_full", n=2).algebra
+    match = report_to_json(m2, algebra_centrally_stable(m2), command="stable")
+    for alg, doc in [(t3, doc) for doc in docs] + [(m2, match)]:
         extra = {**doc, "certificate": {**doc["certificate"], "note": "x"}}
         with pytest.raises(FileFormatError, match="unknown members"):
-            verify_report_json(t3, extra)
-    # a member unknown to the nested gap, not to the wrapper
-    gap = algebra_centrally_stable(t3, witness_budget=0).certificate
-    wrapped = certificate_to_json(t3.field, WitnessSearchExhausted(3, gap))
-    doc = {**docs[2], "certificate": wrapped}
-    assert verify_report_json(t3, doc)
-    wrapped["gap"]["samples_tried"] = 3
-    with pytest.raises(FileFormatError, match="RadicalGap certificate has unknown members"):
-        verify_report_json(t3, doc)
+            verify_report_json(alg, extra)
 
 
 def test_a_radical_certificate_under_the_element_criterion_does_not_replay():
@@ -361,16 +379,20 @@ def test_a_radical_certificate_under_the_element_criterion_does_not_replay():
     assert doc["certificate"]["kind"] == "RadicalMatch"
     assert verify_report_json(m2, doc)
     assert not verify_report_json(m2, {**doc, "method": "ElementCriterion"})
-    t3, (_, _, gap) = _t3_reports()
-    assert not verify_report_json(t3, {**gap, "method": "ElementCriterion"})
+    n2 = build("strict_upper", n=2).algebra  # no unity: ambient "unitization"
+    doc = report_to_json(n2, algebra_centrally_stable(n2), command="stable")
+    assert doc["certificate"]["kind"] == "RadicalMatch" and verify_report_json(n2, doc)
+    assert not verify_report_json(n2, {**doc, "method": "ElementCriterion"})
 
 
 def test_a_stable_element_witness_under_a_radical_method_does_not_replay():
-    t3, (unstable, stable, _) = _t3_reports()
+    t3, (unstable, stable, algebra) = _t3_reports()
     for method in ("RadicalCriterion", "UnitizationThenRadicalCriterion"):
         assert not verify_report_json(t3, {**stable, "method": method})
-    # an algebra decision may report an unstable element witness
+    # an algebra decision may report an unstable element witness, and an
+    # element decision the witness of an algebra decision
     assert verify_report_json(t3, {**unstable, "method": "RadicalCriterion"})
+    assert verify_report_json(t3, {**algebra, "method": "ElementCriterion"})
 
 
 def test_a_radical_certificate_replays_only_under_the_method_of_its_ambient():
@@ -378,8 +400,8 @@ def test_a_radical_certificate_replays_only_under_the_method_of_its_ambient():
     doc = report_to_json(m2, algebra_centrally_stable(m2), command="stable")
     assert (doc["method"], doc["certificate"]["ambient"]) == ("RadicalCriterion", "algebra")
     assert not verify_report_json(m2, {**doc, "method": "UnitizationThenRadicalCriterion"})
-    n3 = build("strict_upper", n=3).algebra  # no unity: ambient "unitization"
-    doc = report_to_json(n3, algebra_centrally_stable(n3, witness_budget=0), command="stable")
+    n2 = build("strict_upper", n=2).algebra  # no unity: ambient "unitization"
+    doc = report_to_json(n2, algebra_centrally_stable(n2), command="stable")
     assert doc["method"] == "UnitizationThenRadicalCriterion"
-    assert verify_report_json(n3, doc)
-    assert not verify_report_json(n3, {**doc, "method": "RadicalCriterion"})
+    assert verify_report_json(n2, doc)
+    assert not verify_report_json(n2, {**doc, "method": "RadicalCriterion"})

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,23 +11,23 @@ from censtab.algebras import (
     commutator_space,
     direct_product,
     ideal_generated,
+    opposite,
     quotient,
     tensor_product,
     unitization,
 )
 from censtab.catalog import build, standard_entries
-from censtab.errors import NotAnIdeal
+from censtab.errors import ConsistencyError, NotAnIdeal
 from censtab.linalg import _int_entries, _Reducer, span, subspace_intersect, zero_subspace
 from censtab.radical import radical
 from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import (
     NOT_STABLE,
     STABLE,
-    RadicalGap,
     RadicalMatch,
+    StabilityReport,
     StableElementWitness,
     UnstableElementWitness,
-    WitnessSearchExhausted,
     algebra_centrally_stable,
     decompose_tensor_element,
     element_centrally_stable,
@@ -142,14 +143,6 @@ def test_twisted_bimodule_not_stable():
     assert rep.verdict == NOT_STABLE
     # Z cap rad = 0 here, so the criterion ideal is zero
     assert span(Q, rep.bases["center_cap_radical"], alg.dim).is_zero
-    assert verify_certificate(alg, rep)
-
-
-def test_budget_zero_returns_radical_gap():
-    alg = build("ema").algebra
-    rep = algebra_centrally_stable(alg, witness_budget=0)
-    assert rep.verdict == NOT_STABLE
-    assert isinstance(rep.certificate, RadicalGap)
     assert verify_certificate(alg, rep)
 
 
@@ -441,12 +434,12 @@ def test_matrix_algebra_verdict_transfer():
         for n in (2, 3):
             m = tensor_with_matrices(alg, n)
             assert (
-                algebra_centrally_stable(m, witness_budget=0).verdict
-                == algebra_centrally_stable(alg, witness_budget=0).verdict
+                algebra_centrally_stable(m).verdict
+                == algebra_centrally_stable(alg).verdict
             ), f"{name} n={n}"
     t3 = build("upper_triangular", n=3).algebra
     m3 = tensor_with_matrices(t3, 3)  # dimension 54
-    assert algebra_centrally_stable(m3, witness_budget=0).verdict == NOT_STABLE
+    assert algebra_centrally_stable(m3).verdict == NOT_STABLE
 
 
 def test_stable_verdict_agrees_with_exhaustive_element_checks():
@@ -455,7 +448,7 @@ def test_stable_verdict_agrees_with_exhaustive_element_checks():
     # algebras may hide their witnesses)
     for entry in standard_entries():
         alg = entry.algebra
-        if algebra_centrally_stable(alg, witness_budget=0).verdict != STABLE:
+        if algebra_centrally_stable(alg).verdict != STABLE:
             continue
         for i in range(alg.dim):
             assert element_centrally_stable(alg.basis_element(i)).verdict == STABLE
@@ -490,7 +483,7 @@ def test_witness_commutator_ideal_breaks_the_center_oracle():
     # Id([a, A]) for the witness a makes the image of a central, so the
     # quotient center strictly exceeds the projected center
     for entry in standard_entries():
-        rep = algebra_centrally_stable(entry.algebra, witness_budget=200, seed=0)
+        rep = algebra_centrally_stable(entry.algebra)
         if rep.verdict != NOT_STABLE:
             continue
         assert isinstance(rep.certificate, UnstableElementWitness), entry.name
@@ -562,36 +555,70 @@ def _random_subalgebra(ambient, rng, max_gens=3):
     return build_algebra(ambient.field, d, table)  # revalidates associativity
 
 
+def _lift_from_a_over_j_exists(alg):
+    """Whether Z(A/J) cap R/J != 0 for R = rad, J = Id(Z cap R), computed
+    on A or A# with the checked quotient, apart from the engine's lifts."""
+    work = alg if alg.is_unital else unitization(alg).algebra
+    r = radical(work)
+    c = subspace_intersect(center(work), r)
+    qm = quotient(work, ideal_generated(work, [work.element(row) for row in c.rows]))
+    rq = span(work.field, [qm.project_vec(row) for row in r.rows], qm.target.dim)
+    return subspace_intersect(center(qm.target), rq).dim > 0
+
+
 def test_random_subalgebras_are_decided_consistently():
     # random multiplicatively-closed subspaces of matrix algebras make
-    # adversarial inputs: unital or not, odd centers, arbitrary radicals.
-    # Stable verdicts must survive element sampling; NotStable verdicts must
-    # produce a witness whose commutator ideal breaks the center oracle.
-    from censtab.scalars import prime_field
+    # adversarial inputs: unital or not, odd centers, arbitrary radicals; so
+    # do their opposites, unitizations, products and tensors with T_2.
+    # Every NotStable report carries an unstable element lifted from Z(A/J)
+    # exactly when Z(A/J) cap rad(A/J) != 0, and from Z(A/rad) otherwise;
+    # it replays, and its commutator ideal breaks the center oracle.  Stable
+    # verdicts survive element sampling.
+    from censtab.fileformat import report_to_json, verify_report_json
 
-    ambients = [
-        build("upper_triangular", n=4).algebra,
-        build("matrix_full", n=3).algebra,
-        build("scalar_plus_strict_upper", n=4).algebra,
-        build("upper_triangular", n=3, field=prime_field(101)).algebra,
-    ]
-    for trial in range(60):
-        rng = random.Random(f"subalg:{trial}")
-        sub = _random_subalgebra(ambients[trial % len(ambients)], rng)
-        if sub.dim == 0:
-            continue
-        rep = algebra_centrally_stable(sub, witness_budget=60, seed=trial)
-        if rep.verdict == STABLE:
-            for _ in range(10):
-                el = random_element(sub, rng)
-                assert element_centrally_stable(el).verdict == STABLE, trial
-        else:
-            assert isinstance(rep.certificate, UnstableElementWitness), trial
-            a = sub.element(rep.certificate.element)
-            ideal = ideal_generated(
-                sub, [sub.element(r) for r in commutator_space(a).rows]
-            )
-            assert not quotient_center_oracle(sub, ideal).equal, trial
+    routes = []
+    for field in (Q, prime_field(101)):
+        ambients = [
+            build("upper_triangular", n=3, field=field).algebra,
+            build("upper_triangular", n=4, field=field).algebra,
+            build("matrix_full", n=2, field=field).algebra,
+            build("matrix_full", n=3, field=field).algebra,
+            build("r11_radical", n=2, k=3, field=field).algebra,
+        ]
+        t2 = build("upper_triangular", n=2, field=field).algebra
+        for trial in range(40):
+            rng = random.Random(f"subalg:{field.p}:{trial}")
+            sub = _random_subalgebra(ambients[trial % len(ambients)], rng)
+            if sub.dim == 0:
+                continue
+            other = _random_subalgebra(ambients[(trial + 1) % len(ambients)], rng, max_gens=1)
+            derived = [sub, opposite(sub)][: 1 + trial % 2]
+            if not sub.is_unital:
+                derived.append(unitization(sub).algebra)
+            if trial % 2 == 0 and other.dim and sub.dim + other.dim <= 12:
+                derived.append(direct_product(sub, other).algebra)
+            if trial % 4 == 1 and sub.dim <= 5:
+                derived.append(tensor_product(sub, t2))
+            for alg in derived:
+                case = (field.p, trial, alg.dim)
+                rep = algebra_centrally_stable(alg)
+                if rep.verdict == STABLE:
+                    for _ in range(3):
+                        assert element_centrally_stable(random_element(alg, rng)).verdict == STABLE, case
+                    continue
+                cert = rep.certificate
+                assert isinstance(cert, UnstableElementWitness), case
+                route = rep.bases["witness_quotient"]
+                assert (route == "A/J") == _lift_from_a_over_j_exists(alg), case
+                routes.append((route, alg.is_unital))
+                doc = report_to_json(alg, rep, command="stable")
+                assert doc["bases"]["witness_quotient"] == route
+                assert verify_report_json(alg, doc), case
+                ideal = span(field, cert.ideal_rows, alg.dim)
+                res = quotient_center_oracle(alg, ideal)
+                assert not res.equal, case
+                assert res.quotient_center.contains(res.map.project(alg.element(cert.element)).coords)
+    assert set(routes) == {(r, u) for r in ("A/J", "A/rad") for u in (True, False)}
 
 
 # -- certificate replay ----------------------------------------------------------------
@@ -606,33 +633,44 @@ def test_verify_rejects_tampered_certificates():
         cert.element,  # claim the element itself is the central part
         tuple(Q.zero for _ in cert.element),
     )
-    from censtab.stability import StabilityReport
-
     assert not verify_certificate(alg, StabilityReport(STABLE, rep.method, bad))
 
-    arep = algebra_centrally_stable(build("ema").algebra, witness_budget=0)
-    gap = arep.certificate
-    wrong = RadicalGap(
-        gap.radical_rows,
-        gap.center_cap_radical_rows,
-        gap.ideal_rows,
-        tuple(Q.zero for _ in gap.missing_vector),  # zero is inside every ideal
-        gap.ambient,
+    arep = algebra_centrally_stable(build("ema").algebra)
+    cert = arep.certificate
+    wrong = UnstableElementWitness(
+        tuple(Q.zero for _ in cert.element),  # zero is inside every ideal
+        cert.center_rows,
+        cert.ideal_rows,
+        cert.sum_rows,
     )
-    from censtab.stability import StabilityReport as SR
-
     assert not verify_certificate(
-        build("ema").algebra, SR(NOT_STABLE, arep.method, wrong)
+        build("ema").algebra, StabilityReport(NOT_STABLE, arep.method, wrong)
     )
 
 
-def test_verify_witness_search_exhausted_wrapper():
-    alg = build("ema").algebra
-    rep = algebra_centrally_stable(alg, witness_budget=0)
-    wrapped = WitnessSearchExhausted(17, rep.certificate)
-    from censtab.stability import StabilityReport as SR
+def test_verify_refuses_element_certificates_of_the_wrong_length():
+    alg = t3()  # dim 6
+    unstable = element_centrally_stable(alg.basis_element(0))
+    stable = element_centrally_stable(alg.basis_element(1))
+    assert verify_certificate(alg, unstable) and verify_certificate(alg, stable)
+    cases = [
+        (unstable, replace(unstable.certificate, element=unstable.certificate.element[:2])),
+        (unstable, replace(unstable.certificate, element=unstable.certificate.element + (Q.zero,) * 2)),
+        (unstable, replace(unstable.certificate, element=())),
+        (stable, StableElementWitness((), (), ())),
+    ]
+    for rep, cert in cases:
+        assert verify_certificate(alg, StabilityReport(rep.verdict, rep.method, cert)) is False
 
-    assert verify_certificate(alg, SR(NOT_STABLE, rep.method, wrapped))
+
+def test_a_lift_that_tests_stable_is_a_consistency_error(monkeypatch):
+    monkeypatch.setattr(
+        stability,
+        "element_centrally_stable",
+        lambda x: StabilityReport(STABLE, "ElementCriterion", None),
+    )
+    with pytest.raises(ConsistencyError, match="non-stable element"):
+        algebra_centrally_stable(t3())
 
 
 # -- replay checks a claimed radical; it does not compute one -------------------
@@ -686,13 +724,9 @@ def test_replay_of_a_radical_certificate_computes_no_radical(monkeypatch):
     for name, params in (("truncated_poly", {"k": 4}), ("ema", {}), ("strict_upper", {"n": 2}),
                          ("strict_upper", {"n": 3})):
         a = build(name, **params).algebra
-        rep = algebra_centrally_stable(a, witness_budget=0)
-        reports.append((a, rep))
-        if isinstance(rep.certificate, RadicalGap):
-            wrapped = WitnessSearchExhausted(3, rep.certificate)
-            reports.append((a, SR(rep.verdict, rep.method, wrapped)))
+        reports.append((a, algebra_centrally_stable(a)))
     assert {(a.is_unital, type(rep.certificate).__name__) for a, rep in reports} == {
-        (u, k) for u in (True, False) for k in ("RadicalMatch", "RadicalGap", "WitnessSearchExhausted")
+        (u, k) for u in (True, False) for k in ("RadicalMatch", "UnstableElementWitness")
     }
     calls = []
     stability = importlib.import_module("censtab.stability")
@@ -735,7 +769,7 @@ def test_tensor_with_matrices_is_cached_per_algebra():
 
 @pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
 def test_radical_of_the_quotient_by_the_criterion_ideal_is_the_projected_radical(field):
-    # the witness search takes rad(A/J) as rad(A)/J for J = Id(Z cap rad)
+    # the A/J lift takes rad(A/J) as rad(A)/J for J = Id(Z cap rad)
     seen = 0
     for entry in standard_entries(field):
         if entry.expected.verdict != NOT_STABLE:
