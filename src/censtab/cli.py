@@ -14,8 +14,9 @@ byte-identical JSON up to the "timings" member.  Fields are written Q, GF:p
 or GF(p).  The seed of fuzz, the one command that samples, is 0 by default,
 overridable with the CENSTAB_SEED environment variable; a CENSTAB_SEED that
 is not an integer is a usage error there, and so is a negative --ideals or
---elements; each of these prints one line to stderr.  decompose refuses (code 2) an A (x) M_n
-above the file limit on dimension before it reads the coordinates.
+--elements; each of these prints one line to stderr.  decompose refuses
+(code 2) an A (x) M_n above the file limit on dimension before it reads the
+coordinates.
 """
 
 from __future__ import annotations
