@@ -229,7 +229,10 @@ def certificate_from_json(field, doc, dim):
 
 
 def _vector_of_length(field, doc, n, kind, key):
-    v = vector_from_json(field, doc)
+    try:
+        v = vector_from_json(field, doc)
+    except FileFormatError as exc:
+        raise FileFormatError(f"{kind} member {key!r}: {exc}") from None
     if len(v) != n:
         raise FileFormatError(
             f"{kind} member {key!r} has a vector of {len(v)} coordinates, expected {n}"

@@ -15,19 +15,21 @@ way out, in canonical rows and solution vectors, since per-entry Fraction
 normalization inside the elimination loop would dominate.
 
 The reducers are sparse.  Each basis row is a dict of its nonzero entries,
-column -> value.  `residual`, `contains` and `insert` take a vector as such
-a dict or as a sequence and read only its nonzero entries.  The vector is
-eliminated only at the pivots it actually hits, in ascending pivot order,
-and each elimination touches only the entries of one basis row, so a
-membership test on a mostly-zero vector costs little however wide the
+column -> value, and is zero at every other pivot: `insert` clears the new
+pivot from the older rows, on copies, so a row it returned never changes.
+`residual`, `contains` and `insert` take a vector as such a dict or as a
+sequence and read only its nonzero entries.  The vector is eliminated once
+at each pivot in its own support, in any order, since no elimination
+touches another pivot, and each touches only the entries of one basis row,
+so a membership test on a mostly-zero vector costs little however wide the
 reducer is.  `residual` returns the nonzero entries of the reduced vector as
 a dict (empty means membership) and `insert` returns the new basis row.
 
 A membership test that repeats while a span grows keeps a running
-residual.  A row `insert` returns is zero at every older pivot, so a
-residual against the older rows needs one elimination, at the new row's
-pivot, to become a residual against all of them (`advance_residual`).  The
-target is reduced once, not again after every insert.
+residual.  It is zero at every pivot, as the row `insert` returns is at the
+older ones, so one elimination at the new row's pivot makes it a residual
+against all rows (`advance_residual`).  The target is reduced once, not
+again after every insert.
 
 Vectors handed to a reducer may mix ints and Fractions, need not be
 reduced mod p, and only count up to a nonzero multiple, so the N-scaled
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import DimensionMismatch
@@ -77,8 +78,8 @@ def _int_entries(vec):
 
 
 class _Reducer:
-    """Incremental echelon basis of sparse rows; subclasses give _entries,
-    _eliminate, _normalize and _unit for their field."""
+    """Incremental reduced echelon basis of sparse rows; subclasses give
+    _entries, _eliminate, _normalize and _unit for their field."""
 
     __slots__ = ("width", "pivots", "rows")
 
@@ -96,13 +97,8 @@ class _Reducer:
         dict; an empty dict means membership."""
         v = self._entries(vec)
         rows = self.rows
-        hits = [c for c in v if c in rows]
-        heapify(hits)
-        while hits:
-            p = heappop(hits)
-            c = v.get(p)
-            if c:  # a column may be queued twice; the second pop finds it zero
-                self._eliminate(v, c, rows[p], p, hits)
+        for p in [p for p in v if p in rows]:
+            self._eliminate(v, v[p], rows[p], p)
         return v
 
     def contains(self, vec) -> bool:
@@ -115,39 +111,32 @@ class _Reducer:
             return None
         p = min(v)
         v = self._normalize(v, v[p])
-        self.rows[p] = v
+        rows = self.rows
+        for q in [q for q, row in rows.items() if p in row]:
+            rows[q] = r = dict(rows[q])  # a row returned before keeps its entries
+            self._eliminate(r, r[p], v, p)
+        rows[p] = v
         insort(self.pivots, p)
         return v
 
     def advance_residual(self, v, row):
         """Keep v a residual once row, the row insert just returned, is in.
 
-        v is a residual dict against every row before row.  row is zero at
-        those older pivots, so one elimination at its own pivot, in place,
-        makes v a residual against all rows: empty exactly when the vector v
-        came from lies in the span.
+        v is a residual dict against the rows before row, so it is zero at
+        their pivots, and so is row.  One elimination at row's pivot, in
+        place, makes v a residual against all rows: empty exactly when the
+        vector v came from lies in the span.
         """
         p = min(row)
         c = v.get(p)
         if c:
-            self._eliminate(v, c, row, p, [])  # row meets no other pivot
+            self._eliminate(v, c, row, p)
 
     def _canonical_entries(self):
-        """(pivot, entries) of the fully reduced basis, in pivot order, with
-        unit pivots and canonical scalars.
-
-        Back-substitution: each row is cleared at every later pivot by that
-        pivot's row, itself already cleared, so no other pivot is hit.
-        """
-        rows = dict(self.rows)
-        for i in reversed(range(len(self.pivots))):
-            p = self.pivots[i]
-            for q in self.pivots[:i]:
-                c = rows[q].get(p)
-                if c:
-                    rows[q] = r = dict(rows[q])
-                    self._eliminate(r, c, rows[p], p, [])
-        return [(p, self._unit(rows[p], p)) for p in self.pivots]
+        """(pivot, entries) of the reduced basis, in pivot order, with unit
+        pivots and canonical scalars: each row divided by its pivot entry,
+        since it is already zero at every other pivot."""
+        return [(p, self._unit(self.rows[p], p)) for p in self.pivots]
 
     def canonical_rows(self):
         """The fully reduced basis as dense tuples of canonical scalars."""
@@ -161,14 +150,15 @@ class _Reducer:
 
 
 class _RationalReducer(_Reducer):
-    """Echelon basis over Q, rows kept as primitive int vectors."""
+    """Reduced echelon basis over Q, rows kept as int vectors with positive
+    pivots."""
 
     __slots__ = ()
 
     _zero = _ZERO
     _entries = staticmethod(_int_entries)
 
-    def _eliminate(self, v, c, r, p, hits):
+    def _eliminate(self, v, c, r, p):
         """Clear v[p] = c with the row r of pivot p, by cross-multiplication."""
         g = gcd(r[p], c)
         a, b = r[p] // g, c // g  # a > 0 since pivots are positive
@@ -176,13 +166,10 @@ class _RationalReducer(_Reducer):
             # the whole vector is scaled by a, not just the entries r meets
             for k in v:
                 v[k] *= a
-        rows = self.rows
         for k, y in r.items():
             x = v.get(k)
             if x is None:
                 v[k] = -b * y
-                if k in rows:  # a pivot this vector now hits
-                    heappush(hits, k)
             else:
                 x -= b * y
                 if x:
@@ -211,7 +198,7 @@ class _RationalReducer(_Reducer):
 
 
 class _PrimeReducer(_Reducer):
-    """Echelon basis over GF(p), rows kept with unit pivots."""
+    """Reduced echelon basis over GF(p), rows kept with unit pivots."""
 
     __slots__ = ("p",)
 
@@ -225,15 +212,13 @@ class _PrimeReducer(_Reducer):
         p = self.p
         return {i: y for i, x in _items(vec) if x and (y := x % p)}
 
-    def _eliminate(self, v, c, r, p, hits):
+    def _eliminate(self, v, c, r, p):
         """Clear v[p] = c with the unit-pivot row r of pivot p."""
-        p_, rows = self.p, self.rows
+        p_ = self.p
         for k, y in r.items():
             x = v.get(k)
             if x is None:
                 v[k] = -c * y % p_
-                if k in rows:  # a pivot this vector now hits
-                    heappush(hits, k)
             else:
                 x = (x - c * y) % p_
                 if x:

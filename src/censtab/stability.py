@@ -151,7 +151,7 @@ def element_centrally_stable(x: Element) -> StabilityReport:
 
     if complete and res:
         ideal_space = _subspace_from_reducer(f, a.dim, ideal_red)
-        total = subspace_sum(z_space, ideal_space)
+        total = _subspace_from_reducer(f, a.dim, combined)  # Z + the closure
         cert = UnstableElementWitness(
             tuple(x.coords), z_space.rows, ideal_space.rows, total.rows
         )
@@ -595,5 +595,6 @@ def _in_ideal(a: Algebra, gens, targets) -> bool:
 
 
 def _commutator_ideal(a: Algebra, coords):
-    comm = commutator_space(Element(a, tuple(coords)))
-    return ideal_generated(a, [a.element(r) for r in comm.rows])
+    """Id([x, A]), closed from the raw commutator rows of x."""
+    red, _ = _ideal_closure(a, _commutator_rows(a, _int_entries(coords)))
+    return _subspace_from_reducer(a.field, a.dim, red)

@@ -163,10 +163,25 @@ def test_certificate_from_json_rejects_mistyped_members():
         (t3, unstable, "element", 3),
         (t3, unstable, "center_basis", [3]),
     ):
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError, match=key):
             certificate_from_json(alg.field, {**doc, key: bad}, alg.dim)
     with pytest.raises(FileFormatError):
         certificate_from_json(p3.field, {"kind": ["RadicalMatch"]}, p3.dim)
+
+
+def test_certificate_vector_errors_name_the_kind_and_member():
+    t3 = build("upper_triangular", n=3).algebra
+    doc = certificate_to_json(t3.field, algebra_centrally_stable(t3).certificate)
+    zeros = ["0"] * t3.dim
+    for key, bad, why in (
+        ("element", 3, "must be a list"),
+        ("center_basis", [3], "must be a list"),
+        ("element", ["1e5"] + zeros[1:], "1e5"),
+        ("sum_basis", [["1/0"] + zeros[1:]], "zero denominator"),
+        ("ideal_basis", [["1" * 5000] + zeros[1:]], "exceeds the limit"),
+    ):
+        with pytest.raises(FileFormatError, match=f"^UnstableElementWitness member '{key}': .*{why}"):
+            certificate_from_json(t3.field, {**doc, key: bad}, t3.dim)
 
 
 def test_reports_of_the_removed_certificate_kinds_are_file_format_errors():

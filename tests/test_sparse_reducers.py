@@ -3,9 +3,12 @@
 The reference below is the dense elimination that `censtab.linalg` used
 before its reducers went sparse, kept verbatim in behaviour: full-width int
 rows, a scan over every pivot, and the same cross-multiplication, whole-row
-scale and gcd normalization over Q, reduction mod p over GF(p).  The sparse
-reducers must reproduce its residuals, rows, pivots and canonical rows
-exactly, and `express_in_span`, the solver built on them, its results.
+scale and gcd normalization over Q, reduction mod p over GF(p).  Its rows
+are in echelon form only; the sparse reducers keep theirs zero at every
+other pivot.  So the sparse reducers must reproduce its inserted rows,
+pivots, memberships and canonical rows exactly, its residuals up to a
+positive factor over Q (exactly over GF(p)), and `express_in_span`, the
+solver built on them, its results.
 """
 
 import random
@@ -188,16 +191,39 @@ def _cases(seed):
         yield field, width, vecs, rng
 
 
+def _assert_same_residual(field, got, want):
+    """got equals want over GF(p), and is a positive multiple of it over Q."""
+    if field.p is not None or not any(want):
+        assert got == want
+        return
+    k = next(i for i, x in enumerate(want) if x)
+    assert got[k] * want[k] > 0
+    assert [x * want[k] for x in got] == [y * got[k] for y in want]
+
+
+def _assert_fully_reduced(red):
+    """Every stored row is zero at every other pivot and a positive multiple
+    of its canonical row (equal to it over GF(p), where pivots are one)."""
+    for p, canon in zip(red.pivots, red.canonical_rows()):
+        row = red.rows[p]
+        assert all(q == p or q not in row for q in red.pivots)
+        assert row[p] > 0
+        assert _dense(row, red.width) == [row[p] * x for x in canon]
+
+
 def test_sparse_reducers_match_the_dense_elimination():
-    seen = {"dependent": 0, "independent": 0, "scaled": 0}
+    seen = {"dependent": 0, "independent": 0, "scaled": 0, "rescaled": 0}
     for field, width, vecs, rng in _cases(71):
         sparse, dense = _make_reducer(field, width), DenseReducer(field, width)
+        returned = []  # (row as insert returned it, a copy taken then)
         for v in vecs:
             arg = _as_dict(v, rng) if rng.random() < 0.5 else v
             want = dense.residual(v)
-            got = sparse.residual(arg)
-            assert _dense(got, width) == want
-            assert all(x for x in got.values())
+            res = sparse.residual(arg)
+            assert all(x for x in res.values())
+            got = _dense(res, width)
+            _assert_same_residual(field, got, want)
+            seen["rescaled"] += got != want
             assert sparse.contains(arg) == (not any(want))
             r_want = dense.insert(v)
             r_got = sparse.insert(arg)
@@ -206,9 +232,12 @@ def test_sparse_reducers_match_the_dense_elimination():
                 seen["dependent"] += 1
             else:
                 assert _dense(r_got, width) == r_want
+                returned.append((r_got, dict(r_got)))
                 seen["independent"] += 1
             assert sparse.pivots == dense.pivots
-            assert {p: _dense(r, width) for p, r in sparse.rows.items()} == dense.rows
+            _assert_fully_reduced(sparse)
+        # later inserts reduce the stored rows on copies, never a returned row
+        assert all(row == kept for row, kept in returned)
         got_rows = sparse.canonical_rows()
         assert got_rows == dense.canonical_rows()
         if field.p is None:
@@ -271,26 +300,30 @@ def test_membership_work_is_bounded_by_the_pivots_hit(field):
     # a width-256 reducer with 200 rows, each with a few entries past its pivot
     rng = random.Random(f"work:{field}")
     width = 256
-    red = _make_reducer(field, width)
+    red, dense = _make_reducer(field, width), DenseReducer(field, width)
     for p in rng.sample(range(width - 8), 200):
-        red.insert({p: _entry(field, rng), p + rng.randint(1, 8): _entry(field, rng)})
+        vec = {p: _entry(field, rng), p + rng.randint(1, 8): _entry(field, rng)}
+        red.insert(vec)
+        dense.insert(_dense(vec, width))
     assert red.dim == 200
     touched = []
     for p, row in list(red.rows.items()):
         counted = _CountingRow(row)
         counted.pivot, counted.touched = p, touched
         red.rows[p] = counted
-    dense = DenseReducer(field, width)
-    dense.pivots = list(red.pivots)
-    dense.rows = {p: _dense(r, width) for p, r in red.rows.items()}
-    total = 0
+    total = cascade = 0
     for col in range(width):
+        vec = {col: 1, rng.randrange(width): 1, rng.randrange(width): -1}
         touched.clear()
         dense.hits.clear()
-        want = dense.residual(_dense({col: 1}, width))
-        assert red.contains({col: 1}) == (not any(want))
-        # the rows read are exactly those of the pivots the vector hits, in order
-        assert touched == dense.hits
+        want = dense.residual(_dense(vec, width))
+        assert red.contains(vec) == (not any(want))
+        # the rows read are exactly those of the pivots in the vector's own
+        # support, each once; the echelon reference also meets the pivots
+        # its eliminations fill in
+        assert sorted(touched) == sorted(k for k, x in vec.items() if x and k in red.rows)
         total += len(touched)
+        cascade += len(dense.hits)
+    assert total < cascade
     # a dense scan would look at all 200 rows for each of the 256 vectors
     assert total < 256 * 200 // 10

@@ -18,7 +18,16 @@ from censtab.algebras import (
 )
 from censtab.catalog import build, standard_entries
 from censtab.errors import ConsistencyError, NotAnIdeal
-from censtab.linalg import _int_entries, _Reducer, span, subspace_intersect, zero_subspace
+from censtab.linalg import (
+    _int_entries,
+    _PrimeReducer,
+    _RationalReducer,
+    _Reducer,
+    span,
+    subspace_intersect,
+    subspace_sum,
+    zero_subspace,
+)
 from censtab.radical import radical
 from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import (
@@ -366,6 +375,60 @@ def test_membership_stop_tests_keep_a_running_residual(monkeypatch):
                 assert stability._in_commutator_ideal(x, u)
     assert verdicts == {STABLE, NOT_STABLE}
     assert calls == []
+
+
+def _count_eliminated_entries(monkeypatch):
+    """Count the row entries every elimination reads from here on."""
+    counts = {"entries": 0}
+    for cls in (_RationalReducer, _PrimeReducer):
+        def counted(self, v, c, r, p, real=cls._eliminate):
+            counts["entries"] += len(r)
+            return real(self, v, c, r, p)
+
+        monkeypatch.setattr(cls, "_eliminate", counted)
+    return counts
+
+
+@pytest.mark.parametrize(("name", "params", "bound"), [
+    ("upper_triangular", {"n": 6}, 1453),
+    ("r11_radical", {"n": 2, "k": 6}, 4787),
+])
+def test_element_decision_elimination_work_bounds(name, params, bound, monkeypatch):
+    # reducer rows are zero at every other pivot, so a dependent closure
+    # product is eliminated once per pivot in its support and no more
+    alg = build(name, **params).algebra
+    center(alg)  # memoized: only the closures and their stop tests are counted
+    rng = random.Random(f"eliminate:{name}")
+    xs = [random_element(alg, rng) for _ in range(8)]
+    counts = _count_eliminated_entries(monkeypatch)
+    for x in xs:
+        element_centrally_stable(x)
+    assert counts["entries"] <= bound
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(101)], ids=str)
+def test_certificate_subspaces_read_off_their_reducers(field):
+    # the replayed Id([x, A]) seeded with raw commutator rows, and the
+    # NotStable Z + Id([x, A]) taken from the decision's mirror reducer
+    verdicts = set()
+    for name, params in (
+        ("upper_triangular", {"n": 4}),
+        ("r11_radical", {"n": 2, "k": 3}),
+        ("scalar_plus_strict_upper", {"n": 4}),
+        ("matrix_full", {"n": 2}),
+    ):
+        alg = build(name, field=field, **params).algebra
+        z = center(alg)
+        rng = random.Random(f"read-off:{name}:{field}")
+        for x in [random_element(alg, rng) for _ in range(6)]:
+            ideal = ideal_generated(alg, [alg.element(r) for r in commutator_space(x).rows])
+            assert stability._commutator_ideal(alg, x.coords) == ideal
+            rep = element_centrally_stable(x)
+            verdicts.add(rep.verdict)
+            if rep.verdict == NOT_STABLE:
+                assert rep.certificate.ideal_rows == ideal.rows
+                assert rep.certificate.sum_rows == subspace_sum(z, ideal).rows
+    assert verdicts == {STABLE, NOT_STABLE}
 
 
 # -- fuzzing ------------------------------------------------------------------------
