@@ -5,6 +5,13 @@ sparse structure-constant table as [i, j, [[k, "scalar"], ...]] triples with
 0-based indices; pairs that are absent multiply to zero.  Scalars are always
 strings in the scalar grammar, never floats, so exactness survives the round
 trip; exporting a loaded file reproduces it byte for byte.
+
+`dump_json` writes every file and report.  Its text is, byte for byte,
+`json.dumps(doc, indent=2, sort_keys=True)` plus a newline.  Most scalars in
+a report are zeros: `vector_to_json` writes the field's shared zero object as
+"0" without formatting it, and `vector_from_json` reads the string "0" back
+as that object without parsing it, so replayed rows compare with recomputed
+ones by identity at their zeros.
 """
 
 from __future__ import annotations
@@ -45,7 +52,8 @@ def field_from_json(doc) -> FieldSpec:
 
 
 def vector_to_json(field, vec):
-    return [field.format(x) for x in vec]
+    zero, fmt = field.zero, field.format
+    return ["0" if x is zero else fmt(x) for x in vec]
 
 
 # A bad scalar: ParseError, a zero denominator, or str() of too long an int
@@ -58,8 +66,9 @@ def vector_from_json(field, doc, length=None):
         raise FileFormatError("coordinate vector must be a list")
     if length is not None and len(doc) != length:
         raise FileFormatError(f"expected {length} coordinates, got {len(doc)}")
+    zero, parse = field.zero, field.parse
     try:
-        return tuple(field.parse(str(x)) for x in doc)
+        return tuple(zero if x == "0" else parse(str(x)) for x in doc)
     except _SCALAR_ERRORS as exc:
         raise FileFormatError(str(exc)) from None
 
@@ -136,8 +145,52 @@ def algebra_from_json(doc) -> Algebra:
     return build_algebra(field, dim, table, labels)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """doc as the text of json.dumps(doc, indent=2, sort_keys=True) plus a
+    newline, byte for byte; dict keys must be strings."""
+    out = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(doc, nl, out):
+    """Append the JSON text of doc to out; nl is a newline and the indent of
+    the line doc starts on."""
+    if isinstance(doc, str):
+        out.append(_encode_str(doc))
+    elif isinstance(doc, (list, tuple)):
+        if not doc:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        try:  # a vector of scalar strings, in one join
+            out.append("[" + inner + sep.join(map(_encode_str, doc)) + nl + "]")
+            return
+        except TypeError:  # an item that is not a string
+            pass
+        out.append("[")
+        for i, item in enumerate(doc):
+            out.append(sep if i else inner)
+            _write_json(item, inner, out)
+        out.append(nl + "]")
+    elif isinstance(doc, dict):
+        if not doc:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        out.append("{")
+        for i, key in enumerate(sorted(doc)):
+            out.append((sep if i else inner) + _encode_str(key) + ": ")
+            _write_json(doc[key], inner, out)
+        out.append(nl + "}")
+    else:  # a number, a bool or None
+        out.append(json.dumps(doc))
 
 
 def save_algebra(a: Algebra, path) -> None:

@@ -27,7 +27,6 @@ from .algebras import (
     _ideal_closure,
     _quotient_by_ideal,
     center,
-    commutator_space,
     ideal_generated,
     matrix_units_algebra,
     quotient,
@@ -135,7 +134,9 @@ def element_centrally_stable(x: Element) -> StabilityReport:
             STABLE, METHOD_ELEMENT, cert, {"center": z_space.rows}
         )
 
-    comm = commutator_space(x)
+    comm = _make_reducer(f, a.dim)
+    for row in _commutator_rows(a, _int_entries(x.coords)):
+        comm.insert(row)
     combined = _make_reducer(f, a.dim)
     for row in z_space.rows:
         combined.insert(row)
@@ -147,7 +148,10 @@ def element_centrally_stable(x: Element) -> StabilityReport:
             combined.advance_residual(res, new)
         return not res
 
-    ideal_red, complete = _ideal_closure(a, list(comm.rows), mirror)
+    # comm's rows in pivot order are those of commutator_space(x) up to
+    # positive factors, and fully reduced: the closure inserts them unchanged
+    seeds = [comm.rows[p] for p in comm.pivots]
+    ideal_red, complete = _ideal_closure(a, seeds, mirror)
 
     if complete and res:
         ideal_space = _subspace_from_reducer(f, a.dim, ideal_red)

@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from censtab.algebras import center
 from censtab.catalog import build, standard_entries
 from censtab.errors import FileFormatError, NotAssociative, ParseError
 from censtab.fileformat import (
@@ -13,10 +16,16 @@ from censtab.fileformat import (
     dump_json,
     load_algebra,
     report_to_json,
+    rows_to_json,
     save_algebra,
+    vector_from_json,
+    vector_to_json,
     verify_report_json,
 )
+from censtab.scalars import RATIONALS, FieldSpec, prime_field
 from censtab.stability import algebra_centrally_stable, element_centrally_stable
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_json.json"
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -420,3 +429,97 @@ def test_a_radical_certificate_replays_only_under_the_method_of_its_ambient():
     assert doc["method"] == "UnitizationThenRadicalCriterion"
     assert verify_report_json(n2, doc)
     assert not verify_report_json(n2, {**doc, "method": "RadicalCriterion"})
+
+
+def _json_dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_dump_json_writes_the_bytes_of_json_dumps():
+    golden = json.loads(GOLDEN.read_text())
+    for case, text in golden.items():
+        doc = json.loads(text)
+        assert dump_json(doc) == _json_dumps(doc) == text, case
+    edge = [
+        {},
+        [],
+        {"a": [], "b": {}, "c": [[], [{}], {"d": []}]},
+        {"timings": {"seconds": 0.000123, "stages": {"x": 1.5e-07, "y": 12.0}}},
+        {"ok": True, "unital": False, "missing": None, "dim": 0, "big": -(10**30)},
+        {"findings": [{"kind": "FATAL:x", "sample_index": 3, "detail": "d"}, {}]},
+        {"labels": ["y^0(1,1)", "\u00e9\u03b1\U0001d49c", 'say "hi"\\', "tab\tnl\n", ""]},
+        [["0", "1/2"], ["-3", "0"], "x", 1, [["0"]]],
+        ("tuple", ["of", ("tuples",)]),
+        "a string", 7, 2.5, False, None,
+    ]
+    for doc in edge:
+        assert dump_json(doc) == _json_dumps(doc), doc
+
+
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(101)], ids=repr)
+def test_vector_from_json_reads_zero_as_parse_does(field):
+    for item in ("0", 0, "-0", "00", " 0", "0/1", "0/0", False):
+        try:
+            want = field.parse(str(item))
+        except (ParseError, ZeroDivisionError) as exc:
+            with pytest.raises(FileFormatError) as info:
+                vector_from_json(field, [item])
+            assert str(info.value) == str(exc), item
+        else:
+            (got,) = vector_from_json(field, [item])
+            assert got == want and type(got) is type(want), item
+
+
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(101)], ids=repr)
+def test_vector_to_json_formats_every_entry_that_is_not_the_shared_zero(field):
+    fresh = Fraction(0)  # a zero that is not the field's shared one
+    vec = (fresh, field.zero, field.coerce(3), field.neg(field.one))
+    assert fresh is not field.zero
+    assert vector_to_json(field, vec) == [field.format(x) for x in vec]
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    method = getattr(FieldSpec, name)
+
+    def counted(self, x):
+        calls.append(x)
+        return method(self, x)
+
+    monkeypatch.setattr(FieldSpec, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(101)], ids=repr)
+def test_replay_parses_only_the_nonzero_literals(monkeypatch, field):
+    tag = "Q" if field.p is None else f"GF{field.p}"
+    doc = json.loads(json.loads(GOLDEN.read_text())[f"element-mixed/T3-{tag}"])
+    assert doc["verdict"] == "NotStable"
+    literals = [
+        x for key, vec in doc["certificate"].items() if key != "kind"
+        for x in (vec if key == "element" else [y for row in vec for y in row])
+    ]
+    nonzero = [x for x in literals if x != "0"]
+    assert 0 < len(nonzero) < len(literals)
+    t3 = build("upper_triangular", n=3, field=field).algebra
+    calls = _count_calls(monkeypatch, "parse")
+    assert verify_report_json(t3, doc)
+    assert sorted(calls) == sorted(nonzero)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(101)], ids=repr)
+def test_rows_to_json_formats_only_the_nonzero_entries(monkeypatch, field):
+    t3 = build("upper_triangular", n=3, field=field).algebra
+    rep = element_centrally_stable(t3.element((2, 5, 0, 0, 0, 3)))
+    assert rep.verdict == "NotStable"
+    cases = [
+        (rows, [[field.format(x) for x in row] for row in rows])
+        for rows in (center(t3).rows, rep.bases["commutator_ideal"])
+    ]
+    calls = _count_calls(monkeypatch, "format")
+    for rows, text in cases:
+        nonzero = [x for row in rows for x in row if x]
+        assert 0 < len(nonzero) < sum(map(len, rows))
+        calls.clear()
+        assert rows_to_json(field, rows) == text
+        assert calls == nonzero
