@@ -29,7 +29,7 @@ from .errors import (
     NotAnIdeal,
     NotAssociative,
 )
-from .linalg import (Subspace, _int_entries, _items, _make_reducer, _subspace_from_reducer,
+from .linalg import (Subspace, _int_entries, _items, _make_reducer,
                      express_in_span, kernel_of_rows)
 from .scalars import FieldSpec
 
@@ -384,7 +384,7 @@ def commutator_space(x: Element) -> Subspace:
     red = _make_reducer(a.field, a.dim)
     for w in _commutator_rows(a, _int_entries(x.coords)):
         red.insert(w)
-    return _subspace_from_reducer(a.field, a.dim, red)
+    return Subspace(a.field, red)
 
 
 def _commutator_rows(a: Algebra, v):
@@ -464,18 +464,16 @@ def ideal_generated(a: Algebra, xs) -> Subspace:
     """
     red, complete = _ideal_closure(a, _coords_of(a, xs))
     assert complete
-    return _subspace_from_reducer(a.field, a.dim, red)
+    return Subspace(a.field, red)
 
 
 def ideal_witness(a: Algebra, s: Subspace):
     """None if s is a two-sided ideal, else a witness (vec_idx, basis_idx, side)."""
     if s.ambient_dim != a.dim or s.field != a.field:
         raise DimensionMismatch("subspace does not live in the algebra")
-    red = _make_reducer(a.field, a.dim)
-    for v in s.rows:
-        red.insert(v)
-    # s.rows is in RREF, so each reducer row is a nonzero multiple of the
-    # canonical row with the same pivot: same witness, int arithmetic over Q
+    red = s.reducer
+    # each reducer row is a nonzero multiple of the canonical row with the
+    # same pivot: same witness, int arithmetic over Q
     for vi, p in enumerate(s.pivots):
         v = red.rows[p]
         for i in range(a.dim):
@@ -530,7 +528,7 @@ def _quotient_by_ideal(a: Algebra, ideal: Subspace) -> QuotientMap:
     Nothing here checks that; for a non-ideal the table it builds need not
     be associative.  Callers without such a proof use quotient().
     """
-    n = a.dim
+    n, red = a.dim, ideal.reducer
     pivot_set = set(ideal.pivots)
     free = tuple(c for c in range(n) if c not in pivot_set)
     m = len(free)
@@ -542,7 +540,7 @@ def _quotient_by_ideal(a: Algebra, ideal: Subspace) -> QuotientMap:
             if not pairs:
                 continue
             # only free coordinates survive the reduction
-            img = ideal._reduce_entries(dict(pairs))
+            img = red.exact_residual(dict(pairs), n)
             if img:
                 table[(ai, bi)] = tuple(sorted((pos[k], val) for k, val in img.items()))
     labels = tuple(a.label(c) for c in free) if a.labels else None
@@ -724,15 +722,15 @@ def _power_chain_index(a: Algebra, basis):
 def _nilpotent_by_squaring(a: Algebra, basis) -> bool:
     """Whether the subalgebra N = span(basis) is nilpotent, by squaring.
 
-    basis must be linearly independent and N closed under products.  The
-    basis of N^{2m} is reduced from the products v w of basis vectors of
-    N^m, since N^a N^b = N^{a+b}.  N^{2m} lies in N^m because N is a
-    subalgebra, so a square that is not smaller than N^m equals it: then
-    N^{2^j m} = N^m != 0 for every j, and N is not nilpotent.  Otherwise the
-    dimension drops at every step, so zero is reached within dim N steps.
+    basis must be linearly independent and N closed under products; a
+    subspace's reducer rows keep the products in ints over Q.  The basis of
+    N^{2m} is reduced from the products v w of basis vectors of N^m, since
+    N^a N^b = N^{a+b}.  N^{2m} lies in N^m because N is a subalgebra, so a
+    square that is not smaller than N^m equals it: then N^{2^j m} = N^m != 0
+    for every j, and N is not nilpotent.  Otherwise the dimension drops at
+    every step, so zero is reached within dim N steps.
     """
-    red = _make_reducer(a.field, a.dim)
-    cur = [red.insert(v) for v in basis]  # the same span, as reducer rows
+    cur = list(basis)
     while cur:
         cur = _power_product(a, cur, cur, len(cur))
         if cur is None:

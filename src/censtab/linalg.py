@@ -1,16 +1,18 @@
 """Exact linear algebra over a FieldSpec.
 
-Subspaces are stored as reduced row-echelon bases with no zero rows, so a
-subspace has exactly one representation and equality is entry-wise
-comparison.  All decisions in the package (centers, radicals, ideal
-closures, stability criteria) reduce to the operations here.
+A Subspace is a frozen view of the echelon reducer that built it: its
+canonical reduced row-echelon basis is read off once, so equality is
+entry-wise comparison, and its membership tests, projections and int-form
+basis (`pivot_rows`) use the reducer's own rows.  All decisions in the
+package (centers, radicals, ideal closures, stability criteria) reduce to
+the operations here.
 
 The two echelon reducers are the only elimination code: spans, kernels,
-sums and intersections all run through one of them, and so does
-`express_in_span`, the one solver of linear systems.  Over GF(p) rows are
-reduced mod p and kept with unit pivots.  Over Q a vector enters as int
-entries (its denominators cleared by their lcm), is eliminated by
-cross-multiplication and kept primitive.  Fractions are built only on the
+sums, intersections, membership and projection all run through one of
+them, and so does `express_in_span`, the one solver of linear systems.
+Over GF(p) rows are reduced mod p and kept with unit pivots.  Over Q a
+vector enters as int entries (its denominators cleared by their lcm), is
+eliminated by cross-multiplication and kept primitive.  Fractions are built only on the
 way out, in canonical rows and solution vectors, since per-entry Fraction
 normalization inside the elimination loop would dominate.
 
@@ -36,13 +38,14 @@ reduced mod p, and only count up to a nonzero multiple, so the N-scaled
 product dicts of an algebra's int index go in as they are.  A Fraction is
 slow even to test for zero, so vectors built just to feed a reducer should
 leave their zeros out or hold them as the int 0.  What leaves this module
-is dense and canonical: over Q, every entry of `Subspace.rows` and of a
-solution vector is a Fraction.
+is canonical: `exact_residual` undoes the eliminations' scaling, tracked in
+a column no row meets, so over Q every entry of `Subspace.rows`, of a
+reduced vector and of a solution vector is a Fraction.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -79,7 +82,7 @@ def _int_entries(vec):
 
 class _Reducer:
     """Incremental reduced echelon basis of sparse rows; subclasses give
-    _entries, _eliminate, _normalize and _unit for their field."""
+    _entries, _eliminate, _normalize and _divide for their field."""
 
     __slots__ = ("width", "pivots", "rows")
 
@@ -111,12 +114,15 @@ class _Reducer:
             return None
         p = min(v)
         v = self._normalize(v, v[p])
+        k = bisect(self.pivots, p)
+        self.pivots.insert(k, p)  # before any change: fails on a Subspace's tuple
         rows = self.rows
-        for q in [q for q, row in rows.items() if p in row]:
-            rows[q] = r = dict(rows[q])  # a row returned before keeps its entries
-            self._eliminate(r, r[p], v, p)
+        # a pivot is its row's least column, so only rows with a lower pivot hold p
+        for q in self.pivots[:k]:
+            if p in rows[q]:
+                rows[q] = r = dict(rows[q])  # a row returned before keeps its entries
+                self._eliminate(r, r[p], v, p)
         rows[p] = v
-        insort(self.pivots, p)
         return v
 
     def advance_residual(self, v, row):
@@ -132,11 +138,29 @@ class _Reducer:
         if c:
             self._eliminate(v, c, row, p)
 
+    def exact_residual(self, vec, col):
+        """The nonzero entries of vec reduced against the rows, as canonical
+        scalars.  vec enters with a 1 at col, a column no row meets, which
+        the eliminations scale with the rest; dividing by it undoes that.
+        A vector that meets no pivot is its own residual: its entries come
+        back as they are, so they must be canonical already."""
+        v = {k: x for k, x in _items(vec) if x}
+        if self.rows.keys().isdisjoint(v):
+            return v
+        v[col] = 1
+        v = self.residual(v)
+        return self._divide(v, v.pop(col))
+
+    def pivot_rows(self):
+        """The basis rows, in pivot order."""
+        return [self.rows[p] for p in self.pivots]
+
     def _canonical_entries(self):
         """(pivot, entries) of the reduced basis, in pivot order, with unit
         pivots and canonical scalars: each row divided by its pivot entry,
         since it is already zero at every other pivot."""
-        return [(p, self._unit(self.rows[p], p)) for p in self.pivots]
+        rows = self.rows
+        return [(p, self._divide(rows[p], rows[p][p])) for p in self.pivots]
 
     def canonical_rows(self):
         """The fully reduced basis as dense tuples of canonical scalars."""
@@ -191,10 +215,9 @@ class _RationalReducer(_Reducer):
         return {k: y // g for k, y in v.items()} if g != 1 else v
 
     @staticmethod
-    def _unit(row, p):
-        """row divided by its pivot entry, as Fractions."""
-        piv = row[p]
-        return {k: Fraction(x, piv) for k, x in row.items()}
+    def _divide(v, s):
+        """v divided by the int s, as Fractions."""
+        return {k: Fraction(x, s) for k, x in v.items()}
 
 
 class _PrimeReducer(_Reducer):
@@ -226,14 +249,14 @@ class _PrimeReducer(_Reducer):
                 else:
                     del v[k]
 
-    def _normalize(self, v, lead):
-        """v scaled to a unit leading entry."""
-        inv = pow(lead, -1, self.p)
+    def _divide(self, v, s):
+        """v divided by s; v itself when s is one, as at every pivot."""
+        if s == 1:
+            return v
+        inv = pow(s, -1, self.p)
         return {k: y * inv % self.p for k, y in v.items()}
 
-    @staticmethod
-    def _unit(row, p):
-        return row  # pivots are kept at one
+    _normalize = _divide  # to a unit leading entry
 
 
 def _make_reducer(field: FieldSpec, width: int):
@@ -243,17 +266,18 @@ def _make_reducer(field: FieldSpec, width: int):
 
 
 class Subspace:
-    """A linear subspace held as its canonical RREF basis (no zero rows)."""
+    """A linear subspace: its canonical RREF basis `rows` (no zero rows) and
+    `pivots`, read off the reducer that built it, which it keeps frozen."""
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_sparse")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots", "reducer")
 
-    def __init__(self, field, ambient_dim, rows, pivots):
-        # rows/pivots must already be canonical; use span() to build one.
+    def __init__(self, field, reducer):
+        reducer.pivots = tuple(reducer.pivots)  # insert fails on a tuple
         self.field = field
-        self.ambient_dim = ambient_dim
-        self.rows = rows
-        self.pivots = pivots
-        self._sparse = None  # pivot -> nonzero (column, entry) pairs of its row, on first use
+        self.ambient_dim = reducer.width
+        self.rows = tuple(reducer.canonical_rows())
+        self.pivots = reducer.pivots
+        self.reducer = reducer
 
     @property
     def dim(self) -> int:
@@ -269,30 +293,6 @@ class Subspace:
                 f"vector length {len(v)} != ambient dimension {self.ambient_dim}"
             )
 
-    def _reduce_entries(self, w):
-        """Eliminate the pivot coordinates of w, a dict of nonzero canonical
-        scalars, in place; returns w.
-
-        A row of the RREF basis is zero at every other pivot, so eliminating
-        one pivot never changes another: the pivots to clear are those in w
-        from the start, in any order.
-        """
-        if self._sparse is None:
-            self._sparse = {
-                p: tuple((j, x) for j, x in enumerate(r) if x and j != p)
-                for p, r in zip(self.pivots, self.rows)
-            }
-        f, sparse = self.field, self._sparse
-        for p in [p for p in w if p in sparse]:
-            c = w.pop(p)  # the pivot entry is one, so it cancels exactly
-            for j, x in sparse[p]:
-                y = f.sub(w.get(j, f.zero), f.mul(c, x))
-                if y:
-                    w[j] = y
-                else:
-                    del w[j]
-        return w
-
     def _nonzero(self, v):
         self._check_len(v)
         coerce = self.field.coerce
@@ -301,12 +301,12 @@ class Subspace:
     def reduce(self, v):
         """Residual of v after eliminating all pivot coordinates."""
         out = [self.field.zero] * self.ambient_dim
-        for j, x in self._reduce_entries(self._nonzero(v)).items():
+        for j, x in self.reducer.exact_residual(self._nonzero(v), self.ambient_dim).items():
             out[j] = x
         return out
 
     def contains(self, v) -> bool:
-        return not self._reduce_entries(self._nonzero(v))
+        return not self.reducer.residual(self._nonzero(v))
 
     def coordinates(self, v):
         """Coefficients of v over the RREF basis, or None if v is outside."""
@@ -332,11 +332,6 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim} over {self.field!r})"
 
 
-def _subspace_from_reducer(field, ambient_dim, red) -> Subspace:
-    rows = tuple(red.canonical_rows())
-    return Subspace(field, ambient_dim, rows, tuple(red.pivots))
-
-
 def span(field: FieldSpec, vectors, ambient_dim: int) -> Subspace:
     """The canonical subspace spanned by the given coordinate vectors."""
     red = _make_reducer(field, ambient_dim)
@@ -346,19 +341,18 @@ def span(field: FieldSpec, vectors, ambient_dim: int) -> Subspace:
                 f"vector length {len(v)} != ambient dimension {ambient_dim}"
             )
         red.insert(v)
-    return _subspace_from_reducer(field, ambient_dim, red)
+    return Subspace(field, red)
 
 
 def zero_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
-    return Subspace(field, ambient_dim, (), ())
+    return Subspace(field, _make_reducer(field, ambient_dim))
 
 
 def full_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
-    one, zero = field.one, field.zero
-    rows = tuple(
-        tuple(one if i == j else zero for j in range(ambient_dim)) for i in range(ambient_dim)
-    )
-    return Subspace(field, ambient_dim, rows, tuple(range(ambient_dim)))
+    red = _make_reducer(field, ambient_dim)
+    for i in range(ambient_dim):
+        red.insert({i: 1})
+    return Subspace(field, red)
 
 
 def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
@@ -382,7 +376,7 @@ def kernel_of_rows(field: FieldSpec, rows, ncols: int) -> Subspace:
     kernel = _make_reducer(field, ncols)
     for v in basis.values():
         kernel.insert(v)
-    return _subspace_from_reducer(field, ncols, kernel)
+    return Subspace(field, kernel)
 
 
 def subspace_intersect(s: Subspace, t: Subspace) -> Subspace:
@@ -396,15 +390,15 @@ def subspace_intersect(s: Subspace, t: Subspace) -> Subspace:
     field = s.field
     n = s.ambient_dim
     red = _make_reducer(field, 2 * n)
-    for v in s.rows:
-        red.insert(v + v)
-    for v in t.rows:
+    for v in s.reducer.pivot_rows():
+        red.insert(v | {k + n: x for k, x in v.items()})
+    for v in t.reducer.pivot_rows():
         red.insert(v)  # (v | 0): the right half is left out
     inter = _make_reducer(field, n)
     for p in red.pivots:
         if p >= n:
             inter.insert({k - n: x for k, x in red.rows[p].items()})
-    return _subspace_from_reducer(field, n, inter)
+    return Subspace(field, inter)
 
 
 def _linear_combination(field, coeffs, rows, width):
@@ -440,13 +434,7 @@ def express_in_span(field: FieldSpec, generators, target, width: int):
         red.insert(aug)
     if not isinstance(target, dict) and len(target) != width:
         raise DimensionMismatch("target has wrong length")
-    aug = dict(_items(target))
-    aug[width + g] = 1
-    w = red.residual(aug)
+    w = red.exact_residual(target, width + g)
     if any(k < width for k in w):
         return None
-    scale = w[width + g]
-    if field.p is None:
-        return [-Fraction(w.get(width + i, 0), scale) for i in range(g)]
-    inv = pow(scale, -1, field.p)
-    return [(-w.get(width + i, 0)) * inv % field.p for i in range(g)]
+    return [field.neg(w.get(width + i, field.zero)) for i in range(g)]

@@ -25,7 +25,7 @@ from .algebras import (
     unitization,
 )
 from .errors import ConsistencyError, UnsupportedCharacteristic
-from .linalg import Subspace, kernel_of_rows
+from .linalg import Subspace, kernel_of_rows, span
 
 
 def _trace_form_rows(a: Algebra):
@@ -77,8 +77,7 @@ def radical(a: Algebra) -> Subspace:
         return rad
     # a nilpotent ideal of A# lies in A, so every row is zero at the
     # adjoined unity and stripping it keeps the rows canonical
-    rows = tuple(tuple(r[1:]) for r in rad.rows)
-    return Subspace(a.field, a.dim, rows, tuple(p - 1 for p in rad.pivots))
+    return span(a.field, [r[1:] for r in rad.rows], a.dim)
 
 
 def radical_failure(a: Algebra, rad: Subspace):
@@ -94,7 +93,7 @@ def radical_failure(a: Algebra, rad: Subspace):
     w = ideal_witness(a, rad)
     if w is not None:
         return f"radical candidate is not an ideal: witness {w}"
-    if not _nilpotent_by_squaring(a, rad.rows):
+    if not _nilpotent_by_squaring(a, rad.reducer.pivot_rows()):
         return "radical candidate is not nilpotent"
     q = _quotient_by_ideal(a, rad).target
     if kernel_of_rows(a.field, _trace_form_rows(q), q.dim).dim != 0:

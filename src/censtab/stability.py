@@ -35,10 +35,10 @@ from .algebras import (
 )
 from .errors import BadParams, ConsistencyError, DimensionMismatch
 from .linalg import (
+    Subspace,
     _int_entries,
     _linear_combination,
     _make_reducer,
-    _subspace_from_reducer,
     express_in_span,
     span,
     subspace_intersect,
@@ -126,7 +126,11 @@ def element_centrally_stable(x: Element) -> StabilityReport:
     a = x.algebra
     f = a.field
     z_space = center(a)
-    if z_space.contains(x.coords):
+    combined = _make_reducer(f, a.dim)
+    for row in z_space.reducer.pivot_rows():
+        combined.insert(row)
+    res = combined.residual(x.coords)  # of x against Z + the closure so far
+    if not res:
         cert = StableElementWitness(
             tuple(x.coords), tuple(x.coords), (f.zero,) * a.dim
         )
@@ -137,10 +141,6 @@ def element_centrally_stable(x: Element) -> StabilityReport:
     comm = _make_reducer(f, a.dim)
     for row in _commutator_rows(a, _int_entries(x.coords)):
         comm.insert(row)
-    combined = _make_reducer(f, a.dim)
-    for row in z_space.rows:
-        combined.insert(row)
-    res = combined.residual(x.coords)  # of x against Z + the closure so far
 
     def mirror(red, row):
         new = combined.insert(row)
@@ -150,26 +150,24 @@ def element_centrally_stable(x: Element) -> StabilityReport:
 
     # comm's rows in pivot order are those of commutator_space(x) up to
     # positive factors, and fully reduced: the closure inserts them unchanged
-    seeds = [comm.rows[p] for p in comm.pivots]
-    ideal_red, complete = _ideal_closure(a, seeds, mirror)
+    ideal_red, complete = _ideal_closure(a, comm.pivot_rows(), mirror)
 
     if complete and res:
-        ideal_space = _subspace_from_reducer(f, a.dim, ideal_red)
-        total = _subspace_from_reducer(f, a.dim, combined)  # Z + the closure
+        ideal_space = Subspace(f, ideal_red)
+        total = Subspace(f, combined)  # Z + the closure
         cert = UnstableElementWitness(
             tuple(x.coords), z_space.rows, ideal_space.rows, total.rows
         )
         bases = {"center": z_space.rows, "commutator_ideal": ideal_space.rows}
         return StabilityReport(NOT_STABLE, METHOD_ELEMENT, cert, bases)
 
-    ideal_rows = [ideal_red.rows[p] for p in ideal_red.pivots]
-    gens = list(z_space.rows) + ideal_rows
+    gens = list(z_space.rows) + ideal_red.pivot_rows()
     coeffs = express_in_span(f, gens, x.coords, a.dim)
     assert coeffs is not None
     z_vec = _linear_combination(f, coeffs, z_space.rows, a.dim)
     u_vec = tuple(f.sub(xi, zi) for xi, zi in zip(x.coords, z_vec))
     cert = StableElementWitness(tuple(x.coords), tuple(z_vec), u_vec)
-    partial = _subspace_from_reducer(f, a.dim, ideal_red)
+    partial = Subspace(f, ideal_red)
     key = "commutator_ideal" if complete else "commutator_ideal_partial"
     return StabilityReport(
         STABLE, METHOD_ELEMENT, cert, {"center": z_space.rows, key: partial.rows}
@@ -601,4 +599,4 @@ def _in_ideal(a: Algebra, gens, targets) -> bool:
 def _commutator_ideal(a: Algebra, coords):
     """Id([x, A]), closed from the raw commutator rows of x."""
     red, _ = _ideal_closure(a, _commutator_rows(a, _int_entries(coords)))
-    return _subspace_from_reducer(a.field, a.dim, red)
+    return Subspace(a.field, red)

@@ -4,11 +4,12 @@ from math import lcm
 
 import pytest
 
-from censtab.algebras import build_algebra, center
+from censtab.algebras import build_algebra, center, ideal_generated, quotient
 from censtab.catalog import build
 from censtab.errors import DimensionMismatch
 from censtab.linalg import (
     _int_entries,
+    _make_reducer,
     express_in_span,
     full_subspace,
     kernel_of_rows,
@@ -218,6 +219,86 @@ def test_pivot_zero_test_matches_intersection_with_first_coordinate_zero():
             s = span(field, vecs, n + 1)
             escapes = subspace_intersect(s, tail).dim != s.dim
             assert (s.pivots[:1] == (0,)) == escapes
+
+
+def _dense_residual(field, s, v):
+    """v - sum_p v_p * row_p over the canonical rows of s, entry by entry."""
+    out = [field.coerce(x) for x in v]
+    for p, row in zip(s.pivots, s.rows):
+        c = out[p]
+        out = [field.sub(x, field.mul(c, y)) for x, y in zip(out, row)]
+    return out
+
+
+def _test_vectors(field, s, rng):
+    """Dense, sparse and int vectors, and some that meet no pivot of s."""
+    n = s.ambient_dim
+    free = [c for c in range(n) if c not in s.pivots]
+    vecs = [[field.zero] * n, [0] * n]
+    for _ in range(6):
+        vecs.append([field.random_scalar(rng) if rng.random() < 0.6 else field.zero for _ in range(n)])
+        vecs.append([rng.randint(-3, 3) for _ in range(n)])
+        vecs.append([field.random_scalar(rng) if c in free else field.zero for c in range(n)])
+    return vecs
+
+
+def _assert_canonical(field, got):
+    if field.p is None:
+        assert all(type(x) is Fraction for x in got)
+    # vector_to_json writes "0" only for the shared zero object
+    assert all(x is field.zero for x in got if not x)
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(101)], ids=str)
+def test_reduce_matches_a_dense_residual(field):
+    rng = random.Random(f"reduce:{field}")
+    for trial in range(60):
+        n = rng.randint(1, 7)
+        if trial % 10 == 0:
+            s = zero_subspace(field, n)
+        elif trial % 10 == 1:
+            s = full_subspace(field, n)
+        else:
+            vecs = [
+                [field.random_scalar(rng) if rng.random() < 0.5 else field.zero for _ in range(n)]
+                for _ in range(rng.randint(1, n))
+            ]
+            s = span(field, vecs, n)
+        for v in _test_vectors(field, s, rng):
+            got = s.reduce(v)
+            assert got == _dense_residual(field, s, v)
+            _assert_canonical(field, got)
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(101)], ids=str)
+def test_project_vec_matches_a_dense_residual(field):
+    rng = random.Random(f"project:{field}")
+    for name, params in (("upper_triangular", {"n": 3}), ("r11_radical", {"n": 2, "k": 3}),
+                         ("matrix_full", {"n": 2})):
+        a = build(name, field=field, **params).algebra
+        ideals = [zero_subspace(field, a.dim), full_subspace(field, a.dim)]
+        for _ in range(4):
+            gens = [a.element([field.random_scalar(rng) if rng.random() < 0.3 else field.zero
+                               for _ in range(a.dim)])]
+            ideals.append(ideal_generated(a, gens))
+        for ideal in ideals:
+            qm = quotient(a, ideal)
+            _assert_canonical(field, [c for pairs in qm.target.table.values() for _, c in pairs])
+            for v in _test_vectors(field, ideal, rng):
+                got = qm.project_vec(v)
+                want = _dense_residual(field, ideal, v)
+                assert got == tuple(want[c] for c in qm.free_cols)
+                _assert_canonical(field, got)
+
+
+def test_a_wrapped_reducer_takes_no_inserts():
+    red = _make_reducer(Q, 3)
+    red.insert((1, 2, 0))
+    s = span(Q, [(1, 2, 0)], 3)
+    with pytest.raises(AttributeError):
+        s.reducer.insert((0, 0, 1))
+    assert s.reducer.rows == red.rows and s.reducer.pivots == (0,)
+    assert s.rows == ((F(1), F(2), F(0)),) and s.contains((2, 4, 0))
 
 
 def test_full_subspace_and_ordering():

@@ -583,7 +583,7 @@ def test_tensor_unit_transfer_random_elements():
 
 def _random_subalgebra(ambient, rng, max_gens=3):
     """Multiplicative closure of a random span, with re-derived constants."""
-    from censtab.linalg import _make_reducer, _subspace_from_reducer
+    from censtab.linalg import Subspace, _make_reducer
 
     n = ambient.dim
     red = _make_reducer(ambient.field, n)
@@ -604,7 +604,7 @@ def _random_subalgebra(ambient, rng, max_gens=3):
                     if r is not None:
                         rows.append(r)
                         changed = True
-    sub = _subspace_from_reducer(ambient.field, n, red)
+    sub = Subspace(ambient.field, red)
     d = sub.dim
     table = {}
     for i in range(d):
