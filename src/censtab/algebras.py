@@ -712,48 +712,18 @@ def _power_chain_index(a: Algebra, basis):
     gens = cur = list(basis)
     k = 1
     while cur:
-        nxt = _power_product(a, gens, cur, len(cur))
-        if nxt is None:
-            return None
+        red = _make_reducer(a.field, a.dim)
+        nxt = []
+        for v in gens:
+            for w in cur:
+                acc = a._product(v, w)
+                if acc and (r := red.insert(acc)) is not None:
+                    nxt.append(r)
+                    if len(nxt) >= len(cur):
+                        return None
         cur, k = nxt, k + 1
     return k
 
 
-def _nilpotent_by_squaring(a: Algebra, basis) -> bool:
-    """Whether the subalgebra N = span(basis) is nilpotent, by squaring.
-
-    basis must be linearly independent and N closed under products; a
-    subspace's reducer rows keep the products in ints over Q.  The basis of
-    N^{2m} is reduced from the products v w of basis vectors of N^m, since
-    N^a N^b = N^{a+b}.  N^{2m} lies in N^m because N is a subalgebra, so a
-    square that is not smaller than N^m equals it: then N^{2^j m} = N^m != 0
-    for every j, and N is not nilpotent.  Otherwise the dimension drops at
-    every step, so zero is reached within dim N steps.
-    """
-    cur = list(basis)
-    while cur:
-        cur = _power_product(a, cur, cur, len(cur))
-        if cur is None:
-            return False
-    return True
-
-
-def _power_product(a: Algebra, left, right, bound):
-    """Echelon basis of span{v w : v in left, w in right}, or None as soon as
-    it reaches bound vectors."""
-    red = _make_reducer(a.field, a.dim)
-    out = []
-    for v in left:
-        for w in right:
-            acc = a._product(v, w)
-            if acc:
-                r = red.insert(acc)
-                if r is not None:
-                    out.append(r)
-                    if len(out) >= bound:
-                        return None
-    return out
-
-
 def is_nilpotent(a: Algebra) -> bool:
-    return _nilpotent_by_squaring(a, _identity_rows(a.dim))
+    return nilpotency_index(a) is not None

@@ -12,20 +12,33 @@ unitization A#, whose radical lies in A since A#/A is the field.  The bound
 p > dim + 1, that of A#, applies to every input alike.  The result is
 re-checked by radical_failure, the one test of "this subspace is the
 radical", which certificate replay also uses, so a bug here surfaces as a
-ConsistencyError instead of a wrong verdict downstream.
+ConsistencyError instead of a wrong verdict downstream.  Its nilpotency step
+is a trace test as well: an ideal N is nilpotent exactly when Tr(L_b) = 0
+for every b in a basis of N, in the same characteristics.
 """
 
 from __future__ import annotations
 
 from .algebras import (
     Algebra,
-    _nilpotent_by_squaring,
     _quotient_by_ideal,
     ideal_witness,
     unitization,
 )
 from .errors import ConsistencyError, UnsupportedCharacteristic
 from .linalg import Subspace, kernel_of_rows, span
+
+
+def _left_traces(a: Algebra):
+    """t_k = trace(L_{e_k}), read from the algebra's int index: N times the
+    trace for its scale N, as ints not reduced mod p over GF(p)."""
+    t = [0] * a.dim
+    for k, entries in enumerate(a._rows):
+        for j, pairs in entries:
+            for m, c in pairs:
+                if m == j:
+                    t[k] += c
+    return t
 
 
 def _trace_form_rows(a: Algebra):
@@ -35,12 +48,7 @@ def _trace_form_rows(a: Algebra):
     N: the same kernel, with int entries (not reduced mod p over GF(p)).
     Each row is a dict of the entries it reaches.
     """
-    t = [0] * a.dim
-    for k, entries in enumerate(a._rows):
-        for j, pairs in entries:
-            for m, c in pairs:
-                if m == j:
-                    t[k] += c
+    t = _left_traces(a)
     rows = []
     for entries in a._rows:
         row = {}
@@ -83,18 +91,39 @@ def radical(a: Algebra) -> Subspace:
 def radical_failure(a: Algebra, rad: Subspace):
     """None if rad is the radical of the unital algebra a, else the reason.
 
+    Precondition: a has characteristic 0 or p > n = dim(a).  Both callers
+    ensure it through check_characteristic, whose bound p > dim + 1 covers
+    the unitization they work in.
+
     rad is the radical exactly when it is a nilpotent ideal with a
-    semisimple quotient; each property is checked once.  Squaring is exact
-    for the ideal the first check has passed, which also licenses building
-    the quotient unchecked.  The quotient is unital, so its trace form has a
-    zero kernel exactly when it is semisimple, for the characteristics
-    check_characteristic admits; the caller checks the characteristic.
+    semisimple quotient; each property is checked once, in that order.
+    Passing the ideal check licenses the other two steps: the trace test
+    below needs N = rad closed under products, and the quotient is built
+    unchecked.
+
+    Nilpotency is the test Tr(L_b) = 0 for every basis row b of N.  L_{xy} =
+    L_x L_y, so L(N) = {L_x : x in N} is an algebra of n x n matrices, and
+    Tr(L_x^k) = Tr(L_{x^k}) with x^k in N.  If the trace vanishes on N, it
+    vanishes on every L_x^k, k = 1..n; Newton's identities, which divide by
+    k <= n < p, then make the characteristic polynomial of L_x equal to
+    lambda^n, so each L_x is nilpotent.  An algebra of nilpotent matrices
+    is nilpotent (Wedderburn), so L(N)^n = 0, and N^{n+1} = L(N)^n N = 0.
+    Conversely, a nilpotent x has a nilpotent L_x, of trace 0.  The test is
+    linear in b, so a basis suffices.  Over Q the index holds the table
+    times its int scale, so the traces read off it are that multiple of Tr
+    and the zero test is the same; over GF(p) the int sums are reduced mod p.
+
+    The quotient is unital, so its trace form has a zero kernel exactly when
+    it is semisimple, for the same characteristics.
     """
     w = ideal_witness(a, rad)
     if w is not None:
         return f"radical candidate is not an ideal: witness {w}"
-    if not _nilpotent_by_squaring(a, rad.reducer.pivot_rows()):
-        return "radical candidate is not nilpotent"
+    t, p = _left_traces(a), a.field.p
+    for b in rad.reducer.pivot_rows():
+        tr = sum(c * t[k] for k, c in b.items())
+        if tr if p is None else tr % p:
+            return "radical candidate is not nilpotent"
     q = _quotient_by_ideal(a, rad).target
     if kernel_of_rows(a.field, _trace_form_rows(q), q.dim).dim != 0:
         return "quotient by radical candidate is not semisimple"

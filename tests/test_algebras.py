@@ -643,3 +643,11 @@ def test_commutativity_and_nilpotency():
     m2 = alg_from_family(full_family(2))
     assert not is_commutative(m2)
     assert not is_nilpotent(m2)
+
+    # every Tr(L_x) vanishes on M_2 over GF(2) and M_3 over GF(3), yet neither
+    # is nilpotent: these predicates have no characteristic guard, so they
+    # must decide by the power chain, not by traces
+    for n, p in ((2, 2), (3, 3)):
+        mp = build("matrix_full", n=n, field=prime_field(p)).algebra
+        assert not is_nilpotent(mp)
+        assert nilpotency_index(mp) is None

@@ -3,24 +3,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from censtab.algebras import (
     Algebra,
-    _identity_rows,
-    _nilpotent_by_squaring,
     _power_chain_index,
     build_algebra,
+    center,
     direct_product,
+    ideal_generated,
     matrix_algebra,
     quotient,
     unitization,
 )
 from censtab.catalog import build, standard_entries
 from censtab.errors import ConsistencyError, UnsupportedCharacteristic
-from censtab.linalg import span
-from censtab.radical import is_semisimple, radical
+from censtab.linalg import express_in_span, full_subspace, span
+from censtab.radical import is_semisimple, radical, radical_failure
 from censtab.scalars import RATIONALS as Q, prime_field
-from censtab.stability import algebra_centrally_stable
+from censtab.stability import algebra_centrally_stable, verify_certificate
 
 from oracle import full_family, strict_upper_family, upper_family
 from test_algebras import alg_from_family, truncated_poly
@@ -281,16 +282,30 @@ def test_verify_radical_rejects_a_radical_too_small():
         _verify_planted(t2, [])
 
 
-# -- the squaring check and the work it saves -------------------------------------
+# -- the trace test of nilpotency and the work it saves ------------------------
+
+
+def _traces_say_nilpotent(a, ideal):
+    """The verdict of radical_failure's nilpotency step on an ideal of a."""
+    assert a.field.p is None or a.field.p > a.dim  # the trace test's precondition
+    reason = radical_failure(a, ideal)
+    assert reason is None or "not an ideal" not in reason
+    return reason is None or "not nilpotent" not in reason
+
+
+def _agrees_with_the_power_chain(a, ideal):
+    nilpotent = _traces_say_nilpotent(a, ideal)
+    assert nilpotent == (_power_chain_index(a, ideal.reducer.pivot_rows()) is not None), (a, ideal)
+    return nilpotent
 
 
 @FIELDS
-def test_squaring_nilpotency_agrees_with_the_power_chain(field):
+def test_trace_nilpotency_agrees_with_the_power_chain(field):
     cases = []
     for entry in standard_entries(field):
         a = entry.algebra
-        cases.append((a, radical(a).rows))
-        cases.append((a, _identity_rows(a.dim)))  # nilpotent only for the nilpotent entries
+        cases.append((a, radical(a)))
+        cases.append((a, full_subspace(field, a.dim)))  # nilpotent only for the nilpotent entries
     ambients = [
         build(name, n=n, field=field).algebra
         for name, n in (("upper_triangular", 4), ("matrix_full", 3),
@@ -299,15 +314,101 @@ def test_squaring_nilpotency_agrees_with_the_power_chain(field):
     for trial in range(40):
         rng = random.Random(f"squaring:{trial}")
         sub = _random_subalgebra(ambients[trial % len(ambients)], rng)
-        cases.append((sub, _identity_rows(sub.dim)))
-    outcomes = set()
-    for a, basis in cases:
-        squared = _nilpotent_by_squaring(a, basis)
-        assert squared == (_power_chain_index(a, basis) is not None), (a, basis)
-        outcomes.add(squared)
+        cases.append((sub, full_subspace(field, sub.dim)))
+    outcomes = {_agrees_with_the_power_chain(a, ideal) for a, ideal in cases}
     assert outcomes == {True, False}
     m2 = build("matrix_full", n=2, field=field).algebra
-    assert not _nilpotent_by_squaring(m2, _identity_rows(4))
+    assert not _traces_say_nilpotent(m2, full_subspace(field, 4))
+
+
+IDEAL_AMBIENTS = [
+    ("upper_triangular", {"n": 3}),
+    ("matrix_full", {"n": 2}),
+    ("scalar_plus_strict_upper", {"n": 4}),
+    ("strict_upper", {"n": 4}),
+    ("truncated_poly", {"k": 5}),
+    ("matrix_over_commutative", {"n": 2, "k": 2}),
+    ("r11_radical", {"n": 2, "k": 3}),
+]
+
+
+@st.composite
+def _ideals_of_catalog_algebras(draw):
+    """An ideal generated by one or two random elements of a catalog
+    algebra, each a combination of radical rows, of one or two basis
+    vectors, or of the whole basis."""
+    field = draw(st.sampled_from([Q, prime_field(101)]))
+    name, params = draw(st.sampled_from(IDEAL_AMBIENTS))
+    a = build(name, field=field, **params).algebra
+    basis = full_subspace(field, a.dim).rows
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(("radical", "sparse", "dense")))
+        if kind == "radical":
+            rows = radical(a).rows
+        elif kind == "sparse":
+            rows = [basis[i] for i in draw(st.lists(st.integers(0, a.dim - 1), min_size=1, max_size=2))]
+        else:
+            rows = basis
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        x = [field.zero] * a.dim
+        for c, r in zip(coeffs, rows):
+            x = [field.add(xi, field.mul(field.coerce(c), ri)) for xi, ri in zip(x, r)]
+        gens.append(a.element(x))
+    return a, ideal_generated(a, gens)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_ideals_of_catalog_algebras())
+def test_trace_nilpotency_agrees_with_the_power_chain_on_generated_ideals(case):
+    _agrees_with_the_power_chain(*case)
+
+
+def _dense_basis(a, rng):
+    """a presented in the basis f_i = sum_j P_ij e_j, for a random invertible
+    P with entries in [-2, 2]: the same algebra with a dense table.  Returns
+    the new algebra and P."""
+    f, n = a.field, a.dim
+    while True:
+        p = [tuple(f.coerce(rng.randint(-2, 2)) for _ in range(n)) for _ in range(n)]
+        if span(f, p, n).dim == n:
+            break
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            q = express_in_span(f, p, a.mul_coords(p[i], p[j]), n)
+            table[(i, j)] = [(k, c) for k, c in enumerate(q) if c]
+    return build_algebra(f, n, table), p
+
+
+DENSE_CASES = [
+    ("truncated_poly", {"k": 6}),
+    ("upper_triangular", {"n": 3}),
+    ("matrix_full", {"n": 3}),
+    ("scalar_plus_strict_upper", {"n": 4}),
+    ("strict_upper", {"n": 4}),
+    ("r11_radical", {"n": 2, "k": 3}),
+]
+
+
+@FIELDS
+def test_a_dense_change_of_basis_keeps_the_verdict_center_and_radical(field):
+    rng = random.Random(f"dense:{field}")
+    verdicts = set()
+    for name, params in DENSE_CASES:
+        a = build(name, field=field, **params).algebra
+        b, p = _dense_basis(a, rng)
+        assert sum(map(len, b.table.values())) > sum(map(len, a.table.values()))
+        rep_a, rep_b = algebra_centrally_stable(a), algebra_centrally_stable(b)
+        assert rep_b.verdict == rep_a.verdict, name
+        assert center(b).dim == center(a).dim, name
+        # the radical of b, carried back to the basis e, is the radical of a
+        rad_b = [[sum((field.mul(q[i], p[i][k]) for i in range(b.dim)), field.zero)
+                  for k in range(a.dim)] for q in radical(b).rows]
+        assert span(field, rad_b, a.dim) == radical(a), name
+        assert verify_certificate(b, rep_b), name
+        verdicts.add(rep_b.verdict)
+    assert len(verdicts) == 2
 
 
 def _count_work(monkeypatch):
@@ -335,20 +436,20 @@ def _count_work(monkeypatch):
 
 @FIELDS
 def test_radical_work_bounds(field, monkeypatch):
-    # one ideal check, and N^{2m} = N^m N^m: 23^2 + 22^2 + 20^2 + 16^2 + 8^2 products
+    # one ideal check; nilpotency is read off the left traces, with no product
     a = build("truncated_poly", k=24, field=field).algebra
     counts = _count_work(monkeypatch)
     radical(a)
-    assert counts["products"] <= 1733
+    assert counts["products"] == 0
     assert counts["ideal_witness"] == 1
 
 
 @FIELDS
 def test_decision_work_bounds(field, monkeypatch):
-    # one radical (36^2 + 28^2 + 15^2 + 1^2 products), checked for being an
-    # ideal once; the witness search builds A/J without checking J again
+    # one radical, checked for being an ideal once and for nilpotency by
+    # traces; the NotStable lift builds A/J without checking J again
     a = build("strict_upper", n=9, field=field).algebra
     counts = _count_work(monkeypatch)
     algebra_centrally_stable(a)
-    assert counts["products"] <= 2306
+    assert counts["products"] == 0
     assert counts["ideal_witness"] == 1
