@@ -37,14 +37,14 @@ from .scalars import FieldSpec
 class Algebra:
     """An associative algebra presented by a structure-constant table.
 
-    Besides the exact table, an algebra keeps one sparse index of the ints
-    N * c, N = `_scale`: `_rows[i]` lists (j, N c_ij) and `_cols[j]` lists
-    (i, N c_ij) for the nonzero entries c_ij = e_i * e_j, so every product
-    walks nonzero entries only.
+    Besides the exact table, an algebra keeps one sparse row-major index of
+    the ints N * c, N = `_scale`: `_rows[i][j]` = N c_ij for the nonzero
+    entries c_ij = e_i * e_j, in table order.  A basis product e_i * v or
+    v * e_i walks the nonzeros of v and looks each constant up.
     """
 
     __slots__ = ("field", "dim", "table", "labels", "unity", "_scale", "_unscale", "_rows",
-                 "_cols", "_memo")
+                 "_memo")
 
     def __init__(self, field, dim, table, labels, unity, _trusted=False):
         if not _trusted:
@@ -57,17 +57,14 @@ class Algebra:
         rational = field.p is None  # GF(p) constants are ints already
         n = lcm(*[c.denominator for pairs in table.values() for _, c in pairs]) if rational else 1
         self._scale, self._unscale = n, field.inv(n)  # 1/N for true coordinates
-        rows = [[] for _ in range(dim)]
-        cols = [[] for _ in range(dim)]
+        rows = [{} for _ in range(dim)]
         shared = {}  # equal entries share one tuple, so the index stays small
         for (i, j), pairs in table.items():
             if rational:
                 pairs = tuple((k, c.numerator * (n // c.denominator)) for k, c in pairs)
                 pairs = shared.setdefault(pairs, pairs)
-            rows[i].append((j, pairs))
-            cols[j].append((i, pairs))
-        self._rows = tuple(map(tuple, rows))
-        self._cols = tuple(map(tuple, cols))
+            rows[i][j] = pairs
+        self._rows = tuple(rows)
         self._memo = {}  # results cached on this object: center, and see stability
 
     # -- element and vector helpers -----------------------------------------
@@ -131,7 +128,7 @@ class Algebra:
         y_at = y.get if isinstance(y, dict) else y.__getitem__
         for i, xi in _items(x):
             if xi:
-                for j, pairs in rows[i]:
+                for j, pairs in rows[i].items():
                     yj = y_at(j)
                     if yj:
                         c = xi * yj
@@ -141,23 +138,22 @@ class Algebra:
 
     def _basis_mul_vec(self, i, v):
         """N times the coordinates of e_i * v as a dict, or None when no index
-        entry meets v."""
-        return self._accumulate(self._rows[i], v)
+        entry meets v; v is a dict of coordinates (absent means zero)."""
+        row = self._rows[i]
+        acc = {}
+        for j, x in v.items():
+            if x and (pairs := row.get(j)):
+                for k, c in pairs:
+                    acc[k] = acc.get(k, 0) + x * c
+        return acc or None
 
     def _vec_mul_basis(self, v, i):
         """N times the coordinates of v * e_i as a dict, or None when no index
-        entry meets v."""
-        return self._accumulate(self._cols[i], v)
-
-    @staticmethod
-    def _accumulate(entries, v):
-        # sum of v[j] * c over the index entries (j, c) of one row or column,
-        # v a dict of coordinates (absent means zero)
-        v_at = v.get
+        entry meets v; v is a dict of coordinates (absent means zero)."""
+        rows = self._rows
         acc = {}
-        for j, pairs in entries:
-            x = v_at(j)
-            if x:
+        for j, x in v.items():
+            if x and (pairs := rows[j].get(i)):
                 for k, c in pairs:
                     acc[k] = acc.get(k, 0) + x * c
         return acc or None
@@ -242,7 +238,7 @@ def _normalize_table(field, dim, table):
                 raise IndexOutOfRange(f"target index {k} in entry ({i},{j})")
             c = field.coerce(c)
             if c:
-                canon[k] = field.add(canon.get(k, field.zero), c)
+                canon[k] = field.add(canon[k], c) if k in canon else c
         canon = {k: c for k, c in canon.items() if c}
         if canon:
             out[(i, j)] = tuple(sorted(canon.items()))
@@ -262,14 +258,14 @@ def _check_associativity(a: Algebra) -> None:
     rows = a._rows
     active = {j for j in range(a.dim) if rows[j]}
     for i in sorted(active):
-        row_i = dict(rows[i])
+        row_i = rows[i]
         for j in sorted(row_i.keys() | active):
             diff = {}  # (k, q) -> coordinate q of (e_i e_j) e_k - e_i (e_j e_k)
             for m, c in row_i.get(j, ()):
-                for k, pairs in rows[m]:
+                for k, pairs in rows[m].items():
                     for q, d in pairs:
                         diff[k, q] = diff.get((k, q), 0) + c * d
-            for k, pairs in rows[j]:
+            for k, pairs in rows[j].items():
                 for m, c in pairs:
                     for q, d in row_i.get(m, ()):
                         diff[k, q] = diff.get((k, q), 0) - c * d
@@ -291,7 +287,7 @@ def _find_unity(a: Algebra):
         return None
     # u e_j = e_j for all j reads sum_i u_i N c_ij^k = N [j == k]: generator i
     # is the index row of e_i flattened over (j, k), the target N at every (j, j)
-    gens = [{j * dim + k: c for j, pairs in entries for k, c in pairs} for entries in a._rows]
+    gens = [{j * dim + k: c for j, pairs in row.items() for k, c in pairs} for row in a._rows]
     u = express_in_span(a.field, gens, {j * dim + j: a._scale for j in range(dim)}, dim * dim)
     if u is None:
         return None
@@ -365,8 +361,8 @@ def center(a: Algebra) -> Subspace:
     z = a._memo.get("center")
     if z is None:
         rows = defaultdict(dict)  # (j, k) -> equation row, a dict of entries
-        for i, entries in enumerate(a._rows):
-            for j, pairs in entries:
+        for i, row in enumerate(a._rows):
+            for j, pairs in row.items():
                 for k, c in pairs:
                     # c adds +c to row (j, k) at column i and -c to row (i, k) at column j
                     r = rows[j, k]

@@ -89,8 +89,9 @@ def algebra_to_json(a: Algebra) -> dict:
     return doc
 
 
-# Loading a larger algebra is refused: the engine's work grows as dim^3, so
-# a few bytes of "dim" could otherwise hold a run for minutes.
+# Loading a larger algebra is refused: on a dense table the associativity
+# check alone grows as dim^5, so a few bytes of "dim" could otherwise hold a
+# run for minutes.
 MAX_DIM = 256
 
 

@@ -33,8 +33,8 @@ def _left_traces(a: Algebra):
     """t_k = trace(L_{e_k}), read from the algebra's int index: N times the
     trace for its scale N, as ints not reduced mod p over GF(p)."""
     t = [0] * a.dim
-    for k, entries in enumerate(a._rows):
-        for j, pairs in entries:
+    for k, row in enumerate(a._rows):
+        for j, pairs in row.items():
             for m, c in pairs:
                 if m == j:
                     t[k] += c
@@ -52,7 +52,7 @@ def _trace_form_rows(a: Algebra):
     rows = []
     for entries in a._rows:
         row = {}
-        for j, pairs in entries:
+        for j, pairs in entries.items():
             for k, c in pairs:
                 if t[k]:
                     row[j] = row.get(j, 0) + c * t[k]

@@ -28,9 +28,8 @@ from .algebras import (
     _quotient_by_ideal,
     center,
     ideal_generated,
-    matrix_units_algebra,
+    matrix_algebra,
     quotient,
-    tensor_product,
     unitization,
 )
 from .errors import BadParams, ConsistencyError, DimensionMismatch
@@ -308,7 +307,7 @@ def tensor_with_matrices(a: Algebra, n: int) -> Algebra:
     key = ("tensor_with_matrices", n)
     t = a._memo.get(key)
     if t is None:
-        t = a._memo.setdefault(key, tensor_product(a, matrix_units_algebra(a.field, n)))
+        t = a._memo.setdefault(key, matrix_algebra(a, n))
     return t
 
 

@@ -28,7 +28,7 @@ from censtab.fileformat import (
 )
 from censtab.linalg import span
 from censtab.radical import radical
-from censtab.scalars import RATIONALS as Q
+from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import (
     algebra_centrally_stable,
     element_centrally_stable,
@@ -131,6 +131,45 @@ def _certificate_vectors(cert):
             yield val
 
 
+def _sparse_dict(a, rng):
+    """A few coordinates of a as a dict, some of them explicit int or Fraction zeros."""
+    p = a.field.p
+    v = {}
+    for j in rng.sample(range(a.dim), rng.randint(0, min(a.dim, 5))):
+        if rng.random() < 0.3:
+            v[j] = rng.choice((0, Fraction(0)))
+        elif p is None:
+            x = rng.choice((rng.randint(1, 9), Fraction(rng.randint(1, 9), rng.randint(2, 9))))
+            v[j] = x * rng.choice((-1, 1))
+        else:
+            v[j] = rng.randrange(1, p)
+    return v
+
+
+def _nonzero(items, p):
+    items = ((k, x if p is None else x % p) for k, x in items)
+    return {k: x for k, x in items if x}
+
+
+def _check_basis_products(a, rng):
+    """e_i v and v e_i from the index are N times the dense products with a
+    basis vector, zeros dropped (mod p over GF(p)), and None exactly when
+    that product is zero."""
+    p = a.field.p
+    for _ in range(6):
+        v = _sparse_dict(a, rng)
+        dense_v = [v.get(j, 0) for j in range(a.dim)]
+        for i in range(a.dim):
+            e = a.basis_element(i).coords
+            for got, want in (
+                (a._basis_mul_vec(i, v), _dense_product(a.table, e, dense_v, a.dim)),
+                (a._vec_mul_basis(v, i), _dense_product(a.table, dense_v, e, a.dim)),
+            ):
+                want = _nonzero(enumerate(a._scale * x for x in want), p)
+                assert (got is None) == (not want)
+                assert _nonzero((got or {}).items(), p) == want
+
+
 @pytest.mark.parametrize("scales", [_small_scales, _big_scales])
 def test_mul_coords_matches_a_dense_product_over_the_table(scales):
     rng = random.Random(5)
@@ -144,7 +183,12 @@ def test_mul_coords_matches_a_dense_product_over_the_table(scales):
             assert _fractions_only([got])
             assert got == _to_f(a.mul_coords(_to_e(x, d, perm), _to_e(y, d, perm)), d, perm)
             assert (b.element(x) * b.element(y)).coords == got
+        _check_basis_products(b, rng)
     assert scaled >= len(CASES) - 1
+    # e_i v and v e_i differ in these, so reading one index entry for the other fails
+    gf = prime_field(101)
+    for name, params in (("upper_triangular", {"n": 3}), ("matrix_over_commutative", {"n": 2, "k": 2})):
+        _check_basis_products(build(name, field=gf, **params).algebra, rng)
 
 
 def test_large_coprime_denominators_give_a_scale_above_two_to_the_64():
