@@ -23,6 +23,7 @@ from math import lcm
 
 from .errors import (
     AlgebraMismatch,
+    ConsistencyError,
     DimensionMismatch,
     FieldMismatch,
     IndexOutOfRange,
@@ -65,7 +66,7 @@ class Algebra:
                 pairs = shared.setdefault(pairs, pairs)
             rows[i][j] = pairs
         self._rows = tuple(rows)
-        self._memo = {}  # results cached on this object: center, and see stability
+        self._memo = {}  # results cached on this object: generators, center, and see stability
 
     # -- element and vector helpers -----------------------------------------
 
@@ -353,21 +354,64 @@ def verify_associativity(a: Algebra) -> None:
 # ---------------------------------------------------------------------------
 
 
-def center(a: Algebra) -> Subspace:
-    """The subspace {z : zx = xz for all x}, as the kernel of z -> ([z, e_j])_j.
+def _generators(a: Algebra):
+    """Basis indices g, increasing, whose e_g generate a as an algebra;
+    computed once per algebra and kept in its memo.
 
-    Computed once per algebra and kept in its memo; algebras are immutable.
+    Candidates come by how many table entries land on them, fewest first,
+    ties by index, so factors come before their products.  S is the span of
+    the words in the generators so far.  A candidate outside S is admitted
+    (its insert returns a row), and S is then closed under left
+    multiplication by the generators so far; a span that holds the
+    generators and is closed so holds every word in them.  S ends as a.
+    """
+    g = a._memo.get("generators")
+    if g is None:
+        hits = [0] * a.dim
+        for row in a._rows:
+            for pairs in row.values():
+                for k, _ in pairs:
+                    hits[k] += 1
+        red = _make_reducer(a.field, a.dim)
+        gens, words = [], []  # words: the rows red returned, a basis of S
+        for c in sorted(range(a.dim), key=lambda k: (hits[k], k)):
+            if red.dim == a.dim:
+                break
+            r = red.insert({c: 1})
+            if r is None:
+                continue
+            gens.append(c)
+            todo = [(c, v) for v in words] + [(h, r) for h in gens]
+            words.append(r)
+            while todo:
+                h, v = todo.pop()
+                w = a._basis_mul_vec(h, v)
+                if w is not None and (r := red.insert(w)) is not None:
+                    todo.extend((k, r) for k in gens)
+                    words.append(r)
+        g = a._memo["generators"] = tuple(sorted(gens))
+    return g
+
+
+def center(a: Algebra) -> Subspace:
+    """The subspace {z : zx = xz for all x}, as the kernel of z -> ([z, e_g])_g
+    over the generators g of a (`_generators`).  The centralizer of z is a
+    subalgebra, so z is central once z e_g = e_g z for every g.
+
+    Computed once per algebra and kept in its memo, as the generators are;
+    algebras are immutable.
     """
     z = a._memo.get("center")
     if z is None:
-        rows = defaultdict(dict)  # (j, k) -> equation row, a dict of entries
-        for i, row in enumerate(a._rows):
-            for j, pairs in row.items():
-                for k, c in pairs:
-                    # c adds +c to row (j, k) at column i and -c to row (i, k) at column j
-                    r = rows[j, k]
+        rows = defaultdict(dict)  # (g, k) -> equation row: coordinate k of [z, e_g]
+        for g in _generators(a):
+            for i, row in enumerate(a._rows):
+                for k, c in row.get(g, ()):  # z_i e_i e_g
+                    r = rows[g, k]
                     r[i] = r.get(i, 0) + c
-                    r = rows[i, k]
+            for j, pairs in a._rows[g].items():  # e_g z_j e_j
+                for k, c in pairs:
+                    r = rows[g, k]
                     r[j] = r.get(j, 0) - c
         z = a._memo["center"] = kernel_of_rows(a.field, rows.values(), a.dim)
     return z
@@ -396,7 +440,10 @@ def _commutator_rows(a: Algebra, v):
 
 
 def _ideal_closure(a: Algebra, vectors, stop=None):
-    """Fixpoint of S <- S + sum_i e_i S + S e_i starting from span(vectors).
+    """Fixpoint of S <- S + sum_g e_g S + S e_g starting from span(vectors),
+    g over the generators of a (`_generators`).  A subspace closed under
+    e_g v and v e_g is closed under every word in the e_g, hence under every
+    e_i, unital or not: the fixpoint is the ideal the vectors generate.
 
     Returns (reducer, complete).  stop, when given, is called as
     stop(reducer, row) after each newly added basis row; returning True ends
@@ -406,11 +453,13 @@ def _ideal_closure(a: Algebra, vectors, stop=None):
     at row's pivot only, so the target is never reduced from scratch and
     each test costs at most one elimination.
 
-    The closure converges after at most two growth rounds plus one
-    verification round, since e.g. e_j (e_i v) = (e_j e_i) v already lies
-    in span(A v).
+    Each round multiplies only the rows the round before added, and the
+    loop ends after a round that adds none.  A word of length m in the
+    generators takes m rounds to reach, so the rounds are not bounded by a
+    constant, but every round but the last adds a row: at most dim + 1.
     """
     n = a.dim
+    gens = _generators(a)
     red = _make_reducer(a.field, n)
     work = []
     for v in vectors:
@@ -424,8 +473,8 @@ def _ideal_closure(a: Algebra, vectors, stop=None):
             return red, True
         fresh = []
         for v in work:
-            for i in range(n):
-                for w in (a._basis_mul_vec(i, v), a._vec_mul_basis(v, i)):
+            for g in gens:
+                for w in (a._basis_mul_vec(g, v), a._vec_mul_basis(v, g)):
                     if w is None:
                         continue
                     r = red.insert(w)
@@ -459,26 +508,44 @@ def ideal_generated(a: Algebra, xs) -> Subspace:
     For non-unital algebras this is span(xs) + A xs + xs A + A xs A.
     """
     red, complete = _ideal_closure(a, _coords_of(a, xs))
-    assert complete
+    if not complete:
+        raise ConsistencyError("an ideal closure without a stop test ended early")
     return Subspace(a.field, red)
 
 
 def ideal_witness(a: Algebra, s: Subspace):
-    """None if s is a two-sided ideal, else a witness (vec_idx, basis_idx, side)."""
+    """None if s is a two-sided ideal, else the lexicographically first
+    witness (vec_idx, basis_idx, side) over all basis vectors of a.
+
+    s is an ideal once e_g v and v e_g lie in s for every generator g of a
+    and every basis row v (see _ideal_closure), so that is checked first;
+    only when it fails are all basis vectors scanned for the first witness.
+    """
     if s.ambient_dim != a.dim or s.field != a.field:
         raise DimensionMismatch("subspace does not live in the algebra")
     red = s.reducer
     # each reducer row is a nonzero multiple of the canonical row with the
     # same pivot: same witness, int arithmetic over Q
-    for vi, p in enumerate(s.pivots):
-        v = red.rows[p]
-        for i in range(a.dim):
-            w = a._basis_mul_vec(i, v)
-            if w is not None and not red.contains(w):
-                return (vi, i, "left")
-            w = a._vec_mul_basis(v, i)
-            if w is not None and not red.contains(w):
-                return (vi, i, "right")
+    rows = [red.rows[p] for p in s.pivots]
+    gens = _generators(a)
+    if all(_escape(a, red, v, gens) is None for v in rows):
+        return None
+    for vi, v in enumerate(rows):
+        if (w := _escape(a, red, v, range(a.dim))) is not None:
+            return (vi, *w)
+    return None
+
+
+def _escape(a: Algebra, red, v, indices):
+    """The first (i, side) over indices with e_i v ("left") or v e_i
+    ("right") outside the span of red, or None."""
+    for i in indices:
+        w = a._basis_mul_vec(i, v)
+        if w is not None and not red.contains(w):
+            return (i, "left")
+        w = a._vec_mul_basis(v, i)
+        if w is not None and not red.contains(w):
+            return (i, "right")
     return None
 
 

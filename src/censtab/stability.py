@@ -162,7 +162,8 @@ def element_centrally_stable(x: Element) -> StabilityReport:
 
     gens = list(z_space.rows) + ideal_red.pivot_rows()
     coeffs = express_in_span(f, gens, x.coords, a.dim)
-    assert coeffs is not None
+    if coeffs is None:
+        raise ConsistencyError("an element in Z + Id([x, A]) has no expression there")
     z_vec = _linear_combination(f, coeffs, z_space.rows, a.dim)
     u_vec = tuple(f.sub(xi, zi) for xi, zi in zip(x.coords, z_vec))
     cert = StableElementWitness(tuple(x.coords), tuple(z_vec), u_vec)

@@ -308,6 +308,21 @@ def test_a_stable_lift_makes_stable_exit_4(tmp_path, capsys, monkeypatch):
     assert f"command: censtab stable {t3} --json" in err
 
 
+def test_an_inexpressible_stable_element_makes_element_exit_4(tmp_path, capsys, monkeypatch):
+    # e_12 of the upper triangular 3 x 3 matrices is stable and not central,
+    # so its decision writes it in Z + Id([x, A]); a failure to do so is an
+    # engine fault, raised as such also under python -O
+    t3 = str(tmp_path / "t3.json")
+    run(capsys, "construct", "upper_triangular", "--n", "3", "-o", t3)
+    monkeypatch.setattr("censtab.stability.express_in_span", lambda *args: None)
+    code, out, err = run(capsys, "element", t3, "--coords", "0,1,0,0,0,0")
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: ") and "Traceback" not in err
+    assert f"command: censtab element {t3} --coords 0,1,0,0,0,0" in err
+
+
 def test_results_too_large_to_load_are_refused_before_building(tmp_path, capsys):
     out = tmp_path / "out.json"
     start = time.perf_counter()
@@ -423,17 +438,19 @@ def test_deeply_nested_json_is_invalid_input(tmp_path, capsys):
 
 
 def test_overlong_computed_scalar_is_invalid_input(tmp_path, capsys):
-    # exg presented on f_i = d_i e_i, d_i = a/b with 600-digit a, b: every
-    # table literal is under the limit, but the certificate's are not
+    # exg in a dense basis, then presented on f_i = d_i e_i, d_i = a/b with
+    # 80-digit a, b: every table literal is under the limit, but the
+    # certificate's are not
     import random
     from fractions import Fraction
 
     from censtab.catalog import build
     from censtab.scalars import MAX_LITERAL_DIGITS
+    from test_radical import _dense_basis
 
-    a = build("exg").algebra
+    a, _ = _dense_basis(build("exg").algebra, random.Random(5))
     rng = random.Random(5)
-    d = [Fraction(rng.randint(10**599, 10**600), rng.randint(10**599, 10**600)) for _ in range(a.dim)]
+    d = [Fraction(rng.randint(10**79, 10**80), rng.randint(10**79, 10**80)) for _ in range(a.dim)]
     table = [[i, j, [[k, str(d[i] * d[j] * c / d[k])] for k, c in pairs]]
              for (i, j), pairs in sorted(a.table.items())]
     assert max(len(s) for _, _, pairs in table for _, s in pairs) < MAX_LITERAL_DIGITS

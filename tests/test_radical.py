@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from censtab.algebras import (
     Algebra,
+    _generators,
     _power_chain_index,
     build_algebra,
     center,
@@ -442,6 +443,23 @@ def test_radical_work_bounds(field, monkeypatch):
     radical(a)
     assert counts["products"] == 0
     assert counts["ideal_witness"] == 1
+
+
+@FIELDS
+def test_radical_ideal_check_products_are_bounded_by_the_generators(field, monkeypatch):
+    # the ideal check multiplies each radical row by each e_g on both sides,
+    # g over the generators of a; it scans every e_i only when that fails
+    a = build("truncated_poly", k=24, field=field).algebra
+    gens = _generators(a)  # memoized before counting
+    counts = {"products": 0}
+    for name in ("_basis_mul_vec", "_vec_mul_basis"):
+        def counted(self, *args, real=getattr(Algebra, name)):
+            counts["products"] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(Algebra, name, counted)
+    rad = radical(a)
+    assert counts["products"] <= 2 * len(gens) * rad.dim == 92
 
 
 @FIELDS

@@ -34,6 +34,7 @@ from censtab.stability import (
     element_centrally_stable,
     random_element,
 )
+from test_radical import _dense_basis
 
 CASES = [
     ("matrix_full", {"n": 2}),
@@ -242,11 +243,12 @@ def test_rescaled_reports_match_the_integral_reference_and_replay(scales):
 
 
 def test_reports_with_literals_longer_than_the_table_ones_replay():
-    # table literals of about 600 characters give certificate literals of
-    # over 2500, and the reader must take what the writer writes
+    # exg in a dense basis, then rescaled by 20-digit fractions: table
+    # literals of about 130 characters give certificate literals of over
+    # 2000, and the reader must take what the writer writes
     rng = random.Random(31)
-    a = build("exg").algebra
-    d = [Fraction(rng.randrange(10**99, 10**100), rng.randrange(10**99, 10**100)) for _ in range(a.dim)]
+    a, _ = _dense_basis(build("exg").algebra, random.Random(5))
+    d = [Fraction(rng.randrange(10**19, 10**20), rng.randrange(10**19, 10**20)) for _ in range(a.dim)]
     b = _rescaled(a, d, list(range(a.dim)))
     reload = algebra_from_json(json.loads(dump_json(algebra_to_json(b))))
     reports = [algebra_centrally_stable(b)] + [element_centrally_stable(random_element(b, rng)) for _ in range(3)]

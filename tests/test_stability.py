@@ -390,8 +390,8 @@ def _count_eliminated_entries(monkeypatch):
 
 
 @pytest.mark.parametrize(("name", "params", "bound"), [
-    ("upper_triangular", {"n": 6}, 1453),
-    ("r11_radical", {"n": 2, "k": 6}, 4787),
+    ("upper_triangular", {"n": 6}, 1293),
+    ("r11_radical", {"n": 2, "k": 6}, 4155),
 ])
 def test_element_decision_elimination_work_bounds(name, params, bound, monkeypatch):
     # reducer rows are zero at every other pivot, so a dependent closure
