@@ -223,8 +223,8 @@ _CERTIFICATES = {
 def _members(cls):
     """(attribute, JSON key) per field of a certificate class.
 
-    A `*_rows` field is a list of vectors under the key `*_basis`; the
-    `ambient` field is a string; any other field is one vector.
+    A `*_rows` field is a list of vectors under the key `*_basis`; any
+    other field is one vector.
     """
     for f in fields(cls):
         key = f.name[: -len("_rows")] + "_basis" if f.name.endswith("_rows") else f.name
@@ -239,8 +239,6 @@ def certificate_to_json(field, cert) -> dict:
         val = getattr(cert, name)
         if name.endswith("_rows"):
             doc[key] = rows_to_json(field, val)
-        elif name == "ambient":
-            doc[key] = val
         else:
             doc[key] = vector_to_json(field, val)
     return doc
@@ -249,9 +247,7 @@ def certificate_to_json(field, cert) -> dict:
 def certificate_from_json(field, doc, dim):
     """Parse a certificate over an algebra of dimension dim.
 
-    A RadicalMatch's `ambient` is read before any vector: it must be
-    "algebra" or "unitization" and fixes the number n of coordinates, dim or
-    dim + 1.  Every vector must have n coordinates, checked as it is parsed.
+    Every vector must have dim coordinates, checked as it is parsed.
     """
     if not isinstance(doc, dict):
         raise FileFormatError("certificate must be a JSON object")
@@ -260,21 +256,17 @@ def certificate_from_json(field, doc, dim):
     if cls is None:
         shown = repr(kind) if isinstance(kind, str) else f"of type {type(kind).__name__}"
         raise FileFormatError(f"unknown certificate kind {shown}")
-    args, n = {}, dim
-    for name, key in sorted(_members(cls), key=lambda m: m[0] != "ambient"):
+    args = {}
+    for name, key in _members(cls):
         if key not in doc:
             raise FileFormatError(f"{kind} certificate misses member {key!r}")
         val = doc[key]
         if name.endswith("_rows"):
             if not isinstance(val, list):
                 raise FileFormatError(f"{kind} member {key!r} must be a list of vectors")
-            val = tuple(_vector_of_length(field, row, n, kind, key) for row in val)
-        elif name == "ambient":
-            if val not in ("algebra", "unitization"):
-                raise FileFormatError(f"{kind} ambient must be 'algebra' or 'unitization'")
-            n = dim + 1 if val == "unitization" else dim
+            val = tuple(_vector_of_length(field, row, dim, kind, key) for row in val)
         else:
-            val = _vector_of_length(field, val, n, kind, key)
+            val = _vector_of_length(field, val, dim, kind, key)
         args[name] = val
     unknown = set(doc) - {"kind"} - {key for _, key in _members(cls)}
     if unknown:

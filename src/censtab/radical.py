@@ -7,11 +7,12 @@ multiplication in the regular representation.  Outside that validity range
 the computation refuses (UnsupportedCharacteristic) rather than risk a wrong
 answer.
 
-A unital algebra is worked on as it is, a non-unital one in its
-unitization A#, whose radical lies in A since A#/A is the field.  The bound
-p > dim + 1, that of A#, applies to every input alike.  The result is
-re-checked by radical_failure, the one test of "this subspace is the
-radical", which certificate replay also uses, so a bug here surfaces as a
+The trace form of a unital algebra is taken as it is; that of a non-unital
+one in its unitization A#, whose radical lies in A since A#/A is the field.
+radical() is the only place that builds A#.  The bound p > dim + 1, that of
+A#, applies to every input alike.  The result is re-checked in the algebra
+itself by radical_failure, the one test of "this subspace is the radical",
+which certificate replay also uses, so a bug here surfaces as a
 ConsistencyError instead of a wrong verdict downstream.  Its nilpotency step
 is a trace test as well: an ideal N is nilpotent exactly when Tr(L_b) = 0
 for every b in a basis of N, in the same characteristics.
@@ -72,28 +73,28 @@ def check_characteristic(a: Algebra) -> None:
 def radical(a: Algebra) -> Subspace:
     """The Jacobson radical of a, as a canonical subspace of a.
 
-    rad = {x : trace(L_{x y}) = 0 for all y}, taken in a itself when a is
-    unital and in its unitization otherwise; radical_failure re-checks it
-    before it is returned.
+    rad = {x : trace(L_{x y}) = 0 for all y}, the kernel of the trace form
+    of a itself when a is unital and of its unitization otherwise; there the
+    adjoined coordinate is stripped.  radical_failure re-checks the result
+    in a before it is returned.
     """
     check_characteristic(a)
     work = a if a.is_unital else unitization(a).algebra
     rad = kernel_of_rows(a.field, _trace_form_rows(work), work.dim)
-    if (reason := radical_failure(work, rad)) is not None:
+    if work is not a:
+        # rad(A#) lies in A, so its rows are zero at the adjoined unity and
+        # stripping it keeps them canonical
+        rad = span(a.field, [r[1:] for r in rad.rows], a.dim)
+    if (reason := radical_failure(a, rad)) is not None:
         raise ConsistencyError(reason)
-    if work is a:
-        return rad
-    # a nilpotent ideal of A# lies in A, so every row is zero at the
-    # adjoined unity and stripping it keeps the rows canonical
-    return span(a.field, [r[1:] for r in rad.rows], a.dim)
+    return rad
 
 
 def radical_failure(a: Algebra, rad: Subspace):
-    """None if rad is the radical of the unital algebra a, else the reason.
+    """None if rad is the radical of the algebra a, else the reason.
 
     Precondition: a has characteristic 0 or p > n = dim(a).  Both callers
-    ensure it through check_characteristic, whose bound p > dim + 1 covers
-    the unitization they work in.
+    ensure it through check_characteristic.  a need not be unital.
 
     rad is the radical exactly when it is a nilpotent ideal with a
     semisimple quotient; each property is checked once, in that order.
@@ -113,8 +114,15 @@ def radical_failure(a: Algebra, rad: Subspace):
     times its int scale, so the traces read off it are that multiple of Tr
     and the zero test is the same; over GF(p) the int sums are reduced mod p.
 
-    The quotient is unital, so its trace form has a zero kernel exactly when
-    it is semisimple, for the same characteristics.
+    The quotient B needs no unity: its trace form has a zero kernel exactly
+    when B is semisimple.  The kernel holds every nilpotent ideal of B, so a
+    zero kernel leaves none, and B is semisimple (Wedderburn, any p); a
+    semisimple B is unital, with kernel rad B = 0 as p > n >= dim B.  So for
+    non-unital a, p > n + 1, the test on N agrees with the test in A# on
+    N# = 0 + N, step by step: N# is an ideal of A# exactly when N is one of
+    A; L_b on A# sends 1 to b in A, so has the trace of L_b on A; and
+    A#/N# = (A/N)# is semisimple exactly when A/N is (B# = F x B for
+    unital B, and B's nilpotent ideals are B#'s).
     """
     w = ideal_witness(a, rad)
     if w is not None:

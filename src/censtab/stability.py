@@ -3,13 +3,14 @@
 Element criterion: a is centrally stable iff a lies in Z(A) + Id([a, A]).
 
 Algebra criterion: a finite-dimensional unital algebra over a perfect field
-is centrally stable iff rad(A) = Id(Z(A) cap rad(A)); a non-unital algebra
-is decided on its unitization, which is equivalent.  The algebra decision
-never samples elements -- the centrally stable elements need not form a
-subspace, so no amount of sampling could decide the algebra.  Nor is a
-NotStable witness searched for: it is lifted from the center of A/J or of
-A/rad(A), J = Id(Z(A) cap rad(A)), one of which always holds one (see
-algebra_centrally_stable).
+is centrally stable iff rad(A) = Id(Z(A) cap rad(A)).  A non-unital algebra
+is decided by the same test in A itself, which is equivalent to the test on
+its unitization A# (see algebra_centrally_stable); only its radical is taken
+through A#, inside radical().  The algebra decision never samples elements
+-- the centrally stable elements need not form a subspace, so no amount of
+sampling could decide the algebra.  Nor is a NotStable witness searched
+for: it is lifted from the center of A/J or of A/rad(A), J = Id(Z(A) cap
+rad(A)), one of which always holds one (see algebra_centrally_stable).
 
 Every verdict carries a certificate that re-verifies through the linear
 algebra layer (see verify_certificate).
@@ -30,7 +31,6 @@ from .algebras import (
     ideal_generated,
     matrix_algebra,
     quotient,
-    unitization,
 )
 from .errors import BadParams, ConsistencyError, DimensionMismatch
 from .linalg import (
@@ -87,7 +87,6 @@ class RadicalMatch:
 
     radical_rows: tuple
     center_cap_radical_rows: tuple
-    ambient: str  # "algebra" or "unitization"
 
     kind = "RadicalMatch"
 
@@ -182,87 +181,87 @@ def element_centrally_stable(x: Element) -> StabilityReport:
 def algebra_centrally_stable(a: Algebra) -> StabilityReport:
     """Decide central stability of a whole algebra.
 
-    Unital input is decided by rad(A) = Id(Z(A) cap rad(A)); non-unital
-    input is decided on the unitization A# (an equivalence).  A NotStable
-    report carries a non-stable element of the input algebra, lifted from
-    the center of a quotient and confirmed by element_centrally_stable; its
-    bases name that quotient under "witness_quotient".
+    The decision is rad(A) = Id(Z(A) cap rad(A)), taken in A itself whether
+    or not A is unital.  A NotStable report carries a non-stable element of
+    A, lifted from the center of a quotient and confirmed by
+    element_centrally_stable; its bases name that quotient under
+    "witness_quotient".
 
-    Why a lift always exists.  Let A be unital over a perfect field (A#
-    for non-unital input), R = rad A, J = Id(Z(A) cap R) != R and pi the
-    projections.  Then (a) Z(A/J) cap R/J != 0 or (b) Z(A/R) != pi(Z(A)).
-    Suppose (b) fails.  Put B = A/J and N = R/J = rad B (J lies in R), and
-    take k maximal with N^k != 0.  Z(A) maps onto Z(A/R), so Z(B) maps onto
-    Z(B/N).  Wedderburn-Malcev gives B = S + N with S ~ A/R a subalgebra
-    holding 1.  Each s in Z(S) is the S-part of a central c = s + m of B,
-    m in N; as N N^k = N^k N = 0, s acts on N^k from each side as c does,
-    so the two actions agree.  N^k is then a module over S (x)_Z(S) S^op,
-    a product of simple algebras S_i (x)_K_i S_i^op whose simple modules
-    are the S_i.  So N^k has a summand S_i, and the image n0 != 0 of the
-    unity of S_i there commutes with S; and n0 N = N n0 = 0.  So n0 lies in
-    Z(B) cap N, which is (a).
+    Why A itself serves when it has no unity.  A non-unital A is centrally
+    stable exactly when A# = F 1 + A is, and by rad(A#) = rad(A) (A#/A is
+    the field), Z(A#) = F 1 + Z(A) and Id_A#(S) = Id_A(S) for S in A, the
+    criterion reads the same in A as in A#.  So do (a) and (b) below: A#/J
+    = (A/J)# and A#/R = (A/R)# have centers F 1 + Z(A/J) and F 1 + Z(A/R),
+    and Z(A#) maps onto F 1 + pi(Z(A)).  Only the trace form needs the
+    adjoined unity, and radical() keeps it inside.
+
+    Why a lift always exists.  Let A be unital over a perfect field, R =
+    rad A, J = Id(Z(A) cap R) != R and pi the projections.  Then (a)
+    Z(A/J) cap R/J != 0 or (b) Z(A/R) != pi(Z(A)).  Suppose (b) fails.  Put
+    B = A/J and N = R/J = rad B (J lies in R), and take k maximal with
+    N^k != 0.  Z(A) maps onto Z(A/R), so Z(B) maps onto Z(B/N).
+    Wedderburn-Malcev gives B = S + N with S ~ A/R a subalgebra holding 1.
+    Each s in Z(S) is the S-part of a central c = s + m of B, m in N; as
+    N N^k = N^k N = 0, s acts on N^k from each side as c does, so the two
+    actions agree.  N^k is then a module over S (x)_Z(S) S^op, a product of
+    simple algebras S_i (x)_K_i S_i^op whose simple modules are the S_i.  So
+    N^k has a summand S_i, and the image n0 != 0 of the unity of S_i there
+    commutes with S; and n0 N = N n0 = 0.  So n0 lies in Z(B) cap N, which
+    is (a).  For non-unital A, (a) or (b) holds in A#, so in A.
 
     Why a lift is a witness.  Let phi be A -> A/J in case (a), A -> A/R in
     case (b), and zeta central in the image but outside phi(Z(A)).  In case
     (a) every nonzero zeta in R/J qualifies: phi(Z(A)) cap R/J is the image
     of Z(A) cap R, which lies in J.  If a lift x were stable, x = z + u
     with z central and u in Id([x, A]); phi kills [x, A], since zeta is
-    central, so zeta = phi(z), a contradiction.  Over A#, x - x_0 1 differs
-    from x by a central element, so it is not stable in A# either; it lies
-    in A, where it is not stable, since Z(A) + Id_A([x, A]) lies in
-    Z(A#) + Id_A#([x, A#]).  A lift that tests stable is an engine fault:
-    ConsistencyError.
+    central, so zeta = phi(z), a contradiction.  A lift that tests stable
+    is an engine fault: ConsistencyError.
     """
-    if a.dim == 0:
-        return StabilityReport(STABLE, METHOD_RADICAL, RadicalMatch((), (), "algebra"))
-    if a.is_unital:
-        work, embed, method, ambient = a, None, METHOD_RADICAL, "algebra"
-    else:
-        uni = unitization(a)
-        work, embed, method, ambient = uni.algebra, uni, METHOD_UNITIZATION, "unitization"
-
-    z = center(work)
-    r = radical(work)
+    method = _radical_method(a)
+    z = center(a)
+    r = radical(a)
     c = subspace_intersect(z, r)
-    j = ideal_generated(work, [work.element(row) for row in c.rows])
+    j = ideal_generated(a, [a.element(row) for row in c.rows])
     bases = {
         "center": z.rows,
         "radical": r.rows,
         "center_cap_radical": c.rows,
         "criterion_ideal": j.rows,
-        "ambient": ambient,
     }
     if j == r:
-        return StabilityReport(STABLE, method, RadicalMatch(r.rows, c.rows, ambient), bases)
+        return StabilityReport(STABLE, method, RadicalMatch(r.rows, c.rows), bases)
 
-    for where, v in _central_lifts(work, z, r, j):
-        # over A#, x - x_0 1 has the same commutators and lies in A
-        x = a.element(embed.strip_vec(v) if embed is not None else v)
-        rep = element_centrally_stable(x)
+    for where, v in _central_lifts(a, z, r, j):
+        rep = element_centrally_stable(a.element(v))
         if rep.verdict == NOT_STABLE:
             return StabilityReport(NOT_STABLE, method, rep.certificate, {**bases, "witness_quotient": where})
     raise ConsistencyError("no lift from Z(A/J) or Z(A/rad) is a non-stable element")
 
 
-def _central_lifts(work, z, r, j):
+def _radical_method(a: Algebra) -> str:
+    # non-unital input keeps A# in its name: its radical comes from A#
+    return METHOD_RADICAL if a.is_unital else METHOD_UNITIZATION
+
+
+def _central_lifts(a, z, r, j):
     """("A/J", v) for a lift v of a nonzero element of Z(A/J) cap R/J, then
     ("A/rad", v) for a lift of the first RREF row of Z(A/R) outside pi(Z(A)),
     each only when it exists."""
-    f = work.field
+    f = a.field
     # J lies in R, so rad(A/J) = R/J: R/J is a nilpotent ideal of A/J with
     # quotient A/R, which is semisimple.  J comes from ideal_generated and R
     # passed radical_failure, so neither is checked again as an ideal.
-    qj = _quotient_by_ideal(work, j)
+    qj = _quotient_by_ideal(a, j)
     proj = [qj.project_vec(row) for row in r.rows]
     inter = subspace_intersect(center(qj.target), span(f, proj, qj.target.dim))
     if inter.dim > 0:
         coeffs = express_in_span(f, proj, inter.rows[0], qj.target.dim)
-        yield "A/J", _linear_combination(f, coeffs, r.rows, work.dim)
-    qr = _quotient_by_ideal(work, r)
+        yield "A/J", _linear_combination(f, coeffs, r.rows, a.dim)
+    qr = _quotient_by_ideal(a, r)
     image = span(f, [qr.project_vec(row) for row in z.rows], qr.target.dim)
     for row in center(qr.target).rows:
         if not image.contains(row):
-            v = [f.zero] * work.dim
+            v = [f.zero] * a.dim
             for col, val in zip(qr.free_cols, row):
                 v[col] = val
             yield "A/rad", tuple(v)
@@ -511,16 +510,13 @@ def fuzz_consistency(
 # ---------------------------------------------------------------------------
 
 
-_RADICAL_METHODS = {"algebra": METHOD_RADICAL, "unitization": METHOD_UNITIZATION}
-
-
-def _claims_fit(verdict, method, cert) -> bool:
+def _claims_fit(a, verdict, method, cert) -> bool:
     """Whether a certificate of this kind comes with the claimed method and
-    verdict: a RadicalMatch with the method of its ambient, a stable
+    verdict: a RadicalMatch with the radical method that fits a, a stable
     element witness only with the element criterion (an unstable one also
     answers an algebra decision), and Stable only for a stable kind."""
     if isinstance(cert, RadicalMatch):
-        fits = method == _RADICAL_METHODS.get(cert.ambient)
+        fits = method == _radical_method(a)
     else:
         fits = method == METHOD_ELEMENT or isinstance(cert, UnstableElementWitness)
     return fits and isinstance(cert, (StableElementWitness, RadicalMatch)) == (verdict == STABLE)
@@ -531,7 +527,7 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
     must fit its certificate, which must hold.  A claimed radical is checked
     by radical_failure, as radical() checks its own, not computed again."""
     cert = report.certificate
-    if not _claims_fit(report.verdict, report.method, cert):
+    if not _claims_fit(a, report.verdict, report.method, cert):
         return False
     f = a.field
     if isinstance(cert, StableElementWitness):
@@ -558,17 +554,16 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
             return False
         return not total.contains(x)
     if isinstance(cert, RadicalMatch):
-        work = a if cert.ambient == "algebra" else unitization(a).algebra
-        check_characteristic(work)
-        if any(len(row) != work.dim for row in cert.radical_rows):
+        check_characteristic(a)
+        if any(len(row) != a.dim for row in cert.radical_rows):
             return False
-        rad = span(f, cert.radical_rows, work.dim)
-        if rad.rows != cert.radical_rows or radical_failure(work, rad) is not None:
+        rad = span(f, cert.radical_rows, a.dim)
+        if rad.rows != cert.radical_rows or radical_failure(a, rad) is not None:
             return False
-        c = subspace_intersect(center(work), rad)
+        c = subspace_intersect(center(a), rad)
         if c.rows != cert.center_cap_radical_rows:
             return False
-        return ideal_generated(work, [work.element(row) for row in c.rows]) == rad
+        return ideal_generated(a, [a.element(row) for row in c.rows]) == rad
     return False
 
 

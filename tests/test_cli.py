@@ -126,7 +126,7 @@ def test_decompose_command(tmp_path, capsys):
 @pytest.mark.parametrize(
     "name, n, p, info_code, stable_code",
     [
-        ("strict_upper", 3, 5, 0, 3),  # the radical answers, the decision on A# is refused
+        ("strict_upper", 3, 5, 0, 0),  # p > dim + 1 = 4, though A# has dimension 4
         ("strict_upper", 3, 7, 0, 0),
         ("upper_triangular", 2, 3, 3, 3),
         ("upper_triangular", 2, 5, 0, 0),
@@ -137,6 +137,11 @@ def test_characteristic_exit_codes(tmp_path, capsys, name, n, p, info_code, stab
     assert run(capsys, "construct", name, "--field", f"GF:{p}", "--n", str(n), "-o", path)[0] == 0
     assert run(capsys, "info", path)[0] == info_code
     assert run(capsys, "stable", path)[0] == stable_code
+    if stable_code == 0:
+        from censtab.fileformat import load_algebra, verify_report_json
+
+        code, out, _ = run(capsys, "stable", path, "--json")
+        assert code == 0 and verify_report_json(load_algebra(path), json.loads(out))
 
 
 def test_exit_codes(tmp_path, capsys):

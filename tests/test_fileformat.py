@@ -137,7 +137,7 @@ def test_certificate_round_trip_covers_every_kind():
         "kind", "element", "center_basis", "ideal_basis", "sum_basis",
     }
     assert set(certificate_to_json(p3.field, cases[2][1])) == {
-        "kind", "radical_basis", "center_cap_radical_basis", "ambient",
+        "kind", "radical_basis", "center_cap_radical_basis",
     }
 
 
@@ -165,8 +165,6 @@ def test_certificate_from_json_rejects_mistyped_members():
     assert certificate_from_json(p3.field, match, p3.dim)
     assert certificate_from_json(t3.field, unstable, t3.dim)
     for alg, doc, key, bad in (
-        (p3, match, "ambient", 1),
-        (p3, match, "ambient", ["algebra"]),
         (p3, match, "radical_basis", "x"),
         (p3, match, "radical_basis", [3]),
         (t3, unstable, "element", 3),
@@ -303,7 +301,6 @@ def test_replay_of_a_radical_match_of_the_wrong_length_is_a_file_format_error():
     alg = build("truncated_poly", k=3).algebra
     doc = report_to_json(alg, algebra_centrally_stable(alg), command="stable")
     assert doc["certificate"]["kind"] == "RadicalMatch"
-    assert doc["certificate"]["ambient"] == "algebra"
     for key in ("radical_basis", "center_cap_radical_basis"):
         bad = json.loads(dump_json(doc))
         bad["certificate"][key][0] = bad["certificate"][key][0][:2]
@@ -311,19 +308,43 @@ def test_replay_of_a_radical_match_of_the_wrong_length_is_a_file_format_error():
             verify_report_json(alg, bad)
 
 
-def test_replay_on_the_unitization_expects_one_more_coordinate():
+def test_a_non_unital_radical_match_has_one_coordinate_per_basis_vector():
     alg = build("strict_upper", n=2).algebra  # dim 1, no unity, Stable
     doc = report_to_json(alg, algebra_centrally_stable(alg), command="stable")
     match = doc["certificate"]
-    assert match["kind"] == "RadicalMatch" and match["ambient"] == "unitization"
-    assert len(match["radical_basis"][0]) == alg.dim + 1
+    assert match["kind"] == "RadicalMatch" and "ambient" not in match
+    assert len(match["radical_basis"][0]) == alg.dim
     assert verify_report_json(alg, doc)
-    match["radical_basis"][0] = match["radical_basis"][0][1:]
-    with pytest.raises(FileFormatError, match=f"expected {alg.dim + 1}"):
+    # a row in A#, the adjoined unity first, is one coordinate too long
+    match["radical_basis"][0] = ["0"] + match["radical_basis"][0]
+    with pytest.raises(FileFormatError, match=f"expected {alg.dim}"):
         verify_report_json(alg, doc)
-    match["ambient"] = "quotient"
-    with pytest.raises(FileFormatError, match="ambient"):
-        verify_report_json(alg, doc)
+
+
+def test_reports_with_an_ambient_member_are_file_format_errors():
+    # reports of the unitization route named their ambient space, and their
+    # radical rows had dim + 1 coordinates there; neither is read any more
+    m2 = build("matrix_full", n=2).algebra
+    doc = report_to_json(m2, algebra_centrally_stable(m2), command="stable")
+    assert verify_report_json(m2, doc)
+    for ambient in ("algebra", "unitization", 1, ["algebra"]):
+        old = {**doc, "certificate": {**doc["certificate"], "ambient": ambient}}
+        with pytest.raises(FileFormatError, match=r"unknown members \['ambient'\]"):
+            verify_report_json(m2, old)
+    n2 = build("strict_upper", n=2).algebra  # no unity, Stable
+    doc = report_to_json(n2, algebra_centrally_stable(n2), command="stable")
+    cert = doc["certificate"]
+    assert cert["kind"] == "RadicalMatch" and verify_report_json(n2, doc)
+    parent = {  # as the unitization route wrote it, in A#
+        **cert,
+        "ambient": "unitization",
+        "radical_basis": [["0"] + row for row in cert["radical_basis"]],
+        "center_cap_radical_basis": [["0"] + row for row in cert["center_cap_radical_basis"]],
+    }
+    with pytest.raises(FileFormatError, match=f"2 coordinates, expected {n2.dim}"):
+        verify_report_json(n2, {**doc, "certificate": parent})
+    with pytest.raises(FileFormatError, match=r"unknown members \['ambient'\]"):
+        verify_report_json(n2, {**doc, "certificate": {**cert, "ambient": "unitization"}})
 
 
 def test_non_string_labels_are_rejected():
@@ -403,7 +424,7 @@ def test_a_radical_certificate_under_the_element_criterion_does_not_replay():
     assert doc["certificate"]["kind"] == "RadicalMatch"
     assert verify_report_json(m2, doc)
     assert not verify_report_json(m2, {**doc, "method": "ElementCriterion"})
-    n2 = build("strict_upper", n=2).algebra  # no unity: ambient "unitization"
+    n2 = build("strict_upper", n=2).algebra  # no unity
     doc = report_to_json(n2, algebra_centrally_stable(n2), command="stable")
     assert doc["certificate"]["kind"] == "RadicalMatch" and verify_report_json(n2, doc)
     assert not verify_report_json(n2, {**doc, "method": "ElementCriterion"})
@@ -419,12 +440,12 @@ def test_a_stable_element_witness_under_a_radical_method_does_not_replay():
     assert verify_report_json(t3, {**algebra, "method": "ElementCriterion"})
 
 
-def test_a_radical_certificate_replays_only_under_the_method_of_its_ambient():
-    m2 = build("matrix_full", n=2).algebra  # unital: ambient "algebra"
+def test_a_radical_certificate_replays_only_under_the_method_that_fits_the_algebra():
+    m2 = build("matrix_full", n=2).algebra  # unital
     doc = report_to_json(m2, algebra_centrally_stable(m2), command="stable")
-    assert (doc["method"], doc["certificate"]["ambient"]) == ("RadicalCriterion", "algebra")
+    assert doc["method"] == "RadicalCriterion"
     assert not verify_report_json(m2, {**doc, "method": "UnitizationThenRadicalCriterion"})
-    n2 = build("strict_upper", n=2).algebra  # no unity: ambient "unitization"
+    n2 = build("strict_upper", n=2).algebra  # no unity
     doc = report_to_json(n2, algebra_centrally_stable(n2), command="stable")
     assert doc["method"] == "UnitizationThenRadicalCriterion"
     assert verify_report_json(n2, doc)

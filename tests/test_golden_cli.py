@@ -141,6 +141,18 @@ def test_json_output_matches_golden(tmp_path, capsys):
         assert text == golden[case], case
 
 
+def test_info_and_stable_report_the_same_center_and_radical(tmp_path, capsys):
+    paths, _, _ = _write_roster(tmp_path, lambda argv: _run(argv, capsys))
+    for tag, path in paths.items():
+        code, out = _run(["info", path, "--json"], capsys)
+        assert code == 0, tag
+        info = json.loads(out)
+        code, out = _run(["stable", path, "--json"], capsys)
+        assert code == 0, tag
+        bases = json.loads(out)["bases"]
+        assert (bases["center"], bases["radical"]) == (info["center_basis"], info["radical_basis"]), tag
+
+
 def test_strip_timings_keeps_other_bytes():
     doc = {"a": 1, "timings": {"seconds": 0.5, "stages": {"x": [1, 2]}}, "version": "v"}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -22,11 +22,11 @@ from censtab.errors import ConsistencyError, UnsupportedCharacteristic
 from censtab.linalg import express_in_span, full_subspace, span
 from censtab.radical import is_semisimple, radical, radical_failure
 from censtab.scalars import RATIONALS as Q, prime_field
-from censtab.stability import algebra_centrally_stable, verify_certificate
+from censtab.stability import algebra_centrally_stable, random_element, verify_certificate
 
 from oracle import full_family, strict_upper_family, upper_family
 from test_algebras import alg_from_family, truncated_poly
-from test_stability import _random_subalgebra
+from test_stability import _non_unital_algebras, _random_subalgebra
 
 FIELDS = pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
 
@@ -184,10 +184,10 @@ def test_unital_radical_agrees_with_the_radical_of_the_unitization(field):
 
 
 # (family, n, p) -> radical dimension, or None where both are refused; the
-# algebra decision works on A#, so strict_upper is refused there one prime
-# earlier than its radical
+# bound p > dim + 1 is that of A# for the non-unital strict_upper, whose
+# radical and decision are both taken in A
 CHARACTERISTIC_CASES = {
-    ("strict_upper", 3, 5): (3, None),
+    ("strict_upper", 3, 5): (3, "NotStable"),
     ("strict_upper", 3, 7): (3, "NotStable"),
     ("upper_triangular", 2, 3): (None, None),
     ("upper_triangular", 2, 5): (1, "NotStable"),
@@ -208,7 +208,45 @@ def test_characteristic_bound_is_p_above_dim_plus_one(case):
         with pytest.raises(UnsupportedCharacteristic):
             algebra_centrally_stable(a)
     else:
-        assert algebra_centrally_stable(a).verdict == verdict
+        rep = algebra_centrally_stable(a)
+        assert rep.verdict == verdict and verify_certificate(a, rep)
+
+
+def _failure_kind(reason):
+    return None if reason is None else reason.split(":")[0]
+
+
+@FIELDS
+def test_radical_failure_of_a_non_unital_algebra_agrees_with_its_unitization(field):
+    # N is the radical of A exactly when N# = 0 + N is that of A#: each step
+    # of radical_failure gives the same answer in A as in A# (see its
+    # docstring), so the two agree on the first step that fails
+    kinds = set()
+    for idx, a in enumerate(_non_unital_algebras(field, 40)):
+        rng = random.Random(f"radical-failure:{field.p}:{idx}")
+        uni = unitization(a)
+        rad = radical(a)
+        some = [random_element(a, rng) for _ in range(2)]
+        in_rad = [tuple(field.mul(field.random_scalar(rng), c) for c in row) for row in rad.rows[:2]]
+        candidates = [
+            rad,
+            full_subspace(field, a.dim),
+            span(field, [x.coords for x in some], a.dim),
+            ideal_generated(a, some[:1]),
+            ideal_generated(a, [a.element(v) for v in in_rad]),
+            ideal_generated(a, [a.element(v) for v in rad.rows] + some[:1]),
+        ]
+        for n in candidates:
+            n_u = span(field, [uni.embed_vec(row) for row in n.rows], uni.algebra.dim)
+            kind = _failure_kind(radical_failure(a, n))
+            assert kind == _failure_kind(radical_failure(uni.algebra, n_u)), (field.p, idx, n)
+            kinds.add(kind)
+    assert kinds == {
+        None,
+        "radical candidate is not an ideal",
+        "radical candidate is not nilpotent",
+        "quotient by radical candidate is not semisimple",
+    }
 
 
 def test_radical_matches_trace_oracle_on_small_algebras():

@@ -684,6 +684,58 @@ def test_random_subalgebras_are_decided_consistently():
     assert set(routes) == {(r, u) for r in ("A/J", "A/rad") for u in (True, False)}
 
 
+def _non_unital_algebras(field, trials):
+    """strict_upper n=2..5, r11_radical n=2 k=3, and random non-unital
+    subalgebras of T_4, M_3, strict_upper 5 and M_2(F[x]/x^3) with products."""
+    out = [build("strict_upper", n=n, field=field).algebra for n in range(2, 6)]
+    out.append(build("r11_radical", n=2, k=3, field=field).algebra)
+    ambients = [
+        build("upper_triangular", n=4, field=field).algebra,
+        build("matrix_full", n=3, field=field).algebra,
+        build("strict_upper", n=5, field=field).algebra,
+        build("matrix_over_commutative", n=2, k=3, field=field).algebra,
+    ]
+    for trial in range(trials):
+        rng = random.Random(f"non-unital:{field.p}:{trial}")
+        sub = _random_subalgebra(ambients[trial % len(ambients)], rng)
+        other = _random_subalgebra(ambients[(trial + 1) % len(ambients)], rng, max_gens=1)
+        if sub.dim and not sub.is_unital:
+            out.append(sub)
+        if trial % 2 == 0 and other.dim and sub.dim + other.dim <= 12:
+            prod = direct_product(sub, other).algebra
+            if not prod.is_unital:
+                out.append(prod)
+    return out
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
+def test_non_unital_algebras_are_decided_in_a_as_in_the_unitization(field):
+    # rad(A#) = rad(A), Z(A#) = F 1 + Z(A) and Id_A#(S) = Id_A(S) for S in A,
+    # so the decision in A gives the verdict and the lift of A#'s
+    from censtab.fileformat import report_to_json, verify_report_json
+
+    verdicts = []
+    for a in _non_unital_algebras(field, 100):
+        uni = unitization(a)
+        case = (field.p, a.dim, len(a.table))
+        rep, rep_u = algebra_centrally_stable(a), algebra_centrally_stable(uni.algebra)
+        assert rep.method == "UnitizationThenRadicalCriterion", case
+        assert rep.verdict == rep_u.verdict, case
+        assert len(rep_u.bases["center"]) == len(rep.bases["center"]) + 1, case
+        rad_u = rep_u.bases["radical"]  # the trace-form kernel of unital A#
+        assert all(not row[0] for row in rad_u), case
+        assert tuple(uni.strip_vec(row) for row in rad_u) == rep.bases["radical"], case
+        doc = report_to_json(a, rep, command="stable")
+        assert verify_report_json(a, doc), case
+        if rep.verdict == NOT_STABLE:
+            route = rep.bases["witness_quotient"]
+            assert (route == "A/J") == _lift_from_a_over_j_exists(a), case
+            assert route == rep_u.bases["witness_quotient"], case
+        verdicts.append(rep.verdict)
+    assert set(verdicts) == {STABLE, NOT_STABLE}
+    assert len(verdicts) >= 30
+
+
 # -- certificate replay ----------------------------------------------------------------
 
 
@@ -747,7 +799,7 @@ def _claim_radical(a, rows):
     rad = span(a.field, rows, a.dim)
     c = subspace_intersect(center(a), rad)
     assert ideal_generated(a, [a.element(r) for r in c.rows]) == rad
-    return RadicalMatch(rad.rows, c.rows, "algebra")
+    return RadicalMatch(rad.rows, c.rows)
 
 
 def test_replay_rejects_a_claimed_radical_that_is_not_the_radical():
@@ -771,10 +823,10 @@ def test_replay_rejects_a_claimed_radical_that_is_not_the_radical():
     true = rep.certificate
     for rows in (true.radical_rows[::-1], tuple(tuple(2 * c for c in r) for r in true.radical_rows)):
         assert radical_failure(a, span(Q, rows, 4)) is None
-        bad = RadicalMatch(rows, true.center_cap_radical_rows, true.ambient)
+        bad = RadicalMatch(rows, true.center_cap_radical_rows)
         assert not verify_certificate(a, SR(STABLE, rep.method, bad))
     # rows of the wrong length are refused, not raised on
-    short = RadicalMatch(tuple(r[1:] for r in true.radical_rows), true.center_cap_radical_rows, "algebra")
+    short = RadicalMatch(tuple(r[1:] for r in true.radical_rows), true.center_cap_radical_rows)
     assert not verify_certificate(a, SR(STABLE, rep.method, short))
 
 
@@ -812,8 +864,12 @@ def test_replay_checks_that_the_report_fits_its_certificate():
     assert not verify_certificate(m2, SR("Banana", "ElementCriterion", match))
     assert not verify_certificate(m2, SR(STABLE, "ElementCriterion", match))
     assert not verify_certificate(m2, SR(NOT_STABLE, rep.method, match))
-    elsewhere = RadicalMatch(match.radical_rows, match.center_cap_radical_rows, "elsewhere")
-    assert not verify_certificate(m2, SR(STABLE, rep.method, elsewhere))
+    # the radical method is the one that fits the algebra's unity
+    assert not verify_certificate(m2, SR(STABLE, "UnitizationThenRadicalCriterion", match))
+    n2 = build("strict_upper", n=2).algebra
+    rep = algebra_centrally_stable(n2)
+    assert rep.method == "UnitizationThenRadicalCriterion" and verify_certificate(n2, rep)
+    assert not verify_certificate(n2, SR(STABLE, "RadicalCriterion", rep.certificate))
 
 
 def test_tensor_with_matrices_is_cached_per_algebra():
