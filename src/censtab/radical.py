@@ -7,10 +7,10 @@ multiplication in the regular representation.  Outside that validity range
 the computation refuses (UnsupportedCharacteristic) rather than risk a wrong
 answer.
 
-The trace form of a unital algebra is taken as it is; that of a non-unital
-one in its unitization A#, whose radical lies in A since A#/A is the field.
-radical() is the only place that builds A#.  The bound p > dim + 1, that of
-A#, applies to every input alike.  The result is re-checked in the algebra
+Every input, unital or not, is worked on in A itself: the rows are the
+trace form of its unitization A# on A x A#, whose kernel is rad(A) (see
+radical), so nothing here builds A#, and the bound p > dim + 1, that of A#,
+applies to every input alike.  The result is re-checked in the algebra
 itself by radical_failure, the one test of "this subspace is the radical",
 which certificate replay also uses, so a bug here surfaces as a
 ConsistencyError instead of a wrong verdict downstream.  Its nilpotency step
@@ -20,14 +20,9 @@ for every b in a basis of N, in the same characteristics.
 
 from __future__ import annotations
 
-from .algebras import (
-    Algebra,
-    _quotient_by_ideal,
-    ideal_witness,
-    unitization,
-)
+from .algebras import Algebra, _quotient_by_ideal, ideal_witness
 from .errors import ConsistencyError, UnsupportedCharacteristic
-from .linalg import Subspace, kernel_of_rows, span
+from .linalg import Subspace, kernel_of_rows
 
 
 def _left_traces(a: Algebra):
@@ -43,11 +38,15 @@ def _left_traces(a: Algebra):
 
 
 def _trace_form_rows(a: Algebra):
-    """Gram matrix rows G[i][j] = trace(L_{e_i e_j}) = sum_k c[i][j][k] t_k.
+    """The trace form of A# on A x A#: rows G[i][j] = trace(L_{e_i e_j}) =
+    sum_k c[i][j][k] t_k for e_j in A, then the row t of t_k = trace(L_{e_k}),
+    the column of the adjoined unity 1, as e_k 1 = e_k.
 
-    Read from the algebra's int index, so the rows are N^2 G for its scale
-    N: the same kernel, with int entries (not reduced mod p over GF(p)).
-    Each row is a dict of the entries it reaches.
+    Read from the algebra's int index, so the Gram rows are N^2 G and the
+    last row N t for its scale N: the same kernel, with int entries (not
+    reduced mod p over GF(p)).  Each row is a dict of its nonzero entries.
+    For unital a the last row is sum_j u_j G_j, u the unity, so it leaves
+    the kernel as it is.  Put first, it would fill in the Gram rows.
     """
     t = _left_traces(a)
     rows = []
@@ -58,11 +57,13 @@ def _trace_form_rows(a: Algebra):
                 if t[k]:
                     row[j] = row.get(j, 0) + c * t[k]
         rows.append(row)
+    rows.append({k: tk for k, tk in enumerate(t) if tk})
     return rows
 
 
 def check_characteristic(a: Algebra) -> None:
-    """Raise unless the trace-form criterion is valid for a's unitization."""
+    """Raise unless p > dim + 1: radical() takes the trace form of a's
+    unitization, for every input, and needs p above its dimension."""
     p = a.field.p
     if p is not None and p <= a.dim + 1:
         raise UnsupportedCharacteristic(
@@ -73,18 +74,14 @@ def check_characteristic(a: Algebra) -> None:
 def radical(a: Algebra) -> Subspace:
     """The Jacobson radical of a, as a canonical subspace of a.
 
-    rad = {x : trace(L_{x y}) = 0 for all y}, the kernel of the trace form
-    of a itself when a is unital and of its unitization otherwise; there the
-    adjoined coordinate is stripped.  radical_failure re-checks the result
-    in a before it is returned.
+    For w in a, L_w on A# = F 1 + a sends 1 to w and a into a, so it has
+    the trace of L_w on a.  So _trace_form_rows(a) is A#'s trace form on
+    a x A#, and its kernel is rad(A#) cap a = rad(a), unital or not, as
+    A#/a is the field.  radical_failure re-checks it in a before it is
+    returned.
     """
     check_characteristic(a)
-    work = a if a.is_unital else unitization(a).algebra
-    rad = kernel_of_rows(a.field, _trace_form_rows(work), work.dim)
-    if work is not a:
-        # rad(A#) lies in A, so its rows are zero at the adjoined unity and
-        # stripping it keeps them canonical
-        rad = span(a.field, [r[1:] for r in rad.rows], a.dim)
+    rad = kernel_of_rows(a.field, _trace_form_rows(a), a.dim)
     if (reason := radical_failure(a, rad)) is not None:
         raise ConsistencyError(reason)
     return rad
@@ -114,15 +111,16 @@ def radical_failure(a: Algebra, rad: Subspace):
     times its int scale, so the traces read off it are that multiple of Tr
     and the zero test is the same; over GF(p) the int sums are reduced mod p.
 
-    The quotient B needs no unity: its trace form has a zero kernel exactly
-    when B is semisimple.  The kernel holds every nilpotent ideal of B, so a
-    zero kernel leaves none, and B is semisimple (Wedderburn, any p); a
-    semisimple B is unital, with kernel rad B = 0 as p > n >= dim B.  So for
-    non-unital a, p > n + 1, the test on N agrees with the test in A# on
-    N# = 0 + N, step by step: N# is an ideal of A# exactly when N is one of
-    A; L_b on A# sends 1 to b in A, so has the trace of L_b on A; and
-    A#/N# = (A/N)# is semisimple exactly when A/N is (B# = F x B for
-    unital B, and B's nilpotent ideals are B#'s).
+    The quotient B needs no unity: the kernel of _trace_form_rows(B) is zero
+    exactly when B is semisimple.  The kernel holds every nilpotent ideal of
+    B, so a zero kernel leaves none, and B is semisimple (Wedderburn, any
+    p); a semisimple B is unital, so its trace row is dependent and the
+    kernel is rad B = 0 as p > n >= dim B.  A non-unital B, not semisimple,
+    has a nonzero kernel with or without that row.  The test on N agrees
+    with that in A# on N# = 0 + N, step by step: N# is an ideal of A#
+    exactly when N is one of A; L_b on A# sends 1 to b in A, so has the
+    trace of L_b on A; and A#/N# = (A/N)# is semisimple exactly when A/N
+    is (B# = F x B for unital B, and B's nilpotent ideals are B#'s).
     """
     w = ideal_witness(a, rad)
     if w is not None:

@@ -5,12 +5,12 @@ Element criterion: a is centrally stable iff a lies in Z(A) + Id([a, A]).
 Algebra criterion: a finite-dimensional unital algebra over a perfect field
 is centrally stable iff rad(A) = Id(Z(A) cap rad(A)).  A non-unital algebra
 is decided by the same test in A itself, which is equivalent to the test on
-its unitization A# (see algebra_centrally_stable); only its radical is taken
-through A#, inside radical().  The algebra decision never samples elements
--- the centrally stable elements need not form a subspace, so no amount of
-sampling could decide the algebra.  Nor is a NotStable witness searched
-for: it is lifted from the center of A/J or of A/rad(A), J = Id(Z(A) cap
-rad(A)), one of which always holds one (see algebra_centrally_stable).
+its unitization A# (see algebra_centrally_stable); radical() reads A#'s
+trace form off A, so nothing builds A#.  The algebra decision never samples
+elements -- the centrally stable elements need not form a subspace, so no
+amount of sampling could decide the algebra.  Nor is a NotStable witness
+searched for: it is lifted from the center of A/J or of A/rad(A), one of
+which always holds one, J = Id(Z(A) cap rad(A)) (see algebra_centrally_stable).
 
 Every verdict carries a certificate that re-verifies through the linear
 algebra layer (see verify_certificate).
@@ -193,7 +193,7 @@ def algebra_centrally_stable(a: Algebra) -> StabilityReport:
     criterion reads the same in A as in A#.  So do (a) and (b) below: A#/J
     = (A/J)# and A#/R = (A/R)# have centers F 1 + Z(A/J) and F 1 + Z(A/R),
     and Z(A#) maps onto F 1 + pi(Z(A)).  Only the trace form needs the
-    adjoined unity, and radical() keeps it inside.
+    adjoined unity, and radical() adds it as one row of left traces on A.
 
     Why a lift always exists.  Let A be unital over a perfect field, R =
     rad A, J = Id(Z(A) cap R) != R and pi the projections.  Then (a)
@@ -239,7 +239,7 @@ def algebra_centrally_stable(a: Algebra) -> StabilityReport:
 
 
 def _radical_method(a: Algebra) -> str:
-    # non-unital input keeps A# in its name: its radical comes from A#
+    # non-unital input keeps A# in its name: its radical is A#'s trace-form kernel
     return METHOD_RADICAL if a.is_unital else METHOD_UNITIZATION
 
 

@@ -14,13 +14,14 @@ from censtab.algebras import (
     direct_product,
     ideal_generated,
     matrix_algebra,
+    opposite,
     quotient,
     unitization,
 )
 from censtab.catalog import build, standard_entries
 from censtab.errors import ConsistencyError, UnsupportedCharacteristic
-from censtab.linalg import express_in_span, full_subspace, span
-from censtab.radical import is_semisimple, radical, radical_failure
+from censtab.linalg import express_in_span, full_subspace, kernel_of_rows, span
+from censtab.radical import _trace_form_rows, is_semisimple, radical, radical_failure
 from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import algebra_centrally_stable, random_element, verify_certificate
 
@@ -214,6 +215,33 @@ def test_characteristic_bound_is_p_above_dim_plus_one(case):
 
 def _failure_kind(reason):
     return None if reason is None else reason.split(":")[0]
+
+
+@FIELDS
+def test_the_trace_row_of_a_unital_algebra_is_dependent(field):
+    # the last row t = sum_j u_j G_j, u the unity, leaves the kernel as it is
+    seen = 0
+    for entry in standard_entries(field):
+        a = entry.algebra
+        if not a.is_unital:
+            continue
+        rows = _trace_form_rows(a)
+        assert len(rows) == a.dim + 1, entry.name
+        assert kernel_of_rows(field, rows, a.dim) == kernel_of_rows(field, rows[:-1], a.dim), entry.name
+        seen += 1
+    assert seen >= 18
+
+
+@FIELDS
+def test_the_opposite_algebra_has_the_same_radical_center_and_verdict(field):
+    # rad, Z and ideals are two-sided, so A^op keeps them; its trace row is
+    # A's vector of right traces, a second way to the same radical
+    algebras = [entry.algebra for entry in standard_entries(field)] + _non_unital_algebras(field, 40)
+    for idx, a in enumerate(algebras):
+        op = opposite(a)
+        assert radical(op) == radical(a), (field.p, idx)
+        assert center(op) == center(a), (field.p, idx)
+        assert algebra_centrally_stable(op).verdict == algebra_centrally_stable(a).verdict, (field.p, idx)
 
 
 @FIELDS
@@ -481,6 +509,28 @@ def test_radical_work_bounds(field, monkeypatch):
     radical(a)
     assert counts["products"] == 0
     assert counts["ideal_witness"] == 1
+
+
+@FIELDS
+@pytest.mark.parametrize(
+    "name, params",
+    [("strict_upper", {"n": 5}), ("r11_radical", {"n": 2, "k": 4}), ("upper_triangular", {"n": 4})],
+    ids=["strict_upper-5", "r11_radical-2-4", "upper_triangular-4"],
+)
+def test_radical_builds_no_algebra_but_the_quotient(field, name, params, monkeypatch):
+    # the trace form of A# is read off A's own table, unital or not; the one
+    # algebra built is A/rad, for the semisimplicity check of radical_failure
+    a = build(name, field=field, **params).algebra
+    built = []
+    init = Algebra.__init__
+
+    def counted_init(self, field, dim, *args, **kwargs):
+        built.append(dim)
+        init(self, field, dim, *args, **kwargs)
+
+    monkeypatch.setattr(Algebra, "__init__", counted_init)
+    rad = radical(a)
+    assert built == [a.dim - rad.dim]
 
 
 @FIELDS
