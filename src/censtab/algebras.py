@@ -3,9 +3,10 @@
 An algebra of dimension n over a FieldSpec is the data of its basis products
 e_i * e_j = sum_k c[i][j][k] e_k.  The table is stored sparsely: a dict
 mapping (i, j) to a tuple of (k, scalar) pairs, with absent pairs meaning a
-zero product.  Associativity is validated once at construction and derived
-constructions (quotients, tensor products, ...) are trusted to preserve it;
-`verify_associativity` re-checks any algebra on demand.
+zero product.  Associativity is validated once at construction, exactly,
+through a generating set, and derived constructions (quotients, tensor
+products, ...) are trusted to preserve it; `verify_associativity` re-checks
+any algebra and its stored unity on demand, the same way.
 
 The table keeps the exact constants c; products run on an int index of
 N * c, N the lcm of the table's denominators (1 over GF(p)).  The basis
@@ -66,7 +67,7 @@ class Algebra:
                 pairs = shared.setdefault(pairs, pairs)
             rows[i][j] = pairs
         self._rows = tuple(rows)
-        self._memo = {}  # results cached on this object: generators, center, and see stability
+        self._memo = {}  # cached results: generators, center, left traces, and see stability
 
     # -- element and vector helpers -----------------------------------------
 
@@ -247,79 +248,126 @@ def _normalize_table(field, dim, table):
 
 
 def _check_associativity(a: Algebra) -> None:
-    """(e_i e_j) e_k = e_i (e_j e_k) for every basis triple.
+    """Raise NotAssociative unless (e_i e_j) e_k = e_i (e_j e_k) for every
+    basis triple, with the lexicographically first failing triple.
 
-    Both sides vanish unless e_i has a nonzero row and c_ij is nonzero or
-    e_j has a nonzero row, so only those pairs (i, j) are visited, in
-    increasing order, and per pair only the k reached through nonzero
-    entries.  The witness is the lexicographically first failing triple.
-    Both sides are read from the index, so both are N^2 times the true ones.
+    It suffices to check j in the generating set G = `_generators(a)`,
+    which needs no associativity to span a.  The middle nucleus N_m =
+    {s : (xs)y = x(sy) for all x, y} is a subspace, and closed under
+    products in any bilinear algebra: for s, t in N_m,
+    (x(st))y = ((xs)t)y = (xs)(ty) = x(s(ty)) = x((st)y), each step one use
+    of s or t in N_m.  `_generators` spans a by right-nested words
+    e_g1 (e_g2 (... e_gm)); once every e_g lies in N_m, each word does, by
+    induction on m, and so does their span a, which is then associative.
+    The converse is plain.  So the check is (e_x e_g) e_y = e_x (e_g e_y)
+    for g in G and every basis x, y: |G| dim^2 triples, against dim^3.
+    Only x with a nonzero row are visited, as both sides vanish otherwise.
+
+    When that check fails, the walk over every triple (`_first_failing_triple`)
+    names the witness.  A walk that finds none contradicts the argument
+    above, so it raises ConsistencyError.
+    """
+    rows = a._rows
+    active = [x for x in range(a.dim) if rows[x]]
+    if any(_associator_defect(a, x, g) for g in _generators(a) for x in active):
+        _first_failing_triple(a)
+        raise ConsistencyError("the generating-set check failed, but no basis triple does")
+
+
+def _associator_defect(a: Algebra, i, j):
+    """The k with (e_i e_j) e_k != e_i (e_j e_k), in no order.
+
+    Only the k reached through nonzero entries are visited.  Both sides are
+    read from the index, so both are N^2 times the true ones.
     """
     p = a.field.p
     rows = a._rows
+    row_i = rows[i]
+    diff = {}  # (k, q) -> coordinate q of (e_i e_j) e_k - e_i (e_j e_k)
+    for m, c in row_i.get(j, ()):
+        for k, pairs in rows[m].items():
+            for q, d in pairs:
+                diff[k, q] = diff.get((k, q), 0) + c * d
+    for k, pairs in rows[j].items():
+        for m, c in pairs:
+            for q, d in row_i.get(m, ()):
+                diff[k, q] = diff.get((k, q), 0) - c * d
+    return [k for (k, _), x in diff.items() if (x if p is None else x % p)]
+
+
+def _first_failing_triple(a: Algebra) -> None:
+    """Raise NotAssociative with the lexicographically first failing triple,
+    walking every basis triple; return if there is none.
+
+    Both sides vanish unless e_i has a nonzero row and c_ij is nonzero or
+    e_j has a nonzero row, so only those pairs (i, j) are visited, in
+    increasing order.
+    """
+    rows = a._rows
     active = {j for j in range(a.dim) if rows[j]}
     for i in sorted(active):
-        row_i = rows[i]
-        for j in sorted(row_i.keys() | active):
-            diff = {}  # (k, q) -> coordinate q of (e_i e_j) e_k - e_i (e_j e_k)
-            for m, c in row_i.get(j, ()):
-                for k, pairs in rows[m].items():
-                    for q, d in pairs:
-                        diff[k, q] = diff.get((k, q), 0) + c * d
-            for k, pairs in rows[j].items():
-                for m, c in pairs:
-                    for q, d in row_i.get(m, ()):
-                        diff[k, q] = diff.get((k, q), 0) - c * d
-            bad = [k for (k, _), x in diff.items() if (x if p is None else x % p)]
-            if bad:
+        for j in sorted(rows[i].keys() | active):
+            if bad := _associator_defect(a, i, j):
                 raise NotAssociative(i, j, min(bad))
 
 
 def _find_unity(a: Algebra):
-    """The two-sided unity of a, or None; a.unity is not consulted.
+    """The two-sided unity of an associative a, or None; a.unity is not
+    consulted.
 
-    Only the left-unity equations u e_j = e_j are solved, then the solution
-    is checked on both sides.  That is exact: if a has a two-sided unity u
-    and u' is any left unity, then u' = u' u = u, so the left system has
-    the single solution u; if a has none, the check fails for every u.
+    Only the equations u e_g = e_g, g in the generating set G
+    (`_generators`), are solved, then the solution is checked on both sides
+    of each e_g.  That is exact: u(e_g v) = (u e_g) v for every v, so a
+    solution fixes each right-nested word in the e_g from the left, and these
+    span a.  If a has a two-sided unity 1, a solution u is a left unity, and
+    u = u 1 = 1 is the only one; if a has none, the check fails for every u
+    (`_unity_failure`).
     """
     dim = a.dim
     if dim == 0:
         return None
-    # u e_j = e_j for all j reads sum_i u_i N c_ij^k = N [j == k]: generator i
-    # is the index row of e_i flattened over (j, k), the target N at every (j, j)
-    gens = [{j * dim + k: c for j, pairs in row.items() for k, c in pairs} for row in a._rows]
-    u = express_in_span(a.field, gens, {j * dim + j: a._scale for j in range(dim)}, dim * dim)
+    gens = _generators(a)
+    # u e_g = e_g for g in G reads sum_i u_i N c_ig^k = N [g == k]: generator
+    # i is e_i's index entries at the e_g, flattened over (g, k), the target
+    # N at every (g, g)
+    cols = [{g * dim + k: c for g in gens for k, c in row.get(g, ())} for row in a._rows]
+    u = express_in_span(a.field, cols, {g * dim + g: a._scale for g in gens}, dim * dim)
     if u is None:
         return None
     return tuple(u) if _unity_failure(a, u) is None else None
 
 
 def _unity_failure(a: Algebra, u):
-    """First i with u e_i != e_i or e_i u != e_i, or None if u is a unity.
+    """First g in the generating set G (`_generators`) with u e_g != e_g or
+    e_g u != e_g, or None if u is a unity of the associative a.
+
+    G suffices: if u fixes each e_g on both sides, then u(e_g v) = (u e_g) v
+    and (e_g v) u = e_g (v u), so by induction on length u fixes every
+    right-nested word in the e_g on both sides, and these span a.
 
     Checked on the int index: with m the lcm of u's denominators (1 over
-    GF(p)), u e_i = e_i exactly when (m u) f_i = m N f_i in the basis
+    GF(p)), u e_g = e_g exactly when (m u) f_g = m N f_g in the basis
     f_i = N e_i, whose products the index gives, and likewise on the left.
     """
     p = a.field.p
     mu = _int_entries(u)
     one = lcm(*[x.denominator for x in u if x]) * a._scale  # m N
-    for i in range(a.dim):
-        for w in (a._vec_mul_basis(mu, i), a._basis_mul_vec(i, mu)):
+    for g in _generators(a):
+        for w in (a._vec_mul_basis(mu, g), a._basis_mul_vec(g, mu)):
             diff = dict(w or ())
-            diff[i] = diff.get(i, 0) - one
+            diff[g] = diff.get(g, 0) - one
             if any(x if p is None else x % p for x in diff.values()):
-                return i
+                return g
     return None
 
 
 def build_algebra(field: FieldSpec, dim: int, table, labels=None) -> Algebra:
     """Validate a table {(i, j): [(k, scalar), ...]} and wrap it as an Algebra.
 
-    Checks index ranges, associativity on all basis triples and solves for a
-    two-sided unity (cached if present).  Raises NotAssociative with a
-    witness triple on failure.
+    Checks index ranges and associativity (exactly, through the generating
+    set, which stays memoized for the algebra's later use) and solves for a
+    two-sided unity (cached if present).  Raises NotAssociative with the
+    first failing basis triple on failure.
     """
     if dim < 0:
         raise DimensionMismatch("dimension must be non-negative")
@@ -341,7 +389,9 @@ def _derived(field, dim, table, labels=None, unity=None) -> Algebra:
 
 
 def verify_associativity(a: Algebra) -> None:
-    """Re-run the full associativity check (raises NotAssociative)."""
+    """Re-check associativity, through the generating set as at
+    construction, then the stored unity on the generators (raises
+    NotAssociative; a unity failure at e_g has the witness (-1, -1, g))."""
     _check_associativity(a)
     if a.unity is not None:
         i = _unity_failure(a, a.unity)
@@ -364,6 +414,9 @@ def _generators(a: Algebra):
     (its insert returns a row), and S is then closed under left
     multiplication by the generators so far; a span that holds the
     generators and is closed so holds every word in them.  S ends as a.
+    Nothing here assumes associativity: S is the span of the right-nested
+    words e_g1 (e_g2 (... e_gm)), which is what `_check_associativity`,
+    run on the table before it is known to be associative, relies on.
     """
     g = a._memo.get("generators")
     if g is None:

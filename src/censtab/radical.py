@@ -27,13 +27,17 @@ from .linalg import Subspace, kernel_of_rows
 
 def _left_traces(a: Algebra):
     """t_k = trace(L_{e_k}), read from the algebra's int index: N times the
-    trace for its scale N, as ints not reduced mod p over GF(p)."""
-    t = [0] * a.dim
-    for k, row in enumerate(a._rows):
-        for j, pairs in row.items():
-            for m, c in pairs:
-                if m == j:
-                    t[k] += c
+    trace for its scale N, as ints not reduced mod p over GF(p).  Computed
+    once per algebra and kept in its memo, as the generators are."""
+    t = a._memo.get("left_traces")
+    if t is None:
+        t = [0] * a.dim
+        for k, row in enumerate(a._rows):
+            for j, pairs in row.items():
+                for m, c in pairs:
+                    if m == j:
+                        t[k] += c
+        t = a._memo["left_traces"] = tuple(t)
     return t
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from censtab.algebras import (
+    _generators,
     build_algebra,
     center,
     commutator,
@@ -202,8 +203,10 @@ def test_unity_matches_dense_two_sided_solve():
 
 def test_unity_solve_uses_only_the_left_equations(monkeypatch):
     # M_4: one express_in_span call whose generator i is the left-unity row of
-    # e_i, its products e_i e_j flattened over (j, k): 16 generators holding
-    # one entry per nonzero product, 64 in all (both sides would need 128)
+    # e_i on the generating set, its products e_i e_g flattened over (g, k):
+    # 16 generators, one entry per nonzero product; the 2n - 1 = 7 generators
+    # e_g each meet 4 e_i, 28 entries in all (every e_j would need 64, both
+    # sides 128)
     algebras = importlib.import_module("censtab.algebras")
     calls = []
     solve = algebras.express_in_span
@@ -217,7 +220,8 @@ def test_unity_solve_uses_only_the_left_equations(monkeypatch):
     monkeypatch.setattr(algebras, "express_in_span", counted)
     rebuilt = build_algebra(Q, m4.dim, m4.table)
     assert rebuilt.unity == m4.unity
-    assert calls == [(16, 64, 16 * 16)]
+    assert len(_generators(m4)) == 7
+    assert calls == [(16, 28, 16 * 16)]
 
 
 # -- products and commutators --------------------------------------------------

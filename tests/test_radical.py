@@ -1,5 +1,6 @@
 import importlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -531,6 +532,31 @@ def test_radical_builds_no_algebra_but_the_quotient(field, name, params, monkeyp
     monkeypatch.setattr(Algebra, "__init__", counted_init)
     rad = radical(a)
     assert built == [a.dim - rad.dim]
+
+
+@FIELDS
+@pytest.mark.parametrize(
+    "name, params",
+    [("truncated_poly", {"k": 8}), ("strict_upper", {"n": 4}), ("upper_triangular", {"n": 4})],
+    ids=["truncated_poly-8", "strict_upper-4", "upper_triangular-4"],
+)
+def test_radical_walks_the_index_for_the_left_traces_once(field, name, params):
+    # the trace form and the nilpotency test of radical_failure read the same
+    # left traces, kept in the algebra's memo
+    entry = build(name, field=field, **params).algebra
+    a = build_algebra(field, entry.dim, entry.table)
+    walks = []
+
+    class CountedRows(tuple):
+        def __iter__(self):
+            walks.append(sys._getframe(1).f_code.co_name)
+            return super().__iter__()
+
+    a._rows = CountedRows(a._rows)
+    radical(a)
+    assert walks.count("_left_traces") == 1
+    radical(a)
+    assert walks.count("_left_traces") == 1
 
 
 @FIELDS
