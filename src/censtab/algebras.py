@@ -481,14 +481,35 @@ def commutator_space(x: Element) -> Subspace:
 
 
 def _commutator_rows(a: Algebra, v):
-    """N times [v, e_i] for each i where a product meets v, as dicts; v is a
-    dict of coordinates."""
+    """N times [v, e_i] for each i where a product meets v, as dicts in
+    increasing i; v is a dict of coordinates.
+
+    Every v e_i comes from one walk over the index rows of v's support, in
+    place of a lookup for each j in it and each i; e_i v then walks row i
+    once and looks v up.  The sums are those of `_vec_mul_basis(v, i)` minus
+    `_basis_mul_vec(i, v)`, term for term, and they are yielded for the
+    same i in the same order, so everything built from them is unchanged.
+    """
+    rows = a._rows
+    left = {}  # i -> N v e_i, for the i some v_j e_j e_i is listed for
+    for j, x in v.items():
+        if x:
+            for i, pairs in rows[j].items():
+                acc = left.get(i)
+                if acc is None:
+                    acc = left[i] = {}
+                for k, c in pairs:
+                    acc[k] = acc.get(k, 0) + x * c
     for i in range(a.dim):
-        left, right = a._vec_mul_basis(v, i), a._basis_mul_vec(i, v)
-        if left or right:
-            w = dict(left or ())
-            for k, y in (right or {}).items():
-                w[k] = w.get(k, 0) - y
+        w = left.get(i)
+        for j, pairs in rows[i].items():
+            y = v.get(j)
+            if y:
+                if w is None:
+                    w = {}
+                for k, c in pairs:
+                    w[k] = w.get(k, 0) - y * c
+        if w is not None:
             yield w
 
 

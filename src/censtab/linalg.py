@@ -11,10 +11,14 @@ The two echelon reducers are the only elimination code: spans, kernels,
 sums, intersections, membership and projection all run through one of
 them, and so does `express_in_span`, the one solver of linear systems.
 Over GF(p) rows are reduced mod p and kept with unit pivots.  Over Q a
-vector enters as int entries (its denominators cleared by their lcm), is
-eliminated by cross-multiplication and kept primitive.  Fractions are built only on the
-way out, in canonical rows and solution vectors, since per-entry Fraction
-normalization inside the elimination loop would dominate.
+vector enters as int entries (its denominators cleared by their lcm) and is
+eliminated by cross-multiplication.  Its content, the gcd of its entries,
+is removed once, where a row is stored, not after each elimination step
+(the fraction-free idea of Bareiss): every stored row is primitive with a
+positive pivot, while a vector being reduced only grows by positive
+factors.  Fractions are built only on the way out, in canonical rows and
+solution vectors, since per-entry Fraction normalization inside the
+elimination loop would dominate.
 
 The reducers are sparse.  Each basis row is a dict of its nonzero entries,
 column -> value, and is zero at every other pivot: `insert` clears the new
@@ -40,7 +44,10 @@ slow even to test for zero, so vectors built just to feed a reducer should
 leave their zeros out or hold them as the int 0.  What leaves this module
 is canonical: `exact_residual` undoes the eliminations' scaling, tracked in
 a column no row meets, so over Q every entry of `Subspace.rows`, of a
-reduced vector and of a solution vector is a Fraction.
+reduced vector and of a solution vector is a Fraction.  So where content
+is removed changes no result: a residual is only tested for emptiness,
+made primitive by `insert`, or divided by its tracked scale, and each of
+these reads the same thing off every positive multiple.
 """
 
 from __future__ import annotations
@@ -97,7 +104,8 @@ class _Reducer:
 
     def residual(self, vec):
         """The nonzero entries of vec reduced against the current rows, as a
-        dict; an empty dict means membership."""
+        dict; an empty dict means membership.  Over Q it is fixed only up to
+        a positive factor, since its content is never removed here."""
         v = self._entries(vec)
         rows = self.rows
         for p in [p for p in v if p in rows]:
@@ -108,7 +116,15 @@ class _Reducer:
         return not self.residual(vec)
 
     def insert(self, vec):
-        """Add vec to the span.  Returns the new basis row, or None if dependent."""
+        """Add vec to the span.  Returns the new basis row, or None if dependent.
+
+        Content is removed here, once per stored row: the new row and each
+        older row it clears are made primitive with a positive pivot, so
+        the vectors reduced against them start from small entries.  A
+        cleared row whose pivot entry is 1 is primitive already, as every
+        GF(p) row is; any other is divided by its content, which the
+        elimination's scaling or the subtraction alone may have made > 1.
+        """
         v = self.residual(vec)
         if not v:
             return None
@@ -120,8 +136,9 @@ class _Reducer:
         # a pivot is its row's least column, so only rows with a lower pivot hold p
         for q in self.pivots[:k]:
             if p in rows[q]:
-                rows[q] = r = dict(rows[q])  # a row returned before keeps its entries
+                r = dict(rows[q])  # a row returned before keeps its entries
                 self._eliminate(r, r[p], v, p)
+                rows[q] = r if r[q] == 1 else self._normalize(r, r[q])
         rows[p] = v
         return v
 
@@ -183,7 +200,10 @@ class _RationalReducer(_Reducer):
     _entries = staticmethod(_int_entries)
 
     def _eliminate(self, v, c, r, p):
-        """Clear v[p] = c with the row r of pivot p, by cross-multiplication."""
+        """Clear v[p] = c with the row r of pivot p, by cross-multiplication:
+        v becomes a v - b r, with a > 0.  No content is removed, so v only
+        grows by the positive factor a; every caller reads v up to such a
+        factor, and `insert` makes the rows it stores primitive."""
         g = gcd(r[p], c)
         a, b = r[p] // g, c // g  # a > 0 since pivots are positive
         if a != 1:
@@ -200,11 +220,6 @@ class _RationalReducer(_Reducer):
                     v[k] = x
                 else:
                     del v[k]
-        if a != 1:
-            g = _row_gcd(v.values())
-            if g > 1:
-                for k in v:
-                    v[k] //= g
 
     @staticmethod
     def _normalize(v, lead):

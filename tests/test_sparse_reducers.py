@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from censtab.linalg import _make_reducer, express_in_span
 from censtab.scalars import RATIONALS, prime_field
@@ -327,3 +328,68 @@ def test_membership_work_is_bounded_by_the_pivots_hit(field):
     assert total < cascade
     # a dense scan would look at all 200 rows for each of the 256 vectors
     assert total < 256 * 200 // 10
+
+
+# -- stored-row invariants -----------------------------------------------------
+
+
+def _naive_rref(field, vecs, width):
+    """The reduced row-echelon basis of span(vecs), by Gauss-Jordan
+    elimination on canonical scalars (Fractions over Q)."""
+    pending = [[field.coerce(x) for x in v] for v in vecs]
+    out = []
+    for col in range(width):
+        k = next((i for i, r in enumerate(pending) if r[col]), None)
+        if k is None:
+            continue
+        r = pending.pop(k)
+        inv = field.inv(r[col])
+        r = [field.mul(inv, x) for x in r]
+
+        def clear(rows):
+            return [[field.sub(x, field.mul(s[col], y)) for x, y in zip(s, r)] for s in rows]
+
+        pending, out = clear(pending), clear(out) + [r]
+    return [tuple(r) for r in out]
+
+
+@st.composite
+def _insert_sequences(draw):
+    """A field, a width and vectors over it: small or large int and Fraction
+    entries, with sums and multiples of earlier vectors mixed in."""
+    field = draw(st.sampled_from([RATIONALS, prime_field(101)]))
+    width = draw(st.integers(1, 9))
+    ints = st.one_of(st.integers(-6, 6), st.integers(-10**20, 10**20))
+    entry = ints
+    if field.p is None:
+        entry = st.one_of(ints, st.builds(Fraction, ints, st.integers(1, 10**6)))
+    vecs = []
+    for _ in range(draw(st.integers(1, 2 * width + 2))):
+        if vecs and draw(st.booleans()):
+            u, w = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+            c = draw(st.integers(-3, 3))
+            vecs.append([x + c * y for x, y in zip(u, w)])
+        else:
+            vecs.append(draw(st.lists(entry, min_size=width, max_size=width)))
+    return field, width, vecs
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_insert_sequences())
+def test_stored_rows_stay_primitive_and_reduced(case):
+    # content is removed once per stored row, not after each elimination
+    # step, so every row insert stores or rewrites must come out primitive
+    field, width, vecs = case
+    red = _make_reducer(field, width)
+    for k, v in enumerate(vecs):
+        red.insert(v)
+        for p in red.pivots:
+            row = red.rows[p]
+            assert all(type(x) is int and x for x in row.values())
+            assert row[p] > 0
+            assert all(q == p or q not in row for q in red.pivots)
+            if field.p is None:
+                assert gcd(*row.values()) == 1
+            else:
+                assert row[p] == 1 and all(0 < x < field.p for x in row.values())
+        assert red.canonical_rows() == _naive_rref(field, vecs[: k + 1], width)

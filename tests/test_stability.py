@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from censtab import stability
+from censtab import linalg, stability
 from censtab.algebras import (
     build_algebra,
     center,
@@ -404,6 +404,49 @@ def test_element_decision_elimination_work_bounds(name, params, bound, monkeypat
     for x in xs:
         element_centrally_stable(x)
     assert counts["entries"] <= bound
+
+
+def _count_row_gcds(monkeypatch):
+    """Count the row gcds taken from here on, in all and inside a residual
+    or an insert that returns None."""
+    counts = {"all": 0, "misplaced": 0}
+    row_gcd = linalg._row_gcd
+
+    def counted_gcd(values):
+        counts["all"] += 1
+        return row_gcd(values)
+
+    def watched(real, misplaced):
+        def call(self, vec):
+            before = counts["all"]
+            out = real(self, vec)
+            if misplaced(out):
+                counts["misplaced"] += counts["all"] - before
+            return out
+        return call
+
+    monkeypatch.setattr(linalg, "_row_gcd", counted_gcd)
+    monkeypatch.setattr(_Reducer, "residual", watched(_Reducer.residual, lambda v: True))
+    monkeypatch.setattr(_Reducer, "insert", watched(_Reducer.insert, lambda r: r is None))
+    return counts
+
+
+@pytest.mark.parametrize(("name", "params", "bound"), [
+    ("upper_triangular", {"n": 6}, 504),
+    ("r11_radical", {"n": 2, "k": 6}, 839),
+])
+def test_element_decision_row_gcd_bounds(name, params, bound, monkeypatch):
+    # content is removed once per stored row: never while a vector is being
+    # reduced, so never in a residual or in an insert that stores nothing
+    alg = build(name, **params).algebra
+    center(alg)
+    rng = random.Random(f"eliminate:{name}")
+    xs = [random_element(alg, rng) for _ in range(8)]
+    counts = _count_row_gcds(monkeypatch)
+    for x in xs:
+        element_centrally_stable(x)
+    assert counts["misplaced"] == 0
+    assert 0 < counts["all"] <= bound
 
 
 @pytest.mark.parametrize("field", [Q, prime_field(101)], ids=str)
