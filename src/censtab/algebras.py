@@ -259,23 +259,47 @@ def _check_associativity(a: Algebra) -> None:
     of s or t in N_m.  `_generators` spans a by right-nested words
     e_g1 (e_g2 (... e_gm)); once every e_g lies in N_m, each word does, by
     induction on m, and so does their span a, which is then associative.
-    The converse is plain.  So the check is (e_x e_g) e_y = e_x (e_g e_y)
-    for g in G and every basis x, y: |G| dim^2 triples, against dim^3.
-    Only x with a nonzero row are visited, as both sides vanish otherwise.
+    The converse is plain.  So the check is (e_x e_g) e_k = e_x (e_g e_k)
+    for g in G and every basis x, k.
+
+    For each g only the x that can reach g are visited: x in col(g) or in
+    col(m) for some m with coordinate m of some e_g e_k nonzero, where
+    col(m) holds the x with e_x e_m != 0.  For any other x, e_x e_g = 0 and
+    e_x e_m = 0 for every such m, so both (e_x e_g) e_k and
+    e_x (e_g e_k) = sum_m c_gk^m e_x e_m vanish for every k.
 
     When that check fails, the walk over every triple (`_first_failing_triple`)
     names the witness.  A walk that finds none contradicts the argument
     above, so it raises ConsistencyError.
     """
     rows = a._rows
-    active = [x for x in range(a.dim) if rows[x]]
-    if any(_associator_defect(a, x, g) for g in _generators(a) for x in active):
-        _first_failing_triple(a)
-        raise ConsistencyError("the generating-set check failed, but no basis triple does")
+    col = defaultdict(list)  # m -> the x with e_x e_m != 0
+    for x, row in enumerate(rows):
+        for m in row:
+            col[m].append(x)
+    for g in _generators(a):
+        inv = _inverted(rows[g])
+        reach = set(col.get(g, ()))
+        for m in inv:
+            reach.update(col.get(m, ()))
+        if any(_associator_defect(a, x, g, inv) for x in reach):
+            _first_failing_triple(a)
+            raise ConsistencyError("the generating-set check failed, but no basis triple does")
 
 
-def _associator_defect(a: Algebra, i, j):
-    """The k with (e_i e_j) e_k != e_i (e_j e_k), in no order.
+def _inverted(row):
+    """Row j of the index turned inside out: m -> [(k, c)], c the coordinate
+    m of N e_j e_k, over the nonzero ones."""
+    inv = defaultdict(list)
+    for k, pairs in row.items():
+        for m, c in pairs:
+            inv[m].append((k, c))
+    return inv
+
+
+def _associator_defect(a: Algebra, i, j, inv_j):
+    """The k with (e_i e_j) e_k != e_i (e_j e_k), in no order; inv_j is
+    `_inverted(a._rows[j])`.
 
     Only the k reached through nonzero entries are visited.  Both sides are
     read from the index, so both are N^2 times the true ones.
@@ -288,10 +312,11 @@ def _associator_defect(a: Algebra, i, j):
         for k, pairs in rows[m].items():
             for q, d in pairs:
                 diff[k, q] = diff.get((k, q), 0) + c * d
-    for k, pairs in rows[j].items():
-        for m, c in pairs:
-            for q, d in row_i.get(m, ()):
-                diff[k, q] = diff.get((k, q), 0) - c * d
+    for m, kcs in inv_j.items():
+        if pairs := row_i.get(m):
+            for k, c in kcs:
+                for q, d in pairs:
+                    diff[k, q] = diff.get((k, q), 0) - c * d
     return [k for (k, _), x in diff.items() if (x if p is None else x % p)]
 
 
@@ -304,10 +329,11 @@ def _first_failing_triple(a: Algebra) -> None:
     increasing order.
     """
     rows = a._rows
+    inv = [_inverted(row) for row in rows]
     active = {j for j in range(a.dim) if rows[j]}
     for i in sorted(active):
         for j in sorted(rows[i].keys() | active):
-            if bad := _associator_defect(a, i, j):
+            if bad := _associator_defect(a, i, j, inv[j]):
                 raise NotAssociative(i, j, min(bad))
 
 
@@ -414,9 +440,12 @@ def _generators(a: Algebra):
     (its insert returns a row), and S is then closed under left
     multiplication by the generators so far; a span that holds the
     generators and is closed so holds every word in them.  S ends as a.
-    Nothing here assumes associativity: S is the span of the right-nested
-    words e_g1 (e_g2 (... e_gm)), which is what `_check_associativity`,
-    run on the table before it is known to be associative, relies on.
+    The closure stops as soon as S is a, since no later candidate can be
+    admitted then: G is the one a closure run out would give, as a closed
+    span does not depend on the order of its products.  Nothing here
+    assumes associativity: S is the span of the right-nested words
+    e_g1 (e_g2 (... e_gm)), which is what `_check_associativity`, run on
+    the table before it is known to be associative, relies on.
     """
     g = a._memo.get("generators")
     if g is None:
@@ -436,7 +465,7 @@ def _generators(a: Algebra):
             gens.append(c)
             todo = [(c, v) for v in words] + [(h, r) for h in gens]
             words.append(r)
-            while todo:
+            while todo and red.dim < a.dim:
                 h, v = todo.pop()
                 w = a._basis_mul_vec(h, v)
                 if w is not None and (r := red.insert(w)) is not None:

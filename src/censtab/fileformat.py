@@ -90,8 +90,8 @@ def algebra_to_json(a: Algebra) -> dict:
 
 
 # Loading a larger algebra is refused: on a dense table the associativity
-# check alone grows as dim^5, so a few bytes of "dim" could otherwise hold a
-# run for minutes.
+# check alone grows as |G| dim^4, G the generating set (up to dim vectors),
+# so a few bytes of "dim" could otherwise hold a run for minutes.
 MAX_DIM = 256
 
 

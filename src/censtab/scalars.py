@@ -14,8 +14,9 @@ from fractions import Fraction
 
 from .errors import FieldMismatch, ParseError, ScalarTooLong
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
-_RESIDUE_RE = re.compile(r"\d+")
+# [0-9], not \d, which matches every Unicode decimal digit
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RESIDUE_RE = re.compile(r"[0-9]+")
 
 # The most digits `parse` reads in one integer of a literal.  It is the most
 # Python converts between str and int by default, so every scalar `format`

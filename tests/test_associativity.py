@@ -136,3 +136,34 @@ def test_a_fresh_load_builds_the_generating_set_once_for_load_and_decision(name,
     reload = algebra_from_json(doc)
     assert verify_report_json(reload, report_to_json(a, rep, command="stable"))
     assert sum(b is reload for b in builds) == 1
+
+
+@pytest.mark.parametrize(
+    "name, params, pairs, products",
+    [("matrix_full", {"n": 8}, 120, 944), ("upper_triangular", {"n": 8}, 64, 433),
+     ("strict_upper", {"n": 9}, 28, 231), ("r11_radical", {"n": 3, "k": 4}, 54, 208),
+     ("truncated_poly", {"k": 24}, 47, 23)],
+    ids=["matrix_full-8", "upper_triangular-8", "strict_upper-9", "r11_radical-3-4", "truncated_poly-24"],
+)
+def test_load_work_is_bounded_on_catalog_bases(name, params, pairs, products, monkeypatch):
+    # the (x, g) pairs the check visits, and the products the generator
+    # closure makes: only the x that reach g, and no product once G spans a
+    b = build(name, field=Q, **params).algebra
+    a = Algebra(Q, b.dim, b.table, None, None, _trusted=True)
+    seen = {"pairs": 0, "products": 0}
+    defect, product = algebras._associator_defect, Algebra._basis_mul_vec
+
+    def counted_defect(*args):
+        seen["pairs"] += 1
+        return defect(*args)
+
+    def counted_product(*args):
+        seen["products"] += 1
+        return product(*args)
+
+    monkeypatch.setattr(algebras, "_associator_defect", counted_defect)
+    monkeypatch.setattr(Algebra, "_basis_mul_vec", counted_product)
+    algebras._generators(a)
+    assert seen["products"] <= products
+    algebras._check_associativity(a)
+    assert seen["pairs"] <= pairs

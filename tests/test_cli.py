@@ -432,6 +432,21 @@ def test_overlong_scalar_literal_is_invalid_input(tmp_path, capsys):
     assert code == 2 and len(err.splitlines()) == 1
 
 
+def test_non_ascii_digit_literal_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "digit.json"
+    for field in ('"Q"', '{"GF": 7}'):
+        for one in ("\u0661", "\uff11"):  # Arabic-Indic and fullwidth one
+            path.write_text('{"field": %s, "dim": 1, "table": [[0, 0, [[0, "%s"]]]]}' % (field, one),
+                            encoding="utf-8")
+            code, out, err = run(capsys, "validate", str(path))
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+    t3 = str(tmp_path / "t3.json")
+    run(capsys, "construct", "upper_triangular", "--n", "3", "-o", t3)
+    code, out, err = run(capsys, "element", t3, "--coords", "\u0661,0,0,0,0,0")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+
 def test_deeply_nested_json_is_invalid_input(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200000 + "]" * 200000)

@@ -36,6 +36,18 @@ def test_parse_errors():
         Q.parse("x")
 
 
+def test_only_ascii_digits_parse():
+    # "\u0661" (Arabic-Indic one) and "\uff11" (fullwidth one) are decimal
+    # digits to int(), but not to the grammar
+    for field in (Q, GF7):
+        for text in ("\u0661", "\uff11", "1\u0660"):
+            with pytest.raises(ParseError):
+                field.parse(text)
+    for text in ("-\u0661", "1/\uff12"):
+        with pytest.raises(ParseError):
+            Q.parse(text)
+
+
 def test_parse_format_round_trip():
     rng = random.Random(11)
     for field in (Q, GF7, prime_field(101)):
