@@ -16,20 +16,11 @@ from .errors import (
     UnsupportedCharacteristic,
 )
 from .scalars import RATIONALS, FieldSpec, prime_field
-from .linalg import (
-    Subspace,
-    full_subspace,
-    span,
-    subspace_intersect,
-    subspace_sum,
-    zero_subspace,
-)
+from .linalg import Subspace, span, subspace_intersect, subspace_sum
 from .algebras import (
     Algebra,
-    DirectProduct,
     Element,
     QuotientMap,
-    Unitization,
     build_algebra,
     center,
     commutator,
@@ -37,7 +28,6 @@ from .algebras import (
     direct_product,
     ideal_generated,
     is_commutative,
-    is_nilpotent,
     matrix_algebra,
     matrix_units_algebra,
     nilpotency_index,
@@ -47,7 +37,7 @@ from .algebras import (
     unitization,
     verify_associativity,
 )
-from .radical import is_semisimple, radical
+from .radical import radical
 from .stability import (
     NOT_STABLE,
     STABLE,

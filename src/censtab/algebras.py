@@ -84,9 +84,6 @@ class Algebra:
         coords[i] = self.field.one
         return Element(self, tuple(coords))
 
-    def basis(self):
-        return [self.basis_element(i) for i in range(self.dim)]
-
     def one(self) -> Element:
         if self.unity is None:
             raise ValueError("algebra has no unity")
@@ -101,15 +98,6 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra(dim {self.dim} over {self.field!r})"
-
-    def same_structure(self, other) -> bool:
-        """Identical presentation: same field, dimension and table."""
-        return (
-            isinstance(other, Algebra)
-            and self.field == other.field
-            and self.dim == other.dim
-            and self.table == other.table
-        )
 
     # -- products (coordinate level) -----------------------------------------
     # The raw products below are N = `_scale` times the true ones, in raw
@@ -193,10 +181,6 @@ class Element:
     def __mul__(self, other):
         self._check_same(other)
         return Element(self.algebra, self.algebra.mul_coords(self.coords, other.coords))
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
     def __eq__(self, other):
         return (
@@ -674,11 +658,6 @@ class QuotientMap:
         w = self.ideal.reduce(v)
         return tuple(w[c] for c in self.free_cols)
 
-    def project(self, x: Element) -> Element:
-        if x.algebra is not self.source:
-            raise AlgebraMismatch("element is not in the quotient source")
-        return Element(self.target, self.project_vec(x.coords))
-
 
 def quotient(a: Algebra, ideal: Subspace) -> QuotientMap:
     """Build a/ideal; raises NotAnIdeal (with witness) when ideal is not one."""
@@ -724,14 +703,7 @@ def _quotient_by_ideal(a: Algebra, ideal: Subspace) -> QuotientMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DirectProduct:
-    algebra: Algebra
-    left: Algebra
-    right: Algebra
-
-
-def direct_product(a: Algebra, b: Algebra) -> DirectProduct:
+def direct_product(a: Algebra, b: Algebra) -> Algebra:
     """A x B with block-diagonal structure constants."""
     if a.field != b.field:
         raise FieldMismatch("direct product over different fields")
@@ -745,8 +717,7 @@ def direct_product(a: Algebra, b: Algebra) -> DirectProduct:
     unity = None
     if a.unity is not None and b.unity is not None:
         unity = tuple(a.unity) + tuple(b.unity)
-    prod = _derived(a.field, n + m, table, labels, unity)
-    return DirectProduct(prod, a, b)
+    return _derived(a.field, n + m, table, labels, unity)
 
 
 def tensor_product(a: Algebra, b: Algebra) -> Algebra:
@@ -805,23 +776,11 @@ def matrix_algebra(a: Algebra, n: int) -> Algebra:
     return tensor_product(a, matrix_units_algebra(a.field, n))
 
 
-@dataclass
-class Unitization:
-    """a with a unity adjoined as basis vector 0; a sits inside as an ideal."""
+def unitization(a: Algebra) -> Algebra:
+    """Adjoin a unity (also when a already has one; the result is dim+1).
 
-    algebra: Algebra
-    original: Algebra
-
-    def embed_vec(self, v):
-        return (self.algebra.field.zero,) + tuple(v)
-
-    def strip_vec(self, v):
-        # v - v[0]*1 as a vector of the original algebra
-        return tuple(v[1:])
-
-
-def unitization(a: Algebra) -> Unitization:
-    """Adjoin a unity (also when a already has one; the result is dim+1)."""
+    The unity is basis vector 0, and e_i of a is basis vector i+1, so a sits
+    inside as the ideal of vectors with coordinate 0 equal to zero."""
     f = a.field
     one = f.one
     table = {(0, 0): ((0, one),)}
@@ -834,8 +793,7 @@ def unitization(a: Algebra) -> Unitization:
     if a.labels:
         labels = ("1",) + tuple(a.labels)
     unity = (one,) + (f.zero,) * a.dim
-    alg = _derived(f, a.dim + 1, table, labels, unity)
-    return Unitization(alg, a)
+    return _derived(f, a.dim + 1, table, labels, unity)
 
 
 def opposite(a: Algebra) -> Algebra:
@@ -858,11 +816,7 @@ def is_commutative(a: Algebra) -> bool:
 
 def nilpotency_index(a: Algebra):
     """Smallest k with A^k = 0, or None if the power chain stalls above zero."""
-    return _power_chain_index(a, _identity_rows(a.dim))
-
-
-def _identity_rows(n):
-    return [{i: 1} for i in range(n)]
+    return _power_chain_index(a, [{i: 1} for i in range(a.dim)])
 
 
 def _power_chain_index(a: Algebra, basis):
@@ -889,7 +843,3 @@ def _power_chain_index(a: Algebra, basis):
                         return None
         cur, k = nxt, k + 1
     return k
-
-
-def is_nilpotent(a: Algebra) -> bool:
-    return nilpotency_index(a) is not None

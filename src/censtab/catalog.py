@@ -97,7 +97,7 @@ def _upper_triangular(n: int, field: FieldSpec = RATIONALS) -> CatalogEntry:
 def _scalar_plus_strict_upper(n: int, field: FieldSpec = RATIONALS) -> CatalogEntry:
     _require(n >= 1, "scalar_plus_strict_upper needs n >= 1")
     strict = _cell_algebra(field, n, _upper_cells(n, strict=True))
-    u = unitization(strict).algebra
+    u = unitization(strict)
     # labels given in full: for n = 1 there are no cells, and u has no labels
     alg = build_algebra(field, u.dim, u.table, ("1",) + strict.labels)
     if n == 1:

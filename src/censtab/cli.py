@@ -11,9 +11,11 @@ the SHA-256 of each input file, enough to reproduce the run); codes 2, 3
 and 4 print one line to stderr.  All
 report commands accept --json; identical inputs and seeds produce
 byte-identical JSON up to the "timings" member.  Fields are written Q, GF:p
-or GF(p).  The seed of fuzz, the one command that samples, is 0 by default,
-overridable with the CENSTAB_SEED environment variable; a CENSTAB_SEED that
-is not an integer is a usage error there, and so is a negative --ideals or
+or GF(p).  Numbers use ASCII digits: integer options, p and CENSTAB_SEED are
+[-]digits, and --poly coefficients are scalars [-]digits[/digits].  The
+seed of fuzz, the one command that samples, is 0 by default, overridable
+with the CENSTAB_SEED environment variable; a CENSTAB_SEED that is not an
+integer is a usage error there, and so is a negative --ideals or
 --elements; each of these prints one line to stderr.  decompose refuses
 (code 2) an A (x) M_n above the file limit on dimension before it reads the
 coordinates.
@@ -28,7 +30,6 @@ import re
 import shlex
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -70,7 +71,7 @@ from .fileformat import (
     vector_to_json,
 )
 from .radical import radical
-from .scalars import RATIONALS, prime_field
+from .scalars import MAX_LITERAL_DIGITS, RATIONALS, prime_field
 from .stability import (
     algebra_centrally_stable,
     decompose_tensor_element,
@@ -100,15 +101,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-_FIELD_RE = re.compile(r"(?:GF|gf)(?::(\d+)|\((\d+)\))")
+# [0-9], not \d or int(), which take every Unicode decimal digit; an integer
+# has at most as many digits as int() converts
+_FIELD_RE = re.compile(r"(?:GF|gf)(?::([0-9]+)|\(([0-9]+)\))")
+_INT_RE = re.compile(rf"-?[0-9]{{1,{MAX_LITERAL_DIGITS}}}")
+
+
+def _ascii_int(text: str) -> int:
+    """An integer option: an optional minus sign and ASCII digits, as many as
+    a scalar literal may have."""
+    if not _INT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at most {MAX_LITERAL_DIGITS} ASCII digits, got {text!r}"
+        )
+    return int(text)
 
 
 def _env_seed() -> int:
     text = os.environ.get("CENSTAB_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"CENSTAB_SEED must be an integer, got {text!r}") from None
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"CENSTAB_SEED must be an integer, got {text!r}")
+    return int(text)
 
 
 def _check_usage(args):
@@ -284,10 +297,10 @@ _DERIVED = {
                lambda args, a, b: (tensor_product(a, b), "tensor product")),
     "product": ("direct product of two algebra files", ("file_a", "file_b"),
                 lambda args, a, b: a.dim + b.dim,
-                lambda args, a, b: (direct_product(a, b).algebra, "direct product")),
+                lambda args, a, b: (direct_product(a, b), "direct product")),
     "unitize": ("adjoin a unity", ("file",),
                 lambda args, a: a.dim + 1,
-                lambda args, a: (unitization(a).algebra, "unitization")),
+                lambda args, a: (unitization(a), "unitization")),
     "matrix": ("n x n matrices over the algebra", ("file",),
                lambda args, a: a.dim * max(args.n, 0) ** 2,
                lambda args, a: (matrix_algebra(a, args.n), f"matrix algebra M_{args.n}")),
@@ -314,8 +327,8 @@ def _cmd_construct(args):
         params["k"] = args.k
     if args.poly is not None:
         try:
-            params["poly"] = tuple(Fraction(c.strip()) for c in args.poly.split(","))
-        except (ValueError, ZeroDivisionError) as exc:
+            params["poly"] = tuple(RATIONALS.parse(c) for c in args.poly.split(","))
+        except (ParseError, ZeroDivisionError) as exc:
             raise BadParams(f"bad polynomial coefficients: {exc}") from None
     _check_output_dim(catalog_dimension(args.name, **params))
     entry = catalog_build(args.name, **params)
@@ -425,27 +438,27 @@ def _build_parser() -> _Parser:
         p.add_argument("-o", "--out")
         p.set_defaults(size=size, derive=derive, files=files)
     sub.choices["quotient"].add_argument("--gens", required=True, help='vectors separated by ";"')
-    sub.choices["matrix"].add_argument("--n", type=int, required=True)
+    sub.choices["matrix"].add_argument("--n", type=_ascii_int, required=True)
 
     p = add("construct", _cmd_construct, "build a named catalog algebra")
     p.add_argument("name", choices=catalog_names())
     p.add_argument("--field", help="Q (default), GF:p or GF(p)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--n", type=_ascii_int)
+    p.add_argument("--k", type=_ascii_int)
     p.add_argument("--poly", help='monic polynomial coefficients, low to high: "-2,0,1"')
     p.add_argument("-o", "--out")
 
     p = add("fuzz", _cmd_fuzz, "randomized consistency checks")
     p.add_argument("file")
-    p.add_argument("--ideals", type=int, default=50)
-    p.add_argument("--elements", type=int, default=100)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--ideals", type=_ascii_int, default=50)
+    p.add_argument("--elements", type=_ascii_int, default=100)
+    p.add_argument("--seed", type=_ascii_int)
 
     p = add("decompose", _cmd_decompose, "split t in A(x)M_n as a(x)1 + s")
     p.add_argument("file")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
     p.add_argument("--coords", required=True)
-    p.add_argument("--pivot", type=int)
+    p.add_argument("--pivot", type=_ascii_int)
 
     return parser
 

@@ -298,10 +298,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.rows
-
     def _check_len(self, v):
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(
@@ -323,12 +319,6 @@ class Subspace:
     def contains(self, v) -> bool:
         return not self.reducer.residual(self._nonzero(v))
 
-    def coordinates(self, v):
-        """Coefficients of v over the RREF basis, or None if v is outside."""
-        if not self.contains(v):
-            return None
-        return tuple(self.field.coerce(v[p]) for p in self.pivots)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -339,9 +329,6 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.field, self.ambient_dim, self.rows))
-
-    def __le__(self, other):
-        return all(other.contains(r) for r in self.rows)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim} over {self.field!r})"
@@ -356,17 +343,6 @@ def span(field: FieldSpec, vectors, ambient_dim: int) -> Subspace:
                 f"vector length {len(v)} != ambient dimension {ambient_dim}"
             )
         red.insert(v)
-    return Subspace(field, red)
-
-
-def zero_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
-    return Subspace(field, _make_reducer(field, ambient_dim))
-
-
-def full_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
-    red = _make_reducer(field, ambient_dim)
-    for i in range(ambient_dim):
-        red.insert({i: 1})
     return Subspace(field, red)
 
 

@@ -138,7 +138,3 @@ def radical_failure(a: Algebra, rad: Subspace):
     if kernel_of_rows(a.field, _trace_form_rows(q), q.dim).dim != 0:
         return "quotient by radical candidate is not semisimple"
     return None
-
-
-def is_semisimple(a: Algebra) -> bool:
-    return radical(a).dim == 0

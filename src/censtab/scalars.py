@@ -112,9 +112,6 @@ class FieldSpec:
                 return x % self.p
         raise FieldMismatch(f"{x!r} is not a scalar of {self!r}")
 
-    def is_zero(self, x) -> bool:
-        return x == 0
-
     # -- arithmetic ---------------------------------------------------------
     # Operands are assumed canonical; results are canonical.  Fraction ops
     # normalize on their own, GF(p) results are reduced here.

@@ -221,7 +221,7 @@ def algebra_centrally_stable(a: Algebra) -> StabilityReport:
     z = center(a)
     r = radical(a)
     c = subspace_intersect(z, r)
-    j = ideal_generated(a, [a.element(row) for row in c.rows])
+    j = ideal_generated(a, c.rows)
     bases = {
         "center": z.rows,
         "radical": r.rows,
@@ -563,7 +563,7 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
         c = subspace_intersect(center(a), rad)
         if c.rows != cert.center_cap_radical_rows:
             return False
-        return ideal_generated(a, [a.element(row) for row in c.rows]) == rad
+        return ideal_generated(a, c.rows) == rad
     return False
 
 

@@ -191,6 +191,9 @@ def test_seed_env_default(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "fuzz", t3, "--ideals", "1", "--elements", "1", "--json")
     assert code == 0
     assert json.loads(out)["seed"] == 77
+    monkeypatch.setenv("CENSTAB_SEED", "-7")
+    code, out, _ = run(capsys, "fuzz", t3, "--ideals", "1", "--elements", "1", "--json")
+    assert code == 0 and json.loads(out)["seed"] == -7
     # stable samples nothing, so its report has no seed
     code, out, _ = run(capsys, "stable", t3, "--json")
     assert code == 0 and "seed" not in json.loads(out)
@@ -226,7 +229,7 @@ def test_decompose_checks_the_matrix_size_before_the_coordinates(tmp_path, capsy
 
 def test_malformed_field_is_rejected(tmp_path, capsys):
     path = str(tmp_path / "m.json")
-    for spec in ("GF(7", "GF:7)", "GF(7))", "GF7", "GF:", "GF(x)"):
+    for spec in ("GF(7", "GF:7)", "GF(7))", "GF7", "GF:", "GF(x)", "GF:١٠١", "GF(١٠١)", "GF:１０１"):
         code, _, err = run(capsys, "construct", "matrix_full", "--n", "2", "--field", spec, "-o", path)
         assert code == 2, spec
         assert len(err.splitlines()) == 1
@@ -484,3 +487,65 @@ def test_overlong_computed_scalar_is_invalid_input(tmp_path, capsys):
         assert err.splitlines() == [
             f"error: a computed scalar exceeds the limit of {MAX_LITERAL_DIGITS} digits per integer"
         ]
+
+
+# Every number on the command line is ASCII: integer options and CENSTAB_SEED
+# are [-]digits, p in GF:p is digits, and --poly coefficients are scalars.
+_P2 = ",".join(["1", "0", "0", "0", "0", "1", "0", "0"])
+# each option, with an ASCII value it accepts
+_INT_OPTIONS = [
+    (("construct", "truncated_poly", "--k", "{}"), "3"),
+    (("construct", "matrix_full", "--n", "{}"), "2"),
+    (("matrix", "{file}", "--n", "{}"), "2"),
+    (("fuzz", "{file}", "--ideals", "{}"), "2"),
+    (("fuzz", "{file}", "--elements", "{}"), "0"),
+    (("fuzz", "{file}", "--seed", "{}"), "-3"),
+    (("decompose", "{file}", "--coords", _P2, "--n", "{}"), "2"),
+    (("decompose", "{file}", "--n", "2", "--coords", _P2, "--pivot", "{}"), "1"),
+]
+_IDS = [f"{t[0]}{t[-2]}" for t, _ in _INT_OPTIONS]
+_REFUSED = ["arabic-indic", "fullwidth", "plus", "underscore", "space", "decimal", "overlong"]
+
+
+def _argv(tmp_path, capsys, template, value):
+    p2 = str(tmp_path / "p2.json")
+    run(capsys, "construct", "truncated_poly", "--k", "2", "-o", p2)
+    out = ["-o", str(tmp_path / "out.json")] if template[0] in ("construct", "matrix") else []
+    return [a.format(value) if a == "{}" else p2 if a == "{file}" else a for a in template] + out
+
+
+@pytest.mark.parametrize("template", [t for t, _ in _INT_OPTIONS], ids=_IDS)
+@pytest.mark.parametrize("value", ["٣", "１", "+1", "1_0", " 1", "1.0", "9" * 4301], ids=_REFUSED)
+def test_a_non_ascii_integer_option_is_a_usage_error(tmp_path, capsys, template, value):
+    argv = _argv(tmp_path, capsys, template, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].endswith(f"expected an integer of at most 4300 ASCII digits, got {value!r}")
+
+
+@pytest.mark.parametrize(("template", "value"), _INT_OPTIONS, ids=_IDS)
+def test_an_ascii_integer_option_is_accepted(tmp_path, capsys, template, value):
+    assert run(capsys, *_argv(tmp_path, capsys, template, value))[0] == 0
+
+
+@pytest.mark.parametrize("seed", ["٧", "７", "+7", "1_0", " 7", "7.0", "9" * 4301], ids=_REFUSED)
+def test_a_non_ascii_seed_env_is_a_usage_error(tmp_path, capsys, monkeypatch, seed):
+    t3 = str(tmp_path / "t3.json")
+    run(capsys, "construct", "upper_triangular", "--n", "3", "-o", t3)
+    monkeypatch.setenv("CENSTAB_SEED", seed)
+    code, out, err = run(capsys, "fuzz", t3, "--ideals", "1", "--elements", "1")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"censtab: error: CENSTAB_SEED must be an integer, got {seed!r}"]
+
+
+@pytest.mark.parametrize("poly", ["1.5,0,1", "1e3,0,1", "1_0,0,1", "-٢,0,1", "-2,0,１", "-2,0,1/0"])
+def test_polynomial_coefficients_follow_the_scalar_grammar(tmp_path, capsys, poly):
+    path = str(tmp_path / "e.json")
+    code, out, err = run(capsys, "construct", "ema", "--poly", poly, "-o", path)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: bad polynomial coefficients: ")
+
+
+@pytest.mark.parametrize("poly", ["-2,0,1", " -2, 0 ,1", "1/2,0,1", "-3,0,0,1"])
+def test_ascii_polynomial_coefficients_are_accepted(tmp_path, capsys, poly):
+    assert run(capsys, "construct", "ema", "--poly", poly, "-o", str(tmp_path / "e.json"))[0] == 0

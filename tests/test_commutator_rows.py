@@ -47,7 +47,7 @@ def _elements(a, rng):
     """Basis vectors, central elements (their products meet the index but
     cancel in every commutator), sums of two such vectors and random
     elements, as int entry dicts."""
-    coords = [x.coords for x in a.basis()]
+    coords = [a.basis_element(i).coords for i in range(a.dim)]
     coords += list(center(a).rows)
     for _ in range(4):
         i, j = rng.randrange(a.dim), rng.randrange(a.dim)

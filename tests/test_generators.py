@@ -41,7 +41,7 @@ CASES = [
 
 def _center_ref(a):
     """The kernel of z -> ([z, e_j])_j over every basis vector e_j."""
-    basis = a.basis()
+    basis = [a.basis_element(i) for i in range(a.dim)]
     rows = [[commutator(e_i, e_j).coords[k] for e_i in basis] for e_j in basis for k in range(a.dim)]
     return kernel_of_rows(a.field, rows, a.dim)
 
@@ -50,9 +50,10 @@ def _closure_ref(a, xs):
     """The ideal generated by xs: span(xs) closed under e_i s and s e_i for
     every basis vector e_i, one round at a time."""
     s = span(a.field, [x.coords for x in xs], a.dim)
+    basis = [a.basis_element(i) for i in range(a.dim)]
     while True:
         vs = [a.element(r) for r in s.rows]
-        prods = [(e * v).coords for v in vs for e in a.basis()] + [(v * e).coords for v in vs for e in a.basis()]
+        prods = [(e * v).coords for v in vs for e in basis] + [(v * e).coords for v in vs for e in basis]
         t = span(a.field, list(s.rows) + prods, a.dim)
         if t == s:
             return s
@@ -64,7 +65,8 @@ def _witness_ref(a, s):
     product escaping s, or None."""
     for vi, row in enumerate(s.rows):
         v = a.element(row)
-        for i, e in enumerate(a.basis()):
+        for i in range(a.dim):
+            e = a.basis_element(i)
             if not s.contains((e * v).coords):
                 return (vi, i, "left")
             if not s.contains((v * e).coords):

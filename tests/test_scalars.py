@@ -86,7 +86,7 @@ def test_field_axioms_random_triples():
                 field.mul(a, b), field.mul(a, c)
             )
             assert field.add(a, field.neg(a)) == field.zero
-            if not field.is_zero(a):
+            if a:
                 assert field.mul(a, field.inv(a)) == field.one
 
 
