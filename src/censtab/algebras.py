@@ -532,18 +532,18 @@ def _ideal_closure(a: Algebra, vectors, stop=None):
     e_g v and v e_g is closed under every word in the e_g, hence under every
     e_i, unital or not: the fixpoint is the ideal the vectors generate.
 
-    Returns (reducer, complete).  stop, when given, is called as
-    stop(reducer, row) after each newly added basis row; returning True ends
-    the closure early (complete=False) -- used for membership tests that
-    only need a lower bound of the ideal.  Such a stop test keeps a running
-    residual of its target: reducer.advance_residual(res, row) eliminates it
-    at row's pivot only, so the target is never reduced from scratch and
-    each test costs at most one elimination.
+    Returns the reducer.  The rows insert returns form one work list, the
+    vectors' first, each appended as it arrives; the list is walked front
+    to back while it grows, and each row is multiplied by every e_g, left
+    product then right, just before those products are inserted.  The walk
+    ends at the end of the list or once the span is full.
 
-    Each round multiplies only the rows the round before added, and the
-    loop ends after a round that adds none.  A word of length m in the
-    generators takes m rounds to reach, so the rounds are not bounded by a
-    constant, but every round but the last adds a row: at most dim + 1.
+    stop, when given, is called as stop(reducer, row) after each newly
+    added row; returning True ends the closure early -- used for membership
+    tests that only need a lower bound of the ideal.  Such a stop test
+    keeps a running residual of its target: reducer.advance_residual(res,
+    row) eliminates it at row's pivot only, so the target is never reduced
+    from scratch and each test costs at most one elimination.
     """
     n = a.dim
     gens = _generators(a)
@@ -553,26 +553,16 @@ def _ideal_closure(a: Algebra, vectors, stop=None):
         r = red.insert(v)
         if r is not None:
             work.append(r)
-            if stop is not None and stop(red, r):
-                return red, False
-    while work:
-        if red.dim == n:
-            return red, True
-        fresh = []
-        for v in work:
-            for g in gens:
-                for w in (a._basis_mul_vec(g, v), a._vec_mul_basis(v, g)):
-                    if w is None:
-                        continue
-                    r = red.insert(w)
-                    if r is not None:
-                        fresh.append(r)
-                        if stop is not None and stop(red, r):
-                            return red, False
-                        if red.dim == n:
-                            return red, True
-        work = fresh
-    return red, True
+            if (stop is not None and stop(red, r)) or red.dim == n:
+                return red
+    for v in work:  # grows while it is walked
+        for g in gens:
+            for w in (a._basis_mul_vec(g, v), a._vec_mul_basis(v, g)):
+                if w is not None and (r := red.insert(w)) is not None:
+                    work.append(r)
+                    if (stop is not None and stop(red, r)) or red.dim == n:
+                        return red
+    return red
 
 
 def _coords_of(a: Algebra, xs):
@@ -594,10 +584,7 @@ def ideal_generated(a: Algebra, xs) -> Subspace:
 
     For non-unital algebras this is span(xs) + A xs + xs A + A xs A.
     """
-    red, complete = _ideal_closure(a, _coords_of(a, xs))
-    if not complete:
-        raise ConsistencyError("an ideal closure without a stop test ended early")
-    return Subspace(a.field, red)
+    return Subspace(a.field, _ideal_closure(a, _coords_of(a, xs)))
 
 
 def ideal_witness(a: Algebra, s: Subspace):
@@ -643,13 +630,12 @@ def _escape(a: Algebra, red, v, indices):
 
 @dataclass
 class QuotientMap:
-    """The canonical surjection source -> source/ideal.
+    """The canonical surjection A -> A/ideal.
 
     The target basis consists of the images of the non-pivot coordinates of
     the ideal's RREF basis, so the construction is deterministic.
     """
 
-    source: Algebra
     ideal: Subspace
     target: Algebra
     free_cols: tuple
@@ -695,7 +681,7 @@ def _quotient_by_ideal(a: Algebra, ideal: Subspace) -> QuotientMap:
         target.unity = tuple(w0[c] for c in free)
     else:
         target.unity = _find_unity(target)
-    return QuotientMap(a, ideal, target, free)
+    return QuotientMap(ideal, target, free)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ given to decompose, a result with a scalar longer than a file may hold), 3
 when the base field's characteristic is too small
 for the radical criterion, 4 when the engine fails one of its own
 consistency checks (a bug: the line names the command line, the seed and
-the SHA-256 of each input file, enough to reproduce the run); codes 2, 3
-and 4 print one line to stderr.  All
+the SHA-256 of each input file, enough to reproduce the run); every code
+from 1 to 4 prints one line to stderr, argparse's refusals included.  All
 report commands accept --json; identical inputs and seeds produce
 byte-identical JSON up to the "timings" member.  Fields are written Q, GF:p
 or GF(p).  Numbers use ASCII digits: integer options, p and CENSTAB_SEED are
@@ -16,7 +16,7 @@ or GF(p).  Numbers use ASCII digits: integer options, p and CENSTAB_SEED are
 seed of fuzz, the one command that samples, is 0 by default, overridable
 with the CENSTAB_SEED environment variable; a CENSTAB_SEED that is not an
 integer is a usage error there, and so is a negative --ideals or
---elements; each of these prints one line to stderr.  decompose refuses
+--elements.  decompose refuses
 (code 2) an A (x) M_n above the file limit on dimension before it reads the
 coordinates.
 """
@@ -96,7 +96,6 @@ _INPUT_ERRORS = (
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 

@@ -50,9 +50,9 @@ class NotAnIdeal(ValueError):
 class UnsupportedCharacteristic(ValueError):
     """The radical criterion is not valid over this prime field.
 
-    Raised for GF(p) when p does not exceed the dimension of the algebra
-    with unity adjoined; the trace-form criterion could silently return a
-    wrong answer there, so we refuse instead.
+    Raised for GF(p) when p does not exceed the dimension of the algebra;
+    the trace-form criterion could silently return a wrong answer there, so
+    we refuse instead.
     """
 
 

@@ -9,10 +9,10 @@ answer.
 
 Every input, unital or not, is worked on in A itself: the rows are the
 trace form of its unitization A# on A x A#, whose kernel is rad(A) (see
-radical), so nothing here builds A#, and the bound p > dim + 1, that of A#,
-applies to every input alike.  The result is re-checked in the algebra
-itself by radical_failure, the one test of "this subspace is the radical",
-which certificate replay also uses, so a bug here surfaces as a
+radical), so nothing here builds A#, and the bound p > dim(A) applies to
+every input alike (see check_characteristic).  The result is re-checked in
+the algebra itself by radical_failure, the one test of "this subspace is the
+radical", which certificate replay also uses, so a bug here surfaces as a
 ConsistencyError instead of a wrong verdict downstream.  Its nilpotency step
 is a trace test as well: an ideal N is nilpotent exactly when Tr(L_b) = 0
 for every b in a basis of N, in the same characteristics.
@@ -66,13 +66,15 @@ def _trace_form_rows(a: Algebra):
 
 
 def check_characteristic(a: Algebra) -> None:
-    """Raise unless p > dim + 1: radical() takes the trace form of a's
-    unitization, for every input, and needs p above its dimension."""
+    """Raise unless p > n = dim(a).  The kernel K of _trace_form_rows(a) is
+    an ideal holding rad(a), and each x in K has Tr(L_{x^k}) = 0 for every
+    k >= 1: the trace row gives k = 1, the Gram rows the rest.  L_x acts on
+    a, of dimension n, so for p > n it is nilpotent (Newton's identities, as
+    in radical_failure).  So K is a nil ideal and K = rad(a), though A# has
+    dimension n + 1."""
     p = a.field.p
-    if p is not None and p <= a.dim + 1:
-        raise UnsupportedCharacteristic(
-            f"radical over GF({p}) needs p > {a.dim + 1} (dimension with unity adjoined)"
-        )
+    if p is not None and p <= a.dim:
+        raise UnsupportedCharacteristic(f"radical over GF({p}) needs p > {a.dim} (the dimension)")
 
 
 def radical(a: Algebra) -> Subspace:

@@ -148,15 +148,15 @@ def element_centrally_stable(x: Element) -> StabilityReport:
 
     # comm's rows in pivot order are those of commutator_space(x) up to
     # positive factors, and fully reduced: the closure inserts them unchanged
-    ideal_red, complete = _ideal_closure(a, comm.pivot_rows(), mirror)
+    ideal_red = _ideal_closure(a, comm.pivot_rows(), mirror)
+    ideal_rows = Subspace(f, ideal_red).rows
 
-    if complete and res:
-        ideal_space = Subspace(f, ideal_red)
+    if res:  # mirror never stopped the closure: it reached Id([x, A])
         total = Subspace(f, combined)  # Z + the closure
         cert = UnstableElementWitness(
-            tuple(x.coords), z_space.rows, ideal_space.rows, total.rows
+            tuple(x.coords), z_space.rows, ideal_rows, total.rows
         )
-        bases = {"center": z_space.rows, "commutator_ideal": ideal_space.rows}
+        bases = {"center": z_space.rows, "commutator_ideal": ideal_rows}
         return StabilityReport(NOT_STABLE, METHOD_ELEMENT, cert, bases)
 
     gens = list(z_space.rows) + ideal_red.pivot_rows()
@@ -166,11 +166,8 @@ def element_centrally_stable(x: Element) -> StabilityReport:
     z_vec = _linear_combination(f, coeffs, z_space.rows, a.dim)
     u_vec = tuple(f.sub(xi, zi) for xi, zi in zip(x.coords, z_vec))
     cert = StableElementWitness(tuple(x.coords), tuple(z_vec), u_vec)
-    partial = Subspace(f, ideal_red)
-    key = "commutator_ideal" if complete else "commutator_ideal_partial"
-    return StabilityReport(
-        STABLE, METHOD_ELEMENT, cert, {"center": z_space.rows, key: partial.rows}
-    )
+    bases = {"center": z_space.rows, "commutator_ideal_partial": ideal_rows}
+    return StabilityReport(STABLE, METHOD_ELEMENT, cert, bases)
 
 
 # ---------------------------------------------------------------------------
@@ -593,5 +590,4 @@ def _in_ideal(a: Algebra, gens, targets) -> bool:
 
 def _commutator_ideal(a: Algebra, coords):
     """Id([x, A]), closed from the raw commutator rows of x."""
-    red, _ = _ideal_closure(a, _commutator_rows(a, _int_entries(coords)))
-    return Subspace(a.field, red)
+    return Subspace(a.field, _ideal_closure(a, _commutator_rows(a, _int_entries(coords))))

@@ -361,9 +361,14 @@ def test_criterion_8_radical_postconditions():
         assert span(Q, _dense_gram(t2), 3).dim < 3
         assert not _has_separability_idempotent(t2)
 
-        # characteristic guard and GF(101) reproductions
+        # characteristic guard (p <= dim refused, p = dim + 1 decided and
+        # replayed) and GF(101) reproductions
         with pytest.raises(UnsupportedCharacteristic):
-            radical(build("matrix_full", n=2, field=prime_field(5)).algebra)
+            radical(build("matrix_full", n=2, field=prime_field(3)).algebra)
+        m2 = build("matrix_full", n=2, field=prime_field(5)).algebra
+        assert radical(m2).dim == 0
+        rep = algebra_centrally_stable(m2)
+        assert rep.verdict == STABLE and verify_certificate(m2, rep)
         for n in (1, 2, 3, 4):
             entry = build("matrix_full", n=n, field=prime_field(101))
             assert algebra_centrally_stable(entry.algebra).verdict == STABLE

@@ -126,7 +126,7 @@ def test_decompose_command(tmp_path, capsys):
 @pytest.mark.parametrize(
     "name, n, p, info_code, stable_code",
     [
-        ("strict_upper", 3, 5, 0, 0),  # p > dim + 1 = 4, though A# has dimension 4
+        ("strict_upper", 3, 5, 0, 0),  # p > dim = 3, though A# has dimension 4
         ("strict_upper", 3, 7, 0, 0),
         ("upper_triangular", 2, 3, 3, 3),
         ("upper_triangular", 2, 5, 0, 0),
@@ -157,10 +157,19 @@ def test_exit_codes(tmp_path, capsys):
     )
     assert run(capsys, "validate", str(nonassoc))[0] == 2
 
+    # matrix_full n=2 has dimension 4: refused over GF(3), decided over GF(5)
+    gf3 = str(tmp_path / "gf3.json")
+    run(capsys, "construct", "matrix_full", "--field", "GF:3", "--n", "2", "-o", gf3)
+    assert run(capsys, "stable", gf3)[0] == 3
+    assert run(capsys, "info", gf3)[0] == 3
     gf5 = str(tmp_path / "gf5.json")
     run(capsys, "construct", "matrix_full", "--field", "GF:5", "--n", "2", "-o", gf5)
-    assert run(capsys, "stable", gf5)[0] == 3
-    assert run(capsys, "info", gf5)[0] == 3
+    assert run(capsys, "info", gf5)[0] == 0
+    code, out, _ = run(capsys, "stable", gf5, "--json")
+    assert code == 0 and json.loads(out)["verdict"] == "Stable"
+    from censtab.fileformat import load_algebra, verify_report_json
+
+    assert verify_report_json(load_algebra(gf5), json.loads(out))
 
     assert run(capsys, "construct", "matrix_full", "--n", "0", "-o", gf5)[0] == 2
     assert main(["no-such-command"]) == 1
@@ -173,6 +182,23 @@ def test_exit_codes(tmp_path, capsys):
     t3 = str(tmp_path / "t3.json")
     run(capsys, "construct", "upper_triangular", "--n", "3", "-o", t3)
     assert run(capsys, "element", t3, "--coords", "1,2")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["no-such-command"],
+        ["stable"],
+        ["stable", "--bogus", "a.json"],
+        ["construct", "truncated_poly", "--k", "\u0663"],
+        ["construct", "no_such_name"],
+    ],
+    ids=["unknown-command", "missing-file", "unknown-option", "bad-integer", "bad-name"],
+)
+def test_every_argparse_refusal_prints_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and ": error: " in err
 
 
 def test_coords_with_leading_minus(tmp_path, capsys):

@@ -120,14 +120,16 @@ def _unstable_elements(a):
     return unstable, len(ideals)
 
 
-# (name, params, p, number of ideals); p > dim + 1, which the engine needs
-# for the radical, and > dim + 2 on non-unital input
+# (name, params, p, number of ideals); p > dim, which the engine needs for
+# the radical, with the last two at p = dim + 1
 ROSTER = [
     ("upper_triangular", {"n": 2}, 5, 5),
     ("strict_upper", {"n": 3}, 7, 11),
     ("truncated_poly", {"k": 3}, 5, 4),
     ("truncated_poly", {"k": 4}, 7, 5),
     ("scalar_plus_strict_upper", {"n": 3}, 7, 12),
+    ("truncated_poly", {"k": 4}, 5, 5),
+    ("scalar_plus_strict_upper", {"n": 3}, 5, 10),
 ]
 
 

@@ -157,12 +157,16 @@ def test_radical_inside_kernels_of_semisimple_surjections():
 
 
 def test_characteristic_guard():
-    # dim 4 over GF(5): the unitization has dimension 5, not below the bound
+    # dim 4: refused over GF(3), p <= dim; decided over GF(5), p = dim + 1,
+    # though the unitization has dimension 5
     from censtab.catalog import build
 
+    with pytest.raises(UnsupportedCharacteristic, match=r"needs p > 4"):
+        radical(build("matrix_full", n=2, field=prime_field(3)).algebra)
     m2 = build("matrix_full", n=2, field=prime_field(5)).algebra
-    with pytest.raises(UnsupportedCharacteristic):
-        radical(m2)
+    assert radical(m2).dim == 0
+    rep = algebra_centrally_stable(m2)
+    assert rep.verdict == "Stable" and verify_certificate(m2, rep)
     # GF(101) comfortably above every catalog dimension we use
     m2_big = build("matrix_full", n=2, field=prime_field(101)).algebra
     assert radical(m2_big).dim == 0
@@ -186,18 +190,21 @@ def test_unital_radical_agrees_with_the_radical_of_the_unitization(field):
 
 
 # (family, n, p) -> radical dimension, or None where both are refused; the
-# bound p > dim + 1 is that of A# for the non-unital strict_upper, whose
-# radical and decision are both taken in A
+# bound is p > dim, unital or not: p = dim + 1 is decided, even for the
+# non-unital strict_upper, whose A# has dimension dim + 1
 CHARACTERISTIC_CASES = {
+    ("matrix_full", 2, 3): (None, None),
+    ("matrix_full", 2, 5): (0, "Stable"),
     ("strict_upper", 3, 5): (3, "NotStable"),
     ("strict_upper", 3, 7): (3, "NotStable"),
+    ("strict_upper", 4, 7): (6, "NotStable"),
     ("upper_triangular", 2, 3): (None, None),
     ("upper_triangular", 2, 5): (1, "NotStable"),
 }
 
 
 @pytest.mark.parametrize("case", CHARACTERISTIC_CASES, ids=lambda c: f"{c[0]}-{c[1]}-GF{c[2]}")
-def test_characteristic_bound_is_p_above_dim_plus_one(case):
+def test_characteristic_bound_is_p_above_dim(case):
     name, n, p = case
     rad_dim, verdict = CHARACTERISTIC_CASES[case]
     a = build(name, n=n, field=prime_field(p)).algebra

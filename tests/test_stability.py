@@ -6,6 +6,9 @@ import pytest
 
 from censtab import linalg, stability
 from censtab.algebras import (
+    _commutator_rows,
+    _generators,
+    _ideal_closure,
     build_algebra,
     center,
     commutator_space,
@@ -376,6 +379,106 @@ def test_membership_stop_tests_keep_a_running_residual(monkeypatch):
                 assert stability._in_commutator_ideal(x, u)
     assert verdicts == {STABLE, NOT_STABLE}
     assert calls == []
+
+
+def _round_closure(a, vectors, stop=None):
+    """The ideal closure as a loop of rounds, each multiplying only the rows
+    the round before added; returns (reducer, complete).  The reference
+    that the single work list of `_ideal_closure` must follow row for row."""
+    n = a.dim
+    gens = _generators(a)
+    red = linalg._make_reducer(a.field, n)
+    work = []
+    for v in vectors:
+        r = red.insert(v)
+        if r is not None:
+            work.append(r)
+            if stop is not None and stop(red, r):
+                return red, False
+    while work:
+        if red.dim == n:
+            return red, True
+        fresh = []
+        for v in work:
+            for g in gens:
+                for w in (a._basis_mul_vec(g, v), a._vec_mul_basis(v, g)):
+                    if w is None:
+                        continue
+                    r = red.insert(w)
+                    if r is not None:
+                        fresh.append(r)
+                        if stop is not None and stop(red, r):
+                            return red, False
+                        if red.dim == n:
+                            return red, True
+        work = fresh
+    return red, True
+
+
+CLOSURE_CASES = [
+    ("matrix_full", {"n": 3}),
+    ("upper_triangular", {"n": 3}),
+    ("truncated_poly", {"k": 5}),
+    ("strict_upper", {"n": 4}),
+    ("matrix_over_commutative", {"n": 2, "k": 2}),
+]
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(101)], ids=str)
+def test_the_work_list_closure_inserts_the_rows_of_the_round_closure(field, monkeypatch):
+    from test_radical import _dense_basis
+
+    inserted = []  # every row insert returns, in order
+    real = _Reducer.insert
+
+    def recording(self, vec):
+        r = real(self, vec)
+        if r is not None:
+            inserted.append(dict(r))
+        return r
+
+    def run(closure, a, seeds, k):
+        """The rows closure inserts from seeds, stopped after the k-th new
+        row (k None: no stop test), and how many rows the stop test saw."""
+        seen = []
+
+        def stop(red, row):
+            seen.append(row)
+            return len(seen) == k
+
+        inserted.clear()
+        closure(a, seeds, None if k is None else stop)
+        return list(inserted), len(seen)
+
+    monkeypatch.setattr(_Reducer, "insert", recording)
+    rng = random.Random(f"closure-order:{field}")
+    runs = stopped = reports = 0
+    keys = {STABLE: set(), NOT_STABLE: set()}
+    for name, params in CLOSURE_CASES:
+        a = build(name, field=field, **params).algebra
+        for b in (a, _dense_basis(a, rng)[0]):
+            _generators(b)  # memoized: its own inserts stay out of the record
+            seeds = [list(_commutator_rows(b, _int_entries(random_element(b, rng).coords)))
+                     for _ in range(3)]
+            seeds += [[random_element(b, rng).coords for _ in range(j)] for j in (1, 2)]
+            for vectors in seeds:
+                full, _ = run(_round_closure, b, vectors, None)
+                assert run(_ideal_closure, b, vectors, None) == (full, 0), name
+                for k in range(1, len(full) + 1):
+                    want = run(_round_closure, b, vectors, k)
+                    assert want[0] == full[:k] and want[1] == k
+                    assert run(_ideal_closure, b, vectors, k) == want, (name, k)
+                    stopped += 1
+                runs += 1
+            for x in [*(b.basis_element(i) for i in range(b.dim)),
+                      *(random_element(b, rng) for _ in range(4))]:
+                rep = element_centrally_stable(x)
+                keys[rep.verdict].add(frozenset(rep.bases))
+                reports += 1
+    assert runs == 50 and stopped > runs and reports > 0
+    assert keys[STABLE] <= {frozenset({"center"}), frozenset({"center", "commutator_ideal_partial"})}
+    assert keys[NOT_STABLE] == {frozenset({"center", "commutator_ideal"})}
+    assert frozenset({"center", "commutator_ideal_partial"}) in keys[STABLE]
 
 
 def _count_eliminated_entries(monkeypatch):
