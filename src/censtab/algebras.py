@@ -460,27 +460,50 @@ def _generators(a: Algebra):
 
 
 def center(a: Algebra) -> Subspace:
-    """The subspace {z : zx = xz for all x}, as the kernel of z -> ([z, e_g])_g
-    over the generators g of a (`_generators`).  The centralizer of z is a
-    subalgebra, so z is central once z e_g = e_g z for every g.
-
-    Computed once per algebra and kept in its memo, as the generators are;
-    algebras are immutable.
+    """The subspace {z : zx = xz for all x}, `_quotient_center` of the zero
+    ideal.  Computed once per algebra and kept in its memo, as the
+    generators are; algebras are immutable.
     """
     z = a._memo.get("center")
     if z is None:
-        rows = defaultdict(dict)  # (g, k) -> equation row: coordinate k of [z, e_g]
-        for g in _generators(a):
-            for i, row in enumerate(a._rows):
-                for k, c in row.get(g, ()):  # z_i e_i e_g
-                    r = rows[g, k]
-                    r[i] = r.get(i, 0) + c
-            for j, pairs in a._rows[g].items():  # e_g z_j e_j
-                for k, c in pairs:
-                    r = rows[g, k]
-                    r[j] = r.get(j, 0) - c
-        z = a._memo["center"] = kernel_of_rows(a.field, rows.values(), a.dim)
+        z = a._memo["center"] = _quotient_center(a)
     return z
+
+
+def _quotient_center(a: Algebra, ideal=None) -> Subspace:
+    """Z(A/I) for the ideal I (0 for None), in the coordinates of I's free
+    columns, those of quotient(), without building A/I.
+
+    The e_c, c a free column, map onto a basis of A/I, and the image of z is
+    central once it commutes with that of every e_g, g in `_generators(a)`,
+    as a centralizer is a subalgebra.  So Z(A/I) is the kernel of
+    z -> ([z, e_g] mod I)_g on the span of the e_c, read off the index.
+    With I's canonical rows r_q (r_q[q] = 1, zero at the other pivots),
+    coordinate i of w mod I is w[i] - sum_q w[q] r_q[i]: the equation of
+    each pivot q goes, r_q[i] times into that of each free i.
+    """
+    index = a._rows
+    canon = {} if ideal is None else dict(ideal.reducer._canonical_entries())
+    pos = {c: k for k, c in enumerate(c for c in range(a.dim) if c not in canon)}
+    eqs = defaultdict(dict)  # (g, i) -> {k: coordinate i of N [e_c, e_g], c the k-th free column}
+    for g in _generators(a):
+        for c, k in pos.items():  # e_c e_g
+            for i, x in index[c].get(g, ()):
+                r = eqs[g, i]
+                r[k] = r.get(k, 0) + x
+        for c, pairs in index[g].items():  # e_g e_c
+            if (k := pos.get(c)) is not None:
+                for i, x in pairs:
+                    r = eqs[g, i]
+                    r[k] = r.get(k, 0) - x
+    for g, q in [key for key in eqs if key[1] in canon]:
+        eq = eqs.pop((g, q))
+        for i, y in canon[q].items():
+            if i != q:
+                r = eqs[g, i]
+                for k, x in eq.items():
+                    r[k] = r.get(k, 0) - y * x
+    return kernel_of_rows(a.field, eqs.values(), len(pos))
 
 
 def commutator_space(x: Element) -> Subspace:
@@ -650,15 +673,6 @@ def quotient(a: Algebra, ideal: Subspace) -> QuotientMap:
     w = ideal_witness(a, ideal)
     if w is not None:
         raise NotAnIdeal(*w)
-    return _quotient_by_ideal(a, ideal)
-
-
-def _quotient_by_ideal(a: Algebra, ideal: Subspace) -> QuotientMap:
-    """a/ideal for a subspace the caller has already proved to be an ideal.
-
-    Nothing here checks that; for a non-ideal the table it builds need not
-    be associative.  Callers without such a proof use quotient().
-    """
     n, red = a.dim, ideal.reducer
     pivot_set = set(ideal.pivots)
     free = tuple(c for c in range(n) if c not in pivot_set)

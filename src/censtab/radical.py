@@ -15,14 +15,17 @@ the algebra itself by radical_failure, the one test of "this subspace is the
 radical", which certificate replay also uses, so a bug here surfaces as a
 ConsistencyError instead of a wrong verdict downstream.  Its nilpotency step
 is a trace test as well: an ideal N is nilpotent exactly when Tr(L_b) = 0
-for every b in a basis of N, in the same characteristics.
+for every b in a basis of N, in the same characteristics, and its
+semisimplicity step reads the trace form of A/N off A, building nothing.
 """
 
 from __future__ import annotations
 
-from .algebras import Algebra, _quotient_by_ideal, ideal_witness
+from math import lcm
+
+from .algebras import Algebra, ideal_witness
 from .errors import ConsistencyError, UnsupportedCharacteristic
-from .linalg import Subspace, kernel_of_rows
+from .linalg import Subspace, _make_reducer, kernel_of_rows
 
 
 def _left_traces(a: Algebra):
@@ -41,7 +44,7 @@ def _left_traces(a: Algebra):
     return t
 
 
-def _trace_form_rows(a: Algebra):
+def _trace_form_rows(a: Algebra, t=None, skip=()):
     """The trace form of A# on A x A#: rows G[i][j] = trace(L_{e_i e_j}) =
     sum_k c[i][j][k] t_k for e_j in A, then the row t of t_k = trace(L_{e_k}),
     the column of the adjoined unity 1, as e_k 1 = e_k.
@@ -51,17 +54,22 @@ def _trace_form_rows(a: Algebra):
     reduced mod p over GF(p)).  Each row is a dict of its nonzero entries.
     For unital a the last row is sum_j u_j G_j, u the unity, so it leaves
     the kernel as it is.  Put first, it would fill in the Gram rows.
+    With other traces t and the indices in skip left out, the same sums
+    give the trace form of A/N (see radical_failure).
     """
-    t = _left_traces(a)
+    t = _left_traces(a) if t is None else t
     rows = []
-    for entries in a._rows:
+    for i, entries in enumerate(a._rows):
+        if i in skip:
+            continue
         row = {}
         for j, pairs in entries.items():
-            for k, c in pairs:
-                if t[k]:
-                    row[j] = row.get(j, 0) + c * t[k]
+            if j not in skip:
+                for k, c in pairs:
+                    if t[k]:
+                        row[j] = row.get(j, 0) + c * t[k]
         rows.append(row)
-    rows.append({k: tk for k, tk in enumerate(t) if tk})
+    rows.append({k: tk for k, tk in enumerate(t) if tk and k not in skip})
     return rows
 
 
@@ -102,8 +110,8 @@ def radical_failure(a: Algebra, rad: Subspace):
     rad is the radical exactly when it is a nilpotent ideal with a
     semisimple quotient; each property is checked once, in that order.
     Passing the ideal check licenses the other two steps: the trace test
-    below needs N = rad closed under products, and the quotient is built
-    unchecked.
+    below needs N = rad closed under products, and the trace form of the
+    quotient is read off A only for an ideal N.
 
     Nilpotency is the test Tr(L_b) = 0 for every basis row b of N.  L_{xy} =
     L_x L_y, so L(N) = {L_x : x in N} is an algebra of n x n matrices, and
@@ -116,6 +124,14 @@ def radical_failure(a: Algebra, rad: Subspace):
     linear in b, so a basis suffices.  Over Q the index holds the table
     times its int scale, so the traces read off it are that multiple of Tr
     and the zero test is the same; over GF(p) the int sums are reduced mod p.
+
+    B = A/N is not built.  L_x keeps the ideal N, so Tr_B(L_{pi x}) =
+    Tr_A(L_x) - Tr_N(L_x|N), where N's basis row b_q (pivot q, zero at the
+    other pivots) has coefficient w[q] / b_q[q] in w.  tau_k =
+    Tr_B(L_{pi e_k}) vanishes on N, and the e_i, i a free column, map onto
+    a basis of B, so B's Gram entries are sum_k c_ab^k tau_k over free a, b:
+    _trace_form_rows(a, tau, N's pivots) is _trace_form_rows(B) with its
+    rows scaled, and B's kernel is zero exactly when their rank is dim B.
 
     The quotient B needs no unity: the kernel of _trace_form_rows(B) is zero
     exactly when B is semisimple.  The kernel holds every nilpotent ideal of
@@ -132,11 +148,34 @@ def radical_failure(a: Algebra, rad: Subspace):
     if w is not None:
         return f"radical candidate is not an ideal: witness {w}"
     t, p = _left_traces(a), a.field.p
-    for b in rad.reducer.pivot_rows():
+    piv = rad.reducer.rows  # pivot -> basis row, zero at every other pivot
+    for b in piv.values():
         tr = sum(c * t[k] for k, c in b.items())
         if tr if p is None else tr % p:
             return "radical candidate is not nilpotent"
-    q = _quotient_by_ideal(a, rad).target
-    if kernel_of_rows(a.field, _trace_form_rows(q), q.dim).dim != 0:
+    gram = _make_reducer(a.field, a.dim)
+    for row in _trace_form_rows(a, _quotient_traces(a, piv), piv):
+        gram.insert(row)
+    if gram.dim + len(piv) != a.dim:
         return "quotient by radical candidate is not semisimple"
     return None
+
+
+def _quotient_traces(a: Algebra, piv):
+    """d N tau_k, tau_k = Tr_{A/N}(L_{pi e_k}), for the ideal N with reducer
+    rows piv (pivot -> row) and d the lcm of their pivot entries, at the
+    free k and those products of free basis vectors reach; 0 at the other k,
+    which _trace_form_rows(a, tau, piv) does not read (see radical_failure).
+    """
+    t, rows = _left_traces(a), a._rows
+    free = [i for i in range(a.dim) if i not in piv]
+    need = {k for i in free for j, pairs in rows[i].items() if j not in piv for k, _ in pairs}
+    d = lcm(*[b[q] for q, b in piv.items()])  # 1 over GF(p): unit pivots
+    tau = [0] * a.dim
+    for k in need.union(free):
+        tau[k] = d * t[k]
+        for j, pairs in rows[k].items():
+            for q, c in pairs:
+                if (b := piv.get(q)) is not None and j in b:
+                    tau[k] -= d // b[q] * b[j] * c
+    return tau

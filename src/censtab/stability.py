@@ -11,6 +11,8 @@ elements -- the centrally stable elements need not form a subspace, so no
 amount of sampling could decide the algebra.  Nor is a NotStable witness
 searched for: it is lifted from the center of A/J or of A/rad(A), one of
 which always holds one, J = Id(Z(A) cap rad(A)) (see algebra_centrally_stable).
+Both centers are computed in A, as is the semisimplicity of A/rad(A) (see
+radical_failure), so neither the decision nor its replay builds an algebra.
 
 Every verdict carries a certificate that re-verifies through the linear
 algebra layer (see verify_certificate).
@@ -26,7 +28,7 @@ from .algebras import (
     Element,
     _commutator_rows,
     _ideal_closure,
-    _quotient_by_ideal,
+    _quotient_center,
     center,
     ideal_generated,
     matrix_algebra,
@@ -243,24 +245,26 @@ def _radical_method(a: Algebra) -> str:
 def _central_lifts(a, z, r, j):
     """("A/J", v) for a lift v of a nonzero element of Z(A/J) cap R/J, then
     ("A/rad", v) for a lift of the first RREF row of Z(A/R) outside pi(Z(A)),
-    each only when it exists."""
+    each only when it exists.  `_quotient_center` gives both centers in the
+    coordinates of quotient(): the canonical subspaces of the quotient
+    algebras, so the lifts are those made from their centers.  A row lifts
+    to v on R's free columns, and lies in pi(Z(A)) exactly when v is in Z + R.
+    """
     f = a.field
-    # J lies in R, so rad(A/J) = R/J: R/J is a nilpotent ideal of A/J with
-    # quotient A/R, which is semisimple.  J comes from ideal_generated and R
-    # passed radical_failure, so neither is checked again as an ideal.
-    qj = _quotient_by_ideal(a, j)
-    proj = [qj.project_vec(row) for row in r.rows]
-    inter = subspace_intersect(center(qj.target), span(f, proj, qj.target.dim))
+    free = [c for c in range(a.dim) if c not in j.reducer.rows]
+    proj = [tuple(w[c] for c in free) for w in map(j.reduce, r.rows)]
+    zj = _quotient_center(a, j) if j.dim else z  # Z(A/0) = Z(A)
+    inter = subspace_intersect(zj, span(f, proj, len(free)))
     if inter.dim > 0:
-        coeffs = express_in_span(f, proj, inter.rows[0], qj.target.dim)
+        coeffs = express_in_span(f, proj, inter.rows[0], len(free))
         yield "A/J", _linear_combination(f, coeffs, r.rows, a.dim)
-    qr = _quotient_by_ideal(a, r)
-    image = span(f, [qr.project_vec(row) for row in z.rows], qr.target.dim)
-    for row in center(qr.target).rows:
-        if not image.contains(row):
-            v = [f.zero] * a.dim
-            for col, val in zip(qr.free_cols, row):
-                v[col] = val
+    free = [c for c in range(a.dim) if c not in r.reducer.rows]
+    center_plus_r = subspace_sum(z, r)
+    for row in _quotient_center(a, r).rows:
+        v = [f.zero] * a.dim
+        for col, val in zip(free, row):
+            v[col] = val
+        if not center_plus_r.contains(v):
             yield "A/rad", tuple(v)
             return
 

@@ -21,8 +21,8 @@ from censtab.algebras import (
 )
 from censtab.catalog import build, standard_entries
 from censtab.errors import ConsistencyError, UnsupportedCharacteristic
-from censtab.linalg import express_in_span, kernel_of_rows, span
-from censtab.radical import _trace_form_rows, radical, radical_failure
+from censtab.linalg import express_in_span, kernel_of_rows, span, subspace_intersect
+from censtab.radical import _quotient_traces, _trace_form_rows, radical, radical_failure
 from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import algebra_centrally_stable, random_element, verify_certificate
 
@@ -520,13 +520,15 @@ def test_radical_work_bounds(field, monkeypatch):
 
 @FIELDS
 @pytest.mark.parametrize(
-    "name, params",
-    [("strict_upper", {"n": 5}), ("r11_radical", {"n": 2, "k": 4}), ("upper_triangular", {"n": 4})],
-    ids=["strict_upper-5", "r11_radical-2-4", "upper_triangular-4"],
+    "name, params, route",
+    [("strict_upper", {"n": 5}, "A/J"), ("r11_radical", {"n": 2, "k": 4}, "A/J"),
+     ("upper_triangular", {"n": 4}, "A/rad"), ("truncated_poly", {"k": 4}, None)],
+    ids=["strict_upper-5", "r11_radical-2-4", "upper_triangular-4", "truncated_poly-4"],
 )
-def test_radical_builds_no_algebra_but_the_quotient(field, name, params, monkeypatch):
-    # the trace form of A# is read off A's own table, unital or not; the one
-    # algebra built is A/rad, for the semisimplicity check of radical_failure
+def test_decision_and_replay_build_no_algebra(field, name, params, route, monkeypatch):
+    # the trace forms of A# and of A/rad are read off A's own table, unital
+    # or not, and the witness lifts are computed in A: the radical, the
+    # decision and its replay build no algebra, on either lift route
     a = build(name, field=field, **params).algebra
     built = []
     init = Algebra.__init__
@@ -536,8 +538,68 @@ def test_radical_builds_no_algebra_but_the_quotient(field, name, params, monkeyp
         init(self, field, dim, *args, **kwargs)
 
     monkeypatch.setattr(Algebra, "__init__", counted_init)
-    rad = radical(a)
-    assert built == [a.dim - rad.dim]
+    radical(a)
+    rep = algebra_centrally_stable(a)
+    assert rep.bases.get("witness_quotient") == route
+    assert verify_certificate(a, rep)
+    assert built == []
+
+
+def _old_quotient_is_semisimple(a, n):
+    """The semisimplicity step as it was: the trace-form kernel of A/N,
+    built as an algebra.  The rows read off A must be those of A/N up to
+    one scale for the Gram rows and one for the trace row."""
+    q = quotient(a, n).target
+    old = _trace_form_rows(q)
+    piv = n.reducer.rows
+    new = _trace_form_rows(a, _quotient_traces(a, piv), piv)
+    free = [c for c in range(a.dim) if c not in piv]
+    m = len(free)
+
+    def scaled(rows, cols):  # the lines through the Gram rows and the trace row
+        gram = [row.get(c, 0) for row in rows[:-1] for c in cols]
+        return span(a.field, [gram], m * m), span(a.field, [[rows[-1].get(c, 0) for c in cols]], m)
+
+    assert scaled(new, free) == scaled(old, range(m))
+    return kernel_of_rows(a.field, old, q.dim).dim == 0
+
+
+def _nilpotent_ideals(a, rng):
+    """0, J = Id(Z cap rad), rad^k for k >= 1 and two random sub-ideals of
+    rad: ideals that pass the first two steps of radical_failure."""
+    f, rad = a.field, radical(a)
+    c = [a.element(row) for row in subspace_intersect(center(a), rad).rows]
+    out = [span(f, [], a.dim), ideal_generated(a, c)]
+    power = rad
+    while power.dim:
+        out.append(power)
+        power = span(f, [a.mul_coords(v, w) for v in rad.rows for w in power.rows], a.dim)
+    for _ in range(2):
+        x = [f.zero] * a.dim
+        for row in rad.rows:
+            c = f.coerce(rng.randint(-2, 2))
+            x = [f.add(xi, f.mul(c, ri)) for xi, ri in zip(x, row)]
+        out.append(ideal_generated(a, [a.element(x)]))
+    return out
+
+
+@FIELDS
+def test_the_semisimplicity_step_agrees_with_the_trace_form_of_the_quotient(field):
+    # Tr_{A/N}(L_x) = Tr_A(L_x) - Tr_N(L_x|N) gives A/N's trace form on A:
+    # the same verdict as the kernel of _trace_form_rows on A/N, built, on
+    # candidates that pass the ideal and nilpotency steps, failing ones too
+    rng = random.Random(f"semisimple:{field.p}")
+    algebras = [entry.algebra for entry in standard_entries(field)]
+    algebras += [_dense_basis(build(name, field=field, **params).algebra, rng)[0]
+                 for name, params in DENSE_CASES]
+    outcomes = set()
+    for idx, a in enumerate(algebras):
+        for n in _nilpotent_ideals(a, rng):
+            reason = radical_failure(a, n)
+            assert reason in (None, "quotient by radical candidate is not semisimple"), (idx, n)
+            assert (reason is None) == _old_quotient_is_semisimple(a, n), (idx, n)
+            outcomes.add(reason)
+    assert len(outcomes) == 2
 
 
 @FIELDS
@@ -585,7 +647,7 @@ def test_radical_ideal_check_products_are_bounded_by_the_generators(field, monke
 @FIELDS
 def test_decision_work_bounds(field, monkeypatch):
     # one radical, checked for being an ideal once and for nilpotency by
-    # traces; the NotStable lift builds A/J without checking J again
+    # traces; the NotStable lift is computed in A, with no ideal check
     a = build("strict_upper", n=9, field=field).algebra
     counts = _count_work(monkeypatch)
     algebra_centrally_stable(a)

@@ -935,6 +935,56 @@ def test_a_lift_that_tests_stable_is_a_consistency_error(monkeypatch):
         algebra_centrally_stable(t3())
 
 
+def _old_central_lifts(a, z, r, j):
+    """The witness lifts as they were, read off the quotient algebras A/J
+    and A/R, each built with its own generators and center."""
+    f = a.field
+    qj = quotient(a, j)
+    proj = [qj.project_vec(row) for row in r.rows]
+    inter = subspace_intersect(center(qj.target), span(f, proj, qj.target.dim))
+    if inter.dim > 0:
+        coeffs = express_in_span(f, proj, inter.rows[0], qj.target.dim)
+        yield "A/J", linalg._linear_combination(f, coeffs, r.rows, a.dim)
+    qr = quotient(a, r)
+    image = span(f, [qr.project_vec(row) for row in z.rows], qr.target.dim)
+    for row in center(qr.target).rows:
+        if not image.contains(row):
+            v = [f.zero] * a.dim
+            for col, val in zip(qr.free_cols, row):
+                v[col] = val
+            yield "A/rad", tuple(v)
+            return
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
+def test_the_lifts_computed_in_a_are_those_read_off_the_quotients(field):
+    # Z(A/J) cap R/J and Z(A/R) come from the kernel of c -> [sum c_k b_k,
+    # e_g] mod I in A's coordinates: the same canonical subspaces as on the
+    # built quotients, so every lift, on both routes, keeps its coordinates
+    from test_radical import _dense_basis
+
+    rng = random.Random(f"lifts:{field.p}")
+    unstable = [e.algebra for e in standard_entries(field) if e.expected.verdict == NOT_STABLE]
+    stable = [e.algebra for e in standard_entries(field) if e.expected.verdict == STABLE]
+    algebras = unstable + [_dense_basis(a, rng)[0] for a in unstable if a.dim <= 10]
+    algebras += _non_unital_algebras(field, 20)
+    algebras += [direct_product(a, stable[i % len(stable)]) for i, a in enumerate(unstable) if a.dim <= 8]
+    # a product of an A/J case and an A/rad case has both lifts
+    algebras += [direct_product(a, b) for i, a in enumerate(unstable) for b in unstable[i + 1:]
+                 if a.dim + b.dim <= 7]
+    routes = []
+    for idx, a in enumerate(algebras):
+        z, r = center(a), radical(a)
+        j = ideal_generated(a, [a.element(row) for row in subspace_intersect(z, r).rows])
+        if j == r:
+            continue
+        lifts = list(stability._central_lifts(a, z, r, j))
+        assert lifts == list(_old_central_lifts(a, z, r, j)), idx
+        routes.append(tuple(where for where, _ in lifts))
+    assert {route[0] for route in routes} == {"A/J", "A/rad"}
+    assert ("A/J", "A/rad") in routes
+
+
 # -- replay checks a claimed radical; it does not compute one -------------------
 
 
