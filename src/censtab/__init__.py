@@ -23,7 +23,6 @@ from .algebras import (
     QuotientMap,
     build_algebra,
     center,
-    commutator,
     commutator_space,
     direct_product,
     ideal_generated,
@@ -35,7 +34,6 @@ from .algebras import (
     quotient,
     tensor_product,
     unitization,
-    verify_associativity,
 )
 from .radical import radical
 from .stability import (

@@ -5,15 +5,14 @@ e_i * e_j = sum_k c[i][j][k] e_k.  The table is stored sparsely: a dict
 mapping (i, j) to a tuple of (k, scalar) pairs, with absent pairs meaning a
 zero product.  Associativity is validated once at construction, exactly,
 through a generating set, and derived constructions (quotients, tensor
-products, ...) are trusted to preserve it; `verify_associativity` re-checks
-any algebra and its stored unity on demand, the same way.
+products, ...) are trusted to preserve it.
 
 The table keeps the exact constants c; products run on an int index of
 N * c, N the lcm of the table's denominators (1 over GF(p)).  The basis
 f_i = N e_i has f_i f_j = sum_k N c[i][j][k] f_k, so the index presents the
 same algebra, and every subspace is invariant under that uniform scaling:
-spans, reductions and zero tests read the index as it is, and only true
-coordinates (`mul_coords`) are divided by N.
+spans, reductions and zero tests read the index as it is, and no product is
+divided back by N.
 """
 
 from __future__ import annotations
@@ -45,8 +44,7 @@ class Algebra:
     v * e_i walks the nonzeros of v and looks each constant up.
     """
 
-    __slots__ = ("field", "dim", "table", "labels", "unity", "_scale", "_unscale", "_rows",
-                 "_memo")
+    __slots__ = ("field", "dim", "table", "labels", "unity", "_scale", "_rows", "_memo")
 
     def __init__(self, field, dim, table, labels, unity, _trusted=False):
         if not _trusted:
@@ -58,7 +56,7 @@ class Algebra:
         self.unity = unity
         rational = field.p is None  # GF(p) constants are ints already
         n = lcm(*[c.denominator for pairs in table.values() for _, c in pairs]) if rational else 1
-        self._scale, self._unscale = n, field.inv(n)  # 1/N for true coordinates
+        self._scale = n
         rows = [{} for _ in range(dim)]
         shared = {}  # equal entries share one tuple, so the index stays small
         for (i, j), pairs in table.items():
@@ -75,9 +73,6 @@ class Algebra:
         if len(coords) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} coordinates, got {len(coords)}")
         return Element(self, tuple(self.field.coerce(x) for x in coords))
-
-    def zero(self) -> Element:
-        return Element(self, (self.field.zero,) * self.dim)
 
     def basis_element(self, i: int) -> Element:
         coords = [self.field.zero] * self.dim
@@ -102,14 +97,8 @@ class Algebra:
     # -- products (coordinate level) -----------------------------------------
     # The raw products below are N = `_scale` times the true ones, in raw
     # ints where the inputs are ints, as dicts of the entries they reach.
-    # Operands are sequences or dicts (such as reducer rows).  The reducers
-    # take the dicts as they are, so only Element-facing results are divided
-    # by N and canonicalized.
-
-    def mul_coords(self, x, y):
-        acc = self._product(x, y)
-        f, inv = self.field, self._unscale
-        return tuple(f.mul(acc[k], inv) if k in acc else f.zero for k in range(self.dim))
+    # Operands are sequences or dicts (such as reducer rows), and the
+    # reducers take the dicts as they are.
 
     def _product(self, x, y):
         """N times the coordinates of x * y as a dict k -> value (absent means zero)."""
@@ -150,37 +139,14 @@ class Algebra:
 
 
 class Element:
-    """A coordinate vector over an algebra's distinguished basis."""
+    """A coordinate vector over an algebra's distinguished basis; it has no
+    arithmetic, as the engine multiplies raw coordinates on the int index."""
 
     __slots__ = ("algebra", "coords")
 
     def __init__(self, algebra: Algebra, coords: tuple):
         self.algebra = algebra
         self.coords = coords
-
-    def _check_same(self, other):
-        if not isinstance(other, Element):
-            raise TypeError(f"expected Element, got {type(other).__name__}")
-        if self.algebra is not other.algebra:
-            raise AlgebraMismatch("elements belong to different algebras")
-
-    def __add__(self, other):
-        self._check_same(other)
-        f = self.algebra.field
-        return Element(self.algebra, tuple(f.add(a, b) for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check_same(other)
-        f = self.algebra.field
-        return Element(self.algebra, tuple(f.sub(a, b) for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        f = self.algebra.field
-        return Element(self.algebra, tuple(f.neg(a) for a in self.coords))
-
-    def __mul__(self, other):
-        self._check_same(other)
-        return Element(self.algebra, self.algebra.mul_coords(self.coords, other.coords))
 
     def __eq__(self, other):
         return (
@@ -198,11 +164,6 @@ class Element:
             f"{a.field.format(c)}*{a.label(i)}" for i, c in enumerate(self.coords) if c
         ]
         return " + ".join(terms) if terms else "0"
-
-
-def commutator(x: Element, y: Element) -> Element:
-    """[x, y] = xy - yx."""
-    return x * y - y * x
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +357,6 @@ def _derived(field, dim, table, labels=None, unity=None) -> Algebra:
     if labels is not None:
         labels = tuple(labels)
     return Algebra(field, dim, table, labels, unity, _trusted=True)
-
-
-def verify_associativity(a: Algebra) -> None:
-    """Re-check associativity, through the generating set as at
-    construction, then the stored unity on the generators (raises
-    NotAssociative; a unity failure at e_g has the witness (-1, -1, g))."""
-    _check_associativity(a)
-    if a.unity is not None:
-        i = _unity_failure(a, a.unity)
-        if i is not None:
-            raise NotAssociative(-1, -1, i)
 
 
 # ---------------------------------------------------------------------------

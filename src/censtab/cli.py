@@ -148,7 +148,7 @@ def _parse_field(text: str):
 
 
 def _parse_coords(field, text, dim):
-    parts = text.split(",")
+    parts = text.split(",") if text.strip() else []  # blank: the zero-dimensional vector
     if len(parts) != dim:
         raise BadParams(f"expected {dim} coordinates, got {len(parts)}")
     return tuple(field.parse(p) for p in parts)

@@ -1,10 +1,38 @@
-"""Dense Fraction-matrix oracle used to cross-check structure-constant code.
+"""Dense oracles used to cross-check structure-constant code.
 
-Everything here multiplies honest n x n matrices entry by entry, so results
-are independent of the sparse table machinery under test.
+The matrix helpers multiply honest n x n Fraction matrices entry by entry,
+and `dense_product` sums an algebra's exact table term by term, so their
+results are independent of the int index under test.  `revalidate` re-runs
+the load-time checks on an algebra that was built without them.
 """
 
 from fractions import Fraction
+
+from censtab.algebras import _check_associativity, _unity_failure
+
+
+def dense_product(a, x, y):
+    """The coordinates of x * y in the algebra a, summed over its exact table
+    a.table (reduced mod p over GF(p)); x and y are coordinate sequences."""
+    p = a.field.p
+    out = [0] * a.dim
+    for (i, j), pairs in a.table.items():
+        if x[i] and y[j]:
+            for k, c in pairs:
+                out[k] += x[i] * y[j] * c
+    return tuple(Fraction(v) if p is None else v % p for v in out)
+
+
+def dense_commutator(a, x, y):
+    """[x, y] = xy - yx, by `dense_product`."""
+    return tuple(a.field.sub(u, v) for u, v in zip(dense_product(a, x, y), dense_product(a, y, x)))
+
+
+def revalidate(a):
+    """Check a as a load does: associativity through the generating set, and
+    the stored unity, if any, on both sides of every generator."""
+    _check_associativity(a)
+    assert a.unity is None or _unity_failure(a, a.unity) is None
 
 
 def zeros(n):

@@ -244,6 +244,22 @@ def test_decompose_of_non_unital_algebra_is_invalid_input(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "unital" in err
 
 
+def test_blank_coords_are_the_only_vector_of_a_zero_dimensional_algebra(tmp_path, capsys):
+    from censtab.fileformat import load_algebra, verify_report_json
+
+    z = str(tmp_path / "z.json")
+    Path(z).write_text('{"field": "Q", "dim": 0, "table": []}')
+    code, out, err = run(capsys, "element", z, "--coords", "")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "verdict: Stable"
+    code, out, _ = run(capsys, "element", z, "--coords", "", "--json")
+    assert code == 0 and json.loads(out)["verdict"] == "Stable"
+    assert verify_report_json(load_algebra(z), json.loads(out))
+    code, out, err = run(capsys, "decompose", z, "--n", "2", "--coords", "")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: tensor decomposition needs a unital left factor"]
+
+
 def test_decompose_checks_the_matrix_size_before_the_coordinates(tmp_path, capsys):
     p2 = str(tmp_path / "p2.json")
     run(capsys, "construct", "truncated_poly", "--k", "2", "-o", p2)

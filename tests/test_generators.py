@@ -4,8 +4,8 @@
 g in `_generators(a)`.  Each is compared here with a reference that
 multiplies by every basis vector, on the same inputs: catalog algebras,
 unital or not, their dense presentations and quotients by random ideals,
-over Q and GF(101).  The references use Element products, not the int
-index the engine reads.
+over Q and GF(101).  The references use the dense product over the exact
+table, not the int index the engine reads.
 """
 
 import random
@@ -15,7 +15,6 @@ import pytest
 from censtab.algebras import (
     _generators,
     center,
-    commutator,
     ideal_generated,
     ideal_witness,
     quotient,
@@ -24,6 +23,7 @@ from censtab.catalog import build
 from censtab.linalg import kernel_of_rows, span
 from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import random_element
+from oracle import dense_commutator, dense_product
 from test_radical import _dense_basis
 
 FIELDS = pytest.mark.parametrize("field", [Q, prime_field(101)], ids=str)
@@ -41,8 +41,9 @@ CASES = [
 
 def _center_ref(a):
     """The kernel of z -> ([z, e_j])_j over every basis vector e_j."""
-    basis = [a.basis_element(i) for i in range(a.dim)]
-    rows = [[commutator(e_i, e_j).coords[k] for e_i in basis] for e_j in basis for k in range(a.dim)]
+    basis = [a.basis_element(i).coords for i in range(a.dim)]
+    comms = [[dense_commutator(a, e_i, e_j) for e_i in basis] for e_j in basis]
+    rows = [[c[k] for c in row] for row in comms for k in range(a.dim)]
     return kernel_of_rows(a.field, rows, a.dim)
 
 
@@ -50,10 +51,12 @@ def _closure_ref(a, xs):
     """The ideal generated by xs: span(xs) closed under e_i s and s e_i for
     every basis vector e_i, one round at a time."""
     s = span(a.field, [x.coords for x in xs], a.dim)
-    basis = [a.basis_element(i) for i in range(a.dim)]
+    basis = [a.basis_element(i).coords for i in range(a.dim)]
     while True:
-        vs = [a.element(r) for r in s.rows]
-        prods = [(e * v).coords for v in vs for e in basis] + [(v * e).coords for v in vs for e in basis]
+        vs = s.rows
+        prods = [dense_product(a, e, v) for v in vs for e in basis] + [
+            dense_product(a, v, e) for v in vs for e in basis
+        ]
         t = span(a.field, list(s.rows) + prods, a.dim)
         if t == s:
             return s
@@ -63,26 +66,25 @@ def _closure_ref(a, xs):
 def _witness_ref(a, s):
     """The first (vec_idx, basis_idx, side) over all basis vectors with a
     product escaping s, or None."""
-    for vi, row in enumerate(s.rows):
-        v = a.element(row)
+    for vi, v in enumerate(s.rows):
         for i in range(a.dim):
-            e = a.basis_element(i)
-            if not s.contains((e * v).coords):
+            e = a.basis_element(i).coords
+            if not s.contains(dense_product(a, e, v)):
                 return (vi, i, "left")
-            if not s.contains((v * e).coords):
+            if not s.contains(dense_product(a, v, e)):
                 return (vi, i, "right")
     return None
 
 
 def _word_span(a, gens):
     """The span of the words in the e_g: the subalgebra they generate."""
-    letters = [a.basis_element(g) for g in gens]
-    s = span(a.field, [x.coords for x in letters], a.dim)
+    letters = [a.basis_element(g).coords for g in gens]
+    s = span(a.field, letters, a.dim)
     frontier = letters
     while frontier:
-        new = [x * w for x in letters for w in frontier]
-        new = [w for w in new if not s.contains(w.coords)]
-        s = span(a.field, list(s.rows) + [w.coords for w in new], a.dim)
+        new = [dense_product(a, x, w) for x in letters for w in frontier]
+        new = [w for w in new if not s.contains(w)]
+        s = span(a.field, list(s.rows) + new, a.dim)
         frontier = new
     return s
 

@@ -26,7 +26,7 @@ from censtab.radical import _quotient_traces, _trace_form_rows, radical, radical
 from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import algebra_centrally_stable, random_element, verify_certificate
 
-from oracle import full_family, strict_upper_family, upper_family
+from oracle import dense_product, full_family, strict_upper_family, upper_family
 from test_algebras import alg_from_family, truncated_poly
 from test_linalg import full_space
 from test_stability import _non_unital_algebras, _random_subalgebra
@@ -299,7 +299,7 @@ def test_radical_matches_trace_oracle_on_small_algebras():
             for j in range(n):
                 ej = [Q.zero] * n
                 ej[j] = Q.one
-                cols.append(ua.mul_coords(vec, ej))
+                cols.append(dense_product(ua, vec, ej))
             return [[cols[j][i] for j in range(n)] for i in range(n)]
 
         def trace(m):
@@ -313,7 +313,7 @@ def test_radical_matches_trace_oracle_on_small_algebras():
             for j in range(n):
                 ej = [Q.zero] * n
                 ej[j] = Q.one
-                prod = ua.mul_coords(x, ej)
+                prod = dense_product(ua, x, ej)
                 assert trace(left_matrix(prod)) == Q.zero
 
 
@@ -450,7 +450,7 @@ def _dense_basis(a, rng):
     table = {}
     for i in range(n):
         for j in range(n):
-            q = express_in_span(f, p, a.mul_coords(p[i], p[j]), n)
+            q = express_in_span(f, p, dense_product(a, p[i], p[j]), n)
             table[(i, j)] = [(k, c) for k, c in enumerate(q) if c]
     return build_algebra(f, n, table), p
 
@@ -573,7 +573,7 @@ def _nilpotent_ideals(a, rng):
     power = rad
     while power.dim:
         out.append(power)
-        power = span(f, [a.mul_coords(v, w) for v in rad.rows for w in power.rows], a.dim)
+        power = span(f, [dense_product(a, v, w) for v in rad.rows for w in power.rows], a.dim)
     for _ in range(2):
         x = [f.zero] * a.dim
         for row in rad.rows:

@@ -34,6 +34,7 @@ from censtab.stability import (
     element_centrally_stable,
     random_element,
 )
+from oracle import dense_product
 from test_radical import _dense_basis
 
 CASES = [
@@ -114,14 +115,6 @@ def _fractions_only(vectors):
     return all(type(x) is Fraction for v in vectors for x in v)
 
 
-def _dense_product(table, x, y, dim):
-    out = [Fraction(0)] * dim
-    for (i, j), pairs in table.items():
-        for k, c in pairs:
-            out[k] += x[i] * y[j] * c
-    return tuple(out)
-
-
 def _certificate_vectors(cert):
     """Every coordinate vector a certificate holds."""
     for f in fields(cert):
@@ -163,27 +156,31 @@ def _check_basis_products(a, rng):
         for i in range(a.dim):
             e = a.basis_element(i).coords
             for got, want in (
-                (a._basis_mul_vec(i, v), _dense_product(a.table, e, dense_v, a.dim)),
-                (a._vec_mul_basis(v, i), _dense_product(a.table, dense_v, e, a.dim)),
+                (a._basis_mul_vec(i, v), dense_product(a, e, dense_v)),
+                (a._vec_mul_basis(v, i), dense_product(a, dense_v, e)),
             ):
                 want = _nonzero(enumerate(a._scale * x for x in want), p)
                 assert (got is None) == (not want)
                 assert _nonzero((got or {}).items(), p) == want
 
 
+def _index_product(a, x, y):
+    """x * y over Q from the int index: `_product` divided by N."""
+    acc = a._product(x, y)
+    return tuple(Fraction(acc.get(k, 0), a._scale) for k in range(a.dim))
+
+
 @pytest.mark.parametrize("scales", [_small_scales, _big_scales])
-def test_mul_coords_matches_a_dense_product_over_the_table(scales):
+def test_index_products_match_a_dense_product_over_the_table(scales):
     rng = random.Random(5)
     scaled = 0
     for _, a, b, d, perm in _presentations(scales, 3):
         scaled += b._scale > 1
         for _ in range(4):
             x, y = random_element(b, rng).coords, random_element(b, rng).coords
-            got = b.mul_coords(x, y)
-            assert got == _dense_product(b.table, x, y, b.dim)
-            assert _fractions_only([got])
-            assert got == _to_f(a.mul_coords(_to_e(x, d, perm), _to_e(y, d, perm)), d, perm)
-            assert (b.element(x) * b.element(y)).coords == got
+            got = _index_product(b, x, y)
+            assert got == dense_product(b, x, y)
+            assert got == _to_f(_index_product(a, _to_e(x, d, perm), _to_e(y, d, perm)), d, perm)
         _check_basis_products(b, rng)
     assert scaled >= len(CASES) - 1
     # e_i v and v e_i differ in these, so reading one index entry for the other fails
@@ -323,7 +320,7 @@ def _unity_failure_reference(a, u, indices):
     products over the table."""
     for i in indices:
         e = a.basis_element(i).coords
-        if not _dense_product(a.table, u, e, a.dim) == e == _dense_product(a.table, e, u, a.dim):
+        if not dense_product(a, u, e) == e == dense_product(a, e, u):
             return i
     return None
 
