@@ -1,25 +1,27 @@
 """Finite-dimensional associative algebras given by structure constants.
 
 An algebra of dimension n over a FieldSpec is the data of its basis products
-e_i * e_j = sum_k c[i][j][k] e_k.  The table is stored sparsely: a dict
-mapping (i, j) to a tuple of (k, scalar) pairs, with absent pairs meaning a
-zero product.  Associativity is validated once at construction, exactly,
-through a generating set, and derived constructions (quotients, tensor
-products, ...) are trusted to preserve it.
+e_i * e_j = sum_k c[i][j][k] e_k.  Associativity is validated once at
+construction, exactly, through a generating set, and derived constructions
+(quotients, tensor products, ...) are trusted to preserve it.
 
-The table keeps the exact constants c; products run on an int index of
-N * c, N the lcm of the table's denominators (1 over GF(p)).  The basis
-f_i = N e_i has f_i f_j = sum_k N c[i][j][k] f_k, so the index presents the
-same algebra, and every subspace is invariant under that uniform scaling:
-spans, reductions and zero tests read the index as it is, and no product is
-divided back by N.
+The int index is the table: a sparse row-major index of N * c, N the lcm of
+the table's denominators (1 over GF(p)), with absent entries meaning a zero
+product.  The basis f_i = N e_i has f_i f_j = sum_k N c[i][j][k] f_k, so the
+index presents the same algebra, and every subspace is invariant under that
+uniform scaling: spans, reductions and zero tests read the index as it is,
+and no product is divided back by N.  `_index` builds it, in one pass over
+the entries of a file or of a construction; `Algebra.table` is the exact
+constants c, a view of the index computed when first read.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from math import lcm
+from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .errors import (
     AlgebraMismatch,
@@ -38,34 +40,44 @@ from .scalars import FieldSpec
 class Algebra:
     """An associative algebra presented by a structure-constant table.
 
-    Besides the exact table, an algebra keeps one sparse row-major index of
-    the ints N * c, N = `_scale`: `_rows[i][j]` = N c_ij for the nonzero
-    entries c_ij = e_i * e_j, in table order.  A basis product e_i * v or
-    v * e_i walks the nonzeros of v and looks each constant up.
+    The table is kept as one sparse row-major index of the ints N * c,
+    N = `_scale`: `_rows[i][j]` = ((k, N c_ij^k), ...) for the nonzero
+    entries e_i * e_j, k increasing, j in the order the entries came in.  A
+    basis product e_i * v or v * e_i walks the nonzeros of v and looks each
+    constant up.  Build one with `build_algebra`, or `_index` and the
+    trusted constructor.
     """
 
-    __slots__ = ("field", "dim", "table", "labels", "unity", "_scale", "_rows", "_memo")
+    __slots__ = ("field", "dim", "labels", "unity", "_scale", "_rows", "_memo")
 
-    def __init__(self, field, dim, table, labels, unity, _trusted=False):
+    def __init__(self, field, dim, scale, rows, labels, unity, _trusted=False):
         if not _trusted:
             raise TypeError("use build_algebra() to construct an Algebra")
         self.field = field
         self.dim = dim
-        self.table = table
         self.labels = labels
         self.unity = unity
-        rational = field.p is None  # GF(p) constants are ints already
-        n = lcm(*[c.denominator for pairs in table.values() for _, c in pairs]) if rational else 1
-        self._scale = n
-        rows = [{} for _ in range(dim)]
-        shared = {}  # equal entries share one tuple, so the index stays small
-        for (i, j), pairs in table.items():
-            if rational:
-                pairs = tuple((k, c.numerator * (n // c.denominator)) for k, c in pairs)
-                pairs = shared.setdefault(pairs, pairs)
-            rows[i][j] = pairs
-        self._rows = tuple(rows)
-        self._memo = {}  # cached results: generators, center, left traces, and see stability
+        self._scale = scale
+        self._rows = rows
+        self._memo = {}  # cached results: table, generators, center, left traces, and see stability
+
+    @property
+    def table(self):
+        """The exact structure constants {(i, j): ((k, c), ...)}, read-only:
+        the index divided by N, computed on first read and kept in the memo.
+        It iterates row by row, each row's j in index order."""
+        t = self._memo.get("table")
+        if t is None:
+            t = {}
+            n, gf, fracs = self._scale, self.field.p is not None, {}  # fracs: c -> c / N
+            for i, row in enumerate(self._rows):
+                for j, pairs in row.items():
+                    if not gf:
+                        pairs = tuple([(k, fracs.get(c) or fracs.setdefault(c, Fraction(c, n)))
+                                       for k, c in pairs])
+                    t[i, j] = pairs
+            t = self._memo["table"] = MappingProxyType(t)
+        return t
 
     # -- element and vector helpers -----------------------------------------
 
@@ -171,24 +183,67 @@ class Element:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_table(field, dim, table):
-    """The canonical table of a dict {(i, j): [(k, scalar), ...]}: indices
-    range-checked, scalars coerced, a repeated k summed, zeros dropped and
-    each entry sorted by k."""
-    out = {}
-    for (i, j), pairs in table.items():
+def _index(field, dim, entries):
+    """(N, rows) of the int index of a table given as entries (i, j, pairs),
+    pairs a sequence of (k, (num, den)) with num/den a reduced fraction over
+    Q, num in [0, p) and den = 1 over GF(p); no two entries share (i, j).
+
+    In entry order, each pair index and then each target index is
+    range-checked.  Pairs already sorted by strictly increasing k with no
+    zero are kept as they are; any others have a repeated k summed, zeros
+    dropped and the rest sorted by k.  An entry left empty is dropped.  N is
+    the lcm of the denominators, and rows[i][j] is ((k, num * N / den), ...),
+    j in entry order, equal tuples shared, so the index stays small.
+    """
+    p = field.p
+    rows = [{} for _ in range(dim)]
+    dens, summed = set(), False
+    for i, j, pairs in entries:
         if not (0 <= i < dim and 0 <= j < dim):
             raise IndexOutOfRange(f"pair index ({i},{j}) outside [0,{dim})")
-        canon = {}
-        for k, c in pairs:
-            if not (0 <= k < dim):
+        last = -1  # the last k while pairs are canonical, dim once they are not
+        for k, (c, d) in pairs:
+            if not 0 <= k < dim:
                 raise IndexOutOfRange(f"target index {k} in entry ({i},{j})")
-            c = field.coerce(c)
-            if c:
-                canon[k] = field.add(canon[k], c) if k in canon else c
-        canon = {k: c for k, c in canon.items() if c}
-        if canon:
-            out[(i, j)] = tuple(sorted(canon.items()))
+            last = k if last < k and c else dim
+            dens.add(d)
+        if last == dim:
+            pairs = _canonical_pairs(p, pairs)
+            summed = True
+        if pairs:
+            rows[i][j] = pairs
+    if summed:  # a sum may have cancelled a denominator
+        dens = {d for row in rows for pairs in row.values() for _, (_, d) in pairs}
+    n = lcm(*dens)
+    shared = {}
+    for row in rows:
+        for j, pairs in row.items():
+            scaled = []  # a loop, not a comprehension: most entries hold one pair
+            for k, (c, d) in pairs:
+                scaled.append((k, c * (n // d)))
+            scaled = tuple(scaled)
+            row[j] = shared.setdefault(scaled, scaled)
+    return n, tuple(rows)
+
+
+def _canonical_pairs(p, pairs):
+    """pairs (k, (num, den)) with a repeated k summed, zeros dropped, sorted by k."""
+    acc = {}
+    for k, (c, d) in pairs:
+        acc[k] = acc.get(k, 0) + Fraction(c, d) if p is None else (acc.get(k, 0) + c) % p
+    return [(k, c.as_integer_ratio()) for k, c in sorted(acc.items()) if c]
+
+
+def _entries(field, table):
+    """A table {(i, j): [(k, scalar), ...]} as `_index` entries, each scalar
+    coerced into the field."""
+    coerce = field.coerce
+    out = []
+    for (i, j), pairs in table.items():
+        ratios = []  # loops, not comprehensions, as in `_index`
+        for k, c in pairs:
+            ratios.append((k, coerce(c).as_integer_ratio()))
+        out.append((i, j, ratios))
     return out
 
 
@@ -332,13 +387,23 @@ def _unity_failure(a: Algebra, u):
     return None
 
 
+def _assemble(field, dim, entries, labels=None) -> Algebra:
+    """The algebra of `_index` entries, validated: associativity exactly,
+    through the generating set, which stays memoized for the algebra's later
+    use, then a two-sided unity solved for (kept if present).  Raises
+    NotAssociative with the first failing basis triple on failure."""
+    n, rows = _index(field, dim, entries)
+    a = Algebra(field, dim, n, rows, labels, None, _trusted=True)
+    _check_associativity(a)
+    a.unity = _find_unity(a)
+    return a
+
+
 def build_algebra(field: FieldSpec, dim: int, table, labels=None) -> Algebra:
     """Validate a table {(i, j): [(k, scalar), ...]} and wrap it as an Algebra.
 
-    Checks index ranges and associativity (exactly, through the generating
-    set, which stays memoized for the algebra's later use) and solves for a
-    two-sided unity (cached if present).  Raises NotAssociative with the
-    first failing basis triple on failure.
+    Scalars are coerced into the field first, then the index is built
+    (`_index`: index ranges, repeated k, zeros) and checked (`_assemble`).
     """
     if dim < 0:
         raise DimensionMismatch("dimension must be non-negative")
@@ -346,17 +411,15 @@ def build_algebra(field: FieldSpec, dim: int, table, labels=None) -> Algebra:
         labels = tuple(str(s) for s in labels)
         if len(labels) != dim:
             raise DimensionMismatch("labels length != dim")
-    a = Algebra(field, dim, _normalize_table(field, dim, table), labels, None, _trusted=True)
-    _check_associativity(a)
-    a.unity = _find_unity(a)
-    return a
+    return _assemble(field, dim, _entries(field, table), labels)
 
 
 def _derived(field, dim, table, labels=None, unity=None) -> Algebra:
     """Internal constructor for algebras associative by construction."""
     if labels is not None:
         labels = tuple(labels)
-    return Algebra(field, dim, table, labels, unity, _trusted=True)
+    n, rows = _index(field, dim, _entries(field, table))
+    return Algebra(field, dim, n, rows, labels, unity, _trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +446,17 @@ def _generators(a: Algebra):
     """
     g = a._memo.get("generators")
     if g is None:
-        hits = [0] * a.dim
+        n = a.dim
+        hits = [0] * n
         for row in a._rows:
             for pairs in row.values():
                 for k, _ in pairs:
                     hits[k] += 1
-        red = _make_reducer(a.field, a.dim)
-        gens, words = [], []  # words: the rows red returned, a basis of S
-        for c in sorted(range(a.dim), key=lambda k: (hits[k], k)):
-            if red.dim == a.dim:
+        red = _make_reducer(a.field, n)
+        # words: every row red returned, a basis of S, so len(words) = red.dim
+        gens, words = [], []
+        for c in sorted(range(n), key=lambda k: (hits[k], k)):
+            if len(words) == n:
                 break
             r = red.insert({c: 1})
             if r is None:
@@ -399,7 +464,7 @@ def _generators(a: Algebra):
             gens.append(c)
             todo = [(c, v) for v in words] + [(h, r) for h in gens]
             words.append(r)
-            while todo and red.dim < a.dim:
+            while todo and len(words) < n:
                 h, v = todo.pop()
                 w = a._basis_mul_vec(h, v)
                 if w is not None and (r := red.insert(w)) is not None:
@@ -671,30 +736,53 @@ def direct_product(a: Algebra, b: Algebra) -> Algebra:
 
 
 def tensor_product(a: Algebra, b: Algebra) -> Algebra:
-    """A (x) B with basis ordered left-factor major: (i, p) -> i*dim(B) + p."""
+    """A (x) B with basis ordered left-factor major: (i, p) -> i*dim(B) + p.
+
+    Built from the two int indexes, without a table: their products are
+    M c d, M = N_A N_B, for the constants c d of A (x) B.  With g the gcd of
+    M and every product, the index of A (x) B is the products divided by g,
+    at N = M / g, the lcm L of the denominators of the c d, as `_index`
+    takes it: L c d is an int for every c d, so L divides M, and gcd(L, every
+    L c d) = 1, since for each prime q with q^e exactly dividing L, some c d
+    has q^e in its denominator and q not in L c d.  Each row's j and each
+    entry's k come in the order the factors' entries give, as a table read
+    row by row would give them.
+    """
     if a.field != b.field:
         raise FieldMismatch("tensor product over different fields")
     f = a.field
-    nb = b.dim
-    table = {}
-    for (i, j), pa in a.table.items():
-        for (p, q), pb in b.table.items():
-            entry = []
-            for k, c in pa:
-                for r, d in pb:
-                    entry.append((k * nb + r, f.mul(c, d)))
-            table[(i * nb + p, j * nb + q)] = tuple(sorted(entry))
+    p, nb = f.p, b.dim
+    m = a._scale * b._scale
+    g = m  # gcd(m, every product) once the products are made
+    rows = []
+    for row_a in a._rows:
+        for row_b in b._rows:
+            row = {}
+            for j, pa in row_a.items():
+                for q, pb in row_b.items():
+                    # k*nb + r increases with (k, r), as pa and pb are sorted
+                    row[j * nb + q] = entry = [(k * nb + r, c * d) for k, c in pa for r, d in pb]
+                    for _, x in entry:
+                        if g == 1:  # at once over GF(p), where m = 1
+                            break
+                        g = gcd(g, x)
+            rows.append(row)
+    shared = {}
+    for row in rows:
+        for key, entry in row.items():
+            entry = tuple([(k, x // g if p is None else x % p) for k, x in entry])
+            row[key] = shared.setdefault(entry, entry)
     labels = None
     if a.labels or b.labels:
         labels = tuple(
-            f"{a.label(i)}(x){b.label(p)}" for i in range(a.dim) for p in range(nb)
+            f"{a.label(i)}(x){b.label(s)}" for i in range(a.dim) for s in range(nb)
         )
     unity = None
     if a.unity is not None and b.unity is not None:
         unity = tuple(
-            f.mul(a.unity[i], b.unity[p]) for i in range(a.dim) for p in range(nb)
+            f.mul(a.unity[i], b.unity[s]) for i in range(a.dim) for s in range(nb)
         )
-    return _derived(f, a.dim * nb, table, labels, unity)
+    return Algebra(f, a.dim * nb, m // g, tuple(rows), labels, unity, _trusted=True)
 
 
 def _cell_algebra(field: FieldSpec, n: int, cells) -> Algebra:
@@ -758,10 +846,8 @@ def opposite(a: Algebra) -> Algebra:
 
 
 def is_commutative(a: Algebra) -> bool:
-    for (i, j), pairs in a.table.items():
-        if a.table.get((j, i), ()) != pairs:
-            return False
-    return True
+    rows = a._rows
+    return all(rows[j].get(i) == pairs for i, row in enumerate(rows) for j, pairs in row.items())
 
 
 def nilpotency_index(a: Algebra):

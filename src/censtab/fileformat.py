@@ -4,7 +4,10 @@ Algebra files carry the field, the dimension, optional basis labels and the
 sparse structure-constant table as [i, j, [[k, "scalar"], ...]] triples with
 0-based indices; pairs that are absent multiply to zero.  Scalars are always
 strings in the scalar grammar, never floats, so exactness survives the round
-trip; exporting a loaded file reproduces it byte for byte.
+trip.  A file exports as its canonical form: entries sorted by (i, j), pairs
+by k, literals reduced, a repeated k summed and zeros dropped; so exporting
+a loaded canonical file, such as any the engine writes, reproduces it byte
+for byte.
 
 `dump_json` writes every file and report.  Its text is, byte for byte,
 `json.dumps(doc, indent=2, sort_keys=True)` plus a newline.  Most scalars in
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields
 
-from .algebras import Algebra, build_algebra
+from .algebras import Algebra, _assemble
 from .errors import FileFormatError
 from .scalars import RATIONALS, FieldSpec, prime_field
 from .stability import (
@@ -95,13 +98,15 @@ def algebra_to_json(a: Algebra) -> dict:
 MAX_DIM = 256
 
 
-def _is_int(x) -> bool:
-    # JSON true/false load as bools, which Python counts as ints
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def algebra_from_json(doc) -> Algebra:
-    """Parse and fully validate an algebra document (associativity included)."""
+    """Parse and fully validate an algebra document (associativity included).
+
+    The checks run in this order, and the first failure is raised: the
+    members, field, dim and labels; then the table's JSON structure and its
+    literals, entry by entry in file order, in one walk that reads each
+    literal into its value once; then index ranges (`_index`), then
+    associativity, then the unity (`_assemble`).
+    """
     if not isinstance(doc, dict):
         raise FileFormatError("algebra document must be a JSON object")
     for key in ("field", "dim", "table"):
@@ -112,7 +117,8 @@ def algebra_from_json(doc) -> Algebra:
         raise FileFormatError(f"unknown members {sorted(unknown, key=str)}")
     field = field_from_json(doc["field"])
     dim = doc["dim"]
-    if not _is_int(dim) or dim < 0:
+    # JSON true/false load as bools, which Python counts as ints
+    if type(dim) is not int or dim < 0:
         raise FileFormatError("dim must be a non-negative integer")
     if dim > MAX_DIM:
         raise FileFormatError(f"dim {dim} exceeds the limit of {MAX_DIM}")
@@ -121,29 +127,38 @@ def algebra_from_json(doc) -> Algebra:
         if not (isinstance(labels, list) and len(labels) == dim
                 and all(isinstance(s, str) for s in labels)):
             raise FileFormatError("labels must list one string per basis vector")
-    table = {}
+        labels = tuple(labels)
     if not isinstance(doc["table"], list):
         raise FileFormatError("table must be a list of [i, j, pairs] entries")
+    read, rational = field.read, field.p is None
+    seen, entries = set(), []
+    values = {}  # literal -> (num, den), for this load only
     for entry in doc["table"]:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise FileFormatError(f"bad table entry {entry!r}")
         i, j, pairs = entry
-        if not (_is_int(i) and _is_int(j)):
+        if not (type(i) is int and type(j) is int):
             raise FileFormatError(f"bad indices in table entry {entry!r}")
-        if (i, j) in table:
+        if (i, j) in seen:
             raise FileFormatError(f"duplicate table entry for ({i}, {j})")
+        seen.add((i, j))
         if not isinstance(pairs, list):
             raise FileFormatError(f"bad product list in entry ({i}, {j})")
         parsed = []
         for pair in pairs:
-            if not (isinstance(pair, list) and len(pair) == 2 and _is_int(pair[0])):
+            if not (isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int):
                 raise FileFormatError(f"bad product pair {pair!r} in entry ({i}, {j})")
+            k, c = pair
             try:
-                parsed.append((pair[0], field.parse(str(pair[1]))))
+                text = c if type(c) is str else str(c)
+                value = values.get(text)
+                if value is None:
+                    value = values[text] = read(text) if rational else (read(text), 1)
             except _SCALAR_ERRORS as exc:
                 raise FileFormatError(str(exc)) from None
-        table[(i, j)] = parsed
-    return build_algebra(field, dim, table, labels)
+            parsed.append((k, value))
+        entries.append((i, j, parsed))
+    return _assemble(field, dim, entries, labels)
 
 
 _encode_str = json.encoder.encode_basestring_ascii

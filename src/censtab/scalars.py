@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import FieldMismatch, ParseError, ScalarTooLong
 
 # [0-9], not \d, which matches every Unicode decimal digit
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _RESIDUE_RE = re.compile(r"[0-9]+")
 
-# The most digits `parse` reads in one integer of a literal.  It is the most
+# The most digits `read` takes in one integer of a literal.  It is the most
 # Python converts between str and int by default, so every scalar `format`
 # writes reads back, and it bounds the cost of arithmetic on parsed values
 # and each denominator of a table.
@@ -139,23 +140,40 @@ class FieldSpec:
     # Rationals: [-]digits[/digits].  Prime field: digits (reduced mod p).
     # Each integer has at most MAX_LITERAL_DIGITS digits.
 
-    def parse(self, text: str):
+    def read(self, text: str):
+        """The value of a literal, the one reader of the grammar: a reduced
+        (numerator, denominator) pair of ints, denominator positive, over Q;
+        an int in [0, p) over GF(p).  Surrounding whitespace is ignored.
+        Raises ParseError outside the grammar or the digit bound, and
+        ZeroDivisionError on a zero denominator.
+        """
         t = text.strip()
         limit = MAX_LITERAL_DIGITS
         if len(t) > limit and max(map(len, t.lstrip("-").split("/"))) > limit:
             raise ParseError(f"scalar literal exceeds the limit of {limit} digits per integer")
         if self.p is None:
-            if not _RATIONAL_RE.fullmatch(t):
+            m = _RATIONAL_RE.fullmatch(t)
+            if m is None:
                 raise ParseError(f"bad rational literal {text!r}")
-            if "/" in t:
-                num, den = t.split("/")
-                if int(den) == 0:
-                    raise ZeroDivisionError(f"zero denominator in {text!r}")
-                return Fraction(int(num), int(den))
-            return Fraction(int(t))
+            num, den = m.groups()
+            if den is None:
+                return int(num), 1
+            num, den = int(num), int(den)
+            if not den:
+                raise ZeroDivisionError(f"zero denominator in {text!r}")
+            g = gcd(num, den)
+            return (num, den) if g == 1 else (num // g, den // g)
         if not _RESIDUE_RE.fullmatch(t):
             raise ParseError(f"bad GF({self.p}) literal {text!r}")
         return int(t) % self.p
+
+    def parse(self, text: str):
+        """The scalar a literal denotes (see `read`)."""
+        x = self.read(text)
+        if self.p is not None:
+            return x
+        num, den = x
+        return Fraction(num) if den == 1 else Fraction(num, den)
 
     def format(self, x) -> str:
         if self.p is None:

@@ -16,8 +16,8 @@ import pytest
 
 from censtab.algebras import (
     Algebra,
+    _derived,
     _first_failing_triple,
-    _normalize_table,
     build_algebra,
 )
 from censtab.catalog import build, standard_entries
@@ -37,7 +37,7 @@ FIELDS = pytest.mark.parametrize("field", [Q, prime_field(101)], ids=str)
 def _walk_witness(field, dim, table):
     """The first failing triple of the walk over every basis triple, on the
     table as it is (no generating set, no unity), or None."""
-    a = Algebra(field, dim, _normalize_table(field, dim, table), None, None, _trusted=True)
+    a = _derived(field, dim, table)
     try:
         _first_failing_triple(a)
     except NotAssociative as exc:
@@ -149,7 +149,7 @@ def test_load_work_is_bounded_on_catalog_bases(name, params, pairs, products, mo
     # the (x, g) pairs the check visits, and the products the generator
     # closure makes: only the x that reach g, and no product once G spans a
     b = build(name, field=Q, **params).algebra
-    a = Algebra(Q, b.dim, b.table, None, None, _trusted=True)
+    a = _derived(Q, b.dim, b.table)
     seen = {"pairs": 0, "products": 0}
     defect, product = algebras._associator_defect, Algebra._basis_mul_vec
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import time
@@ -591,3 +592,33 @@ def test_polynomial_coefficients_follow_the_scalar_grammar(tmp_path, capsys, pol
 @pytest.mark.parametrize("poly", ["-2,0,1", " -2, 0 ,1", "1/2,0,1", "-3,0,0,1"])
 def test_ascii_polynomial_coefficients_are_accepted(tmp_path, capsys, poly):
     assert run(capsys, "construct", "ema", "--poly", poly, "-o", str(tmp_path / "e.json"))[0] == 0
+
+
+def test_a_bad_literal_is_reported_before_an_earlier_out_of_range_index(tmp_path, capsys):
+    path = tmp_path / "two-defects.json"
+    path.write_text('{"field": "Q", "dim": 2, "table": [[0, 0, [[5, "1"]]], [0, 1, [[1, "1/0"]]]]}')
+    code, out, err = run(capsys, "stable", str(path))
+    assert (code, out, err) == (2, "", "error: zero denominator in '1/0'\n")
+
+
+def test_files_derived_from_a_shuffled_input_are_those_of_its_canonical_form(tmp_path, capsys):
+    # entries and pairs out of order, literals unreduced: every file the CLI
+    # writes from it has the bytes it writes from the canonical file
+    rng = random.Random(5)
+    canon = tmp_path / "canon.json"
+    run(capsys, "construct", "matrix_over_commutative", "--n", "2", "--k", "3", "-o", str(canon))
+    doc = json.loads(canon.read_text())
+    rng.shuffle(doc["table"])
+    for entry in doc["table"]:
+        entry[2] = [[k, f"{2 * int(c)}/2" if "/" not in c else c] for k, c in reversed(entry[2])]
+    shuffled = tmp_path / "shuffled.json"
+    shuffled.write_text(json.dumps(doc))
+    gens = ",".join(["0", "1"] + ["0"] * 10)
+    for src in (canon, shuffled):
+        for name, args in (("unitize", ()), ("opposite", ()), ("matrix", ("--n", "2")),
+                           ("tensor", (str(src),)), ("product", (str(canon),)),
+                           ("quotient", ("--gens", gens))):
+            out = tmp_path / f"{src.stem}-{name}.json"
+            assert run(capsys, name, str(src), *args, "-o", str(out))[0] == 0
+    for name in ("unitize", "opposite", "matrix", "tensor", "product", "quotient"):
+        assert (tmp_path / f"shuffled-{name}.json").read_bytes() == (tmp_path / f"canon-{name}.json").read_bytes()

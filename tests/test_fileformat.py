@@ -1,12 +1,15 @@
 import json
+import random
+import re
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
-from censtab.algebras import center
+from censtab.algebras import Algebra, _check_associativity, _find_unity, _generators, center
 from censtab.catalog import build, standard_entries
-from censtab.errors import FileFormatError, NotAssociative, ParseError
+from censtab.errors import FileFormatError, IndexOutOfRange, NotAssociative, ParseError
 from censtab.fileformat import (
     MAX_DIM,
     algebra_from_json,
@@ -14,6 +17,7 @@ from censtab.fileformat import (
     certificate_from_json,
     certificate_to_json,
     dump_json,
+    field_from_json,
     load_algebra,
     report_to_json,
     rows_to_json,
@@ -22,7 +26,7 @@ from censtab.fileformat import (
     vector_to_json,
     verify_report_json,
 )
-from censtab.scalars import RATIONALS, FieldSpec, prime_field
+from censtab.scalars import MAX_LITERAL_DIGITS, RATIONALS, FieldSpec, prime_field
 from censtab.stability import algebra_centrally_stable, element_centrally_stable
 
 from test_algebras import presentation
@@ -546,3 +550,287 @@ def test_rows_to_json_formats_only_the_nonzero_entries(monkeypatch, field):
         calls.clear()
         assert rows_to_json(field, rows) == text
         assert calls == nonzero
+
+
+# ---------------------------------------------------------------------------
+# The one-pass loader against the loader it replaced
+# ---------------------------------------------------------------------------
+# `_reference_load` is the loader as it was before table literals went
+# straight into the int index: each literal parsed to a Fraction, the table
+# normalized into a dict of canonical scalars, then the index built from
+# that table.  Both loaders must agree on every input: the same algebra, or
+# the same exception with the same message.
+
+_REF_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_REF_RESIDUE = re.compile(r"[0-9]+")
+
+
+def _reference_parse(field, text):
+    t = text.strip()
+    limit = MAX_LITERAL_DIGITS
+    if len(t) > limit and max(map(len, t.lstrip("-").split("/"))) > limit:
+        raise ParseError(f"scalar literal exceeds the limit of {limit} digits per integer")
+    if field.p is None:
+        if not _REF_RATIONAL.fullmatch(t):
+            raise ParseError(f"bad rational literal {text!r}")
+        if "/" in t:
+            num, den = t.split("/")
+            if int(den) == 0:
+                raise ZeroDivisionError(f"zero denominator in {text!r}")
+            return Fraction(int(num), int(den))
+        return Fraction(int(t))
+    if not _REF_RESIDUE.fullmatch(t):
+        raise ParseError(f"bad GF({field.p}) literal {text!r}")
+    return int(t) % field.p
+
+
+def _reference_normalize(field, dim, table):
+    out = {}
+    for (i, j), pairs in table.items():
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise IndexOutOfRange(f"pair index ({i},{j}) outside [0,{dim})")
+        canon = {}
+        for k, c in pairs:
+            if not (0 <= k < dim):
+                raise IndexOutOfRange(f"target index {k} in entry ({i},{j})")
+            c = field.coerce(c)
+            if c:
+                canon[k] = field.add(canon[k], c) if k in canon else c
+        canon = {k: c for k, c in canon.items() if c}
+        if canon:
+            out[(i, j)] = tuple(sorted(canon.items()))
+    return out
+
+
+def _ref_is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _reference_load(doc):
+    """(algebra, canonical Fraction table) by the replaced loader."""
+    if not isinstance(doc, dict):
+        raise FileFormatError("algebra document must be a JSON object")
+    for key in ("field", "dim", "table"):
+        if key not in doc:
+            raise FileFormatError(f"missing member {key!r}")
+    unknown = set(doc) - {"field", "dim", "table", "labels"}
+    if unknown:
+        raise FileFormatError(f"unknown members {sorted(unknown, key=str)}")
+    field = field_from_json(doc["field"])
+    dim = doc["dim"]
+    if not _ref_is_int(dim) or dim < 0:
+        raise FileFormatError("dim must be a non-negative integer")
+    if dim > MAX_DIM:
+        raise FileFormatError(f"dim {dim} exceeds the limit of {MAX_DIM}")
+    labels = doc.get("labels")
+    if labels is not None:
+        if not (isinstance(labels, list) and len(labels) == dim
+                and all(isinstance(s, str) for s in labels)):
+            raise FileFormatError("labels must list one string per basis vector")
+        labels = tuple(labels)
+    table = {}
+    if not isinstance(doc["table"], list):
+        raise FileFormatError("table must be a list of [i, j, pairs] entries")
+    for entry in doc["table"]:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise FileFormatError(f"bad table entry {entry!r}")
+        i, j, pairs = entry
+        if not (_ref_is_int(i) and _ref_is_int(j)):
+            raise FileFormatError(f"bad indices in table entry {entry!r}")
+        if (i, j) in table:
+            raise FileFormatError(f"duplicate table entry for ({i}, {j})")
+        if not isinstance(pairs, list):
+            raise FileFormatError(f"bad product list in entry ({i}, {j})")
+        parsed = []
+        for pair in pairs:
+            if not (isinstance(pair, list) and len(pair) == 2 and _ref_is_int(pair[0])):
+                raise FileFormatError(f"bad product pair {pair!r} in entry ({i}, {j})")
+            try:
+                parsed.append((pair[0], _reference_parse(field, str(pair[1]))))
+            except (ValueError, ZeroDivisionError, RecursionError) as exc:
+                raise FileFormatError(str(exc)) from None
+        table[(i, j)] = parsed
+    table = _reference_normalize(field, dim, table)
+    n = lcm(*[c.denominator for pairs in table.values() for _, c in pairs]) if field.p is None else 1
+    rows = [{} for _ in range(dim)]
+    shared = {}
+    for (i, j), pairs in table.items():
+        pairs = tuple((k, c.numerator * (n // c.denominator)) for k, c in pairs)
+        rows[i][j] = shared.setdefault(pairs, pairs)
+    a = Algebra(field, dim, n, tuple(rows), labels, None, _trusted=True)
+    _check_associativity(a)
+    a.unity = _find_unity(a)
+    return a, table
+
+
+def _outcome(load, doc):
+    try:
+        return load(doc)
+    except (ValueError, ZeroDivisionError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_loaders_agree(doc):
+    ref, new = _outcome(_reference_load, doc), _outcome(algebra_from_json, doc)
+    if not isinstance(new, Algebra):
+        assert new == ref, doc
+        return
+    assert not isinstance(ref[0], type), (ref, doc)
+    a, table = ref
+    assert new._scale == a._scale
+    assert [list(row.items()) for row in new._rows] == [list(row.items()) for row in a._rows]
+    assert new.table == table
+    assert list(new.table) == [(i, j) for i, row in enumerate(new._rows) for j in row]
+    assert new.unity == a.unity
+    assert new.labels == a.labels
+    assert _generators(new) == _generators(a)
+
+
+def _presented(a, rng):
+    """A permuted and rescaled presentation of a as a document, entries and
+    pairs sorted, in the manner of the benchmark's inputs."""
+    n, p = a.dim, a.field.p
+    perm = rng.sample(range(n), n)
+    new = {old: i for i, old in enumerate(perm)}
+    if p is None:
+        d = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+    else:
+        d = [rng.randint(1, p - 1) for _ in range(n)]
+    table = []
+    for (i0, j0), pairs in a.table.items():
+        i, j = new[i0], new[j0]
+        out = []
+        for k0, c in pairs:
+            k = new[k0]
+            if p is None:
+                out.append([k, str(d[i] * d[j] * c / d[k])])
+            else:
+                out.append([k, str(d[i] * d[j] * c * pow(d[k], -1, p) % p)])
+        table.append([i, j, sorted(out)])
+    table.sort()
+    return {"field": algebra_to_json(a)["field"], "dim": n, "table": table}
+
+
+# Files no engine writes: entries out of order, pairs out of order, a repeated
+# k (one summing to 0), reducible and signed zero literals, spaces, bare
+# integers and an empty pair list.  Each is a valid presentation of
+# Q[x]/(x^3) or the dual numbers.
+_NON_CANONICAL = [
+    {"field": "Q", "dim": 3, "labels": ["1", "2x", "x^2"], "table": [
+        [2, 0, [[2, "1"]]], [1, 1, [[2, "8/2"]]], [0, 2, [[2, " 1 "]]],
+        [1, 0, [[1, 1]]], [0, 1, [[1, "2/2"]]], [0, 0, [[0, "1/2"], [0, "2/4"]]],
+        [2, 2, [[0, "-0"]]], [1, 2, [[1, "3"], [1, "-3"]]], [2, 1, []]]},
+    {"field": "Q", "dim": 2, "table": [  # f0 = 1 + x, f1 = x
+        [1, 0, [[1, "1"]]], [0, 0, [[1, "1"], [0, "1"]]], [0, 1, [[1, "-1/2"], [1, "3/2"]]]]},
+    {"field": {"GF": 7}, "dim": 2, "table": [
+        [1, 1, [[1, "3"], [1, "4"]]], [0, 1, [[1, 8]]], [0, 0, [[0, "4"], [0, "4"]]],
+        [1, 0, [[0, "0"], [1, " 15"]]]]},
+    {"field": "Q", "dim": 2, "table": [[0, 0, [[0, "1"]]], [1, 1, [[1, "1"], [1, "-1"]]]]},
+]
+
+
+def _documents():
+    rng = random.Random(28)
+    docs = [algebra_to_json(e.algebra) for e in standard_entries()]
+    gf = [build("matrix_full", n=3, field=prime_field(101)).algebra,
+          build("upper_triangular", n=4, field=prime_field(1000003)).algebra,
+          build("r11_radical", n=2, k=3, field=prime_field(7)).algebra]
+    docs += [algebra_to_json(a) for a in gf]
+    for name, params in (("matrix_full", {"n": 3}), ("upper_triangular", {"n": 4}),
+                         ("truncated_poly", {"k": 6}), ("r11_radical", {"n": 2, "k": 3}),
+                         ("matrix_over_commutative", {"n": 2, "k": 3}), ("strict_upper", {"n": 4})):
+        for field in (RATIONALS, prime_field(1000003)):
+            docs.append(_presented(build(name, field=field, **params).algebra, rng))
+    docs += [_presented(build(name).algebra, rng) for name in ("ema", "exg", "exh_rational")]
+    return docs + _NON_CANONICAL
+
+
+def test_the_one_pass_loader_agrees_with_the_replaced_loader():
+    docs = _documents()
+    for doc in docs:
+        _assert_loaders_agree(doc)
+    # the non-canonical files export as their canonical form
+    first = algebra_from_json(_NON_CANONICAL[0])
+    assert algebra_to_json(first)["table"] == [
+        [0, 0, [[0, "1"]]], [0, 1, [[1, "1"]]], [0, 2, [[2, "1"]]],
+        [1, 0, [[1, "1"]]], [1, 1, [[2, "4"]]], [2, 0, [[2, "1"]]]]
+    assert algebra_to_json(algebra_from_json(_NON_CANONICAL[3]))["table"] == [[0, 0, [[0, "1"]]]]
+
+
+def _mutations(doc):
+    """doc with one defect in one entry at a time, for each entry."""
+    dim, table = doc["dim"], doc["table"]
+
+    def replaced(e, entry):
+        return {**doc, "table": table[:e] + [entry] + table[e + 1:]}
+
+    for e, (i, j, pairs) in enumerate(table):
+        yield replaced(e, [True, j, pairs])
+        yield replaced(e, [i, False, pairs])
+        for bad in ((dim, j), (i, dim), (-1, j)):
+            yield replaced(e, [*bad, pairs])
+        yield {**doc, "table": table[:e + 1] + [[i, j, pairs]] + table[e + 1:]}  # duplicate (i, j)
+        yield replaced(e, [i, j, "pairs"])
+        yield replaced(e, [i, j])
+        if not pairs:
+            continue
+        k, c = pairs[0]
+        for bad in ([k, "1.5"], [k, "1/0"], [k, "-3/0"], [k, "1" * 4301], [k, 10**4300],
+                    [k, True], [k, None], [k, "٣"], [dim, c], [-1, c], [True, c],
+                    "pair", [k], [k, c, c]):
+            yield replaced(e, [i, j, [bad] + pairs[1:]])
+        # an index-range defect here and a literal defect in the last entry
+        if e + 1 < len(table):
+            last = table[-1]
+            yield {**doc, "table": [[i, j, [[dim, c]]]] + table[e + 1:-1]
+                   + [[last[0], last[1], [[0, "1/0"]]]]}
+
+
+def test_both_loaders_refuse_every_mutation_with_the_same_error():
+    docs = [d for d in _documents() if len(d["table"]) <= 30]
+    assert len(docs) >= 20
+    seen = set()
+    for doc in docs:
+        for bad in _mutations(doc):
+            ref = _outcome(_reference_load, bad)
+            assert isinstance(ref[0], type), bad  # each mutation is a defect
+            assert _outcome(algebra_from_json, bad) == ref, bad
+            seen.add(ref[0])
+    assert seen == {FileFormatError, IndexOutOfRange}
+
+
+def test_literal_and_structure_errors_come_before_index_range_errors():
+    doc = {"field": "Q", "dim": 2, "table": [[0, 0, [[5, "1"]]], [0, 1, [[1, "1/0"]]]]}
+    with pytest.raises(FileFormatError) as exc:
+        algebra_from_json(doc)
+    assert str(exc.value) == "zero denominator in '1/0'"
+    doc["table"][1] = [0, 1, [[1, "1"], 5]]
+    with pytest.raises(FileFormatError) as exc:
+        algebra_from_json(doc)
+    assert str(exc.value) == "bad product pair 5 in entry (0, 1)"
+    doc["table"][1] = [0, 1, [[1, "1"]]]
+    with pytest.raises(IndexOutOfRange) as exc:
+        algebra_from_json(doc)
+    assert str(exc.value) == "target index 5 in entry (0,0)"
+
+
+def test_a_load_coerces_no_scalar_and_builds_no_table(tmp_path, monkeypatch):
+    alg = build("upper_triangular", n=3).algebra
+    path = tmp_path / "t3.json"
+    save_algebra(alg, path)
+
+    def refuse(self, x):
+        raise AssertionError("a load coerced a scalar")
+
+    monkeypatch.setattr(FieldSpec, "coerce", refuse)
+    a = load_algebra(path)
+    monkeypatch.undo()
+    assert "table" not in a._memo
+    rep = algebra_centrally_stable(a)
+    assert verify_report_json(a, json.loads(dump_json(report_to_json(a, rep, command="stable"))))
+    assert "table" not in a._memo  # deciding and replaying read the index only
+    table = a.table
+    assert a._memo["table"] is table is a.table
+    assert table == alg.table
+    with pytest.raises(TypeError):
+        table[0, 0] = ()

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 import censtab.algebras as algebras_module
-from censtab.algebras import build_algebra, center, ideal_generated
+from censtab.algebras import _derived, build_algebra, center, ideal_generated, tensor_product
 from censtab.catalog import build
 from censtab.errors import NotAssociative
 from censtab.fileformat import (
@@ -346,3 +346,40 @@ def test_unity_check_on_the_int_index_finds_the_same_first_failure(scales):
             assert (want is None) == (_unity_failure_reference(b, u, range(b.dim)) is None)
             seen.add(want is None)
     assert seen == {True, False}
+
+
+def _tensor_from_tables(a, b):
+    """A (x) B through the Fraction tables of its factors and `_derived`, the
+    way tensor_product built it before it multiplied the int indexes."""
+    f, nb = a.field, b.dim
+    table = {}
+    for (i, j), pa in a.table.items():
+        for (p, q), pb in b.table.items():
+            entry = [(k * nb + r, f.mul(c, d)) for k, c in pa for r, d in pb]
+            table[(i * nb + p, j * nb + q)] = tuple(sorted(entry))
+    return _derived(f, a.dim * nb, table)
+
+
+@pytest.mark.parametrize("scales", [_small_scales, _big_scales])
+def test_tensor_index_is_the_index_of_its_table(scales):
+    # same N (the lcm of the product denominators, not N_A N_B), same rows,
+    # same j order in each row, same shared tuples
+    rng = random.Random(17)
+    algebras = [b for _, _, b, _, _ in _presentations(scales, 19)]
+    gf = prime_field(101)
+    pairs = [(algebras[i], algebras[(i + 1) % len(algebras)]) for i in range(len(algebras))]
+    pairs += [(b, b) for b in algebras[:3]]
+    pairs += [(build("r11_radical", n=2, k=3, field=gf).algebra, build("matrix_full", n=2, field=gf).algebra)]
+    pairs += [(b, build("matrix_full", n=2).algebra) for b in rng.sample(algebras, 3)]
+    reduced = 0
+    for a, b in pairs:
+        if a.dim * b.dim > 120:
+            continue
+        t, ref = tensor_product(a, b), _tensor_from_tables(a, b)
+        reduced += t._scale < a._scale * b._scale
+        assert t._scale == ref._scale
+        assert [list(row.items()) for row in t._rows] == [list(row.items()) for row in ref._rows]
+        shared = {id(e) for row in t._rows for e in row.values()}
+        assert len(shared) == len({e for row in t._rows for e in row.values()})
+        assert t.table == ref.table
+    assert reduced >= 2  # the gcd reduction is exercised
