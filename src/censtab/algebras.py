@@ -234,15 +234,14 @@ def _canonical_pairs(p, pairs):
     return [(k, c.as_integer_ratio()) for k, c in sorted(acc.items()) if c]
 
 
-def _entries(field, table):
-    """A table {(i, j): [(k, scalar), ...]} as `_index` entries, each scalar
-    coerced into the field."""
-    coerce = field.coerce
+def _entries(table):
+    """A table {(i, j): [(k, scalar), ...]} of canonical scalars of the
+    field as `_index` entries."""
     out = []
     for (i, j), pairs in table.items():
         ratios = []  # loops, not comprehensions, as in `_index`
         for k, c in pairs:
-            ratios.append((k, coerce(c).as_integer_ratio()))
+            ratios.append((k, c.as_integer_ratio()))
         out.append((i, j, ratios))
     return out
 
@@ -411,14 +410,17 @@ def build_algebra(field: FieldSpec, dim: int, table, labels=None) -> Algebra:
         labels = tuple(str(s) for s in labels)
         if len(labels) != dim:
             raise DimensionMismatch("labels length != dim")
-    return _assemble(field, dim, _entries(field, table), labels)
+    coerce = field.coerce
+    table = {key: [(k, coerce(c)) for k, c in pairs] for key, pairs in table.items()}
+    return _assemble(field, dim, _entries(table), labels)
 
 
 def _derived(field, dim, table, labels=None, unity=None) -> Algebra:
-    """Internal constructor for algebras associative by construction."""
+    """Internal constructor for algebras associative by construction; the
+    table's scalars must be canonical scalars of the field."""
     if labels is not None:
         labels = tuple(labels)
-    n, rows = _index(field, dim, _entries(field, table))
+    n, rows = _index(field, dim, _entries(table))
     return Algebra(field, dim, n, rows, labels, unity, _trusted=True)
 
 

@@ -13,6 +13,8 @@ from fractions import Fraction
 from .algebras import (
     Algebra,
     _cell_algebra,
+    _check_associativity,
+    _find_unity,
     build_algebra,
     matrix_algebra,
     matrix_units_algebra,
@@ -49,8 +51,11 @@ def _require(cond, msg):
 
 
 def _revalidated(alg: Algebra) -> Algebra:
-    # catalog entries always pass through the full associativity check
-    return build_algebra(alg.field, alg.dim, alg.table, alg.labels)
+    # catalog entries always pass through the full associativity check and
+    # the unity search, as a loaded file does
+    _check_associativity(alg)
+    alg.unity = _find_unity(alg)
+    return alg
 
 
 # -- individual constructions -------------------------------------------------
@@ -99,7 +104,8 @@ def _scalar_plus_strict_upper(n: int, field: FieldSpec = RATIONALS) -> CatalogEn
     strict = _cell_algebra(field, n, _upper_cells(n, strict=True))
     u = unitization(strict)
     # labels given in full: for n = 1 there are no cells, and u has no labels
-    alg = build_algebra(field, u.dim, u.table, ("1",) + strict.labels)
+    u.labels = ("1",) + strict.labels
+    alg = _revalidated(u)
     if n == 1:
         expected = Expected(STABLE, 1, 0, "just the scalars")
     elif n == 2:

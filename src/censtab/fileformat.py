@@ -132,7 +132,6 @@ def algebra_from_json(doc) -> Algebra:
         raise FileFormatError("table must be a list of [i, j, pairs] entries")
     read, rational = field.read, field.p is None
     seen, entries = set(), []
-    values = {}  # literal -> (num, den), for this load only
     for entry in doc["table"]:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise FileFormatError(f"bad table entry {entry!r}")
@@ -150,13 +149,10 @@ def algebra_from_json(doc) -> Algebra:
                 raise FileFormatError(f"bad product pair {pair!r} in entry ({i}, {j})")
             k, c = pair
             try:
-                text = c if type(c) is str else str(c)
-                value = values.get(text)
-                if value is None:
-                    value = values[text] = read(text) if rational else (read(text), 1)
+                value = read(c if type(c) is str else str(c))
             except _SCALAR_ERRORS as exc:
                 raise FileFormatError(str(exc)) from None
-            parsed.append((k, value))
+            parsed.append((k, value if rational else (value, 1)))
         entries.append((i, j, parsed))
     return _assemble(field, dim, entries, labels)
 
