@@ -320,7 +320,9 @@ class TensorDecomposition:
     pivot: int
     checks: dict
     diagonal_report: StabilityReport
-    full_report: StabilityReport | None  # set when the diagonal part is stable
+    # set when the diagonal part is stable: t's certificate, assembled in A
+    # from the diagonal part's; it replays in T like any element report
+    full_report: StabilityReport | None
 
 
 def decompose_tensor_element(
@@ -333,34 +335,41 @@ def decompose_tensor_element(
     swaps the two slots.  Verified on the way out: s lies in Id([s, T]) and
     in Id([t, T]), and when the diagonal part is a stable element of A, t is
     a stable element of T.  A failure of either check raises
-    ConsistencyError, since both are theorems.  The two memberships are
-    decided in A, not in T, by _in_tensor_commutator_ideal.
+    ConsistencyError, since both are theorems.  The coordinate count and the
+    pivot are checked before T is built.  Nothing is decided in T: the
+    memberships are decided in A by _in_tensor_commutator_ideal, and t's
+    certificate is assembled in A from the diagonal part's.
+
+    Why that certificate holds.  Let d = S_pp be the diagonal part, with
+    certificate d = z + u, z in Z(A) and u in Id_A([d, A]).  Put z_T =
+    z (x) 1 and u_T = t - z_T = u (x) 1 + s.  z (x) 1 commutes with every
+    e_b (x) E_rs exactly when z commutes with every e_b, so z_T is central
+    in T exactly when z is central in A.  Id_T([t, T]) = M_n(I_t) (see
+    _in_tensor_commutator_ideal), and [d, A] lies in I_t: [S_pp, e] =
+    [S_mm, e] + [S_pp - S_mm, e].  So u (x) 1 lies in M_n(I_t), and s
+    does by the check above, so u_T does.  The two facts a replay in T
+    checks, z_T central and u_T in Id_T([t, T]), are thus checked in A on
+    the way out, as z in Z(A) and u_T in M_n(I_t), and ConsistencyError is
+    raised if either fails.  The center recorded is Z(T) = Z(A) (x) 1:
+    each RREF row of Z(A), pivot j, lifts to a row of pivot j*n*n that is
+    zero at the other lifted pivots, so the lifts are Z(T)'s RREF rows.
     """
     if a.unity is None:
         raise BadParams("tensor decomposition needs a unital left factor")
     if n < 1:
         raise DimensionMismatch("matrix size must be >= 1")
-    T = tensor_with_matrices(a, n)
     f = a.field
     t_coords = tuple(f.coerce(c) for c in t_coords)
-    if len(t_coords) != T.dim:
-        raise DimensionMismatch(f"expected {T.dim} coordinates, got {len(t_coords)}")
+    if len(t_coords) != a.dim * n * n:
+        raise DimensionMismatch(f"expected {a.dim * n * n} coordinates, got {len(t_coords)}")
     p = n if pivot is None else pivot
     if not 1 <= p <= n:
         raise DimensionMismatch(f"pivot must be in 1..{n}")
     pp = p - 1
+    T = tensor_with_matrices(a, n)
 
     diag = tuple(t_coords[j * n * n + pp * n + pp] for j in range(a.dim))
-    s = list(t_coords)
-    for j in range(a.dim):
-        if diag[j]:
-            for q in range(n):
-                idx = j * n * n + q * n + q
-                s[idx] = f.sub(s[idx], diag[j])
-    s = tuple(s)
-    t_el = T.element(t_coords)
-    s_el = T.element(s)
-
+    s = _minus(f, t_coords, _times_identity(f, diag, n))
     checks = {
         "stable_part_in_own_commutator_ideal": _in_tensor_commutator_ideal(a, n, s, s),
         "stable_part_in_full_commutator_ideal": _in_tensor_commutator_ideal(a, n, t_coords, s),
@@ -371,12 +380,33 @@ def decompose_tensor_element(
     diag_rep = element_centrally_stable(a.element(diag))
     full_rep = None
     if diag_rep.verdict == STABLE:
-        full_rep = element_centrally_stable(t_el)
-        if full_rep.verdict != STABLE:
+        z = diag_rep.certificate.central_part
+        z_t = _times_identity(f, z, n)
+        u_t = _minus(f, t_coords, z_t)
+        z_space = center(a)
+        if not (z_space.contains(z) and _in_tensor_commutator_ideal(a, n, t_coords, u_t)):
             raise ConsistencyError(
                 "stable diagonal part but unstable tensor element"
             )
-    return TensorDecomposition(T, a.element(diag), s_el, p, checks, diag_rep, full_rep)
+        cert = StableElementWitness(t_coords, z_t, u_t)
+        rows = tuple(_times_identity(f, row, n) for row in z_space.rows)
+        full_rep = StabilityReport(STABLE, METHOD_ELEMENT, cert, {"center": rows})
+    return TensorDecomposition(T, a.element(diag), T.element(s), p, checks, diag_rep, full_rep)
+
+
+def _times_identity(f, v, n):
+    """v (x) 1 in A (x) M_n(F) for v in A: v_j at each slot j*n*n + q*(n + 1)."""
+    nn = n * n
+    out = [f.zero] * (len(v) * nn)
+    for j, c in enumerate(v):
+        if c:
+            out[j * nn : (j + 1) * nn : n + 1] = (c,) * n
+    return tuple(out)
+
+
+def _minus(f, x, y):
+    """x - y, with a field operation only where y is nonzero."""
+    return tuple(f.sub(xi, yi) if yi else xi for xi, yi in zip(x, y))
 
 
 def _in_tensor_commutator_ideal(a: Algebra, n: int, x, target) -> bool:

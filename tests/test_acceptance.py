@@ -150,6 +150,8 @@ def test_criterion_4_oracle_consistency():
 
 
 def test_criterion_5_tensor_decomposition():
+    from test_stability import replays_in_fresh_tensor
+
     with criterion(5, "tensor decomposition"):
         cases = [build("upper_triangular", n=3), build("ema")]
         for entry in cases:
@@ -165,6 +167,7 @@ def test_criterion_5_tensor_decomposition():
                     if dec.diagonal_report.verdict == STABLE:
                         assert dec.full_report is not None
                         assert dec.full_report.verdict == STABLE
+                        assert replays_in_fresh_tensor(alg, n, dec.full_report)
 
 
 # -- criterion 6: closure laws ----------------------------------------------------------

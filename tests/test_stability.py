@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -20,7 +21,14 @@ from censtab.algebras import (
     unitization,
 )
 from censtab.catalog import build, standard_entries
-from censtab.errors import ConsistencyError, NotAnIdeal
+from censtab.errors import ConsistencyError, DimensionMismatch, NotAnIdeal
+from censtab.fileformat import (
+    algebra_from_json,
+    algebra_to_json,
+    dump_json,
+    report_to_json,
+    verify_report_json,
+)
 from censtab.linalg import (
     _int_entries,
     _PrimeReducer,
@@ -277,21 +285,112 @@ def test_decompose_offdiagonal_tensor():
     assert all(dec.checks.values())
 
 
+def replays_in_fresh_tensor(a, n, report):
+    """Whether a report on A (x) M_n replays as the benchmark replays it:
+    through report_to_json and verify_report_json, on A (x) M_n of a fresh
+    reload of a."""
+    doc = json.loads(dump_json(report_to_json(tensor_with_matrices(a, n), report, command="element")))
+    b = algebra_from_json(json.loads(dump_json(algebra_to_json(a))))
+    return verify_report_json(tensor_with_matrices(b, n), doc)
+
+
 def test_decompose_stable_diagonal_implies_stable_tensor_element():
     alg = t3()
     n = 2
     T = tensor_with_matrices(alg, n)
     rng = random.Random(9)
-    for _ in range(5):
+    for idx in range(10):
         t_el = random_element(T, rng)
         coords = list(t_el.coords)
-        # force the (n, n) diagonal block to be e12, a stable element of T_3
+        # force the (n, n) diagonal block to be e12 + c 1, a stable element
+        # of T_3 with central part c 1 (c = 0 in the first five)
+        c = Q.zero if idx < 5 else Q.coerce(idx - 3)
         for j in range(alg.dim):
-            coords[j * n * n + (n - 1) * n + (n - 1)] = Q.one if j == 1 else Q.zero
+            coords[j * n * n + (n - 1) * n + (n - 1)] = alg.unity[j] * c + (Q.one if j == 1 else Q.zero)
         dec = decompose_tensor_element(alg, n, coords)
         assert dec.diagonal_report.verdict == STABLE
         assert dec.full_report is not None
         assert dec.full_report.verdict == STABLE
+        assert replays_in_fresh_tensor(alg, n, dec.full_report)
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
+def test_the_lifted_center_is_the_center_of_the_tensor_algebra(field):
+    # full_report records Z(T) as the rows of Z(A) (x) 1, lifted slot by
+    # slot and never computed in T: they must be Z(T)'s own RREF rows
+    from test_radical import _dense_basis
+
+    rng = random.Random(f"lifted-center:{field}")
+    unital = [e.algebra for e in standard_entries(field) if e.algebra.is_unital and e.algebra.dim <= 9]
+    seen = 0
+    for a in unital:
+        for b in (a, _dense_basis(a, rng)[0]):
+            for n in (1, 2, 3):
+                T = tensor_with_matrices(b, n)
+                dec = decompose_tensor_element(b, n, [field.zero] * T.dim)
+                assert dec.full_report.bases["center"] == center(T).rows, (b.dim, n)
+                seen += 1
+    assert seen >= 60
+
+
+def test_decompose_decides_nothing_in_the_tensor_algebra(monkeypatch):
+    # t's certificate comes from the diagonal part's: one element decision,
+    # in A, and neither the center nor the generators of T are computed
+    decided = []
+    real = stability.element_centrally_stable
+    monkeypatch.setattr(stability, "element_centrally_stable", lambda x: decided.append(x) or real(x))
+    alg = t3()
+    rng = random.Random(13)
+    for n in (1, 2, 3):
+        T = tensor_with_matrices(alg, n)
+        coords = list(random_element(T, rng).coords)
+        for j in range(alg.dim):  # the diagonal block 2 e12 + 3 1, stable
+            coords[j * n * n + (n - 1) * (n + 1)] = 3 * alg.unity[j] + (2 if j == 1 else 0)
+        decided.clear()
+        dec = decompose_tensor_element(alg, n, coords)
+        assert dec.full_report.verdict == STABLE
+        assert [x.algebra for x in decided] == [alg]
+        assert decided[0].coords == dec.diagonal_part.coords
+        assert "center" not in T._memo and "generators" not in T._memo
+        assert verify_certificate(T, dec.full_report)
+
+
+def test_decompose_refuses_a_wrong_length_or_pivot_before_building_the_tensor(monkeypatch):
+    # A (x) M_n for n = 10**4 would not fit in memory: building it fails fast
+    def refuse(a, n):
+        raise AssertionError(f"A (x) M_{n} built before the input was checked")
+
+    monkeypatch.setattr(stability, "tensor_with_matrices", refuse)
+    alg = t3()
+    with pytest.raises(DimensionMismatch):
+        decompose_tensor_element(alg, 10**4, [Q.one] * 7)
+    with pytest.raises(DimensionMismatch):
+        decompose_tensor_element(alg, 3, [Q.zero] * (alg.dim * 9), pivot=4)
+    assert not any(isinstance(key, tuple) and key[0] == "tensor_with_matrices" for key in alg._memo)
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
+def test_commutative_non_semisimple_coefficients_tensor_matrices_are_stable(field):
+    # the main theorem with F_i = F: a product of C_i (x) M_{n_i}, C_i
+    # commutative, is centrally stable; C = F[y]/(y^k) is not semisimple.
+    # C is taken in its own basis and in a dense one of fixed seed.
+    from test_radical import _dense_basis
+
+    rng = random.Random(f"main-theorem:{field}")
+    m2 = build("matrix_full", n=2, field=field).algebra
+    algebras = []
+    for k in (2, 3):
+        c = build("truncated_poly", k=k, field=field).algebra
+        for coeffs in (c, _dense_basis(c, rng)[0]):
+            algebras.append(tensor_product(coeffs, m2))
+            if k == 2:
+                algebras.append(direct_product(algebras[-1], m2))
+    for b in algebras:
+        rep = algebra_centrally_stable(b)
+        assert rep.verdict == STABLE, b.dim
+        assert rep.bases["radical"], b.dim
+        doc = json.loads(dump_json(report_to_json(b, rep, command="stable")))
+        assert verify_report_json(algebra_from_json(json.loads(dump_json(algebra_to_json(b)))), doc)
 
 
 def test_decompose_pivot_moves_slot():
