@@ -10,9 +10,13 @@ the table's denominators (1 over GF(p)), with absent entries meaning a zero
 product.  The basis f_i = N e_i has f_i f_j = sum_k N c[i][j][k] f_k, so the
 index presents the same algebra, and every subspace is invariant under that
 uniform scaling: spans, reductions and zero tests read the index as it is,
-and no product is divided back by N.  `_index` builds it, in one pass over
-the entries of a file or of a construction; `Algebra.table` is the exact
-constants c, a view of the index computed when first read.
+and no product is divided back by N.  Two functions pass between the index
+and the exact constants c: `_index` builds the index from entries
+(i, j, [(k, (num, den)), ...]), in one pass over those of a file or of a
+construction, and is the only one that chooses N; `_ratios` reads an index
+back as such entries, and is the only one that divides by N.  Every
+construction is a map over the entries `_ratios` gives, and `Algebra.table`
+is computed from them when first read.
 """
 
 from __future__ import annotations
@@ -32,8 +36,7 @@ from .errors import (
     NotAnIdeal,
     NotAssociative,
 )
-from .linalg import (Subspace, _int_entries, _items, _make_reducer,
-                     express_in_span, kernel_of_rows)
+from .linalg import Subspace, _int_entries, _make_reducer, express_in_span, kernel_of_rows
 from .scalars import FieldSpec
 
 
@@ -44,8 +47,8 @@ class Algebra:
     N = `_scale`: `_rows[i][j]` = ((k, N c_ij^k), ...) for the nonzero
     entries e_i * e_j, k increasing, j in the order the entries came in.  A
     basis product e_i * v or v * e_i walks the nonzeros of v and looks each
-    constant up.  Build one with `build_algebra`, or `_index` and the
-    trusted constructor.
+    constant up.  Build one with `build_algebra`, or with `_derived` from
+    `_index` entries; `_ratios` gives those entries back.
     """
 
     __slots__ = ("field", "dim", "labels", "unity", "_scale", "_rows", "_memo")
@@ -64,18 +67,14 @@ class Algebra:
     @property
     def table(self):
         """The exact structure constants {(i, j): ((k, c), ...)}, read-only:
-        the index divided by N, computed on first read and kept in the memo.
-        It iterates row by row, each row's j in index order."""
+        the entries of `_ratios` as scalars, computed on first read and kept
+        in the memo.  It iterates row by row, each row's j in index order."""
         t = self._memo.get("table")
         if t is None:
-            t = {}
-            n, gf, fracs = self._scale, self.field.p is not None, {}  # fracs: c -> c / N
-            for i, row in enumerate(self._rows):
-                for j, pairs in row.items():
-                    if not gf:
-                        pairs = tuple([(k, fracs.get(c) or fracs.setdefault(c, Fraction(c, n)))
-                                       for k, c in pairs])
-                    t[i, j] = pairs
+            t, gf, fracs = {}, self.field.p is not None, {}  # fracs: (num, den) -> num/den
+            for i, j, pairs in _ratios(self):
+                t[i, j] = tuple([(k, r[0] if gf else fracs.get(r) or fracs.setdefault(r, Fraction(*r)))
+                                 for k, r in pairs])
             t = self._memo["table"] = MappingProxyType(t)
         return t
 
@@ -111,21 +110,6 @@ class Algebra:
     # ints where the inputs are ints, as dicts of the entries they reach.
     # Operands are sequences or dicts (such as reducer rows), and the
     # reducers take the dicts as they are.
-
-    def _product(self, x, y):
-        """N times the coordinates of x * y as a dict k -> value (absent means zero)."""
-        acc = {}
-        rows = self._rows
-        y_at = y.get if isinstance(y, dict) else y.__getitem__
-        for i, xi in _items(x):
-            if xi:
-                for j, pairs in rows[i].items():
-                    yj = y_at(j)
-                    if yj:
-                        c = xi * yj
-                        for k, ck in pairs:
-                            acc[k] = acc.get(k, 0) + c * ck
-        return acc
 
     def _basis_mul_vec(self, i, v):
         """N times the coordinates of e_i * v as a dict, or None when no index
@@ -234,16 +218,22 @@ def _canonical_pairs(p, pairs):
     return [(k, c.as_integer_ratio()) for k, c in sorted(acc.items()) if c]
 
 
-def _entries(table):
-    """A table {(i, j): [(k, scalar), ...]} of canonical scalars of the
-    field as `_index` entries."""
-    out = []
-    for (i, j), pairs in table.items():
-        ratios = []  # loops, not comprehensions, as in `_index`
-        for k, c in pairs:
-            ratios.append((k, c.as_integer_ratio()))
-        out.append((i, j, ratios))
-    return out
+def _ratios(a: Algebra):
+    """a's entries (i, j, [(k, (num, den)), ...]) as `_index` takes them, in
+    index order: each constant c of the index reduced from c/N over Q, and
+    (c, 1) over GF(p), where N = 1.  `_index` of them gives back a's N and
+    rows, as N is the lcm of the reduced denominators."""
+    n, ratio = a._scale, {}  # ratio: c -> (c/g, N/g), g = gcd(c, N)
+    for i, row in enumerate(a._rows):
+        for j, pairs in row.items():
+            out = []  # a loop, not a comprehension, as in `_index`
+            for k, c in pairs:
+                r = ratio.get(c)
+                if r is None:
+                    g = gcd(c, n)
+                    r = ratio[c] = (c // g, n // g)
+                out.append((k, r))
+            yield i, j, out
 
 
 def _check_associativity(a: Algebra) -> None:
@@ -411,16 +401,17 @@ def build_algebra(field: FieldSpec, dim: int, table, labels=None) -> Algebra:
         if len(labels) != dim:
             raise DimensionMismatch("labels length != dim")
     coerce = field.coerce
-    table = {key: [(k, coerce(c)) for k, c in pairs] for key, pairs in table.items()}
-    return _assemble(field, dim, _entries(table), labels)
+    entries = [(i, j, [(k, coerce(c).as_integer_ratio()) for k, c in pairs])
+               for (i, j), pairs in table.items()]
+    return _assemble(field, dim, entries, labels)
 
 
-def _derived(field, dim, table, labels=None, unity=None) -> Algebra:
-    """Internal constructor for algebras associative by construction; the
-    table's scalars must be canonical scalars of the field."""
+def _derived(field, dim, entries, labels=None, unity=None) -> Algebra:
+    """Internal constructor for algebras associative by construction, from
+    `_index` entries, unchecked."""
     if labels is not None:
         labels = tuple(labels)
-    n, rows = _index(field, dim, _entries(table))
+    n, rows = _index(field, dim, entries)
     return Algebra(field, dim, n, rows, labels, unity, _trusted=True)
 
 
@@ -686,27 +677,28 @@ class QuotientMap:
 
 
 def quotient(a: Algebra, ideal: Subspace) -> QuotientMap:
-    """Build a/ideal; raises NotAnIdeal (with witness) when ideal is not one."""
+    """Build a/ideal; raises NotAnIdeal (with witness) when ideal is not one.
+
+    Each entry of a between free columns goes to its residual mod the ideal,
+    which only free coordinates survive; the entries are then put in
+    (i, j) order, as a walk over the free columns would give them."""
     w = ideal_witness(a, ideal)
     if w is not None:
         raise NotAnIdeal(*w)
-    n, red = a.dim, ideal.reducer
+    n, red, gf = a.dim, ideal.reducer, a.field.p is not None
     pivot_set = set(ideal.pivots)
     free = tuple(c for c in range(n) if c not in pivot_set)
-    m = len(free)
     pos = {c: i for i, c in enumerate(free)}
-    table = {}
-    for ai, x in enumerate(free):
-        for bi, y in enumerate(free):
-            pairs = a.table.get((x, y))
-            if not pairs:
-                continue
-            # only free coordinates survive the reduction
-            img = red.exact_residual(dict(pairs), n)
+    entries = []
+    for x, y, pairs in _ratios(a):
+        if x in pos and y in pos:
+            img = red.exact_residual({k: r[0] if gf else Fraction(*r) for k, r in pairs}, n)
             if img:
-                table[(ai, bi)] = tuple(sorted((pos[k], val) for k, val in img.items()))
+                pairs = [(pos[k], c.as_integer_ratio()) for k, c in sorted(img.items())]
+                entries.append((pos[x], pos[y], pairs))
+    entries.sort()
     labels = tuple(a.label(c) for c in free) if a.labels else None
-    target = _derived(a.field, m, table, labels)
+    target = _derived(a.field, len(free), entries, labels)
     if a.unity is not None:
         w0 = ideal.reduce(a.unity)
         target.unity = tuple(w0[c] for c in free)
@@ -725,55 +717,43 @@ def direct_product(a: Algebra, b: Algebra) -> Algebra:
     if a.field != b.field:
         raise FieldMismatch("direct product over different fields")
     n, m = a.dim, b.dim
-    table = dict(a.table)
-    for (i, j), pairs in b.table.items():
-        table[(i + n, j + n)] = tuple((k + n, c) for k, c in pairs)
+    entries = list(_ratios(a))
+    entries += [(i + n, j + n, [(k + n, r) for k, r in pairs]) for i, j, pairs in _ratios(b)]
     labels = None
     if a.labels or b.labels:
         labels = tuple(a.label(i) for i in range(n)) + tuple(b.label(j) for j in range(m))
     unity = None
     if a.unity is not None and b.unity is not None:
         unity = tuple(a.unity) + tuple(b.unity)
-    return _derived(a.field, n + m, table, labels, unity)
+    return _derived(a.field, n + m, entries, labels, unity)
 
 
 def tensor_product(a: Algebra, b: Algebra) -> Algebra:
     """A (x) B with basis ordered left-factor major: (i, p) -> i*dim(B) + p.
 
-    Built from the two int indexes, without a table: their products are
-    M c d, M = N_A N_B, for the constants c d of A (x) B.  With g the gcd of
-    M and every product, the index of A (x) B is the products divided by g,
-    at N = M / g, the lcm L of the denominators of the c d, as `_index`
-    takes it: L c d is an int for every c d, so L divides M, and gcd(L, every
-    L c d) = 1, since for each prime q with q^e exactly dividing L, some c d
-    has q^e in its denominator and q not in L c d.  Each row's j and each
-    entry's k come in the order the factors' entries give, as a table read
-    row by row would give them.
+    Its constants are the products of those of A and B.  Two reduced ratios
+    x/w and y/z multiply to ((x/u)(y/v), (w/v)(z/u)), u = gcd(x, z) and
+    v = gcd(y, w), which is reduced: the four cross pairs are coprime.  Each
+    row's j and each entry's k come in the order the factors' entries give,
+    as a table read row by row would give them.
     """
     if a.field != b.field:
         raise FieldMismatch("tensor product over different fields")
     f = a.field
     p, nb = f.p, b.dim
-    m = a._scale * b._scale
-    g = m  # gcd(m, every product) once the products are made
-    rows = []
-    for row_a in a._rows:
-        for row_b in b._rows:
-            row = {}
-            for j, pa in row_a.items():
-                for q, pb in row_b.items():
-                    # k*nb + r increases with (k, r), as pa and pb are sorted
-                    row[j * nb + q] = entry = [(k * nb + r, c * d) for k, c in pa for r, d in pb]
-                    for _, x in entry:
-                        if g == 1:  # at once over GF(p), where m = 1
-                            break
-                        g = gcd(g, x)
-            rows.append(row)
-    shared = {}
-    for row in rows:
-        for key, entry in row.items():
-            entry = tuple([(k, x // g if p is None else x % p) for k, x in entry])
-            row[key] = shared.setdefault(entry, entry)
+    rows_b = _entry_rows(b)
+    entries = []
+    for i, row_a in enumerate(_entry_rows(a)):
+        for q, row_b in enumerate(rows_b):
+            for j, pa in row_a:
+                for s, pb in row_b:
+                    entry = []  # k*nb + r increases with (k, r), as pa and pb are sorted
+                    for k, (x, w) in pa:
+                        for r, (y, z) in pb:
+                            u, v = gcd(x, z), gcd(y, w)
+                            num = (x // u) * (y // v) if p is None else x * y % p
+                            entry.append((k * nb + r, (num, (w // v) * (z // u))))
+                    entries.append((i * nb + q, j * nb + s, entry))
     labels = None
     if a.labels or b.labels:
         labels = tuple(
@@ -784,7 +764,15 @@ def tensor_product(a: Algebra, b: Algebra) -> Algebra:
         unity = tuple(
             f.mul(a.unity[i], b.unity[s]) for i in range(a.dim) for s in range(nb)
         )
-    return Algebra(f, a.dim * nb, m // g, tuple(rows), labels, unity, _trusted=True)
+    return _derived(f, a.dim * nb, entries, labels, unity)
+
+
+def _entry_rows(a: Algebra):
+    """The entries of `_ratios(a)` by row: row i lists (j, pairs)."""
+    rows = [[] for _ in range(a.dim)]
+    for i, j, pairs in _ratios(a):
+        rows[i].append((j, pairs))
+    return rows
 
 
 def _cell_algebra(field: FieldSpec, n: int, cells) -> Algebra:
@@ -792,16 +780,15 @@ def _cell_algebra(field: FieldSpec, n: int, cells) -> Algebra:
     with e_pq e_qs = e_ps when (p, s) is a cell; unchecked.  The unity is set
     when every diagonal cell is present."""
     index = {cell: i for i, cell in enumerate(cells)}
-    table = {}
-    one = field.one
+    entries = []
     for (p, q), i in index.items():
         for (r, s), j in index.items():
             if q == r and (p, s) in index:
-                table[(i, j)] = ((index[(p, s)], one),)
+                entries.append((i, j, [(index[(p, s)], (1, 1))]))
     unity = None
     if all((p, p) in index for p in range(n)):
-        unity = tuple(one if p == q else field.zero for p, q in cells)
-    return _derived(field, len(cells), table, [f"e{p + 1}{q + 1}" for p, q in cells], unity)
+        unity = tuple(field.one if p == q else field.zero for p, q in cells)
+    return _derived(field, len(cells), entries, [f"e{p + 1}{q + 1}" for p, q in cells], unity)
 
 
 def matrix_units_algebra(field: FieldSpec, n: int) -> Algebra:
@@ -821,25 +808,22 @@ def unitization(a: Algebra) -> Algebra:
 
     The unity is basis vector 0, and e_i of a is basis vector i+1, so a sits
     inside as the ideal of vectors with coordinate 0 equal to zero."""
-    f = a.field
-    one = f.one
-    table = {(0, 0): ((0, one),)}
-    for i in range(a.dim):
-        table[(0, i + 1)] = ((i + 1, one),)
-        table[(i + 1, 0)] = ((i + 1, one),)
-    for (i, j), pairs in a.table.items():
-        table[(i + 1, j + 1)] = tuple((k + 1, c) for k, c in pairs)
+    f, one = a.field, (1, 1)
+    entries = [(0, 0, [(0, one)])]
+    for i in range(1, a.dim + 1):
+        entries += [(0, i, [(i, one)]), (i, 0, [(i, one)])]
+    entries += [(i + 1, j + 1, [(k + 1, r) for k, r in pairs]) for i, j, pairs in _ratios(a)]
     labels = None
     if a.labels:
         labels = ("1",) + tuple(a.labels)
-    unity = (one,) + (f.zero,) * a.dim
-    return _derived(f, a.dim + 1, table, labels, unity)
+    unity = (f.one,) + (f.zero,) * a.dim
+    return _derived(f, a.dim + 1, entries, labels, unity)
 
 
 def opposite(a: Algebra) -> Algebra:
     """Same space, reversed multiplication: c_op[i][j] = c[j][i]."""
-    table = {(j, i): pairs for (i, j), pairs in a.table.items()}
-    return _derived(a.field, a.dim, table, a.labels, a.unity)
+    entries = [(j, i, pairs) for i, j, pairs in _ratios(a)]
+    return _derived(a.field, a.dim, entries, a.labels, a.unity)
 
 
 # ---------------------------------------------------------------------------
@@ -853,29 +837,24 @@ def is_commutative(a: Algebra) -> bool:
 
 
 def nilpotency_index(a: Algebra):
-    """Smallest k with A^k = 0, or None if the power chain stalls above zero."""
-    return _power_chain_index(a, [{i: 1} for i in range(a.dim)])
+    """Smallest k with A^k = 0, or None if the power chain stalls above zero.
 
-
-def _power_chain_index(a: Algebra, basis):
-    """Smallest k with N^k = 0 for N = span(basis), or None if the chain stalls.
-
-    basis must be linearly independent.  N^{k+1} is spanned by the products
-    v w with v in basis and w in a basis of N^k.  The chain stalls when a
-    power is not smaller than the one before.  For a subalgebra N, N^{k+1}
-    lies in N^k, so that means N^{k+1} = N^k != 0 and N is not nilpotent;
-    and because the dimension drops at every step, the chain ends within
-    dim N + 1 steps.
+    A^{k+1} is spanned by the products e_i w, w in a basis of A^k.  The
+    chain stalls when a power is not smaller than the one before.  As
+    A^{k+1} lies in A^k, that means A^{k+1} = A^k != 0 and A is not
+    nilpotent; and because the dimension drops at every step, the chain
+    ends within dim A + 1 steps.
     """
-    gens = cur = list(basis)
+    n = a.dim
+    cur = [{i: 1} for i in range(n)]
     k = 1
     while cur:
-        red = _make_reducer(a.field, a.dim)
+        red = _make_reducer(a.field, n)
         nxt = []
-        for v in gens:
+        for i in range(n):
             for w in cur:
-                acc = a._product(v, w)
-                if acc and (r := red.insert(acc)) is not None:
+                acc = a._basis_mul_vec(i, w)
+                if acc is not None and (r := red.insert(acc)) is not None:
                     nxt.append(r)
                     if len(nxt) >= len(cur):
                         return None

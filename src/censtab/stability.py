@@ -338,7 +338,10 @@ def decompose_tensor_element(
     ConsistencyError, since both are theorems.  The coordinate count and the
     pivot are checked before T is built.  Nothing is decided in T: the
     memberships are decided in A by _in_tensor_commutator_ideal, and t's
-    certificate is assembled in A from the diagonal part's.
+    certificate is assembled in A from the diagonal part's.  The diagonal
+    part is decided first, so that s and, when it is stable, the
+    certificate's u_T are checked against Id_T([t, T]) in one closure; a
+    failure of either makes "stable_part_in_full_commutator_ideal" False.
 
     Why that certificate holds.  Let d = S_pp be the diagonal part, with
     certificate d = z + u, z in Z(A) and u in Id_A([d, A]).  Put z_T =
@@ -370,24 +373,25 @@ def decompose_tensor_element(
 
     diag = tuple(t_coords[j * n * n + pp * n + pp] for j in range(a.dim))
     s = _minus(f, t_coords, _times_identity(f, diag, n))
+    diag_rep = element_centrally_stable(a.element(diag))
+    stable = diag_rep.verdict == STABLE
+    if stable:
+        z = diag_rep.certificate.central_part
+        z_t = _times_identity(f, z, n)
+        u_t = _minus(f, t_coords, z_t)
     checks = {
-        "stable_part_in_own_commutator_ideal": _in_tensor_commutator_ideal(a, n, s, s),
-        "stable_part_in_full_commutator_ideal": _in_tensor_commutator_ideal(a, n, t_coords, s),
+        "stable_part_in_own_commutator_ideal": _in_tensor_commutator_ideal(a, n, s, [s]),
+        "stable_part_in_full_commutator_ideal":
+            _in_tensor_commutator_ideal(a, n, t_coords, [s, u_t] if stable else [s]),
     }
     if not all(checks.values()):
         raise ConsistencyError(f"tensor decomposition postcondition failed: {checks}")
 
-    diag_rep = element_centrally_stable(a.element(diag))
     full_rep = None
-    if diag_rep.verdict == STABLE:
-        z = diag_rep.certificate.central_part
-        z_t = _times_identity(f, z, n)
-        u_t = _minus(f, t_coords, z_t)
+    if stable:
         z_space = center(a)
-        if not (z_space.contains(z) and _in_tensor_commutator_ideal(a, n, t_coords, u_t)):
-            raise ConsistencyError(
-                "stable diagonal part but unstable tensor element"
-            )
+        if not z_space.contains(z):
+            raise ConsistencyError("stable diagonal part but unstable tensor element")
         cert = StableElementWitness(t_coords, z_t, u_t)
         rows = tuple(_times_identity(f, row, n) for row in z_space.rows)
         full_rep = StabilityReport(STABLE, METHOD_ELEMENT, cert, {"center": rows})
@@ -409,9 +413,10 @@ def _minus(f, x, y):
     return tuple(f.sub(xi, yi) if yi else xi for xi, yi in zip(x, y))
 
 
-def _in_tensor_commutator_ideal(a: Algebra, n: int, x, target) -> bool:
-    """Whether target lies in Id_T([x, T]), T = A (x) M_n(F), for unital A;
-    x and target are T-coordinates, decided by one ideal closure in A.
+def _in_tensor_commutator_ideal(a: Algebra, n: int, x, targets) -> bool:
+    """Whether every target lies in Id_T([x, T]), T = A (x) M_n(F), for
+    unital A; x and the targets are T-coordinates, decided by one ideal
+    closure in A.
 
     Write x = sum_pq S_pq (x) E_pq with S_pq in A; the basis index of
     e_j (x) E_pq is j*n*n + p*n + q.  Since E_pq E_rs = delta_qr E_ps,
@@ -431,7 +436,7 @@ def _in_tensor_commutator_ideal(a: Algebra, n: int, x, target) -> bool:
     One diagonal slot r = m serves for the last two sets, since
     S_rr - S_ss = (S_rr - S_mm) - (S_ss - S_mm) and [S_rr, e] =
     [S_mm, e] + [S_rr - S_mm, e]; m is the slot with the sparsest block.
-    target lies in M_n(I_x) exactly when each of its n*n entries lies in
+    A target lies in M_n(I_x) exactly when each of its n*n entries lies in
     I_x.
     """
     nn = n * n
@@ -454,7 +459,7 @@ def _in_tensor_commutator_ideal(a: Algebra, n: int, x, target) -> bool:
                 d[j] = d.get(j, 0) - c
             gens.append(d)
     gens.extend(_commutator_rows(a, base))
-    return _in_ideal(a, gens, blocks(target))
+    return _in_ideal(a, gens, [entry for target in targets for entry in blocks(target)])
 
 
 # ---------------------------------------------------------------------------

@@ -246,10 +246,16 @@ def test_multiply_matches_dense_oracle():
                 mat_mul(fam.coords_to_mat(x.coords), fam.coords_to_mat(y.coords))
             )
             assert list(dense_product(alg, x.coords, y.coords)) == expected
-            prod = alg._product(x.coords, y.coords)  # N times x * y, from the int index
-            assert {k: c for k, c in prod.items() if c} == {
-                k: alg._scale * c for k, c in enumerate(expected) if c
-            }
+            # N times x * y from the int index, as sum_i x_i e_i y and as sum_j x e_j y_j
+            xd, yd = dict(enumerate(x.coords)), dict(enumerate(y.coords))
+            left, right = {}, {}
+            for i in range(alg.dim):
+                for k, c in (alg._basis_mul_vec(i, yd) or {}).items():
+                    left[k] = left.get(k, 0) + x.coords[i] * c
+                for k, c in (alg._vec_mul_basis(xd, i) or {}).items():
+                    right[k] = right.get(k, 0) + c * y.coords[i]
+            want = {k: alg._scale * c for k, c in enumerate(dense_product(alg, x.coords, y.coords)) if c}
+            assert {k: c for k, c in left.items() if c} == want == {k: c for k, c in right.items() if c}
             expected_c = fam.mat_to_coords(
                 commutator_m(fam.coords_to_mat(x.coords), fam.coords_to_mat(y.coords))
             )

@@ -14,18 +14,13 @@ import random
 
 import pytest
 
-from censtab.algebras import (
-    Algebra,
-    _derived,
-    _first_failing_triple,
-    build_algebra,
-)
+from censtab.algebras import Algebra, _first_failing_triple, build_algebra
 from censtab.catalog import build, standard_entries
 from censtab.errors import NotAssociative
 from censtab.fileformat import algebra_from_json, algebra_to_json, report_to_json, verify_report_json
 from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import algebra_centrally_stable
-from oracle import revalidate
+from oracle import derived_from_table, revalidate
 from test_generators import CASES
 from test_radical import _dense_basis
 
@@ -37,7 +32,7 @@ FIELDS = pytest.mark.parametrize("field", [Q, prime_field(101)], ids=str)
 def _walk_witness(field, dim, table):
     """The first failing triple of the walk over every basis triple, on the
     table as it is (no generating set, no unity), or None."""
-    a = _derived(field, dim, table)
+    a = derived_from_table(field, dim, table)
     try:
         _first_failing_triple(a)
     except NotAssociative as exc:
@@ -149,7 +144,7 @@ def test_load_work_is_bounded_on_catalog_bases(name, params, pairs, products, mo
     # the (x, g) pairs the check visits, and the products the generator
     # closure makes: only the x that reach g, and no product once G spans a
     b = build(name, field=Q, **params).algebra
-    a = _derived(Q, b.dim, b.table)
+    a = derived_from_table(Q, b.dim, b.table)
     seen = {"pairs": 0, "products": 0}
     defect, product = algebras._associator_defect, Algebra._basis_mul_vec
 

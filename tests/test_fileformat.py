@@ -7,7 +7,19 @@ from pathlib import Path
 
 import pytest
 
-from censtab.algebras import Algebra, _check_associativity, _find_unity, _generators, center
+from censtab.algebras import (
+    Algebra,
+    _check_associativity,
+    _find_unity,
+    _generators,
+    center,
+    direct_product,
+    matrix_algebra,
+    opposite,
+    quotient,
+    tensor_product,
+    unitization,
+)
 from censtab.catalog import build, standard_entries
 from censtab.errors import FileFormatError, IndexOutOfRange, NotAssociative, ParseError
 from censtab.fileformat import (
@@ -26,6 +38,7 @@ from censtab.fileformat import (
     vector_to_json,
     verify_report_json,
 )
+from censtab.radical import radical
 from censtab.scalars import MAX_LITERAL_DIGITS, RATIONALS, FieldSpec, prime_field
 from censtab.stability import algebra_centrally_stable, element_centrally_stable
 
@@ -829,6 +842,11 @@ def test_a_load_coerces_no_scalar_and_builds_no_table(tmp_path, monkeypatch):
     rep = algebra_centrally_stable(a)
     assert verify_report_json(a, json.loads(dump_json(report_to_json(a, rep, command="stable"))))
     assert "table" not in a._memo  # deciding and replaying read the index only
+    for build_from_a in (opposite, unitization, lambda a: direct_product(a, a),
+                         lambda a: tensor_product(a, a), lambda a: matrix_algebra(a, 2),
+                         lambda a: quotient(a, radical(a)).target):
+        build_from_a(a)
+        assert "table" not in a._memo  # constructions read the index only
     table = a.table
     assert a._memo["table"] is table is a.table
     assert table == alg.table

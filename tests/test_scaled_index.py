@@ -16,7 +16,17 @@ from fractions import Fraction
 import pytest
 
 import censtab.algebras as algebras_module
-from censtab.algebras import _derived, build_algebra, center, ideal_generated, tensor_product
+from censtab.algebras import (
+    _cell_algebra,
+    build_algebra,
+    center,
+    direct_product,
+    ideal_generated,
+    opposite,
+    quotient,
+    tensor_product,
+    unitization,
+)
 from censtab.catalog import build
 from censtab.errors import NotAssociative
 from censtab.fileformat import (
@@ -26,7 +36,7 @@ from censtab.fileformat import (
     report_to_json,
     verify_report_json,
 )
-from censtab.linalg import span
+from censtab.linalg import span, subspace_intersect
 from censtab.radical import radical
 from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import (
@@ -34,7 +44,15 @@ from censtab.stability import (
     element_centrally_stable,
     random_element,
 )
-from oracle import dense_product
+from oracle import (
+    dense_product,
+    table_cell_algebra,
+    table_direct_product,
+    table_opposite,
+    table_quotient,
+    table_tensor_product,
+    table_unitization,
+)
 from test_radical import _dense_basis
 
 CASES = [
@@ -165,8 +183,12 @@ def _check_basis_products(a, rng):
 
 
 def _index_product(a, x, y):
-    """x * y over Q from the int index: `_product` divided by N."""
-    acc = a._product(x, y)
+    """x * y over Q from the int index: sum_i x_i e_i y, divided by N."""
+    yd, acc = dict(enumerate(y)), {}
+    for i, xi in enumerate(x):
+        if xi:
+            for k, c in (a._basis_mul_vec(i, yd) or {}).items():
+                acc[k] = acc.get(k, 0) + xi * c
     return tuple(Fraction(acc.get(k, 0), a._scale) for k in range(a.dim))
 
 
@@ -348,38 +370,53 @@ def test_unity_check_on_the_int_index_finds_the_same_first_failure(scales):
     assert seen == {True, False}
 
 
-def _tensor_from_tables(a, b):
-    """A (x) B through the Fraction tables of its factors and `_derived`, the
-    way tensor_product built it before it multiplied the int indexes."""
-    f, nb = a.field, b.dim
-    table = {}
-    for (i, j), pa in a.table.items():
-        for (p, q), pb in b.table.items():
-            entry = [(k * nb + r, f.mul(c, d)) for k, c in pa for r, d in pb]
-            table[(i * nb + p, j * nb + q)] = tuple(sorted(entry))
-    return _derived(f, a.dim * nb, table)
+def _same_algebra(got, ref):
+    """The same N, rows with the same j order, shared tuples, table, labels
+    and unity."""
+    assert got._scale == ref._scale
+    assert [list(row.items()) for row in got._rows] == [list(row.items()) for row in ref._rows]
+    shared = {id(e) for row in got._rows for e in row.values()}
+    assert len(shared) == len({e for row in got._rows for e in row.values()})
+    assert got.table == ref.table
+    assert got.labels == ref.labels and got.unity == ref.unity
 
 
 @pytest.mark.parametrize("scales", [_small_scales, _big_scales])
 def test_tensor_index_is_the_index_of_its_table(scales):
-    # same N (the lcm of the product denominators, not N_A N_B), same rows,
-    # same j order in each row, same shared tuples
+    # every construction, a map over the entries of its operands' indexes,
+    # builds the algebra the table route of tests/oracle.py builds; for the
+    # tensor product that is N = the lcm of the product denominators, not N_A N_B
     rng = random.Random(17)
-    algebras = [b for _, _, b, _, _ in _presentations(scales, 19)]
     gf = prime_field(101)
-    pairs = [(algebras[i], algebras[(i + 1) % len(algebras)]) for i in range(len(algebras))]
+    algebras = [b for _, _, b, _, _ in _presentations(scales, 19)]
+    algebras += [_dense_basis(build(name, field=gf, **params).algebra, rng)[0]
+                 for name, params in (("upper_triangular", {"n": 2}), ("strict_upper", {"n": 3}),
+                                      ("truncated_poly", {"k": 4}))]
+    algebras.append(build("r11_radical", n=2, k=3, field=gf).algebra)
+    pairs = [(a, b) for a, b in zip(algebras, algebras[1:]) if a.field == b.field]
     pairs += [(b, b) for b in algebras[:3]]
-    pairs += [(build("r11_radical", n=2, k=3, field=gf).algebra, build("matrix_full", n=2, field=gf).algebra)]
-    pairs += [(b, build("matrix_full", n=2).algebra) for b in rng.sample(algebras, 3)]
-    reduced = 0
+    pairs += [(algebras[-1], build("matrix_full", n=2, field=gf).algebra)]
+    pairs += [(b, build("matrix_full", n=2).algebra) for b in rng.sample(algebras[:len(CASES)], 3)]
+    seen = {"tensor_reduced": 0, "scales_differ": 0, "non_unital": 0, "quotients": 0}
     for a, b in pairs:
-        if a.dim * b.dim > 120:
-            continue
-        t, ref = tensor_product(a, b), _tensor_from_tables(a, b)
-        reduced += t._scale < a._scale * b._scale
-        assert t._scale == ref._scale
-        assert [list(row.items()) for row in t._rows] == [list(row.items()) for row in ref._rows]
-        shared = {id(e) for row in t._rows for e in row.values()}
-        assert len(shared) == len({e for row in t._rows for e in row.values()})
-        assert t.table == ref.table
-    assert reduced >= 2  # the gcd reduction is exercised
+        _same_algebra(direct_product(a, b), table_direct_product(a, b))
+        seen["scales_differ"] += a._scale != b._scale
+        if a.dim * b.dim <= 120:
+            t = tensor_product(a, b)
+            _same_algebra(t, table_tensor_product(a, b))
+            seen["tensor_reduced"] += t._scale < a._scale * b._scale
+    for a in algebras:
+        _same_algebra(opposite(a), table_opposite(a))
+        _same_algebra(unitization(a), table_unitization(a))
+        seen["non_unital"] += a.unity is None
+        rad = radical(a)
+        j = ideal_generated(a, [a.element(r) for r in subspace_intersect(center(a), rad).rows])
+        for ideal in (rad, j):
+            _same_algebra(quotient(a, ideal).target, table_quotient(a, ideal))
+            seen["quotients"] += 0 < ideal.dim < a.dim
+    for field in (Q, gf):
+        for n in range(1, 5):
+            for strict in (False, True):
+                cells = [(p, q) for p in range(n) for q in range(p + strict, n)]
+                _same_algebra(_cell_algebra(field, n, cells), table_cell_algebra(field, n, cells))
+    assert min(seen.values()) >= 2, seen  # each kind of case is exercised

@@ -441,11 +441,16 @@ def test_tensor_commutator_ideal_in_a_matches_the_closure_in_t():
                 rng = random.Random(f"{name}:{a.field}:{n}")
                 for _ in range(6):
                     x = _sparse_coords(a.field, rng, T.dim)
+                    targets, wants = [], []
                     for _ in range(3):
                         target = _sparse_coords(a.field, rng, T.dim)
                         want = stability._in_commutator_ideal(T.element(tuple(x)), _int_entries(target))
-                        assert stability._in_tensor_commutator_ideal(a, n, x, target) == want
+                        assert stability._in_tensor_commutator_ideal(a, n, x, [target]) == want
                         seen[want] += 1
+                        targets.append(target)
+                        wants.append(want)
+                    # several targets: one closure, in when every target is
+                    assert stability._in_tensor_commutator_ideal(a, n, x, targets) == all(wants)
     assert min(seen.values()) >= 100, seen
 
 
