@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import json
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -10,6 +12,10 @@ import pytest
 
 from censtab.cli import main
 from censtab.errors import ConsistencyError
+from censtab.fileformat import load_algebra
+from censtab.linalg import span
+from censtab.radical import radical
+from censtab.stability import decompose_tensor_element
 
 
 def run(capsys, *argv):
@@ -372,6 +378,91 @@ def test_an_inexpressible_stable_element_makes_element_exit_4(tmp_path, capsys, 
     assert len(err.splitlines()) == 1
     assert err.startswith("internal error: ") and "Traceback" not in err
     assert f"command: censtab element {t3} --coords 0,1,0,0,0,0" in err
+
+
+# -- each ConsistencyError site, reached by a fault planted in the step it guards
+
+
+def _internal_error(capsys, *argv):
+    """Run argv, which must exit 4 with one line holding the reproduction."""
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("internal error: ")
+    assert f"command: {shlex.join(['censtab', *argv])}; seed: None; sha256 {argv[1]}: " in err
+    return err
+
+
+def test_a_radical_short_of_the_trace_form_kernel_exits_4(tmp_path, capsys, monkeypatch):
+    # the kernel of upper_triangular n=3 less its last row, e23, is the ideal
+    # (e12, e13): nilpotent, but T_3/(e12, e13) is not semisimple
+    t3 = str(tmp_path / "t3.json")
+    run(capsys, "construct", "upper_triangular", "--n", "3", "-o", t3)
+    module = importlib.import_module("censtab.radical")
+    real = module.kernel_of_rows
+    monkeypatch.setattr(module, "kernel_of_rows", lambda f, rows, n: span(f, real(f, rows, n).rows[:-1], n))
+    with pytest.raises(ConsistencyError, match="quotient by radical candidate is not semisimple"):
+        radical(load_algebra(t3))
+    assert "is not semisimple" in _internal_error(capsys, "stable", t3)
+
+
+def test_a_generating_set_failure_with_no_failing_triple_exits_4(tmp_path, capsys, monkeypatch):
+    table = [[0, 0, [[1, "1"]]], [0, 1, [[1, "1"]]]]  # (e0 e0) e0 = 0, e0 (e0 e0) = e1
+    path = tmp_path / "na.json"
+    path.write_text(json.dumps({"field": "Q", "dim": 2, "table": table}))
+    assert run(capsys, "validate", str(path))[0] == 2
+    monkeypatch.setattr("censtab.algebras._first_failing_triple", lambda a: None)
+    with pytest.raises(ConsistencyError, match="no basis triple does"):
+        load_algebra(path)
+    assert "no basis triple does" in _internal_error(capsys, "validate", str(path))
+
+
+def test_a_tensor_split_outside_its_commutator_ideal_exits_4(tmp_path, capsys, monkeypatch):
+    p2 = str(tmp_path / "p2.json")
+    run(capsys, "construct", "truncated_poly", "--k", "2", "-o", p2)
+    coords = "1,0,0,0,0,1,0,0"
+    monkeypatch.setattr("censtab.stability._in_tensor_commutator_ideal", lambda *args: False)
+    with pytest.raises(ConsistencyError, match="tensor decomposition postcondition failed"):
+        decompose_tensor_element(load_algebra(p2), 2, [int(c) for c in coords.split(",")])
+    err = _internal_error(capsys, "decompose", p2, "--n", "2", "--coords", coords)
+    assert "postcondition failed" in err
+
+
+def test_a_stable_diagonal_part_with_a_non_central_part_exits_4(tmp_path, capsys, monkeypatch):
+    # t = e11 (x) E22 over M_2: T = M_4 is simple, so both checks hold for the
+    # non-central z = e11 that the planted diagonal decision hands back
+    from censtab.stability import StabilityReport, StableElementWitness
+
+    m2 = str(tmp_path / "m2.json")
+    run(capsys, "construct", "matrix_full", "--n", "2", "-o", m2)
+    coords = ",".join("1" if i == 3 else "0" for i in range(16))
+
+    def non_central(x):
+        zero = tuple(0 * c for c in x.coords)
+        return StabilityReport("Stable", "ElementCriterion", StableElementWitness(x.coords, x.coords, zero))
+
+    monkeypatch.setattr("censtab.stability.element_centrally_stable", non_central)
+    with pytest.raises(ConsistencyError, match="stable diagonal part but unstable tensor element"):
+        decompose_tensor_element(load_algebra(m2), 2, [int(c) for c in coords.split(",")])
+    err = _internal_error(capsys, "decompose", m2, "--n", "2", "--coords", coords)
+    assert "stable diagonal part but unstable tensor element" in err
+
+
+def test_a_composite_characteristic_without_small_factors_is_refused(tmp_path, capsys):
+    # 1000036000099 = 1000003 * 1000033 passes trial division by every
+    # Miller-Rabin witness, so the witnesses reject it
+    path = tmp_path / "m.json"
+    code, out, err = run(capsys, "construct", "matrix_full", "--field", "GF:1000036000099", "--n", "2",
+                         "-o", str(path))
+    assert code == 2 and out == "" and not path.exists()
+    assert len(err.splitlines()) == 1 and "1000036000099" in err
+
+
+def test_a_derived_algebra_with_nowhere_to_go_is_refused(tmp_path, capsys):
+    t3 = str(tmp_path / "t3.json")
+    run(capsys, "construct", "upper_triangular", "--n", "3", "-o", t3)
+    code, out, err = run(capsys, "opposite", t3)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: give -o FILE or --json so the result goes somewhere"]
 
 
 def test_results_too_large_to_load_are_refused_before_building(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import json
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -1173,6 +1173,47 @@ def test_replay_checks_that_the_report_fits_its_certificate():
     rep = algebra_centrally_stable(n2)
     assert rep.method == "UnitizationThenRadicalCriterion" and verify_certificate(n2, rep)
     assert not verify_certificate(n2, SR(STABLE, "RadicalCriterion", rep.certificate))
+
+
+def _replays(a, rep):
+    """What the library and the JSON replay each say of rep."""
+    doc = json.loads(dump_json(report_to_json(a, rep, command="stable")))
+    return verify_certificate(a, rep), verify_report_json(a, doc)
+
+
+def test_replay_rejects_an_engine_report_altered_in_one_claim():
+    # each report is one the engine wrote, with one claim changed so that it
+    # is still well-formed, and each change is caught by its own replay step
+    t3, p3 = build("upper_triangular", n=3).algebra, build("truncated_poly", k=3).algebra
+    stable = element_centrally_stable(t3.basis_element(1))  # e12 = 0 + e12
+    unstable = element_centrally_stable(t3.basis_element(0))  # e11
+    match = algebra_centrally_stable(p3)  # rad = Z cap rad = (x, x^2)
+    e = [tuple(Q.one if i == j else Q.zero for i in range(t3.dim)) for j in range(t3.dim)]
+    s, u, m = stable.certificate, unstable.certificate, match.certificate
+    assert len(u.sum_rows) == 3 and len(m.center_cap_radical_rows) == 2
+    altered = [
+        (t3, stable, replace(s, ideal_part=e[2])),  # z + u != x
+        (t3, unstable, replace(u, center_rows=(e[1],))),  # not the rows of Z(A)
+        (t3, unstable, replace(u, sum_rows=u.sum_rows[:-1])),  # not those of Z + Id([x, A])
+        # the radical holds, but Z cap rad is not (x^2)
+        (p3, match, replace(m, center_cap_radical_rows=m.center_cap_radical_rows[1:])),
+    ]
+    for a, rep, cert in altered:
+        assert _replays(a, rep) == (True, True)
+        assert _replays(a, replace(rep, certificate=cert)) == (False, False), cert
+
+
+def test_replay_rejects_a_certificate_of_an_unknown_class():
+    # the library takes any object; the file format cannot write one
+    @dataclass(frozen=True)
+    class Foreign:
+        element: tuple
+
+    a = t3()
+    rep = StabilityReport(NOT_STABLE, "ElementCriterion", Foreign(a.basis_element(0).coords))
+    assert verify_certificate(a, rep) is False
+    with pytest.raises(TypeError, match="unknown certificate"):
+        report_to_json(a, rep, command="element")
 
 
 def test_tensor_with_matrices_is_cached_per_algebra():
