@@ -136,23 +136,14 @@ class Algebra:
 
 class Element:
     """A coordinate vector over an algebra's distinguished basis; it has no
-    arithmetic, as the engine multiplies raw coordinates on the int index."""
+    arithmetic, as the engine multiplies raw coordinates on the int index,
+    and compares by identity: compare coords."""
 
     __slots__ = ("algebra", "coords")
 
     def __init__(self, algebra: Algebra, coords: tuple):
         self.algebra = algebra
         self.coords = coords
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and self.algebra is other.algebra
-            and all(a == b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.coords))
 
     def __repr__(self):
         a = self.algebra

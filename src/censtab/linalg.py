@@ -327,9 +327,6 @@ class Subspace:
             and self.rows == other.rows
         )
 
-    def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.rows))
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim} over {self.field!r})"
 

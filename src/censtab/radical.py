@@ -16,12 +16,11 @@ radical", which certificate replay also uses, so a bug here surfaces as a
 ConsistencyError instead of a wrong verdict downstream.  Its nilpotency step
 is a trace test as well: an ideal N is nilpotent exactly when Tr(L_b) = 0
 for every b in a basis of N, in the same characteristics, and its
-semisimplicity step reads the trace form of A/N off A, building nothing.
+semisimplicity step reads A's own trace form on N's free columns, building
+nothing.
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 from .algebras import Algebra, ideal_witness
 from .errors import ConsistencyError, UnsupportedCharacteristic
@@ -44,7 +43,7 @@ def _left_traces(a: Algebra):
     return t
 
 
-def _trace_form_rows(a: Algebra, t=None, skip=()):
+def _trace_form_rows(a: Algebra, skip=()):
     """The trace form of A# on A x A#: rows G[i][j] = trace(L_{e_i e_j}) =
     sum_k c[i][j][k] t_k for e_j in A, then the row t of t_k = trace(L_{e_k}),
     the column of the adjoined unity 1, as e_k 1 = e_k.
@@ -54,10 +53,10 @@ def _trace_form_rows(a: Algebra, t=None, skip=()):
     reduced mod p over GF(p)).  Each row is a dict of its nonzero entries.
     For unital a the last row is sum_j u_j G_j, u the unity, so it leaves
     the kernel as it is.  Put first, it would fill in the Gram rows.
-    With other traces t and the indices in skip left out, the same sums
-    give the trace form of A/N (see radical_failure).
+    With the indices in skip, the pivots of an ideal N, left out, the same
+    rows hold the form on A#/N x A/N (see radical_failure).
     """
-    t = _left_traces(a) if t is None else t
+    t = _left_traces(a)
     rows = []
     for i, entries in enumerate(a._rows):
         if i in skip:
@@ -110,8 +109,8 @@ def radical_failure(a: Algebra, rad: Subspace):
     rad is the radical exactly when it is a nilpotent ideal with a
     semisimple quotient; each property is checked once, in that order.
     Passing the ideal check licenses the other two steps: the trace test
-    below needs N = rad closed under products, and the trace form of the
-    quotient is read off A only for an ideal N.
+    below needs N = rad closed under products, and the semisimplicity step
+    needs N a nilpotent ideal.
 
     Nilpotency is the test Tr(L_b) = 0 for every basis row b of N.  L_{xy} =
     L_x L_y, so L(N) = {L_x : x in N} is an algebra of n x n matrices, and
@@ -125,24 +124,34 @@ def radical_failure(a: Algebra, rad: Subspace):
     times its int scale, so the traces read off it are that multiple of Tr
     and the zero test is the same; over GF(p) the int sums are reduced mod p.
 
-    B = A/N is not built.  L_x keeps the ideal N, so Tr_B(L_{pi x}) =
-    Tr_A(L_x) - Tr_N(L_x|N), where N's basis row b_q (pivot q, zero at the
-    other pivots) has coefficient w[q] / b_q[q] in w.  tau_k =
-    Tr_B(L_{pi e_k}) vanishes on N, and the e_i, i a free column, map onto
-    a basis of B, so B's Gram entries are sum_k c_ab^k tau_k over free a, b:
-    _trace_form_rows(a, tau, N's pivots) is _trace_form_rows(B) with its
-    rows scaled, and B's kernel is zero exactly when their rank is dim B.
+    Semisimplicity reads A's own trace form on N's free columns; B = A/N is
+    not built.  The rows _trace_form_rows(a, N's pivots) hold the form
+    (x, y) -> Tr_A(L_{xy}) at x = 1 and x = e_i, y = e_j, for free i and j.
+    N has passed the ideal and nilpotency steps, so L_{xn} and L_{nx} are
+    nilpotent for x in A# and n in N, and the form vanishes on N on both
+    sides.  It descends to A#/N x B, where the free e_j are a basis of B,
+    and B is semisimple exactly when the form has no kernel in B, that is,
+    when the rows have rank dim B:
+    - If B is semisimple, the factors N^i/N^{i+1} of the chain A, N, N^2,
+      ..., 0 are B-modules, and Tr_A(L_w) is the sum of the traces of w on
+      them.  The first one is B, so each simple component M_k(D_k) of B,
+      of center K_k, acts on m_k >= 1 copies of its simple module, and the
+      form on it is m_k s_k Tr_{K_k/F}(Trd(xy)), s_k the index of D_k.
+      m_k s_k is not zero in F: over GF(p), 1 <= m_k <= dim A < p and
+      s_k = 1 (a finite division ring is a field).  K_k/F is separable
+      (F is perfect), so the form is nondegenerate on each factor, and so
+      on B.
+    - If B is not semisimple, the preimage R of rad B is a nilpotent ideal
+      of A, so Tr_A(L_{xy}) = 0 for x in A# and y in R, and R/N != 0 lies
+      in the kernel.
+    Over Q the Gram rows hold the form times d^2 and the trace row times
+    d, d the index's int scale: the same rank.
 
-    The quotient B needs no unity: the kernel of _trace_form_rows(B) is zero
-    exactly when B is semisimple.  The kernel holds every nilpotent ideal of
-    B, so a zero kernel leaves none, and B is semisimple (Wedderburn, any
-    p); a semisimple B is unital, so its trace row is dependent and the
-    kernel is rad B = 0 as p > n >= dim B.  A non-unital B, not semisimple,
-    has a nonzero kernel with or without that row.  The test on N agrees
-    with that in A# on N# = 0 + N, step by step: N# is an ideal of A#
-    exactly when N is one of A; L_b on A# sends 1 to b in A, so has the
-    trace of L_b on A; and A#/N# = (A/N)# is semisimple exactly when A/N
-    is (B# = F x B for unital B, and B's nilpotent ideals are B#'s).
+    B needs no unity, and the test on N agrees with that in A# on
+    N# = 0 + N, step by step: N# is an ideal of A# exactly when N is one of
+    A; L_b on A# sends 1 to b in A, so has the trace of L_b on A; and
+    A#/N# = (A/N)# is semisimple exactly when A/N is (B# = F x B for
+    unital B, and B's nilpotent ideals are B#'s).
     """
     w = ideal_witness(a, rad)
     if w is not None:
@@ -154,28 +163,9 @@ def radical_failure(a: Algebra, rad: Subspace):
         if tr if p is None else tr % p:
             return "radical candidate is not nilpotent"
     gram = _make_reducer(a.field, a.dim)
-    for row in _trace_form_rows(a, _quotient_traces(a, piv), piv):
+    for row in _trace_form_rows(a, piv):
         gram.insert(row)
     if gram.dim + len(piv) != a.dim:
         return "quotient by radical candidate is not semisimple"
     return None
 
-
-def _quotient_traces(a: Algebra, piv):
-    """d N tau_k, tau_k = Tr_{A/N}(L_{pi e_k}), for the ideal N with reducer
-    rows piv (pivot -> row) and d the lcm of their pivot entries, at the
-    free k and those products of free basis vectors reach; 0 at the other k,
-    which _trace_form_rows(a, tau, piv) does not read (see radical_failure).
-    """
-    t, rows = _left_traces(a), a._rows
-    free = [i for i in range(a.dim) if i not in piv]
-    need = {k for i in free for j, pairs in rows[i].items() if j not in piv for k, _ in pairs}
-    d = lcm(*[b[q] for q, b in piv.items()])  # 1 over GF(p): unit pivots
-    tau = [0] * a.dim
-    for k in need.union(free):
-        tau[k] = d * t[k]
-        for j, pairs in rows[k].items():
-            for q, c in pairs:
-                if (b := piv.get(q)) is not None and j in b:
-                    tau[k] -= d // b[q] * b[j] * c
-    return tau

@@ -21,7 +21,7 @@ from censtab.algebras import (
 from censtab.catalog import build, standard_entries
 from censtab.errors import ConsistencyError, UnsupportedCharacteristic
 from censtab.linalg import express_in_span, kernel_of_rows, span, subspace_intersect
-from censtab.radical import _quotient_traces, _trace_form_rows, radical, radical_failure
+from censtab.radical import _trace_form_rows, radical, radical_failure
 from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import algebra_centrally_stable, random_element, verify_certificate
 
@@ -560,21 +560,9 @@ def test_decision_and_replay_build_no_algebra(field, name, params, route, monkey
 
 def _old_quotient_is_semisimple(a, n):
     """The semisimplicity step as it was: the trace-form kernel of A/N,
-    built as an algebra.  The rows read off A must be those of A/N up to
-    one scale for the Gram rows and one for the trace row."""
+    built as an algebra."""
     q = quotient(a, n).target
-    old = _trace_form_rows(q)
-    piv = n.reducer.rows
-    new = _trace_form_rows(a, _quotient_traces(a, piv), piv)
-    free = [c for c in range(a.dim) if c not in piv]
-    m = len(free)
-
-    def scaled(rows, cols):  # the lines through the Gram rows and the trace row
-        gram = [row.get(c, 0) for row in rows[:-1] for c in cols]
-        return span(a.field, [gram], m * m), span(a.field, [[rows[-1].get(c, 0) for c in cols]], m)
-
-    assert scaled(new, free) == scaled(old, range(m))
-    return kernel_of_rows(a.field, old, q.dim).dim == 0
+    return kernel_of_rows(a.field, _trace_form_rows(q), q.dim).dim == 0
 
 
 def _nilpotent_ideals(a, rng):
@@ -596,15 +584,25 @@ def _nilpotent_ideals(a, rng):
     return out
 
 
-@FIELDS
+# p the least prime above the dimension, where m_k < p is tightest
+BOUNDARY_CASES = [("upper_triangular", {"n": 3}, 7), ("matrix_over_commutative", {"n": 2, "k": 3}, 13)]
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(101), None], ids=["Q", "GF101", "p-above-dim"])
 def test_the_semisimplicity_step_agrees_with_the_trace_form_of_the_quotient(field):
-    # Tr_{A/N}(L_x) = Tr_A(L_x) - Tr_N(L_x|N) gives A/N's trace form on A:
-    # the same verdict as the kernel of _trace_form_rows on A/N, built, on
-    # candidates that pass the ideal and nilpotency steps, failing ones too
-    rng = random.Random(f"semisimple:{field.p}")
-    algebras = [entry.algebra for entry in standard_entries(field)]
-    algebras += [_dense_basis(build(name, field=field, **params).algebra, rng)[0]
-                 for name, params in DENSE_CASES]
+    # A's own trace form on N's free columns gives the verdict of the kernel
+    # of _trace_form_rows on A/N, built, on candidates that pass the ideal
+    # and nilpotency steps, failing ones too (see radical_failure)
+    if field is None:
+        rng = random.Random("semisimple:boundary")
+        algebras = [build(name, field=prime_field(p), **params).algebra for name, params, p in BOUNDARY_CASES]
+        assert [(a.dim, a.field.p) for a in algebras] == [(6, 7), (12, 13)]
+        algebras += [_dense_basis(a, rng)[0] for a in algebras]
+    else:
+        rng = random.Random(f"semisimple:{field.p}")
+        algebras = [entry.algebra for entry in standard_entries(field)]
+        algebras += [_dense_basis(build(name, field=field, **params).algebra, rng)[0]
+                     for name, params in DENSE_CASES]
     outcomes = set()
     for idx, a in enumerate(algebras):
         for n in _nilpotent_ideals(a, rng):
