@@ -15,7 +15,7 @@ from censtab.errors import ConsistencyError
 from censtab.fileformat import load_algebra
 from censtab.linalg import span
 from censtab.radical import radical
-from censtab.stability import decompose_tensor_element
+from censtab.stability import StabilityReport, StableElementWitness, decompose_tensor_element
 
 
 def run(capsys, *argv):
@@ -349,8 +349,6 @@ def test_consistency_error_exits_4_with_a_reproduction_line(tmp_path, capsys, mo
 
 
 def test_a_stable_lift_makes_stable_exit_4(tmp_path, capsys, monkeypatch):
-    from censtab.stability import StabilityReport
-
     t3 = str(tmp_path / "t3.json")
     run(capsys, "construct", "upper_triangular", "--n", "3", "-o", t3)
     monkeypatch.setattr(
@@ -430,8 +428,6 @@ def test_a_tensor_split_outside_its_commutator_ideal_exits_4(tmp_path, capsys, m
 def test_a_stable_diagonal_part_with_a_non_central_part_exits_4(tmp_path, capsys, monkeypatch):
     # t = e11 (x) E22 over M_2: T = M_4 is simple, so both checks hold for the
     # non-central z = e11 that the planted diagonal decision hands back
-    from censtab.stability import StabilityReport, StableElementWitness
-
     m2 = str(tmp_path / "m2.json")
     run(capsys, "construct", "matrix_full", "--n", "2", "-o", m2)
     coords = ",".join("1" if i == 3 else "0" for i in range(16))
