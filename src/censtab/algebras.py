@@ -469,6 +469,19 @@ def center(a: Algebra) -> Subspace:
     return z
 
 
+def _is_central(a: Algebra, z) -> bool:
+    """Whether z commutes with every element of a, without building Z(a).
+
+    z e_g = e_g z for every g in `_generators(a)` suffices: the centralizer
+    of z is a subalgebra, as zv = vz and zw = wz give z(vw) = (vz)w =
+    v(wz) = (vw)z, and the e_g generate a.  Checked on the int index, on z
+    with its denominators cleared, each commutator reduced mod p over GF(p).
+    """
+    p = a.field.p
+    return not any(x if p is None else x % p
+                   for w in _generator_commutators(a, _int_entries(z)) for x in w.values())
+
+
 def _quotient_center(a: Algebra, ideal=None) -> Subspace:
     """Z(A/I) for the ideal I (0 for None), in the coordinates of I's free
     columns, those of quotient(), without building A/I.
@@ -548,17 +561,41 @@ def _commutator_rows(a: Algebra, v):
             yield w
 
 
-def _ideal_closure(a: Algebra, vectors, stop=None):
+def _generator_commutators(a: Algebra, v):
+    """N times [v, e_g] for each g in `_generators(a)`, increasing, as dicts
+    of the entries the two products reach (an entry may cancel to 0); v is
+    a dict of coordinates.  These generate Id([v, A]) (see
+    `_in_commutator_ideal` in stability) and vanish exactly when v is
+    central (`_is_central`)."""
+    for g in _generators(a):
+        w = a._vec_mul_basis(v, g) or {}
+        for k, c in (a._basis_mul_vec(g, v) or {}).items():
+            w[k] = w.get(k, 0) - c
+        yield w
+
+
+def _ideal_closure(a: Algebra, vectors, stop=None, left_only=False):
     """Fixpoint of S <- S + sum_g e_g S + S e_g starting from span(vectors),
     g over the generators of a (`_generators`).  A subspace closed under
     e_g v and v e_g is closed under every word in the e_g, hence under every
     e_i, unital or not: the fixpoint is the ideal the vectors generate.
 
+    With left_only, only the left products e_g v are taken.  The fixpoint
+    is then V + AV, V = span(vectors), the left ideal V generates: closed
+    under each e_g from the left, S is closed under every word in the e_g,
+    by associativity.  It is the two-sided ideal Id(V) exactly when V + AV
+    is closed under right products, which a caller must know; two cases
+    serve, both unital or not:
+      - V = [x, A].  By [x, b]c = [x, bc] - b[x, c] and
+        a[x, b]c = a[x, bc] - ab[x, c], (V + AV)A lies in V + AV.
+      - V in Z(A).  Then vc = cv and (av)c = a(cv) = (ac)v.
+
     Returns the reducer.  The rows insert returns form one work list, the
     vectors' first, each appended as it arrives; the list is walked front
     to back while it grows, and each row is multiplied by every e_g, left
-    product then right, just before those products are inserted.  The walk
-    ends at the end of the list or once the span is full.
+    product then right (left only, with left_only), just before those
+    products are inserted.  The walk ends at the end of the list or once
+    the span is full.
 
     stop, when given, is called as stop(reducer, row) after each newly
     added row; returning True ends the closure early -- used for membership
@@ -579,7 +616,8 @@ def _ideal_closure(a: Algebra, vectors, stop=None):
                 return red
     for v in work:  # grows while it is walked
         for g in gens:
-            for w in (a._basis_mul_vec(g, v), a._vec_mul_basis(v, g)):
+            left = a._basis_mul_vec(g, v)
+            for w in (left,) if left_only else (left, a._vec_mul_basis(v, g)):
                 if w is not None and (r := red.insert(w)) is not None:
                     work.append(r)
                     if (stop is not None and stop(red, r)) or red.dim == n:
@@ -616,6 +654,7 @@ def ideal_witness(a: Algebra, s: Subspace):
     s is an ideal once e_g v and v e_g lie in s for every generator g of a
     and every basis row v (see _ideal_closure), so that is checked first;
     only when it fails are all basis vectors scanned for the first witness.
+    A scan that finds none contradicts that argument: ConsistencyError.
     """
     if s.ambient_dim != a.dim or s.field != a.field:
         raise DimensionMismatch("subspace does not live in the algebra")
@@ -629,7 +668,7 @@ def ideal_witness(a: Algebra, s: Subspace):
     for vi, v in enumerate(rows):
         if (w := _escape(a, red, v, range(a.dim))) is not None:
             return (vi, *w)
-    return None
+    raise ConsistencyError("the generating-set check found an escape, but no basis vector does")
 
 
 def _escape(a: Algebra, red, v, indices):

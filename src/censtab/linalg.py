@@ -344,9 +344,14 @@ def span(field: FieldSpec, vectors, ambient_dim: int) -> Subspace:
 
 
 def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
+    """s + t, from both reducers' int rows: the same span as that of the
+    canonical rows, so the same canonical subspace, since RREF is unique."""
     if s.field != t.field or s.ambient_dim != t.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient spaces")
-    return span(s.field, s.rows + t.rows, s.ambient_dim)
+    red = _make_reducer(s.field, s.ambient_dim)
+    for v in s.reducer.pivot_rows() + t.reducer.pivot_rows():
+        red.insert(v)
+    return Subspace(s.field, red)
 
 
 def kernel_of_rows(field: FieldSpec, rows, ncols: int) -> Subspace:

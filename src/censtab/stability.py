@@ -27,7 +27,9 @@ from .algebras import (
     Algebra,
     Element,
     _commutator_rows,
+    _generator_commutators,
     _ideal_closure,
+    _is_central,
     _quotient_center,
     center,
     ideal_generated,
@@ -220,7 +222,7 @@ def algebra_centrally_stable(a: Algebra) -> StabilityReport:
     z = center(a)
     r = radical(a)
     c = subspace_intersect(z, r)
-    j = ideal_generated(a, c.rows)
+    j = _central_ideal(a, c)
     bases = {
         "center": z.rows,
         "radical": r.rows,
@@ -235,6 +237,12 @@ def algebra_centrally_stable(a: Algebra) -> StabilityReport:
         if rep.verdict == NOT_STABLE:
             return StabilityReport(NOT_STABLE, method, rep.certificate, {**bases, "witness_quotient": where})
     raise ConsistencyError("no lift from Z(A/J) or Z(A/rad) is a non-stable element")
+
+
+def _central_ideal(a: Algebra, c: Subspace) -> Subspace:
+    """Id(C) for a subspace C of Z(A), closed from C's rows by left products
+    alone: C + AC is already two-sided (see _ideal_closure)."""
+    return Subspace(a.field, _ideal_closure(a, c.reducer.pivot_rows(), left_only=True))
 
 
 def _radical_method(a: Algebra) -> str:
@@ -436,8 +444,10 @@ def _in_tensor_commutator_ideal(a: Algebra, n: int, x, targets) -> bool:
     One diagonal slot r = m serves for the last two sets, since
     S_rr - S_ss = (S_rr - S_mm) - (S_ss - S_mm) and [S_rr, e] =
     [S_mm, e] + [S_rr - S_mm, e]; m is the slot with the sparsest block.
-    A target lies in M_n(I_x) exactly when each of its n*n entries lies in
-    I_x.
+    [S_mm, A] is replaced by [S_mm, e_g], g in `_generators(a)`, which
+    generate the same ideal of A (see _in_commutator_ideal), so I_x is
+    unchanged.  A target lies in M_n(I_x) exactly when each of its n*n
+    entries lies in I_x.
     """
     nn = n * n
 
@@ -458,7 +468,7 @@ def _in_tensor_commutator_ideal(a: Algebra, n: int, x, targets) -> bool:
             for j, c in base.items():
                 d[j] = d.get(j, 0) - c
             gens.append(d)
-    gens.extend(_commutator_rows(a, base))
+    gens.extend(_generator_commutators(a, base))
     return _in_ideal(a, gens, [entry for target in targets for entry in blocks(target)])
 
 
@@ -561,7 +571,21 @@ def _claims_fit(a, verdict, method, cert) -> bool:
 def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
     """Re-verify a report from the algebra alone: its verdict and method
     must fit its certificate, which must hold.  A claimed radical is checked
-    by radical_failure, as radical() checks its own, not computed again."""
+    by radical_failure, as radical() checks its own, not computed again.
+
+    Each check is exact, and each runs through the generating set G =
+    `_generators(a)` where a theorem allows it:
+      - a Stable witness x = z + u: z is central when z e_g = e_g z for g
+        in G (`_is_central`), so Z(A) is not built; u lies in Id([x, A]),
+        closed from [x, e_g], g in G, alone (`_in_commutator_ideal`);
+      - an Unstable witness: Id([x, A]) is closed from [x, A] by left
+        products alone (`_commutator_ideal`), and compared with the claimed
+        rows, as are Z(A) and their sum;
+      - a RadicalMatch: Id(Z cap rad) is closed from Z cap rad by left
+        products alone, as Z cap rad is central (`_central_ideal`).
+    Each closure generates the same ideal as a two-sided closure of every
+    commutator row, and Z(A) holds exactly the z that pass, so replay
+    accepts exactly the reports it accepted when it checked that way."""
     cert = report.certificate
     if not _claims_fit(a, report.verdict, report.method, cert):
         return False
@@ -572,7 +596,7 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
             return False
         if tuple(f.add(zi, ui) for zi, ui in zip(z, u)) != tuple(x):
             return False
-        if not center(a).contains(z):
+        if not _is_central(a, z):
             return False
         return _in_commutator_ideal(Element(a, tuple(x)), _int_entries(u))
     if isinstance(cert, UnstableElementWitness):
@@ -599,14 +623,22 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
         c = subspace_intersect(center(a), rad)
         if c.rows != cert.center_cap_radical_rows:
             return False
-        return ideal_generated(a, c.rows) == rad
+        return _central_ideal(a, c) == rad
     return False
 
 
 def _in_commutator_ideal(x: Element, target) -> bool:
-    """Whether target, a dict of int entries, lies in Id([x, A])."""
+    """Whether target, a dict of int entries, lies in Id([x, A]), decided
+    by the two-sided closure of [x, e_g], g in G = `_generators(a)`, alone.
+
+    These generate Id([x, A]).  Let I be the ideal they generate.  By the
+    Leibniz rule [x, vw] = [x, v]w + v[x, w], [x, vw] lies in I once
+    [x, v] and [x, w] do; so by induction on length [x, w] lies in I for
+    every word w in the e_g, and these words span A.  So [x, A] lies in I,
+    which lies in Id([x, A]).
+    """
     a = x.algebra
-    return _in_ideal(a, _commutator_rows(a, _int_entries(x.coords)), [target])
+    return _in_ideal(a, _generator_commutators(a, _int_entries(x.coords)), [target])
 
 
 def _in_ideal(a: Algebra, gens, targets) -> bool:
@@ -628,5 +660,6 @@ def _in_ideal(a: Algebra, gens, targets) -> bool:
 
 
 def _commutator_ideal(a: Algebra, coords):
-    """Id([x, A]), closed from the raw commutator rows of x."""
-    return Subspace(a.field, _ideal_closure(a, _commutator_rows(a, _int_entries(coords))))
+    """Id([x, A]), closed from the raw commutator rows of x by left products
+    alone: [x, A] + A[x, A] is already two-sided (see _ideal_closure)."""
+    return Subspace(a.field, _ideal_closure(a, _commutator_rows(a, _int_entries(coords)), left_only=True))

@@ -443,6 +443,26 @@ def test_a_stable_diagonal_part_with_a_non_central_part_exits_4(tmp_path, capsys
     assert "stable diagonal part but unstable tensor element" in err
 
 
+def test_a_generator_escape_that_no_basis_vector_shows_exits_4(tmp_path, capsys, monkeypatch):
+    # the generating-set pass of ideal_witness claims an escape from the
+    # ideal (e12) of T_3; the scan over every basis vector finds none
+    t3 = str(tmp_path / "t3.json")
+    run(capsys, "construct", "upper_triangular", "--n", "3", "-o", t3)
+    module = importlib.import_module("censtab.algebras")
+    real = module._escape
+
+    def planted(a, red, v, indices):
+        return (indices[0], "left") if not isinstance(indices, range) else real(a, red, v, indices)
+
+    monkeypatch.setattr(module, "_escape", planted)
+    a = load_algebra(t3)
+    ideal = module.ideal_generated(a, [a.basis_element(1)])
+    with pytest.raises(ConsistencyError, match="no basis vector does"):
+        module.ideal_witness(a, ideal)
+    err = _internal_error(capsys, "quotient", t3, "--gens", "0,1,0,0,0,0", "--json")
+    assert "no basis vector does" in err
+
+
 def test_a_composite_characteristic_without_small_factors_is_refused(tmp_path, capsys):
     # 1000036000099 = 1000003 * 1000033 passes trial division by every
     # Miller-Rabin witness, so the witnesses reject it

@@ -7,9 +7,11 @@ import pytest
 
 from censtab import linalg, stability
 from censtab.algebras import (
+    Algebra,
     _commutator_rows,
     _generators,
     _ideal_closure,
+    _is_central,
     build_algebra,
     center,
     commutator_space,
@@ -1214,6 +1216,139 @@ def test_replay_rejects_a_certificate_of_an_unknown_class():
     assert verify_certificate(a, rep) is False
     with pytest.raises(TypeError, match="unknown certificate"):
         report_to_json(a, rep, command="element")
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
+def test_replay_rejects_a_non_central_part_and_an_ideal_part_outside_the_ideal(field):
+    # the two checks of a Stable witness, each failing alone, on the report
+    # the engine wrote for e12 = 0 + e12 in T_3 (basis e11, e12, e13, e22,
+    # e23, e33): z = e13 is not central, though u = e12 - e13 lies in
+    # Id([e12, T_3]) = span(e12, e13); and z = 0 is central, but u = e11 is
+    # not in Id([e11, T_3]) = span(e12, e13)
+    a = build("upper_triangular", n=3, field=field).algebra
+    rep = element_centrally_stable(a.basis_element(1))
+    e = [a.basis_element(i).coords for i in range(a.dim)]
+    zero = (field.zero,) * a.dim
+    e12_minus_e13 = tuple(field.sub(x, y) for x, y in zip(e[1], e[2]))
+    assert _replays(a, rep) == (True, True)
+    assert stability._in_commutator_ideal(a.element(e[1]), _int_entries(e12_minus_e13))
+    assert not _is_central(a, e[2]) and _is_central(a, zero)
+    for cert in (replace(rep.certificate, central_part=e[2], ideal_part=e12_minus_e13),
+                 StableElementWitness(e[0], zero, e[0])):
+        assert _replays(a, replace(rep, certificate=cert)) == (False, False), cert
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
+def test_is_central_agrees_with_dense_products_with_every_basis_vector(field):
+    # the reference multiplies z by every e_i over the exact table, not
+    # through the generating set
+    rng = random.Random(f"central:{field}")
+    seen = {True: 0, False: 0}
+    for entry in standard_entries(field):
+        a = entry.algebra
+        basis = [a.basis_element(i).coords for i in range(a.dim)]
+        z_rows = list(center(a).rows)
+        zs = z_rows + basis + [random_element(a, rng).coords for _ in range(3)]
+        for row in z_rows:  # central, and central plus one basis vector
+            comb = [field.mul(field.random_scalar(rng), x) for x in row]
+            zs.append(comb)
+            zs.append([field.add(x, y) for x, y in zip(comb, basis[rng.randrange(a.dim)])])
+        for z in zs:
+            want = all(dense_product(a, z, e) == dense_product(a, e, z) for e in basis)
+            assert _is_central(a, z) == want, (entry.description, z)
+            seen[want] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def _fresh(a):
+    """a written and loaded again, as a replay independent of the decision has it."""
+    return algebra_from_json(json.loads(dump_json(algebra_to_json(a))))
+
+
+def _count_replay_work(monkeypatch):
+    """Count from here on: products through the two basis-product methods,
+    commutator rows [x, e_i] read off the index, and reducer inserts."""
+    counts = {"products": 0, "commutator_rows": 0, "inserts": 0}
+    for name in ("_basis_mul_vec", "_vec_mul_basis"):
+        def product(self, x, y, real=getattr(Algebra, name)):
+            counts["products"] += 1
+            return real(self, x, y)
+
+        monkeypatch.setattr(Algebra, name, product)
+
+    def rows(a, v, real=stability._commutator_rows):
+        for w in real(a, v):
+            counts["commutator_rows"] += 1
+            yield w
+
+    def insert(self, vec, real=_Reducer.insert):
+        counts["inserts"] += 1
+        return real(self, vec)
+
+    monkeypatch.setattr(stability, "_commutator_rows", rows)
+    monkeypatch.setattr(_Reducer, "insert", insert)
+    return counts
+
+
+def _tensor_report():
+    a = build("matrix_full", n=3).algebra
+    rng = random.Random("replay-work:tensor")
+    t = [Q.random_scalar(rng) for _ in range(a.dim * 4)]
+    rep = decompose_tensor_element(a, 2, t).full_report
+    return rep, tensor_with_matrices(_fresh(a), 2)
+
+
+def _unstable_report():
+    a = build("upper_triangular", n=6).algebra
+    rep = element_centrally_stable(random_element(a, random.Random("replay-work:unstable")))
+    return rep, _fresh(a)
+
+
+def _radical_report():
+    a = build("truncated_poly", k=6).algebra
+    return algebra_centrally_stable(a), _fresh(a)
+
+
+@pytest.mark.parametrize(("make", "kind", "bounds"), [
+    (_tensor_report, "StableElementWitness", {"products": 556, "commutator_rows": 0, "inserts": 213}),
+    (_unstable_report, "UnstableElementWitness", {"products": 154, "commutator_rows": 21, "inserts": 122}),
+    (_radical_report, "RadicalMatch", {"products": 30, "commutator_rows": 0, "inserts": 54}),
+], ids=["tensor-stable", "t6-unstable", "p6-radical"])
+def test_replay_work_bounds(make, kind, bounds, monkeypatch):
+    # the replay of each fixed report stays within its products and inserts;
+    # a Stable replay builds no center
+    rep, b = make()
+    assert rep.certificate.kind == kind
+    counts = _count_replay_work(monkeypatch)
+    assert verify_certificate(b, rep)
+    assert all(counts[key] <= bound for key, bound in bounds.items()), counts
+    if kind == "StableElementWitness":
+        assert "center" not in b._memo
+
+
+def test_every_rejection_of_verify_certificate_is_reached():
+    # each `return False` of the replay runs in some rejection test above
+    import inspect
+    from pathlib import Path
+
+    from linetrace import executed
+
+    lines, start = inspect.getsourcelines(verify_certificate)
+    path = Path(inspect.getsourcefile(verify_certificate)).resolve()
+    rejections = {start + i for i, line in enumerate(lines) if line.strip() == "return False"}
+    assert len(rejections) == 12
+
+    def reject():
+        test_replay_checks_that_the_report_fits_its_certificate()
+        test_verify_refuses_element_certificates_of_the_wrong_length()
+        test_verify_rejects_tampered_certificates()
+        test_replay_rejects_an_engine_report_altered_in_one_claim()
+        test_replay_rejects_a_non_central_part_and_an_ideal_part_outside_the_ideal(Q)
+        test_replay_rejects_a_claimed_radical_that_is_not_the_radical()
+        test_replay_rejects_a_certificate_of_an_unknown_class()
+
+    reached = {line for p, line in executed(reject) if p == path}
+    assert rejections <= reached, sorted(rejections - reached)
 
 
 def test_tensor_with_matrices_is_cached_per_algebra():
