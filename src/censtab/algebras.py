@@ -328,9 +328,13 @@ def _find_unity(a: Algebra):
     span a.  If a has a two-sided unity 1, a solution u is a left unity, and
     u = u 1 = 1 is the only one; if a has none, the check fails for every u
     (`_unity_failure`).
+
+    Nothing is solved when some e_k is the target of no table entry: A^2 is
+    spanned by the products e_i e_j, so it lies in the span of the other
+    basis vectors and misses e_k, while a unital a has A^2 = A (x = 1 x).
     """
     dim = a.dim
-    if dim == 0:
+    if dim == 0 or len({k for row in a._rows for pairs in row.values() for k, _ in pairs}) < dim:
         return None
     gens = _generators(a)
     # u e_g = e_g for g in G reads sum_i u_i N c_ig^k = N [g == k]: generator
@@ -493,10 +497,17 @@ def _quotient_center(a: Algebra, ideal=None) -> Subspace:
     With I's canonical rows r_q (r_q[q] = 1, zero at the other pivots),
     coordinate i of w mod I is w[i] - sum_q w[q] r_q[i]: the equation of
     each pivot q goes, r_q[i] times into that of each free i.
+
+    That runs on I's int rows rho_q = d r_q, d = rho_q[q] > 0 (1 over
+    GF(p)).  Each free equation is kept as row = s E, E the true one and
+    s > 0 in `scale`.  Taking r_q[i] eq out of E, eq the pivot equation,
+    which no step changes, makes it d s (E - (rho_q[i] / d) eq) =
+    d row - s rho_q[i] eq, of scale d s.  A kernel reads each equation
+    only up to such a factor.
     """
     index = a._rows
-    canon = {} if ideal is None else dict(ideal.reducer._canonical_entries())
-    pos = {c: k for k, c in enumerate(c for c in range(a.dim) if c not in canon)}
+    ideal_rows = {} if ideal is None else ideal.reducer.rows
+    pos = {c: k for k, c in enumerate(c for c in range(a.dim) if c not in ideal_rows)}
     eqs = defaultdict(dict)  # (g, i) -> {k: coordinate i of N [e_c, e_g], c the k-th free column}
     for g in _generators(a):
         for c, k in pos.items():  # e_c e_g
@@ -508,11 +519,20 @@ def _quotient_center(a: Algebra, ideal=None) -> Subspace:
                 for i, x in pairs:
                     r = eqs[g, i]
                     r[k] = r.get(k, 0) - x
-    for g, q in [key for key in eqs if key[1] in canon]:
+    scale = defaultdict(lambda: 1)  # (g, i) -> s, for the free i
+    for g, q in [key for key in eqs if key[1] in ideal_rows]:
         eq = eqs.pop((g, q))
-        for i, y in canon[q].items():
+        rho = ideal_rows[q]
+        d = rho[q]
+        for i, y in rho.items():
             if i != q:
-                r = eqs[g, i]
+                key = g, i
+                r, s = eqs[key], scale[key]
+                if d != 1:
+                    for k in r:
+                        r[k] *= d
+                    scale[key] = d * s
+                y *= s
                 for k, x in eq.items():
                     r[k] = r.get(k, 0) - y * x
     return kernel_of_rows(a.field, eqs.values(), len(pos))
@@ -655,9 +675,12 @@ def ideal_witness(a: Algebra, s: Subspace):
     and every basis row v (see _ideal_closure), so that is checked first;
     only when it fails are all basis vectors scanned for the first witness.
     A scan that finds none contradicts that argument: ConsistencyError.
+    An s of full dimension is a itself, an ideal, and is not multiplied.
     """
     if s.ambient_dim != a.dim or s.field != a.field:
         raise DimensionMismatch("subspace does not live in the algebra")
+    if s.dim == a.dim:  # a itself
+        return None
     red = s.reducer
     # each reducer row is a nonzero multiple of the canonical row with the
     # same pivot: same witness, int arithmetic over Q

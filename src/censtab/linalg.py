@@ -1,11 +1,14 @@
 """Exact linear algebra over a FieldSpec.
 
-A Subspace is a frozen view of the echelon reducer that built it: its
-canonical reduced row-echelon basis is read off once, so equality is
-entry-wise comparison, and its membership tests, projections and int-form
-basis (`pivot_rows`) use the reducer's own rows.  All decisions in the
-package (centers, radicals, ideal closures, stability criteria) reduce to
-the operations here.
+A Subspace is a frozen view of the echelon reducer that built it.  Its
+membership tests, projections, sums, intersections and int-form basis
+(`pivot_rows`) use the reducer's own rows, and its dimension counts their
+pivots.  Its canonical reduced row-echelon basis `rows` is read off on
+first read and kept, for a report, a certificate or a comparison (equality
+is entry-wise comparison of those rows); a subspace that stays inside the
+engine is never canonicalized.  All decisions in the package (centers,
+radicals, ideal closures, stability criteria) reduce to the operations
+here.
 
 The two echelon reducers are the only elimination code: spans, kernels,
 sums, intersections, membership and projection all run through one of
@@ -18,7 +21,8 @@ is removed once, where a row is stored, not after each elimination step
 positive pivot, while a vector being reduced only grows by positive
 factors.  Fractions are built only on the way out, in canonical rows and
 solution vectors, since per-entry Fraction normalization inside the
-elimination loop would dominate.
+elimination loop would dominate.  `kernel_of_rows` builds its kernel basis
+from the int rows too, with the pivot entries' lcm in place of division.
 
 The reducers are sparse.  Each basis row is a dict of its nonzero entries,
 column -> value, and is zero at every other pivot: `insert` clears the new
@@ -172,19 +176,14 @@ class _Reducer:
         """The basis rows, in pivot order."""
         return [self.rows[p] for p in self.pivots]
 
-    def _canonical_entries(self):
-        """(pivot, entries) of the reduced basis, in pivot order, with unit
-        pivots and canonical scalars: each row divided by its pivot entry,
-        since it is already zero at every other pivot."""
-        rows = self.rows
-        return [(p, self._divide(rows[p], rows[p][p])) for p in self.pivots]
-
     def canonical_rows(self):
-        """The fully reduced basis as dense tuples of canonical scalars."""
+        """The fully reduced basis as dense tuples of canonical scalars, in
+        pivot order, with unit pivots: each row divided by its pivot entry,
+        since it is already zero at every other pivot."""
         out = []
-        for _, entries in self._canonical_entries():
+        for p in self.pivots:
             row = [self._zero] * self.width
-            for k, x in entries.items():
+            for k, x in self._divide(self.rows[p], self.rows[p][p]).items():
                 row[k] = x
             out.append(tuple(row))
         return out
@@ -281,22 +280,31 @@ def _make_reducer(field: FieldSpec, width: int):
 
 
 class Subspace:
-    """A linear subspace: its canonical RREF basis `rows` (no zero rows) and
-    `pivots`, read off the reducer that built it, which it keeps frozen."""
+    """A linear subspace: its `pivots` and its canonical RREF basis `rows`
+    (no zero rows), read off the reducer that built it, which it keeps
+    frozen.  The rows are built on first read and kept: a subspace the
+    engine only reduces against, sums or intersects is never canonicalized.
+    """
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots", "reducer")
+    __slots__ = ("field", "ambient_dim", "pivots", "reducer", "_rows")
 
     def __init__(self, field, reducer):
         reducer.pivots = tuple(reducer.pivots)  # insert fails on a tuple
         self.field = field
         self.ambient_dim = reducer.width
-        self.rows = tuple(reducer.canonical_rows())
         self.pivots = reducer.pivots
         self.reducer = reducer
+        self._rows = None
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = tuple(self.reducer.canonical_rows())
+        return self._rows
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def _check_len(self, v):
         if len(v) != self.ambient_dim:
@@ -324,6 +332,7 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
+            and self.pivots == other.pivots  # equal subspaces share pivots
             and self.rows == other.rows
         )
 
@@ -355,19 +364,29 @@ def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
 
 
 def kernel_of_rows(field: FieldSpec, rows, ncols: int) -> Subspace:
-    """Solutions x of R x = 0 for the given equation rows (sequences or dicts)."""
+    """Solutions x of R x = 0 for the given equation rows (sequences or dicts).
+
+    One kernel vector per free column f, built from the reducer's int rows:
+    a pivot row is nonzero off its pivot p only at free columns, so x with
+    x_f = L, x_p = -row_p[f] L / row_p[p] for each pivot row meeting f, and
+    zero elsewhere, solves every row, L the lcm of those rows' pivot entries
+    (1 over GF(p), whose pivots are units).  These vectors are independent
+    (each is the only one nonzero at its f) and there are ncols - rank of
+    them, so they span the kernel.
+    """
     red = _make_reducer(field, ncols)
     for r in rows:
         red.insert(r)
-    # x_free = 1 and x_p = -(entry of pivot row p at free) for each free column;
-    # in RREF a pivot row is nonzero off its pivot only at free columns
-    basis = {free: {free: 1} for free in range(ncols) if free not in red.rows}
-    for p, entries in red._canonical_entries():
-        for k, x in entries.items():
+    hits = {f: [] for f in range(ncols) if f not in red.rows}  # f -> [(p, row_p)]
+    for p, row in red.rows.items():
+        for k in row:
             if k != p:
-                basis[k][p] = field.neg(x)
+                hits[k].append((p, row))
     kernel = _make_reducer(field, ncols)
-    for v in basis.values():
+    for f, pivot_rows in hits.items():
+        m = lcm(*[row[p] for p, row in pivot_rows])
+        v = {p: -row[f] * (m // row[p]) for p, row in pivot_rows}
+        v[f] = m
         kernel.insert(v)
     return Subspace(field, kernel)
 

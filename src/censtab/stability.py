@@ -256,25 +256,50 @@ def _central_lifts(a, z, r, j):
     each only when it exists.  `_quotient_center` gives both centers in the
     coordinates of quotient(): the canonical subspaces of the quotient
     algebras, so the lifts are those made from their centers.  A row lifts
-    to v on R's free columns, and lies in pi(Z(A)) exactly when v is in Z + R.
+    to v, zero at the ideal's pivots, on its free columns.  An A/R row lies
+    in pi(Z(A)) exactly when v is in Z + R.
+
+    R/J needs no reduction mod J.  J lies in R, so each pivot of J is one of
+    R, and the rows of R's reducer at its other pivots meet no pivot of J:
+    restricted to J's free columns, they span R/J, from R's int rows.
+
+    The A/J lift is the one that writes the first row t of the intersection
+    as sum x_k pi(c_k) over R's canonical rows c_k and takes
+    v = sum x_k c_k, x the solution `express_in_span` gives: the one zero
+    at the pivot columns of the relation space {x : sum x_k pi(c_k) = 0}.
+    Each row j_q of J, pivot q, is sum_k j_q[k] c_k, so it gives a relation
+    whose first nonzero is at q; these dim J relations span the relation
+    space, so its pivot columns are J's pivots, where x is zero.  Every
+    other c_k is zero at J's pivots, so v is too, and pi(v) = t is v on
+    J's free columns: v is t lifted, and no system is solved.
     """
-    f = a.field
-    free = [c for c in range(a.dim) if c not in j.reducer.rows]
-    proj = [tuple(w[c] for c in free) for w in map(j.reduce, r.rows)]
+    f, n = a.field, a.dim
+    jrows, rrows = j.reducer.rows, r.reducer.rows
+    free = [c for c in range(n) if c not in jrows]
+    pos = {c: k for k, c in enumerate(free)}
+    quot = _make_reducer(f, len(free))
+    for p in r.pivots:
+        if p not in jrows:
+            quot.insert({pos[c]: x for c, x in rrows[p].items()})
     zj = _quotient_center(a, j) if j.dim else z  # Z(A/0) = Z(A)
-    inter = subspace_intersect(zj, span(f, proj, len(free)))
+    inter = subspace_intersect(zj, Subspace(f, quot))
     if inter.dim > 0:
-        coeffs = express_in_span(f, proj, inter.rows[0], len(free))
-        yield "A/J", _linear_combination(f, coeffs, r.rows, a.dim)
-    free = [c for c in range(a.dim) if c not in r.reducer.rows]
+        yield "A/J", _lift(f, free, inter.rows[0], n)
+    free = [c for c in range(n) if c not in rrows]
     center_plus_r = subspace_sum(z, r)
     for row in _quotient_center(a, r).rows:
-        v = [f.zero] * a.dim
-        for col, val in zip(free, row):
-            v[col] = val
+        v = _lift(f, free, row, n)
         if not center_plus_r.contains(v):
             yield "A/rad", tuple(v)
             return
+
+
+def _lift(f, free, row, n):
+    """row, in the coordinates of the free columns, as a list of n."""
+    v = [f.zero] * n
+    for col, val in zip(free, row):
+        v[col] = val
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,27 @@ def test_unity_solve_uses_only_the_left_equations(monkeypatch):
     assert calls == [(16, 28, 16 * 16)]
 
 
+@pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
+def test_no_unity_solve_when_a_basis_vector_is_no_product(field, monkeypatch):
+    # strict_upper: e12 is the target of no table entry, so it lies outside
+    # A^2 != A and nothing is solved; a table that is only left-unital hits
+    # every e_k, so it reaches the solve, whose solution e0 fails e1 e0 = e1
+    algebras = importlib.import_module("censtab.algebras")
+    calls = []
+    solve = algebras.express_in_span
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    n4 = build("strict_upper", n=4, field=field).algebra
+    monkeypatch.setattr(algebras, "express_in_span", counted)
+    assert build_algebra(field, n4.dim, n4.table).unity is None
+    assert calls == []
+    assert build_algebra(field, 2, {(0, 0): ((0, 1),), (0, 1): ((1, 1),)}).unity is None
+    assert len(calls) == 1
+
+
 # -- products and commutators --------------------------------------------------
 
 

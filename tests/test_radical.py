@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from censtab import linalg
 from censtab.algebras import (
     Algebra,
     _generators,
@@ -499,8 +500,10 @@ def test_a_dense_change_of_basis_keeps_the_verdict_center_and_radical(field):
 
 
 def _count_work(monkeypatch):
-    """Count power chains and ideal checks from here on."""
-    counts = {"power_chains": 0, "ideal_witness": 0}
+    """Count power chains, ideal checks, basis products (those inside ideal
+    checks apart) and canonical row builds from here on."""
+    counts = {"power_chains": 0, "ideal_witness": 0, "products": 0, "witness_products": 0,
+              "canonical_rows": 0}
     algebras = importlib.import_module("censtab.algebras")
     chain = algebras.nilpotency_index
 
@@ -512,7 +515,25 @@ def _count_work(monkeypatch):
 
     def counted_witness(a, s):
         counts["ideal_witness"] += 1
-        return witness(a, s)
+        before = counts["products"]
+        try:
+            return witness(a, s)
+        finally:
+            counts["witness_products"] += counts["products"] - before
+
+    for name in ("_basis_mul_vec", "_vec_mul_basis"):
+        def counted(self, *args, real=getattr(Algebra, name)):
+            counts["products"] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(Algebra, name, counted)
+    canonical = linalg._Reducer.canonical_rows
+
+    def counted_canonical(self):
+        counts["canonical_rows"] += 1
+        return canonical(self)
+
+    monkeypatch.setattr(linalg._Reducer, "canonical_rows", counted_canonical)
 
     monkeypatch.setattr(algebras, "nilpotency_index", counted_chain)
     monkeypatch.setattr(algebras, "ideal_witness", counted_witness)
@@ -664,3 +685,13 @@ def test_decision_work_bounds(field, monkeypatch):
     algebra_centrally_stable(a)
     assert counts["power_chains"] == 0
     assert counts["ideal_witness"] == 1
+    # rad = A for these nilpotent algebras, an ideal of itself with no
+    # product; canonical rows are built for the four report bases,
+    # Z(A/J) cap R/J, whose first row is lifted, and the witness's
+    # commutator ideal and sum: 7 (9 when every subspace was canonicalized as it was made)
+    for name, params in [("strict_upper", {"n": 9}), ("r11_radical", {"n": 3, "k": 4})]:
+        a = build(name, field=field, **params).algebra
+        counts.update(ideal_witness=0, witness_products=0, canonical_rows=0)
+        assert algebra_centrally_stable(a).bases["witness_quotient"] == "A/J"
+        assert counts["ideal_witness"] == 1 and counts["witness_products"] == 0
+        assert counts["canonical_rows"] <= 7
