@@ -121,9 +121,26 @@ def element_centrally_stable(x: Element) -> StabilityReport:
     """Decide a in Z(A) + Id([a, A]), with a constructive certificate.
 
     On Stable, the commutator-ideal closure stops as soon as membership
-    holds, so the recorded ideal rows are a sub-span of Id([a, A]) that
+    holds, so the recorded ideal rows span a subspace I' of Id([a, A]) that
     already contains the ideal part u.  On NotStable the closure has reached
     its fixpoint and the avoided subspace Z + Id is recorded in full.
+
+    The rows of [a, A] enter their span sparsest first, which keeps the
+    fill-in of the elimination small.  The span's reduced rows are unique
+    (primitive with a positive pivot over Q, a unit pivot over GF(p)), so
+    the rows that seed the closure, in pivot order, do not depend on it.
+
+    Which z a Stable witness carries.  Let r be the residual mod I', a
+    linear map with kernel I', and z_k the canonical rows of Z.  Then
+    z = sum alpha_k z_k, alpha the solution of sum alpha_k r(z_k) = r(a)
+    that `express_in_span` gives: the one zero at the pivot columns of the
+    relation space {alpha : sum alpha_k z_k in I'}, which is Z cap I' in
+    Z's coordinates.  Row z_k is the only one nonzero at its pivot, so an
+    element of Z has its pivot at that of the first z_k it uses, and z is
+    the unique element of Z cap (a + I') that is zero at the pivot columns
+    of Z cap I'.  Solving over the rows of Z and of I' together picks the
+    same z: I''s rows are independent, so each relation there has its pivot
+    among Z's coordinates, where the relations are those above.
     """
     a = x.algebra
     f = a.field
@@ -141,7 +158,7 @@ def element_centrally_stable(x: Element) -> StabilityReport:
         )
 
     comm = _make_reducer(f, a.dim)
-    for row in _commutator_rows(a, _int_entries(x.coords)):
+    for row in sorted(_commutator_rows(a, _int_entries(x.coords)), key=len):
         comm.insert(row)
 
     def mirror(red, row):
@@ -163,8 +180,8 @@ def element_centrally_stable(x: Element) -> StabilityReport:
         bases = {"center": z_space.rows, "commutator_ideal": ideal_rows}
         return StabilityReport(NOT_STABLE, METHOD_ELEMENT, cert, bases)
 
-    gens = list(z_space.rows) + ideal_red.pivot_rows()
-    coeffs = express_in_span(f, gens, x.coords, a.dim)
+    gens = [ideal_red.exact_residual(row, a.dim) for row in z_space.rows]
+    coeffs = express_in_span(f, gens, ideal_red.exact_residual(x.coords, a.dim), a.dim)
     if coeffs is None:
         raise ConsistencyError("an element in Z + Id([x, A]) has no expression there")
     z_vec = _linear_combination(f, coeffs, z_space.rows, a.dim)
@@ -686,5 +703,8 @@ def _in_ideal(a: Algebra, gens, targets) -> bool:
 
 def _commutator_ideal(a: Algebra, coords):
     """Id([x, A]), closed from the raw commutator rows of x by left products
-    alone: [x, A] + A[x, A] is already two-sided (see _ideal_closure)."""
-    return Subspace(a.field, _ideal_closure(a, _commutator_rows(a, _int_entries(coords)), left_only=True))
+    alone: [x, A] + A[x, A] is already two-sided (see _ideal_closure).  The
+    rows go in sparsest first; the closure runs to its fixpoint, whose
+    reduced rows do not depend on the order."""
+    rows = sorted(_commutator_rows(a, _int_entries(coords)), key=len)
+    return Subspace(a.field, _ideal_closure(a, rows, left_only=True))

@@ -63,6 +63,12 @@ def test_a_vector_of_the_wrong_length_is_refused():
     _refused(FileFormatError, "expected 2 coordinates, got 1", lambda: vector_from_json(Q, ["1"], length=2))
 
 
+def test_a_vector_length_given_positionally_is_checked():
+    # the benchmark's element queries pass the length as the third argument
+    assert vector_from_json(GF101, ["1", "0", "102"], 3) == (1, 0, 1)
+    _refused(FileFormatError, "expected 3 coordinates, got 2", lambda: vector_from_json(GF101, ["1", "0"], 3))
+
+
 def test_reports_and_certificates_that_are_not_objects_are_refused():
     a = build("upper_triangular", n=2).algebra
     doc = {"verdict": "Stable", "method": "ElementCriterion", "certificate": []}
