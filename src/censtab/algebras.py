@@ -486,6 +486,40 @@ def _is_central(a: Algebra, z) -> bool:
                    for w in _generator_commutators(a, _int_entries(z)) for x in w.values())
 
 
+def _center_cap(a: Algebra, r: Subspace) -> Subspace:
+    """Z(a) cap R for a subspace R, read off R's int rows r_j, without
+    building Z(a).
+
+    It is the image under alpha -> sum alpha_j r_j of the kernel of
+    sum_j alpha_j [r_j, e_g] = 0, g in G = `_generators(a)`:
+      - the centralizer of G is Z(a), as in `_is_central`: a centralizer
+        is a subalgebra, and the e_g generate a;
+      - the r_j are independent, so the map is injective, and its image of
+        the kernel is exactly Z cap R;
+      - RREF is unique, so the canonical rows are those of any other way
+        of computing Z cap R, Zassenhaus on Z(a) and R among them.
+    A check that compares them with claimed rows accepts exactly what it
+    accepted against Zassenhaus, and no byte built from them changes.  The
+    commutators are N times the true ones, over GF(p) not yet reduced
+    mod p; a kernel reads each equation only up to such a factor.
+    """
+    rows = r.reducer.pivot_rows()
+    eqs = defaultdict(dict)  # (k, i) -> {j: coordinate i of N [r_j, e_g]}, g the k-th generator
+    for j, row in enumerate(rows):
+        for k, w in enumerate(_generator_commutators(a, row)):
+            for i, x in w.items():
+                if x:
+                    eqs[k, i][j] = x
+    red = _make_reducer(a.field, a.dim)
+    for alpha in kernel_of_rows(a.field, eqs.values(), len(rows)).reducer.pivot_rows():
+        v = defaultdict(int)
+        for j, c in alpha.items():
+            for i, x in rows[j].items():
+                v[i] += c * x
+        red.insert(v)
+    return Subspace(a.field, red)
+
+
 def _quotient_center(a: Algebra, ideal=None) -> Subspace:
     """Z(A/I) for the ideal I (0 for None), in the coordinates of I's free
     columns, those of quotient(), without building A/I.

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from .algebras import (
     Algebra,
     Element,
+    _center_cap,
     _commutator_rows,
     _generator_commutators,
     _ideal_closure,
@@ -145,10 +146,7 @@ def element_centrally_stable(x: Element) -> StabilityReport:
     a = x.algebra
     f = a.field
     z_space = center(a)
-    combined = _make_reducer(f, a.dim)
-    for row in z_space.reducer.pivot_rows():
-        combined.insert(row)
-    res = combined.residual(x.coords)  # of x against Z + the closure so far
+    res = z_space.reducer.residual(x.coords)  # of x against Z, then Z + the closure so far
     if not res:
         cert = StableElementWitness(
             tuple(x.coords), tuple(x.coords), (f.zero,) * a.dim
@@ -156,6 +154,11 @@ def element_centrally_stable(x: Element) -> StabilityReport:
         return StabilityReport(
             STABLE, METHOD_ELEMENT, cert, {"center": z_space.rows}
         )
+    # Z's rows, reduced and in pivot order, go into combined unchanged, so
+    # res is also x's residual there
+    combined = _make_reducer(f, a.dim)
+    for row in z_space.reducer.pivot_rows():
+        combined.insert(row)
 
     comm = _make_reducer(f, a.dim)
     for row in sorted(_commutator_rows(a, _int_entries(x.coords)), key=len):
@@ -239,14 +242,14 @@ def algebra_centrally_stable(a: Algebra) -> StabilityReport:
     z = center(a)
     r = radical(a)
     c = subspace_intersect(z, r)
-    j = _central_ideal(a, c)
+    j = _central_ideal(a, c, r)
     bases = {
         "center": z.rows,
         "radical": r.rows,
         "center_cap_radical": c.rows,
         "criterion_ideal": j.rows,
     }
-    if j == r:
+    if j.dim == r.dim:
         return StabilityReport(STABLE, method, RadicalMatch(r.rows, c.rows), bases)
 
     for where, v in _central_lifts(a, z, r, j):
@@ -256,10 +259,17 @@ def algebra_centrally_stable(a: Algebra) -> StabilityReport:
     raise ConsistencyError("no lift from Z(A/J) or Z(A/rad) is a non-stable element")
 
 
-def _central_ideal(a: Algebra, c: Subspace) -> Subspace:
-    """Id(C) for a subspace C of Z(A), closed from C's rows by left products
-    alone: C + AC is already two-sided (see _ideal_closure)."""
-    return Subspace(a.field, _ideal_closure(a, c.reducer.pivot_rows(), left_only=True))
+def _central_ideal(a: Algebra, c: Subspace, r: Subspace) -> Subspace:
+    """Id(C) for a subspace C of Z(A) cap R, R an ideal, closed from C's
+    rows by left products alone: C + AC is already two-sided (see
+    _ideal_closure).  The closure stops once it has R's dimension.  C lies
+    in R, so Id(C) does, and a span of R's dimension inside R is R: so
+    Id(C) = R exactly when the result has R's dimension, and otherwise the
+    closure has run to its fixpoint, Id(C)."""
+    def full(red, row):
+        return red.dim == r.dim
+
+    return Subspace(a.field, _ideal_closure(a, c.reducer.pivot_rows(), full, left_only=True))
 
 
 def _radical_method(a: Algebra) -> str:
@@ -623,8 +633,12 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
       - an Unstable witness: Id([x, A]) is closed from [x, A] by left
         products alone (`_commutator_ideal`), and compared with the claimed
         rows, as are Z(A) and their sum;
-      - a RadicalMatch: Id(Z cap rad) is closed from Z cap rad by left
-        products alone, as Z cap rad is central (`_central_ideal`).
+      - a RadicalMatch: Z cap rad is read off the radical's rows as the
+        kernel of ([x, e_g])_g, g in G (`_center_cap`), so Z(A) is not
+        built; its canonical rows are those of Z(A) intersected with rad,
+        as RREF is unique.  Id(Z cap rad) is closed from Z cap rad by left
+        products alone, as Z cap rad is central, and compared with rad by
+        its dimension (`_central_ideal`): it lies in rad, an ideal.
     Each closure generates the same ideal as a two-sided closure of every
     commutator row, and Z(A) holds exactly the z that pass, so replay
     accepts exactly the reports it accepted when it checked that way."""
@@ -662,10 +676,10 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
         rad = span(f, cert.radical_rows, a.dim)
         if rad.rows != cert.radical_rows or radical_failure(a, rad) is not None:
             return False
-        c = subspace_intersect(center(a), rad)
+        c = _center_cap(a, rad)
         if c.rows != cert.center_cap_radical_rows:
             return False
-        return _central_ideal(a, c) == rad
+        return _central_ideal(a, c, rad).dim == rad.dim
     return False
 
 

@@ -8,6 +8,7 @@ import pytest
 from censtab import linalg, stability
 from censtab.algebras import (
     Algebra,
+    _center_cap,
     _commutator_rows,
     _generators,
     _ideal_closure,
@@ -1260,6 +1261,49 @@ def test_is_central_agrees_with_dense_products_with_every_basis_vector(field):
     assert min(seen.values()) >= 50, seen
 
 
+@pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
+def test_center_cap_is_the_center_intersected_by_zassenhaus(field):
+    # for V = rad, 0, A and a random ideal, on the catalog entries up to
+    # dim 16 and their dense presentations, whose int rows have pivot
+    # entries other than 1
+    from test_radical import _dense_basis  # test_radical imports this module
+
+    rng = random.Random(f"center-cap:{field}")
+    seen = 0
+    for entry in standard_entries(field):
+        a = entry.algebra
+        if a.dim > 16:
+            continue
+        for b in (a, _dense_basis(a, rng)[0]):
+            ideal = ideal_generated(b, [random_element(b, rng)])
+            whole = span(field, [b.basis_element(i).coords for i in range(b.dim)], b.dim)
+            for v in (radical(b), span(field, [], b.dim), whole, ideal):
+                assert _center_cap(b, v) == subspace_intersect(center(b), v), entry.description
+                seen += 1
+    assert seen >= 100, seen
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
+def test_a_claimed_center_cap_one_row_off_is_rejected_by_the_old_and_new_check(field):
+    # M_2(F[x]/x^2) is stable with rad = M_2(x F) and Z cap rad = F x1;
+    # the claim loses that row, or gains one more radical row, and both
+    # Zassenhaus on Z(A) and `_center_cap` find rows other than the claim
+    a = build("matrix_over_commutative", n=2, k=2, field=field).algebra
+    rep = algebra_centrally_stable(a)
+    m = rep.certificate
+    rad = span(field, m.radical_rows, a.dim)
+    cap = span(field, m.center_cap_radical_rows, a.dim)
+    assert isinstance(m, RadicalMatch) and (cap.dim, rad.dim) == (1, 4)
+    extra = next(row for row in rad.rows if not cap.contains(row))
+    sub, sup = (), span(field, list(cap.rows) + [extra], a.dim).rows
+    assert _replays(a, rep) == (True, True)
+    for claim in (sub, sup):
+        assert subspace_intersect(center(a), rad).rows != claim
+        assert _center_cap(a, rad).rows != claim
+        cert = replace(m, center_cap_radical_rows=claim)
+        assert _replays(a, replace(rep, certificate=cert)) == (False, False), claim
+
+
 def _fresh(a):
     """a written and loaded again, as a replay independent of the decision has it."""
     return algebra_from_json(json.loads(dump_json(algebra_to_json(a))))
@@ -1312,17 +1356,17 @@ def _radical_report():
 @pytest.mark.parametrize(("make", "kind", "bounds"), [
     (_tensor_report, "StableElementWitness", {"products": 556, "commutator_rows": 0, "inserts": 213}),
     (_unstable_report, "UnstableElementWitness", {"products": 154, "commutator_rows": 21, "inserts": 122}),
-    (_radical_report, "RadicalMatch", {"products": 30, "commutator_rows": 0, "inserts": 54}),
+    (_radical_report, "RadicalMatch", {"products": 40, "commutator_rows": 0, "inserts": 22}),
 ], ids=["tensor-stable", "t6-unstable", "p6-radical"])
 def test_replay_work_bounds(make, kind, bounds, monkeypatch):
     # the replay of each fixed report stays within its products and inserts;
-    # a Stable replay builds no center
+    # a Stable replay, element or algebra, builds no center
     rep, b = make()
     assert rep.certificate.kind == kind
     counts = _count_replay_work(monkeypatch)
     assert verify_certificate(b, rep)
     assert all(counts[key] <= bound for key, bound in bounds.items()), counts
-    if kind == "StableElementWitness":
+    if kind != "UnstableElementWitness":
         assert "center" not in b._memo
 
 
