@@ -1,11 +1,14 @@
-"""Golden `--json` output of every CLI subcommand on a small roster.
+"""Golden output of every CLI subcommand on a small roster.
 
 The roster is T_3, strict_upper 3, M_2, truncated_poly 3, ema and
 scalar_plus_strict_upper 3, over Q and (all but the Q-only ema) over GF(101).
 Each case runs one subcommand with `--json` and compares standard output byte
-for byte with the stored text, with the `timings` member cut out of both.
-Refactors of the engine must keep these bytes.  To regenerate the stored
-outputs after an intended change of output:
+for byte with the stored text in `golden/cli_json.json`, with the `timings`
+member cut out of both.  The same cases run again without `--json`, the
+commands that write an algebra given `-o TMP/out.json`, and their human
+lines are compared with `golden/cli_text.json`, the temporary directory
+written as TMP.  Refactors of the engine and the CLI must keep these bytes.
+To regenerate both stored files after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -17,6 +20,9 @@ from pathlib import Path
 from censtab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_json.json"
+GOLDEN_TEXT = Path(__file__).parent / "golden" / "cli_text.json"
+# the subcommands that write an algebra: given -o in place of --json
+WRITERS = ("construct", "quotient", "tensor", "product", "unitize", "matrix", "opposite")
 
 ROSTER = (
     ("T3", "upper_triangular", ("--n", "3")),
@@ -114,13 +120,23 @@ def _write_roster(tmp, run):
     return paths, dims, unital
 
 
-def collect(tmp, run):
+def _text_argv(argv, out):
+    """argv without --json, writing to out if the subcommand writes an algebra."""
+    argv = [arg for arg in argv if arg != "--json"]
+    return argv + ["-o", out] if argv[0] in WRITERS else argv
+
+
+def collect(tmp, run, text=False):
+    """case id -> standard output: the `--json` text without `timings`, or
+    with text=True the human lines, the directory tmp written as TMP."""
     paths, dims, unital = _write_roster(tmp, run)
     outputs = {}
     for case, argv in _cases(paths, dims, unital):
+        if text:
+            argv = _text_argv(argv, str(tmp / "out.json"))
         code, out = run(argv)
         assert code == 0, case
-        outputs[case] = strip_timings(out)
+        outputs[case] = out.replace(str(tmp), "TMP") if text else strip_timings(out)
     return outputs
 
 
@@ -136,6 +152,14 @@ def test_every_subcommand_is_covered():
 def test_json_output_matches_golden(tmp_path, capsys):
     golden = json.loads(GOLDEN.read_text())
     outputs = collect(tmp_path, lambda argv: _run(argv, capsys))
+    assert sorted(outputs) == sorted(golden)
+    for case, text in outputs.items():
+        assert text == golden[case], case
+
+
+def test_human_output_matches_golden(tmp_path, capsys):
+    golden = json.loads(GOLDEN_TEXT.read_text())
+    outputs = collect(tmp_path, lambda argv: _run(argv, capsys), text=True)
     assert sorted(outputs) == sorted(golden)
     for case, text in outputs.items():
         assert text == golden[case], case
@@ -172,8 +196,9 @@ if __name__ == "__main__":
             code = main(list(argv))
         return code, buf.getvalue()
 
-    with tempfile.TemporaryDirectory() as tmp:
-        outputs = collect(Path(tmp), run_captured)
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(outputs)} cases to {GOLDEN}", file=sys.stderr)
+    for path, text in ((GOLDEN, False), (GOLDEN_TEXT, True)):
+        with tempfile.TemporaryDirectory() as tmp:
+            outputs = collect(Path(tmp), run_captured, text)
+        path.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {len(outputs)} cases to {path}", file=sys.stderr)
