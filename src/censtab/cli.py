@@ -19,6 +19,15 @@ integer is a usage error there, and so is a negative --ideals or
 --elements.  decompose refuses
 (code 2) an A (x) M_n above the file limit on dimension before it reads the
 coordinates.
+
+Output (the one paragraph --help leaves out).  Every subcommand writes
+through `_emit`: with --json one JSON document, else its human lines.  The
+documents of validate, info, stable, element, fuzz and decompose carry
+"command" (the subcommand) and "version"; those of stable, element, fuzz and
+decompose also carry "timings": {"seconds": s}, s the wall time of the
+engine call.  construct and the commands that derive an algebra write the
+algebra file's document, with none of the three.  For library callers,
+`fileformat.report_to_json` writes "command" and "version" and no "timings".
 """
 
 from __future__ import annotations
@@ -154,12 +163,27 @@ def _parse_coords(field, text, dim):
     return tuple(field.parse(p) for p in parts)
 
 
-def _emit(args, doc, human_lines):
+def _emit(args, command, doc, lines, seconds=None):
+    """Write doc with --json, else the human lines, and return 0.  A command
+    stamps its name and the version on doc, and a timed one the seconds its
+    engine call took; an algebra document (command None) is written as is."""
     if args.json:
+        if command is not None:
+            doc = {**doc, "command": command, "version": __version__}
+        if seconds is not None:
+            doc["timings"] = {"seconds": round(seconds, 6)}
         sys.stdout.write(dump_json(doc))
     else:
-        for line in human_lines:
+        for line in lines:
             print(line)
+    return 0
+
+
+def _timed(fn, *args):
+    """fn(*args) and the seconds it took."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - t0
 
 
 def _check_output_dim(dim):
@@ -174,11 +198,7 @@ def _write_algebra(args, alg, summary):
     _check_output_dim(alg.dim)
     if args.out:
         save_algebra(alg, args.out)
-    if args.json:
-        sys.stdout.write(dump_json(algebra_to_json(alg)))
-    else:
-        print(f"{summary} -> {args.out}")
-    return 0
+    return _emit(args, None, algebra_to_json(alg), [f"{summary} -> {args.out}"])
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -187,21 +207,18 @@ def _write_algebra(args, alg, summary):
 def _cmd_validate(args):
     alg = load_algebra(args.file)  # raises on any defect
     doc = {
-        "command": "validate",
         "ok": True,
         "field": field_to_json(alg.field),
         "dim": alg.dim,
         "associative": True,
         "unital": alg.is_unital,
         "unity": vector_to_json(alg.field, alg.unity) if alg.is_unital else None,
-        "version": __version__,
     }
     lines = [
         f"ok: associative algebra of dimension {alg.dim} over {alg.field!r}",
         f"unity: {alg.one()!r}" if alg.is_unital else "unity: none",
     ]
-    _emit(args, doc, lines)
-    return 0
+    return _emit(args, "validate", doc, lines)
 
 
 def _cmd_info(args):
@@ -210,7 +227,6 @@ def _cmd_info(args):
     rad = radical(alg)
     nilp = nilpotency_index(alg)
     doc = {
-        "command": "info",
         "field": field_to_json(alg.field),
         "dim": alg.dim,
         "unital": alg.is_unital,
@@ -221,7 +237,6 @@ def _cmd_info(args):
         "center_basis": rows_to_json(alg.field, z.rows),
         "radical_dim": rad.dim,
         "radical_basis": rows_to_json(alg.field, rad.rows),
-        "version": __version__,
     }
     lines = [
         f"dimension {alg.dim} over {alg.field!r}",
@@ -231,18 +246,12 @@ def _cmd_info(args):
         f"center: dim {z.dim}",
         f"radical: dim {rad.dim}",
     ]
-    _emit(args, doc, lines)
-    return 0
+    return _emit(args, "info", doc, lines)
 
 
 def _cmd_stable(args):
     alg = load_algebra(args.file)
-    t0 = time.perf_counter()
-    report = algebra_centrally_stable(alg)
-    elapsed = time.perf_counter() - t0
-    doc = report_to_json(
-        alg, report, command="stable", timings={"seconds": round(elapsed, 6)}
-    )
+    report, seconds = _timed(algebra_centrally_stable, alg)
     lines = [
         f"verdict: {report.verdict}",
         f"method: {report.method}",
@@ -251,26 +260,19 @@ def _cmd_stable(args):
     if report.certificate.kind == "UnstableElementWitness":
         el = alg.element(report.certificate.element)
         lines.append(f"non-stable element: {el!r}")
-    _emit(args, doc, lines)
-    return 0
+    return _emit(args, "stable", report_to_json(alg, report, command="stable"), lines, seconds)
 
 
 def _cmd_element(args):
     alg = load_algebra(args.file)
     coords = _parse_coords(alg.field, args.coords, alg.dim)
-    t0 = time.perf_counter()
-    report = element_centrally_stable(alg.element(coords))
-    elapsed = time.perf_counter() - t0
-    doc = report_to_json(
-        alg, report, command="element", timings={"seconds": round(elapsed, 6)}
-    )
+    report, seconds = _timed(element_centrally_stable, alg.element(coords))
     lines = [f"verdict: {report.verdict}", f"method: {report.method}"]
     if report.verdict == "Stable":
         c = report.certificate
         lines.append(f"central part: {alg.element(c.central_part)!r}")
         lines.append(f"ideal part:   {alg.element(c.ideal_part)!r}")
-    _emit(args, doc, lines)
-    return 0
+    return _emit(args, "element", report_to_json(alg, report, command="element"), lines, seconds)
 
 
 def _quotient(args, alg):
@@ -341,11 +343,8 @@ def _cmd_construct(args):
 
 def _cmd_fuzz(args):
     alg = load_algebra(args.file)
-    t0 = time.perf_counter()
-    rep = fuzz_consistency(alg, args.ideals, args.elements, seed=args.seed)
-    elapsed = time.perf_counter() - t0
+    rep, seconds = _timed(fuzz_consistency, alg, args.ideals, args.elements, args.seed)
     doc = {
-        "command": "fuzz",
         "algebra_verdict": rep.algebra_verdict,
         "ideal_samples": rep.ideal_samples,
         "element_samples": rep.element_samples,
@@ -355,8 +354,6 @@ def _cmd_fuzz(args):
             {"kind": f.kind, "sample_index": f.sample_index, "detail": f.detail}
             for f in rep.findings
         ],
-        "version": __version__,
-        "timings": {"seconds": round(elapsed, 6)},
     }
     lines = [
         f"algebra verdict: {rep.algebra_verdict}",
@@ -364,8 +361,7 @@ def _cmd_fuzz(args):
         "no violations" if rep.ok else f"{len(rep.findings)} FATAL findings",
     ]
     lines += [f"  {f.kind} at sample {f.sample_index}: {f.detail}" for f in rep.findings]
-    _emit(args, doc, lines)
-    return 0
+    return _emit(args, "fuzz", doc, lines, seconds)
 
 
 def _cmd_decompose(args):
@@ -375,11 +371,8 @@ def _cmd_decompose(args):
         raise DimensionMismatch("matrix size must be >= 1")
     _check_output_dim(alg.dim * n * n)
     coords = _parse_coords(alg.field, args.coords, alg.dim * n * n)
-    t0 = time.perf_counter()
-    dec = decompose_tensor_element(alg, n, coords, pivot=args.pivot)
-    elapsed = time.perf_counter() - t0
+    dec, seconds = _timed(decompose_tensor_element, alg, n, coords, args.pivot)
     doc = {
-        "command": "decompose",
         "n": n,
         "pivot": dec.pivot,
         "tensor_dim": dec.tensor_algebra.dim,
@@ -388,8 +381,6 @@ def _cmd_decompose(args):
         "checks": dec.checks,
         "diagonal_verdict": dec.diagonal_report.verdict,
         "tensor_element_verdict": dec.full_report.verdict if dec.full_report else None,
-        "version": __version__,
-        "timings": {"seconds": round(elapsed, 6)},
     }
     lines = [
         f"t = a(x)1 + s over M_{n}, pivot slot ({dec.pivot},{dec.pivot})",
@@ -399,15 +390,14 @@ def _cmd_decompose(args):
     ]
     if dec.full_report is not None:
         lines.append(f"tensor element verdict: {dec.full_report.verdict}")
-    _emit(args, doc, lines)
-    return 0
+    return _emit(args, "decompose", doc, lines, seconds)
 
 
 # -- parser wiring ---------------------------------------------------------------
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="censtab", description=__doc__)
+    parser = _Parser(prog="censtab", description=__doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--version", action="version", version=f"censtab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

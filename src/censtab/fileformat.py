@@ -297,20 +297,16 @@ def _vector_of_length(field, doc, n, kind, key):
     return v
 
 
-def report_to_json(
-    a: Algebra,
-    report: StabilityReport,
-    *,
-    command: str,
-    timings=None,
-) -> dict:
+def report_to_json(a: Algebra, report: StabilityReport, *, command: str) -> dict:
+    """The JSON document of a report, stamped with the command that made it
+    and the package version.  It carries no `timings`: the CLI adds them."""
     from . import __version__
 
     bases = {
         key: val if isinstance(val, str) else rows_to_json(a.field, val)
         for key, val in report.bases.items()
     }
-    doc = {
+    return {
         "command": command,
         "verdict": report.verdict,
         "method": report.method,
@@ -318,9 +314,6 @@ def report_to_json(
         "bases": bases,
         "version": __version__,
     }
-    if timings is not None:
-        doc["timings"] = timings
-    return doc
 
 
 _METHODS = (METHOD_RADICAL, METHOD_UNITIZATION, METHOD_ELEMENT)
