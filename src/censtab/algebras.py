@@ -371,16 +371,20 @@ def _unity_failure(a: Algebra, u):
     return None
 
 
-def _assemble(field, dim, entries, labels=None) -> Algebra:
-    """The algebra of `_index` entries, validated: associativity exactly,
-    through the generating set, which stays memoized for the algebra's later
-    use, then a two-sided unity solved for (kept if present).  Raises
-    NotAssociative with the first failing basis triple on failure."""
-    n, rows = _index(field, dim, entries)
-    a = Algebra(field, dim, n, rows, labels, None, _trusted=True)
+def _validated(a: Algebra) -> Algebra:
+    """a, validated: associativity exactly, through the generating set, which
+    stays memoized for the algebra's later use, then a two-sided unity
+    solved for (kept if present).  Raises NotAssociative with the first
+    failing basis triple on failure."""
     _check_associativity(a)
     a.unity = _find_unity(a)
     return a
+
+
+def _assemble(field, dim, entries, labels=None) -> Algebra:
+    """The algebra of `_index` entries, validated (`_validated`)."""
+    n, rows = _index(field, dim, entries)
+    return _validated(Algebra(field, dim, n, rows, labels, None, _trusted=True))
 
 
 def build_algebra(field: FieldSpec, dim: int, table, labels=None) -> Algebra:
@@ -574,10 +578,15 @@ def _quotient_center(a: Algebra, ideal=None) -> Subspace:
 
 def commutator_space(x: Element) -> Subspace:
     """span{[x, e_i] : i = 0..dim-1}, from x with its denominators cleared
-    (the same span), so only ints are multiplied."""
+    (the same span), so only ints are multiplied.
+
+    The rows go in sparsest first, which keeps the fill-in of the
+    elimination small.  The span's reduced rows are unique (primitive with
+    a positive pivot over Q, a unit pivot over GF(p)), so they do not depend
+    on the order."""
     a = x.algebra
     red = _make_reducer(a.field, a.dim)
-    for w in _commutator_rows(a, _int_entries(x.coords)):
+    for w in sorted(_commutator_rows(a, _int_entries(x.coords)), key=len):
         red.insert(w)
     return Subspace(a.field, red)
 

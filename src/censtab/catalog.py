@@ -13,8 +13,7 @@ from fractions import Fraction
 from .algebras import (
     Algebra,
     _cell_algebra,
-    _check_associativity,
-    _find_unity,
+    _validated,
     build_algebra,
     matrix_algebra,
     matrix_units_algebra,
@@ -50,20 +49,14 @@ def _require(cond, msg):
         raise BadParams(msg)
 
 
-def _revalidated(alg: Algebra) -> Algebra:
-    # catalog entries always pass through the full associativity check and
-    # the unity search, as a loaded file does
-    _check_associativity(alg)
-    alg.unity = _find_unity(alg)
-    return alg
-
-
 # -- individual constructions -------------------------------------------------
+# Entries built without build_algebra pass through `_validated`, the
+# associativity check and unity search that a loaded file gets.
 
 
 def _matrix_full(n: int, field: FieldSpec = RATIONALS) -> CatalogEntry:
     _require(n >= 1, "matrix_full needs n >= 1")
-    alg = _revalidated(matrix_units_algebra(field, n))
+    alg = _validated(matrix_units_algebra(field, n))
     return CatalogEntry(
         "matrix_full",
         {"field": field, "n": n},
@@ -80,7 +73,7 @@ def _upper_cells(n, strict=False):
 
 def _upper_triangular(n: int, field: FieldSpec = RATIONALS) -> CatalogEntry:
     _require(n >= 1, "upper_triangular needs n >= 1")
-    alg = _revalidated(_cell_algebra(field, n, _upper_cells(n)))
+    alg = _validated(_cell_algebra(field, n, _upper_cells(n)))
     if n == 1:
         expected = Expected(STABLE, 1, 0, "one-dimensional, hence commutative")
     else:
@@ -105,7 +98,7 @@ def _scalar_plus_strict_upper(n: int, field: FieldSpec = RATIONALS) -> CatalogEn
     u = unitization(strict)
     # labels given in full: for n = 1 there are no cells, and u has no labels
     u.labels = ("1",) + strict.labels
-    alg = _revalidated(u)
+    alg = _validated(u)
     if n == 1:
         expected = Expected(STABLE, 1, 0, "just the scalars")
     elif n == 2:
@@ -128,7 +121,7 @@ def _scalar_plus_strict_upper(n: int, field: FieldSpec = RATIONALS) -> CatalogEn
 
 def _strict_upper(n: int, field: FieldSpec = RATIONALS) -> CatalogEntry:
     _require(n >= 2, "strict_upper needs n >= 2")
-    alg = _revalidated(_cell_algebra(field, n, _upper_cells(n, strict=True)))
+    alg = _validated(_cell_algebra(field, n, _upper_cells(n, strict=True)))
     dim = alg.dim
     if n == 2:
         expected = Expected(STABLE, 1, 1, "one-dimensional null algebra")
@@ -265,7 +258,7 @@ def _exg() -> CatalogEntry:
     """
     d = _quaternions(RATIONALS)
     dual = _truncated_poly(2).algebra
-    alg = _revalidated(tensor_product(d, dual))
+    alg = _validated(tensor_product(d, dual))
     return CatalogEntry(
         "exg",
         {},
@@ -319,7 +312,7 @@ def _matrix_over_commutative(n: int, k: int, field: FieldSpec = RATIONALS) -> Ca
     _require(n >= 1, "matrix_over_commutative needs n >= 1")
     _require(k >= 1, "matrix_over_commutative needs k >= 1")
     c = _truncated_poly(k, field).algebra
-    alg = _revalidated(matrix_algebra(c, n))
+    alg = _validated(matrix_algebra(c, n))
     return CatalogEntry(
         "matrix_over_commutative",
         {"field": field, "n": n, "k": k},
@@ -345,7 +338,7 @@ def _r11_radical(n: int, k: int, field: FieldSpec = RATIONALS) -> CatalogEntry:
             if i + j + 1 < k - 1:
                 table[(i, j)] = ((i + j + 1, one),)
     c = build_algebra(field, k - 1, table, [f"x^{i + 1}" if i else "x" for i in range(k - 1)])
-    alg = _revalidated(matrix_algebra(c, n))
+    alg = _validated(matrix_algebra(c, n))
     center_dim = (k - 1) + n * n - 1  # C*identity plus x^{k-1} times any matrix
     return CatalogEntry(
         "r11_radical",

@@ -33,6 +33,7 @@ from .algebras import (
     _is_central,
     _quotient_center,
     center,
+    commutator_space,
     ideal_generated,
     matrix_algebra,
     quotient,
@@ -126,10 +127,8 @@ def element_centrally_stable(x: Element) -> StabilityReport:
     already contains the ideal part u.  On NotStable the closure has reached
     its fixpoint and the avoided subspace Z + Id is recorded in full.
 
-    The rows of [a, A] enter their span sparsest first, which keeps the
-    fill-in of the elimination small.  The span's reduced rows are unique
-    (primitive with a positive pivot over Q, a unit pivot over GF(p)), so
-    the rows that seed the closure, in pivot order, do not depend on it.
+    The closure is seeded with the reduced rows of `commutator_space(a)`,
+    in pivot order; being fully reduced, they enter it unchanged.
 
     Which z a Stable witness carries.  Let r be the residual mod I', a
     linear map with kernel I', and z_k the canonical rows of Z.  Then
@@ -160,19 +159,13 @@ def element_centrally_stable(x: Element) -> StabilityReport:
     for row in z_space.reducer.pivot_rows():
         combined.insert(row)
 
-    comm = _make_reducer(f, a.dim)
-    for row in sorted(_commutator_rows(a, _int_entries(x.coords)), key=len):
-        comm.insert(row)
-
     def mirror(red, row):
         new = combined.insert(row)
         if new is not None:
             combined.advance_residual(res, new)
         return not res
 
-    # comm's rows in pivot order are those of commutator_space(x) up to
-    # positive factors, and fully reduced: the closure inserts them unchanged
-    ideal_red = _ideal_closure(a, comm.pivot_rows(), mirror)
+    ideal_red = _ideal_closure(a, commutator_space(x).reducer.pivot_rows(), mirror)
     ideal_rows = Subspace(f, ideal_red).rows
 
     if res:  # mirror never stopped the closure: it reached Id([x, A])
@@ -252,11 +245,12 @@ def algebra_centrally_stable(a: Algebra) -> StabilityReport:
     if j.dim == r.dim:
         return StabilityReport(STABLE, method, RadicalMatch(r.rows, c.rows), bases)
 
-    for where, v in _central_lifts(a, z, r, j):
-        rep = element_centrally_stable(a.element(v))
-        if rep.verdict == NOT_STABLE:
-            return StabilityReport(NOT_STABLE, method, rep.certificate, {**bases, "witness_quotient": where})
-    raise ConsistencyError("no lift from Z(A/J) or Z(A/rad) is a non-stable element")
+    # the first lift is the witness: A/J's whenever Z(A/J) cap R/J != 0
+    where, v = next(_central_lifts(a, z, r, j), (None, None))
+    rep = None if v is None else element_centrally_stable(a.element(v))
+    if rep is None or rep.verdict != NOT_STABLE:
+        raise ConsistencyError("no lift from Z(A/J) or Z(A/rad) is a non-stable element")
+    return StabilityReport(NOT_STABLE, method, rep.certificate, {**bases, "witness_quotient": where})
 
 
 def _central_ideal(a: Algebra, c: Subspace, r: Subspace) -> Subspace:

@@ -178,17 +178,17 @@ def test_the_commutator_span_of_a_dense_element_is_built_with_pinned_elimination
     x = _query_element(a, random.Random("dense-span"))
     counts = _count_eliminations(monkeypatch)
     marks = {}
-    rows, closure = stability._commutator_rows, stability._ideal_closure
+    span, closure = stability.commutator_space, stability._ideal_closure
 
-    def first_rows(*args):  # the span is built from here ...
+    def first_span(*args):  # the span is built from here ...
         marks["start"] = dict(counts)
-        return rows(*args)
+        return span(*args)
 
     def then_closure(*args, **kwargs):  # ... to here
         marks["end"] = dict(counts)
         return closure(*args, **kwargs)
 
-    monkeypatch.setattr(stability, "_commutator_rows", first_rows)
+    monkeypatch.setattr(stability, "commutator_space", first_span)
     monkeypatch.setattr(stability, "_ideal_closure", then_closure)
     element_centrally_stable(x)
     assert {k: marks["end"][k] - marks["start"][k] for k in counts} == {"calls": 241, "entries": 1961}

@@ -1044,6 +1044,23 @@ def test_a_lift_that_tests_stable_is_a_consistency_error(monkeypatch):
         algebra_centrally_stable(t3())
 
 
+def test_an_a_j_lift_that_tests_stable_is_a_consistency_error_with_an_a_rad_lift_left(monkeypatch):
+    # both lifts exist here, A/J's first; a stable A/J lift is an engine
+    # fault even though the A/rad lift would still be a witness
+    a = direct_product(build("strict_upper", n=3).algebra, build("upper_triangular", n=2).algebra)
+    real = stability._central_lifts
+
+    def stable_first(a, z, r, j):
+        lifts = list(real(a, z, r, j))
+        assert [where for where, _ in lifts] == ["A/J", "A/rad"]
+        yield "A/J", (a.field.zero,) * a.dim  # 0 is central, so stable
+        yield from lifts[1:]
+
+    monkeypatch.setattr(stability, "_central_lifts", stable_first)
+    with pytest.raises(ConsistencyError, match="no lift from Z\\(A/J\\) or Z\\(A/rad\\)"):
+        algebra_centrally_stable(a)
+
+
 def _old_central_lifts(a, z, r, j):
     """The witness lifts as they were, read off the quotient algebras A/J
     and A/R, each built with its own generators and center."""
