@@ -6,9 +6,11 @@ results are independent of the int index under test.  `revalidate` re-runs
 the load-time checks on an algebra that was built without them.  The
 `table_*` constructions are the reference for those of censtab: they read
 `a.table` and hand `_index` a table of canonical scalars, the way the
-constructions once did.
+constructions once did.  `strip_timings` cuts the one member of a CLI
+`--json` document that varies between identical runs.
 """
 
+import json
 from fractions import Fraction
 
 from censtab.algebras import Algebra, _check_associativity, _find_unity, _index, _unity_failure
@@ -254,3 +256,16 @@ def scalar_plus_strict_family(n):
         return [m[0][0]] + [m[p][q] for p, q in cells]
 
     return MatrixFamily(n, basis, to_coords)
+
+
+def strip_timings(text):
+    """text with the top-level "timings" member removed, other bytes untouched."""
+    key = '\n  "timings": '
+    start = text.find(key)
+    if start < 0:
+        return text
+    _, end = json.JSONDecoder().raw_decode(text, start + len(key))
+    if text[end] == ",":
+        return text[:start] + text[end + 1:]
+    # last member: drop the comma that precedes it instead
+    return text[: text.rfind(",", 0, start)] + text[end:]

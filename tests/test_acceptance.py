@@ -4,7 +4,6 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they print.
 Everything is exact arithmetic; tolerances are zero throughout.
 """
 
-import json
 import random
 import time
 from contextlib import contextmanager
@@ -38,7 +37,7 @@ from censtab.stability import (
     tensor_with_matrices,
     verify_certificate,
 )
-from oracle import dense_product
+from oracle import dense_product, strip_timings
 
 F = Fraction
 
@@ -382,12 +381,6 @@ def test_criterion_8_radical_postconditions():
 # -- criterion 9: determinism ---------------------------------------------------------
 
 
-def _strip_timings(text):
-    doc = json.loads(text)
-    doc.pop("timings", None)
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 def test_criterion_9_determinism(tmp_path, capsys):
     with criterion(9, "determinism"):
         # API level: the full roster of reports, twice, byte for byte
@@ -414,7 +407,7 @@ def test_criterion_9_determinism(tmp_path, capsys):
             ["fuzz", t3, "--ideals", "5", "--elements", "5", "--seed", "3", "--json"],
         ):
             assert cli_main(argv) == 0
-            outs.append(_strip_timings(capsys.readouterr().out))
+            outs.append(strip_timings(capsys.readouterr().out))
         assert outs[0] == outs[1]
         assert outs[2] == outs[3]
         assert outs[4] == outs[5]

@@ -16,18 +16,13 @@ from censtab.fileformat import load_algebra
 from censtab.linalg import span
 from censtab.radical import radical
 from censtab.stability import StabilityReport, StableElementWitness, decompose_tensor_element
+from oracle import strip_timings
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def strip_timings(text):
-    doc = json.loads(text)
-    doc.pop("timings", None)
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_construct_stable_element_flow(tmp_path, capsys):

@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from censtab.cli import main
+from oracle import strip_timings
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_json.json"
 GOLDEN_TEXT = Path(__file__).parent / "golden" / "cli_text.json"
@@ -80,19 +81,6 @@ def _cases(paths, dims, unital):
                     (f"decompose/{tag}", ["decompose", f, "--n", "2", "--coords", coords, "--json"])
                 )
     return out
-
-
-def strip_timings(text):
-    """text with the top-level "timings" member removed, other bytes untouched."""
-    key = '\n  "timings": '
-    start = text.find(key)
-    if start < 0:
-        return text
-    _, end = json.JSONDecoder().raw_decode(text, start + len(key))
-    if text[end] == ",":
-        return text[:start] + text[end + 1:]
-    # last member: drop the comma that precedes it instead
-    return text[: text.rfind(",", 0, start)] + text[end:]
 
 
 def _run(argv, capsys):
