@@ -788,7 +788,7 @@ def quotient(a: Algebra, ideal: Subspace) -> QuotientMap:
     entries = []
     for x, y, pairs in _ratios(a):
         if x in pos and y in pos:
-            img = red.exact_residual({k: r[0] if gf else Fraction(*r) for k, r in pairs}, n)
+            img = red.exact_residual({k: r[0] if gf else Fraction(*r) for k, r in pairs})
             if img:
                 pairs = [(pos[k], c.as_integer_ratio()) for k, c in sorted(img.items())]
                 entries.append((pos[x], pos[y], pairs))

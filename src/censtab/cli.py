@@ -76,7 +76,6 @@ from .fileformat import (
     load_algebra,
     report_to_json,
     rows_to_json,
-    save_algebra,
     vector_to_json,
 )
 from .radical import radical
@@ -196,9 +195,10 @@ def _write_algebra(args, alg, summary):
     if not args.out and not args.json:
         raise BadParams("give -o FILE or --json so the result goes somewhere")
     _check_output_dim(alg.dim)
+    doc = algebra_to_json(alg)  # before the file opens: a refused scalar leaves it as it was
     if args.out:
-        save_algebra(alg, args.out)
-    return _emit(args, None, algebra_to_json(alg), [f"{summary} -> {args.out}"])
+        Path(args.out).write_text(dump_json(doc), encoding="utf-8")
+    return _emit(args, None, doc, [f"{summary} -> {args.out}"])
 
 
 # -- subcommand implementations ------------------------------------------------

@@ -206,8 +206,9 @@ def _write_json(doc, nl, out):
 
 
 def save_algebra(a: Algebra, path) -> None:
+    text = dump_json(algebra_to_json(a))  # first: a refused scalar leaves the file as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(algebra_to_json(a)))
+        fh.write(text)
 
 
 def load_algebra(path) -> Algebra:

@@ -159,18 +159,18 @@ class _Reducer:
         if c:
             self._eliminate(v, c, row, p)
 
-    def exact_residual(self, vec, col):
+    def exact_residual(self, vec):
         """The nonzero entries of vec reduced against the rows, as canonical
-        scalars.  vec enters with a 1 at col, a column no row meets, which
-        the eliminations scale with the rest; dividing by it undoes that.
+        scalars.  vec enters with a 1 at column `width`, which no row meets,
+        and the eliminations scale it with the rest; dividing by it undoes that.
         A vector that meets no pivot is its own residual: its entries come
         back as they are, so they must be canonical already."""
         v = {k: x for k, x in _items(vec) if x}
         if self.rows.keys().isdisjoint(v):
             return v
-        v[col] = 1
+        v[self.width] = 1
         v = self.residual(v)
-        return self._divide(v, v.pop(col))
+        return self._divide(v, v.pop(self.width))
 
     def pivot_rows(self):
         """The basis rows, in pivot order."""
@@ -320,7 +320,7 @@ class Subspace:
     def reduce(self, v):
         """Residual of v after eliminating all pivot coordinates."""
         out = [self.field.zero] * self.ambient_dim
-        for j, x in self.reducer.exact_residual(self._nonzero(v), self.ambient_dim).items():
+        for j, x in self.reducer.exact_residual(self._nonzero(v)).items():
             out[j] = x
         return out
 
@@ -436,8 +436,7 @@ def express_in_span(field: FieldSpec, generators, target, width: int):
     combination along.
     """
     gens = list(generators)
-    g = len(gens)
-    red = _make_reducer(field, width + g + 1)
+    red = _make_reducer(field, width + len(gens))  # the target's bookkeeping column is red.width
     for i, v in enumerate(gens):
         if not isinstance(v, dict) and len(v) != width:
             raise DimensionMismatch("generator has wrong length")
@@ -446,7 +445,7 @@ def express_in_span(field: FieldSpec, generators, target, width: int):
         red.insert(aug)
     if not isinstance(target, dict) and len(target) != width:
         raise DimensionMismatch("target has wrong length")
-    w = red.exact_residual(target, width + g)
+    w = red.exact_residual(target)
     if any(k < width for k in w):
         return None
-    return [field.neg(w.get(width + i, field.zero)) for i in range(g)]
+    return [field.neg(w.get(width + i, field.zero)) for i in range(len(gens))]

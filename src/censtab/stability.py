@@ -176,8 +176,8 @@ def element_centrally_stable(x: Element) -> StabilityReport:
         bases = {"center": z_space.rows, "commutator_ideal": ideal_rows}
         return StabilityReport(NOT_STABLE, METHOD_ELEMENT, cert, bases)
 
-    gens = [ideal_red.exact_residual(row, a.dim) for row in z_space.rows]
-    coeffs = express_in_span(f, gens, ideal_red.exact_residual(x.coords, a.dim), a.dim)
+    gens = [ideal_red.exact_residual(row) for row in z_space.rows]
+    coeffs = express_in_span(f, gens, ideal_red.exact_residual(x.coords), a.dim)
     if coeffs is None:
         raise ConsistencyError("an element in Z + Id([x, A]) has no expression there")
     z_vec = _linear_combination(f, coeffs, z_space.rows, a.dim)

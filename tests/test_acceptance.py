@@ -37,7 +37,7 @@ from censtab.stability import (
     tensor_with_matrices,
     verify_certificate,
 )
-from oracle import dense_product, strip_timings
+from oracle import dense_product, reloaded, replays, strip_timings
 
 F = Fraction
 
@@ -149,8 +149,6 @@ def test_criterion_4_oracle_consistency():
 
 
 def test_criterion_5_tensor_decomposition():
-    from test_stability import replays_in_fresh_tensor
-
     with criterion(5, "tensor decomposition"):
         cases = [build("upper_triangular", n=3), build("ema")]
         for entry in cases:
@@ -166,7 +164,8 @@ def test_criterion_5_tensor_decomposition():
                     if dec.diagonal_report.verdict == STABLE:
                         assert dec.full_report is not None
                         assert dec.full_report.verdict == STABLE
-                        assert replays_in_fresh_tensor(alg, n, dec.full_report)
+                        assert replays(T, dec.full_report, tensor_with_matrices(reloaded(alg), n),
+                                       command="element")
 
 
 # -- criterion 6: closure laws ----------------------------------------------------------

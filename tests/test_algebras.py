@@ -34,41 +34,26 @@ from censtab.linalg import span, subspace_sum
 from censtab.scalars import RATIONALS as Q, prime_field
 
 from oracle import (
+    alg_from_family,
     commutator_m,
+    count,
     dense_commutator,
     dense_product,
     full_family,
     mat_mul,
+    presentation,
     revalidate,
     scalar_plus_strict_family,
     strict_upper_family,
+    truncated_poly,
     upper_family,
 )
 
 F = Fraction
 
 
-def alg_from_family(fam, field=Q):
-    return build_algebra(field, fam.dim, fam.table())
-
-
-def truncated_poly(k, field=Q):
-    # F[x]/(x^k), basis 1, x, ..., x^{k-1}
-    table = {}
-    for i in range(k):
-        for j in range(k):
-            if i + j < k:
-                table[(i, j)] = ((i + j, field.one),)
-    return build_algebra(field, k, table, labels=[f"x^{i}" for i in range(k)])
-
-
 def random_element(alg, rng):
     return alg.element([alg.field.random_scalar(rng) for _ in range(alg.dim)])
-
-
-def presentation(alg):
-    """Field, dimension and table: equal exactly for identical presentations."""
-    return alg.field, alg.dim, alg.table
 
 
 # -- construction and validation ---------------------------------------------
@@ -216,20 +201,13 @@ def test_unity_solve_uses_only_the_left_equations(monkeypatch):
     # e_g each meet 4 e_i, 28 entries in all (every e_j would need 64, both
     # sides 128)
     algebras = importlib.import_module("censtab.algebras")
-    calls = []
-    solve = algebras.express_in_span
-
-    def counted(field, generators, target, width):
-        generators = list(generators)
-        calls.append((len(generators), sum(len(g) for g in generators), width))
-        return solve(field, generators, target, width)
-
     m4 = build("matrix_full", n=4).algebra
-    monkeypatch.setattr(algebras, "express_in_span", counted)
+    counts = count(monkeypatch, {"solves": []}, [algebras], "express_in_span",
+                   solves=lambda field, gens, target, width: [(len(gens), sum(map(len, gens)), width)])
     rebuilt = build_algebra(Q, m4.dim, m4.table)
     assert rebuilt.unity == m4.unity
     assert len(_generators(m4)) == 7
-    assert calls == [(16, 28, 16 * 16)]
+    assert counts == {"solves": [(16, 28, 16 * 16)]}
 
 
 @pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
@@ -237,20 +215,13 @@ def test_no_unity_solve_when_a_basis_vector_is_no_product(field, monkeypatch):
     # strict_upper: e12 is the target of no table entry, so it lies outside
     # A^2 != A and nothing is solved; a table that is only left-unital hits
     # every e_k, so it reaches the solve, whose solution e0 fails e1 e0 = e1
-    algebras = importlib.import_module("censtab.algebras")
-    calls = []
-    solve = algebras.express_in_span
-
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
-
     n4 = build("strict_upper", n=4, field=field).algebra
-    monkeypatch.setattr(algebras, "express_in_span", counted)
+    calls = count(monkeypatch, {"solves": 0}, [importlib.import_module("censtab.algebras")],
+                  "express_in_span", solves=1)
     assert build_algebra(field, n4.dim, n4.table).unity is None
-    assert calls == []
+    assert calls == {"solves": 0}
     assert build_algebra(field, 2, {(0, 0): ((0, 1),), (0, 1): ((1, 1),)}).unity is None
-    assert len(calls) == 1
+    assert calls == {"solves": 1}
 
 
 # -- products and commutators --------------------------------------------------

@@ -20,9 +20,7 @@ from censtab.errors import NotAssociative
 from censtab.fileformat import algebra_from_json, algebra_to_json, report_to_json, verify_report_json
 from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import algebra_centrally_stable
-from oracle import derived_from_table, revalidate
-from test_generators import CASES
-from test_radical import _dense_basis
+from oracle import CASES, count, dense_basis, derived_from_table, revalidate
 
 algebras = importlib.import_module("censtab.algebras")
 
@@ -62,7 +60,7 @@ def test_generating_set_check_refuses_exactly_what_the_full_walk_refuses(field):
     seen = {"refused": 0, "accepted": 0}
     for name, params in CASES:
         a = build(name, field=field, **params).algebra
-        for b in (a, _dense_basis(a, rng)[0]):
+        for b in (a, dense_basis(a, rng)[0]):
             for _ in range(20):
                 table = _perturbed(b, rng)
                 want = _walk_witness(field, b.dim, table)
@@ -80,14 +78,8 @@ def test_generating_set_check_refuses_exactly_what_the_full_walk_refuses(field):
 
 @FIELDS
 def test_valid_catalog_tables_never_reach_the_full_walk(field, monkeypatch):
-    calls = []
-    walk = algebras._first_failing_triple
-
-    def counted(a):
-        calls.append(a.dim)
-        return walk(a)
-
-    monkeypatch.setattr(algebras, "_first_failing_triple", counted)
+    calls = count(monkeypatch, {"walked": []}, [algebras], "_first_failing_triple",
+                  walked=lambda a: [a.dim])["walked"]
     entries = standard_entries(field) + [
         build("truncated_poly", field=field, k=24),
         build("upper_triangular", field=field, n=6),
@@ -99,7 +91,7 @@ def test_valid_catalog_tables_never_reach_the_full_walk(field, monkeypatch):
         revalidate(a)
         revalidate(build_algebra(field, a.dim, a.table))
         if a.dim <= 9:  # a dense presentation costs dim^2 solves to build
-            revalidate(_dense_basis(a, random.Random(entry.description))[0])
+            revalidate(dense_basis(a, random.Random(entry.description))[0])
     assert calls == []
     # a refused table does reach it, once
     with pytest.raises(NotAssociative):
@@ -115,15 +107,8 @@ def test_valid_catalog_tables_never_reach_the_full_walk(field, monkeypatch):
 )
 def test_a_fresh_load_builds_the_generating_set_once_for_load_and_decision(name, params, monkeypatch):
     doc = algebra_to_json(build(name, **params).algebra)
-    builds = []
-    generators = algebras._generators
-
-    def counted(a):
-        if "generators" not in a._memo:
-            builds.append(a)
-        return generators(a)
-
-    monkeypatch.setattr(algebras, "_generators", counted)
+    builds = count(monkeypatch, {"built": []}, [algebras], "_generators",
+                   built=lambda a: [] if "generators" in a._memo else [a])["built"]
     a = algebra_from_json(doc)
     assert builds == [a]  # built by the associativity check
     rep = algebra_centrally_stable(a)
@@ -145,19 +130,8 @@ def test_load_work_is_bounded_on_catalog_bases(name, params, pairs, products, mo
     # closure makes: only the x that reach g, and no product once G spans a
     b = build(name, field=Q, **params).algebra
     a = derived_from_table(Q, b.dim, b.table)
-    seen = {"pairs": 0, "products": 0}
-    defect, product = algebras._associator_defect, Algebra._basis_mul_vec
-
-    def counted_defect(*args):
-        seen["pairs"] += 1
-        return defect(*args)
-
-    def counted_product(*args):
-        seen["products"] += 1
-        return product(*args)
-
-    monkeypatch.setattr(algebras, "_associator_defect", counted_defect)
-    monkeypatch.setattr(Algebra, "_basis_mul_vec", counted_product)
+    seen = count(monkeypatch, {"pairs": 0, "products": 0}, [algebras], "_associator_defect", pairs=1)
+    count(monkeypatch, seen, [Algebra], "_basis_mul_vec", products=1)
     algebras._generators(a)
     assert seen["products"] <= products
     algebras._check_associativity(a)

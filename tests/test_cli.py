@@ -16,13 +16,7 @@ from censtab.fileformat import load_algebra
 from censtab.linalg import span
 from censtab.radical import radical
 from censtab.stability import StabilityReport, StableElementWitness, decompose_tensor_element
-from oracle import strip_timings
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    out = capsys.readouterr()
-    return code, out.out, out.err
+from oracle import dense_basis, monomial, presented_document, run, strip_timings
 
 
 def test_construct_stable_element_flow(tmp_path, capsys):
@@ -609,21 +603,18 @@ def test_overlong_computed_scalar_is_invalid_input(tmp_path, capsys):
     # exg in a dense basis, then presented on f_i = d_i e_i, d_i = a/b with
     # 80-digit a, b: every table literal is under the limit, but the
     # certificate's are not
-    import random
     from fractions import Fraction
 
     from censtab.catalog import build
     from censtab.scalars import MAX_LITERAL_DIGITS
-    from test_radical import _dense_basis
 
-    a, _ = _dense_basis(build("exg").algebra, random.Random(5))
+    a, _ = dense_basis(build("exg").algebra, random.Random(5))
     rng = random.Random(5)
     d = [Fraction(rng.randint(10**79, 10**80), rng.randint(10**79, 10**80)) for _ in range(a.dim)]
-    table = [[i, j, [[k, str(d[i] * d[j] * c / d[k])] for k, c in pairs]]
-             for (i, j), pairs in sorted(a.table.items())]
-    assert max(len(s) for _, _, pairs in table for _, s in pairs) < MAX_LITERAL_DIGITS
+    doc = presented_document(a, monomial(d, range(a.dim)))
+    assert max(len(s) for _, _, pairs in doc["table"] for _, s in pairs) < MAX_LITERAL_DIGITS
     path = tmp_path / "exg.json"
-    path.write_text(json.dumps({"field": "Q", "dim": a.dim, "table": table}))
+    path.write_text(json.dumps(doc))
     coords = ",".join(["1"] * a.dim)
     for extra in (("--json",), ()):
         code, out, err = run(capsys, "element", str(path), "--coords", coords, *extra)

@@ -16,7 +16,7 @@ from censtab.catalog import build
 from censtab.linalg import _int_entries
 from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import random_element
-from test_radical import _dense_basis
+from oracle import dense_basis
 
 CASES = [
     ("matrix_full", {"n": 3}),
@@ -62,7 +62,7 @@ def test_one_pass_commutator_rows_match_the_basis_products(field):
     seen = {"cancelled": 0, "nonzero": 0, "dense": 0}
     for name, params in CASES:
         a = build(name, field=field, **params).algebra
-        for b in (a, _dense_basis(a, rng)[0]):
+        for b in (a, dense_basis(a, rng)[0]):
             seen["dense"] += b is not a
             for v in _elements(b, rng):
                 got = [{k: x for k, x in w.items() if x} for w in _commutator_rows(b, v)]

@@ -5,8 +5,8 @@ in I', the span of the commutator-ideal closure it stopped once x was in
 Z + I'.  Its z is the one element of Z cap (x + I') that is zero at the pivot
 columns of Z cap I'.  Each Stable report is checked here against that rule by
 means the decision does not use: z commutes with every e_i by
-`oracle.dense_product`, and x - z lies in Id([x, A]) closed here from dense
-products.
+`oracle.dense_product`, and x - z lies in Id([x, A]) closed by
+`oracle.dense_ideal`.
 
 The rows of [x, A] enter their span, and the closure that replays Id([x, A]),
 sparsest first.  The reduced rows either gives are unique, so they are
@@ -37,8 +37,7 @@ from censtab.stability import (
     random_element,
     verify_certificate,
 )
-from oracle import dense_commutator, dense_product
-from test_radical import _dense_basis
+from oracle import count, dense_basis, dense_commutator, dense_ideal, dense_product
 
 FIELDS = pytest.mark.parametrize("field", [Q, prime_field(101)], ids=str)
 
@@ -68,31 +67,12 @@ def _dense_element(a, rng):
     return a.element(tuple(f.coerce(rng.choice((-1, 1)) * rng.randint(1, 9)) for _ in range(a.dim)))
 
 
-def _units(a):
-    f, n = a.field, a.dim
-    return [tuple(f.one if k == i else f.zero for k in range(n)) for i in range(n)]
-
-
-def _two_sided_ideal(a, gens):
-    """The ideal gens generate: their span, closed under e_i v and v e_i in
-    rounds of dense products until a round adds nothing."""
-    f, n, units = a.field, a.dim, _units(a)
-    s = span(f, gens, n)
-    while True:
-        grown = [*s.rows, *(dense_product(a, e, r) for r in s.rows for e in units),
-                 *(dense_product(a, r, e) for r in s.rows for e in units)]
-        t = span(f, grown, n)
-        if t.dim == s.dim:
-            return s
-        s = t
-
-
 def _algebras(field, rng):
     for name, params in WITNESS_CASES:
         a = build(name, field=field, **params).algebra
         yield name, a
         if a.dim <= DENSE_MAX_DIM:
-            yield f"dense {name}", _dense_basis(a, rng)[0]
+            yield f"dense {name}", dense_basis(a, rng)[0]
 
 
 @FIELDS
@@ -111,9 +91,9 @@ def test_a_stable_witness_carries_the_central_part_zero_at_the_pivots_of_z_cap_t
             cert = rep.certificate
             z = cert.central_part
             assert tuple(f.add(zi, ui) for zi, ui in zip(z, cert.ideal_part)) == x.coords
-            units = _units(a)
+            units = [a.basis_element(i).coords for i in range(n)]
             assert all(dense_product(a, z, e) == dense_product(a, e, z) for e in units), label
-            ideal = _two_sided_ideal(a, [dense_commutator(a, x.coords, e) for e in units])
+            ideal = dense_ideal(a, [dense_commutator(a, x.coords, e) for e in units])
             assert ideal.contains(tuple(f.sub(xi, zi) for xi, zi in zip(x.coords, z))), label
             partial = rep.bases.get("commutator_ideal_partial", ())
             meet = subspace_intersect(span(f, rep.bases["center"], n), span(f, partial, n))
@@ -134,7 +114,7 @@ def test_the_commutator_span_and_its_ideal_do_not_depend_on_the_row_order(field)
     reordered = 0
     for name, params in ORDER_CASES:
         a = build(name, field=field, **params).algebra
-        for b in (a, _dense_basis(a, rng)[0]):
+        for b in (a, dense_basis(a, rng)[0]):
             xs = [b.basis_element(i) for i in range(b.dim)] + [random_element(b, rng) for _ in range(3)]
             for x in xs:
                 rows = list(_commutator_rows(b, _int_entries(x.coords)))
@@ -155,15 +135,8 @@ def test_the_commutator_span_and_its_ideal_do_not_depend_on_the_row_order(field)
 def _count_eliminations(monkeypatch):
     """Count the eliminations of every reducer from here on, and the row
     entries they read."""
-    counts = {"calls": 0, "entries": 0}
-    for cls in (_RationalReducer, _PrimeReducer):
-        def counted(self, v, c, r, p, real=cls._eliminate):
-            counts["calls"] += 1
-            counts["entries"] += len(r)
-            return real(self, v, c, r, p)
-
-        monkeypatch.setattr(cls, "_eliminate", counted)
-    return counts
+    return count(monkeypatch, {"calls": 0, "entries": 0}, [_RationalReducer, _PrimeReducer], "_eliminate",
+                 calls=1, entries=lambda self, v, c, r, p: len(r))
 
 
 def _query_element(a, rng):

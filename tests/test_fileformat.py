@@ -42,7 +42,7 @@ from censtab.radical import radical
 from censtab.scalars import MAX_LITERAL_DIGITS, RATIONALS, FieldSpec, prime_field
 from censtab.stability import algebra_centrally_stable, element_centrally_stable
 
-from test_algebras import presentation
+from oracle import count, monomial, presentation, presented_document, replays
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_json.json"
 
@@ -519,15 +519,8 @@ def test_vector_to_json_formats_every_entry_that_is_not_the_shared_zero(field):
 
 
 def _count_calls(monkeypatch, name):
-    calls = []
-    method = getattr(FieldSpec, name)
-
-    def counted(self, x):
-        calls.append(x)
-        return method(self, x)
-
-    monkeypatch.setattr(FieldSpec, name, counted)
-    return calls
+    """The arguments of every call of FieldSpec.name from here on, in order."""
+    return count(monkeypatch, {name: []}, [FieldSpec], name, **{name: lambda self, x: [x]})[name]
 
 
 @pytest.mark.parametrize("field", [RATIONALS, prime_field(101)], ids=repr)
@@ -704,24 +697,11 @@ def _presented(a, rng):
     pairs sorted, in the manner of the benchmark's inputs."""
     n, p = a.dim, a.field.p
     perm = rng.sample(range(n), n)
-    new = {old: i for i, old in enumerate(perm)}
     if p is None:
         d = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
     else:
         d = [rng.randint(1, p - 1) for _ in range(n)]
-    table = []
-    for (i0, j0), pairs in a.table.items():
-        i, j = new[i0], new[j0]
-        out = []
-        for k0, c in pairs:
-            k = new[k0]
-            if p is None:
-                out.append([k, str(d[i] * d[j] * c / d[k])])
-            else:
-                out.append([k, str(d[i] * d[j] * c * pow(d[k], -1, p) % p)])
-        table.append([i, j, sorted(out)])
-    table.sort()
-    return {"field": algebra_to_json(a)["field"], "dim": n, "table": table}
+    return presented_document(a, monomial(d, perm))
 
 
 # Files no engine writes: entries out of order, pairs out of order, a repeated
@@ -840,7 +820,7 @@ def test_a_load_coerces_no_scalar_and_builds_no_table(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert "table" not in a._memo
     rep = algebra_centrally_stable(a)
-    assert verify_report_json(a, json.loads(dump_json(report_to_json(a, rep, command="stable"))))
+    assert replays(a, rep)
     assert "table" not in a._memo  # deciding and replaying read the index only
     for build_from_a in (opposite, unitization, lambda a: direct_product(a, a),
                          lambda a: tensor_product(a, a), lambda a: matrix_algebra(a, 2),

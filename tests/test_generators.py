@@ -23,20 +23,9 @@ from censtab.catalog import build
 from censtab.linalg import kernel_of_rows, span
 from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import random_element
-from oracle import dense_commutator, dense_product
-from test_radical import _dense_basis
+from oracle import CASES, count_products, dense_basis, dense_commutator, dense_ideal, dense_product
 
 FIELDS = pytest.mark.parametrize("field", [Q, prime_field(101)], ids=str)
-
-CASES = [
-    ("matrix_full", {"n": 3}),
-    ("upper_triangular", {"n": 4}),
-    ("scalar_plus_strict_upper", {"n": 4}),
-    ("strict_upper", {"n": 4}),
-    ("truncated_poly", {"k": 6}),
-    ("matrix_over_commutative", {"n": 2, "k": 2}),
-    ("r11_radical", {"n": 2, "k": 3}),
-]
 
 
 def _center_ref(a):
@@ -45,22 +34,6 @@ def _center_ref(a):
     comms = [[dense_commutator(a, e_i, e_j) for e_i in basis] for e_j in basis]
     rows = [[c[k] for c in row] for row in comms for k in range(a.dim)]
     return kernel_of_rows(a.field, rows, a.dim)
-
-
-def _closure_ref(a, xs):
-    """The ideal generated by xs: span(xs) closed under e_i s and s e_i for
-    every basis vector e_i, one round at a time."""
-    s = span(a.field, [x.coords for x in xs], a.dim)
-    basis = [a.basis_element(i).coords for i in range(a.dim)]
-    while True:
-        vs = s.rows
-        prods = [dense_product(a, e, v) for v in vs for e in basis] + [
-            dense_product(a, v, e) for v in vs for e in basis
-        ]
-        t = span(a.field, list(s.rows) + prods, a.dim)
-        if t == s:
-            return s
-        s = t
 
 
 def _witness_ref(a, s):
@@ -96,7 +69,7 @@ def _algebras(field):
     for name, params in CASES:
         a = build(name, field=field, **params).algebra
         yield name, a
-        yield f"{name} dense", _dense_basis(a, rng)[0]
+        yield f"{name} dense", dense_basis(a, rng)[0]
         ideal = ideal_generated(a, [random_element(a, rng)])
         if 0 < ideal.dim < a.dim:
             yield f"{name} quotient", quotient(a, ideal).target
@@ -128,9 +101,9 @@ def test_generators_center_closure_and_ideal_check_match_the_whole_basis(field):
         assert center(a) == _center_ref(a), name
         for _ in range(3):
             xs = [random_element(a, rng) for _ in range(rng.randint(1, 2))]
-            assert ideal_generated(a, xs) == _closure_ref(a, xs), name
+            assert ideal_generated(a, xs) == dense_ideal(a, [x.coords for x in xs]), name
         xs = [a.basis_element(rng.randrange(a.dim))]
-        assert ideal_generated(a, xs) == _closure_ref(a, xs), name
+        assert ideal_generated(a, xs) == dense_ideal(a, [x.coords for x in xs]), name
         for s in _subspaces(a, rng):
             want = _witness_ref(a, s)
             assert ideal_witness(a, s) == want, name
@@ -146,3 +119,13 @@ def test_generators_are_few_on_the_catalog():
         ("strict_upper", {"n": 7}, 6),
     ):
         assert len(_generators(build(name, **params).algebra)) == size, name
+
+
+def test_the_closure_ends_once_its_span_is_full(monkeypatch):
+    # a random element of M_3 generates all of it: the work list is left at
+    # the full span with rows still on it (90 products when walked out)
+    a = build("matrix_full", n=3).algebra
+    x = random_element(a, random.Random(1))
+    counts = count_products(monkeypatch, {"products": 0})
+    assert ideal_generated(a, [x]).dim == a.dim
+    assert counts == {"products": 38}

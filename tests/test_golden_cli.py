@@ -7,21 +7,27 @@ for byte with the stored text in `golden/cli_json.json`, with the `timings`
 member cut out of both.  The same cases run again without `--json`, the
 commands that write an algebra given `-o TMP/out.json`, and their human
 lines are compared with `golden/cli_text.json`, the temporary directory
-written as TMP.  Refactors of the engine and the CLI must keep these bytes.
-To regenerate both stored files after an intended change of output:
+written as TMP.  `golden/cli_help.json` holds what censtab hands argparse
+for `--help`: the description, each subcommand's help, and each argument's
+option strings, help, `required`, default and choices (argparse's rendering
+of them varies between Python versions).  Refactors of the engine and the
+CLI must keep these bytes.  To regenerate the stored files after an
+intended change of output:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
 
+import argparse
 import json
 import sys
 from pathlib import Path
 
-from censtab.cli import main
+from censtab.cli import _build_parser, main
 from oracle import strip_timings
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_json.json"
 GOLDEN_TEXT = Path(__file__).parent / "golden" / "cli_text.json"
+GOLDEN_HELP = Path(__file__).parent / "golden" / "cli_help.json"
 # the subcommands that write an algebra: given -o in place of --json
 WRITERS = ("construct", "quotient", "tensor", "product", "unitize", "matrix", "opposite")
 
@@ -128,6 +134,29 @@ def collect(tmp, run, text=False):
     return outputs
 
 
+def _arguments(parser):
+    """Each argument censtab adds to parser, as argparse holds it."""
+    return [
+        {"options": a.option_strings or [a.dest], "help": a.help, "required": a.required,
+         "default": a.default, "choices": None if a.choices is None else list(a.choices)}
+        for a in parser._actions
+        if not isinstance(a, (argparse._HelpAction, argparse._VersionAction, argparse._SubParsersAction))
+    ]
+
+
+def help_spec():
+    """What `censtab --help` and each subcommand's `--help` are made from."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {action.dest: action.help for action in sub._choices_actions}
+    commands = {name: {"help": helps[name], "arguments": _arguments(p)} for name, p in sub.choices.items()}
+    return {"description": parser.description, "arguments": _arguments(parser), "commands": commands}
+
+
+def test_help_matches_golden():
+    assert help_spec() == json.loads(GOLDEN_HELP.read_text())
+
+
 def test_every_subcommand_is_covered():
     golden = json.loads(GOLDEN.read_text())
     commands = {case.split("/")[0].split("-")[0] for case in golden}
@@ -190,3 +219,5 @@ if __name__ == "__main__":
             outputs = collect(Path(tmp), run_captured, text)
         path.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {len(outputs)} cases to {path}", file=sys.stderr)
+    GOLDEN_HELP.write_text(json.dumps(help_spec(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote the --help values to {GOLDEN_HELP}", file=sys.stderr)

@@ -1,9 +1,12 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no test module another.
 
 Each module of the package (its `__init__.py` re-exports, so it is left out)
 and each test module is parsed with `ast`.  A name an import binds counts as
 used when it is read anywhere in the module, as a plain name or as the root
 of an attribute chain.  Deleting library code must take its imports along.
+Test modules share helpers through `tests/oracle.py` (and the line tracer
+`tests/linetrace.py`), never through one another, so that a helper has one
+copy and the modules no import cycle.
 """
 
 import ast
@@ -42,3 +45,28 @@ def test_no_module_imports_a_name_it_never_uses():
         for line, name in _unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []
+
+
+def _imported_modules(source):
+    """(line, top-level module name) for each import, function-local ones too."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append((node.lineno, node.module.split(".")[0]))
+    return out
+
+
+def test_no_test_module_imports_another():
+    source = "import os\ndef f():\n    from test_x import y\n    import test_z.w\n"
+    assert _imported_modules(source) == [(1, "os"), (3, "test_x"), (4, "test_z")]
+    tests = sorted((ROOT / "tests").glob("test_*.py"))
+    names = {path.stem for path in tests}
+    shared = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in tests
+        for line, name in _imported_modules(path.read_text(encoding="utf-8"))
+        if name in names
+    ]
+    assert len(names) > 20 and shared == []

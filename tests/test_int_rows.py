@@ -4,7 +4,7 @@ the witness lifts, the quotient centers and the kernels.
 Each result is checked against what it must satisfy, with products summed
 by `oracle.dense_product` over the exact table, not against another copy of
 the computation.  The inputs are catalog entries and dense presentations
-(`_dense_basis`), whose reducer rows over Q have pivot entries other than 1.
+(`oracle.dense_basis`), whose reducer rows over Q have pivot entries other than 1.
 """
 
 import random
@@ -19,8 +19,7 @@ from censtab.linalg import _make_reducer, kernel_of_rows, span, subspace_interse
 from censtab.radical import radical
 from censtab.scalars import RATIONALS as Q, prime_field
 
-from oracle import dense_commutator
-from test_radical import DENSE_CASES, _dense_basis
+from oracle import DENSE_CASES, dense_basis, dense_commutator
 
 FIELDS = pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
 
@@ -30,7 +29,7 @@ def _algebras(field):
     DENSE_CASES."""
     rng = random.Random(f"int-rows:{field.p}")
     out = [e.algebra for e in standard_entries(field) if e.algebra.dim <= 16]
-    out += [_dense_basis(build(name, field=field, **params).algebra, rng)[0]
+    out += [dense_basis(build(name, field=field, **params).algebra, rng)[0]
             for name, params in DENSE_CASES]
     return out
 

@@ -18,14 +18,10 @@ from censtab.linalg import (
 )
 from censtab.radical import _trace_form_rows, radical
 from censtab.scalars import RATIONALS, prime_field
+from oracle import full_space
 
 Q = RATIONALS
 F = Fraction
-
-
-def full_space(field, n):
-    """F^n, spanned by the identity rows."""
-    return span(field, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
 
 def test_span_examples():

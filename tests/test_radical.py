@@ -21,15 +21,28 @@ from censtab.algebras import (
 )
 from censtab.catalog import build, standard_entries
 from censtab.errors import ConsistencyError, UnsupportedCharacteristic
-from censtab.linalg import express_in_span, kernel_of_rows, span, subspace_intersect
+from censtab.linalg import kernel_of_rows, span, subspace_intersect
 from censtab.radical import _trace_form_rows, radical, radical_failure
 from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import algebra_centrally_stable, random_element, verify_certificate
 
-from oracle import dense_product, full_family, strict_upper_family, upper_family
-from test_algebras import alg_from_family, truncated_poly
-from test_linalg import full_space
-from test_stability import _non_unital_algebras, _random_subalgebra
+from oracle import (
+    DENSE_CASES,
+    During,
+    alg_from_family,
+    carried,
+    count,
+    count_products,
+    dense_basis,
+    dense_product,
+    full_family,
+    full_space,
+    non_unital_algebras,
+    random_subalgebra,
+    strict_upper_family,
+    truncated_poly,
+    upper_family,
+)
 
 FIELDS = pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
 
@@ -244,7 +257,7 @@ def test_the_trace_row_of_a_unital_algebra_is_dependent(field):
 def test_the_opposite_algebra_has_the_same_radical_center_and_verdict(field):
     # rad, Z and ideals are two-sided, so A^op keeps them; its trace row is
     # A's vector of right traces, a second way to the same radical
-    algebras = [entry.algebra for entry in standard_entries(field)] + _non_unital_algebras(field, 40)
+    algebras = [entry.algebra for entry in standard_entries(field)] + non_unital_algebras(field, 40)
     for idx, a in enumerate(algebras):
         op = opposite(a)
         assert radical(op) == radical(a), (field.p, idx)
@@ -258,7 +271,7 @@ def test_radical_failure_of_a_non_unital_algebra_agrees_with_its_unitization(fie
     # of radical_failure gives the same answer in A as in A# (see its
     # docstring), so the two agree on the first step that fails
     kinds = set()
-    for idx, a in enumerate(_non_unital_algebras(field, 40)):
+    for idx, a in enumerate(non_unital_algebras(field, 40)):
         rng = random.Random(f"radical-failure:{field.p}:{idx}")
         uni = unitization(a)
         rad = radical(a)
@@ -401,7 +414,7 @@ def test_trace_nilpotency_agrees_with_the_power_chain(field):
     ]
     for trial in range(40):
         rng = random.Random(f"squaring:{trial}")
-        sub = _random_subalgebra(ambients[trial % len(ambients)], rng)
+        sub = random_subalgebra(ambients[trial % len(ambients)], rng)
         cases.append((sub, full_space(field, sub.dim)))
     outcomes = {_agrees_with_the_power_chain(a, ideal) for a, ideal in cases}
     assert outcomes == {True, False}
@@ -452,48 +465,19 @@ def test_trace_nilpotency_agrees_with_the_power_chain_on_generated_ideals(case):
     _agrees_with_the_power_chain(*case)
 
 
-def _dense_basis(a, rng):
-    """a presented in the basis f_i = sum_j P_ij e_j, for a random invertible
-    P with entries in [-2, 2]: the same algebra with a dense table.  Returns
-    the new algebra and P."""
-    f, n = a.field, a.dim
-    while True:
-        p = [tuple(f.coerce(rng.randint(-2, 2)) for _ in range(n)) for _ in range(n)]
-        if span(f, p, n).dim == n:
-            break
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            q = express_in_span(f, p, dense_product(a, p[i], p[j]), n)
-            table[(i, j)] = [(k, c) for k, c in enumerate(q) if c]
-    return build_algebra(f, n, table), p
-
-
-DENSE_CASES = [
-    ("truncated_poly", {"k": 6}),
-    ("upper_triangular", {"n": 3}),
-    ("matrix_full", {"n": 3}),
-    ("scalar_plus_strict_upper", {"n": 4}),
-    ("strict_upper", {"n": 4}),
-    ("r11_radical", {"n": 2, "k": 3}),
-]
-
-
 @FIELDS
 def test_a_dense_change_of_basis_keeps_the_verdict_center_and_radical(field):
     rng = random.Random(f"dense:{field}")
     verdicts = set()
     for name, params in DENSE_CASES:
         a = build(name, field=field, **params).algebra
-        b, p = _dense_basis(a, rng)
+        b, p = dense_basis(a, rng)
         assert sum(map(len, b.table.values())) > sum(map(len, a.table.values()))
         rep_a, rep_b = algebra_centrally_stable(a), algebra_centrally_stable(b)
         assert rep_b.verdict == rep_a.verdict, name
         assert center(b).dim == center(a).dim, name
         # the radical of b, carried back to the basis e, is the radical of a
-        rad_b = [[sum((field.mul(q[i], p[i][k]) for i in range(b.dim)), field.zero)
-                  for k in range(a.dim)] for q in radical(b).rows]
-        assert span(field, rad_b, a.dim) == radical(a), name
+        assert span(field, carried(field, radical(b).rows, p), a.dim) == radical(a), name
         assert verify_certificate(b, rep_b), name
         verdicts.add(rep_b.verdict)
     assert len(verdicts) == 2
@@ -505,41 +489,12 @@ def _count_work(monkeypatch):
     counts = {"power_chains": 0, "ideal_witness": 0, "products": 0, "witness_products": 0,
               "canonical_rows": 0}
     algebras = importlib.import_module("censtab.algebras")
-    chain = algebras.nilpotency_index
-
-    def counted_chain(a):
-        counts["power_chains"] += 1
-        return chain(a)
-
-    witness = algebras.ideal_witness
-
-    def counted_witness(a, s):
-        counts["ideal_witness"] += 1
-        before = counts["products"]
-        try:
-            return witness(a, s)
-        finally:
-            counts["witness_products"] += counts["products"] - before
-
-    for name in ("_basis_mul_vec", "_vec_mul_basis"):
-        def counted(self, *args, real=getattr(Algebra, name)):
-            counts["products"] += 1
-            return real(self, *args)
-
-        monkeypatch.setattr(Algebra, name, counted)
-    canonical = linalg._Reducer.canonical_rows
-
-    def counted_canonical(self):
-        counts["canonical_rows"] += 1
-        return canonical(self)
-
-    monkeypatch.setattr(linalg._Reducer, "canonical_rows", counted_canonical)
-
-    monkeypatch.setattr(algebras, "nilpotency_index", counted_chain)
-    monkeypatch.setattr(algebras, "ideal_witness", counted_witness)
+    count(monkeypatch, counts, [algebras], "nilpotency_index", power_chains=1)
     # censtab.radical is shadowed by the function of that name on the package
-    monkeypatch.setattr(importlib.import_module("censtab.radical"), "ideal_witness", counted_witness)
-    return counts
+    count(monkeypatch, counts, [algebras, importlib.import_module("censtab.radical")], "ideal_witness",
+          ideal_witness=1, witness_products=During("products"))
+    count_products(monkeypatch, counts)
+    return count(monkeypatch, counts, [linalg._Reducer], "canonical_rows", canonical_rows=1)
 
 
 @FIELDS
@@ -564,14 +519,8 @@ def test_decision_and_replay_build_no_algebra(field, name, params, route, monkey
     # or not, and the witness lifts are computed in A: the radical, the
     # decision and its replay build no algebra, on either lift route
     a = build(name, field=field, **params).algebra
-    built = []
-    init = Algebra.__init__
-
-    def counted_init(self, field, dim, *args, **kwargs):
-        built.append(dim)
-        init(self, field, dim, *args, **kwargs)
-
-    monkeypatch.setattr(Algebra, "__init__", counted_init)
+    built = count(monkeypatch, {"dims": []}, [Algebra], "__init__",
+                  dims=lambda self, field, dim, *rest: [dim])["dims"]
     radical(a)
     rep = algebra_centrally_stable(a)
     assert rep.bases.get("witness_quotient") == route
@@ -618,11 +567,11 @@ def test_the_semisimplicity_step_agrees_with_the_trace_form_of_the_quotient(fiel
         rng = random.Random("semisimple:boundary")
         algebras = [build(name, field=prime_field(p), **params).algebra for name, params, p in BOUNDARY_CASES]
         assert [(a.dim, a.field.p) for a in algebras] == [(6, 7), (12, 13)]
-        algebras += [_dense_basis(a, rng)[0] for a in algebras]
+        algebras += [dense_basis(a, rng)[0] for a in algebras]
     else:
         rng = random.Random(f"semisimple:{field.p}")
         algebras = [entry.algebra for entry in standard_entries(field)]
-        algebras += [_dense_basis(build(name, field=field, **params).algebra, rng)[0]
+        algebras += [dense_basis(build(name, field=field, **params).algebra, rng)[0]
                      for name, params in DENSE_CASES]
     outcomes = set()
     for idx, a in enumerate(algebras):
@@ -665,13 +614,7 @@ def test_radical_ideal_check_products_are_bounded_by_the_generators(field, monke
     # g over the generators of a; it scans every e_i only when that fails
     a = build("truncated_poly", k=24, field=field).algebra
     gens = _generators(a)  # memoized before counting
-    counts = {"products": 0}
-    for name in ("_basis_mul_vec", "_vec_mul_basis"):
-        def counted(self, *args, real=getattr(Algebra, name)):
-            counts["products"] += 1
-            return real(self, *args)
-
-        monkeypatch.setattr(Algebra, name, counted)
+    counts = count_products(monkeypatch, {"products": 0})
     rad = radical(a)
     assert counts["products"] <= 2 * len(gens) * rad.dim == 92
 

@@ -16,10 +16,11 @@ from censtab.algebras import (
     tensor_product,
 )
 from censtab.catalog import build
-from censtab.errors import DimensionMismatch, FieldMismatch, FileFormatError
+from censtab.errors import DimensionMismatch, FieldMismatch, FileFormatError, ScalarTooLong
 from censtab.fileformat import (
     algebra_from_json,
     certificate_from_json,
+    save_algebra,
     vector_from_json,
     verify_report_json,
 )
@@ -27,7 +28,7 @@ from censtab.linalg import express_in_span, span, subspace_intersect, subspace_s
 from censtab.scalars import RATIONALS as Q, prime_field
 from censtab.stability import decompose_tensor_element
 
-from test_cli import run
+from oracle import run
 
 GF101 = prime_field(101)
 NOT_PRIME = "prime field order must be a prime, got 4"
@@ -127,3 +128,23 @@ def test_constructions_refused_from_files_exit_2(argv, message, tmp_path, capsys
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not (tmp_path / "out.json").exists()
+
+
+def test_a_refused_write_leaves_the_output_file_as_it_was(tmp_path, capsys, monkeypatch):
+    # e0 e0 = c e0 with c = 1/7...7 (4300 digits) loads; its tensor square has
+    # c^2 with 8600, so writing it is refused before the file is opened
+    monkeypatch.chdir(tmp_path)
+    big = {"field": "Q", "dim": 1, "table": [[0, 0, [[0, "1/" + "7" * 4300]]]]}
+    (tmp_path / "big.json").write_text(json.dumps(big))
+    square = tensor_product(algebra_from_json(big), algebra_from_json(big))
+    message = "a computed scalar exceeds the limit of 4300 digits per integer"
+
+    def cli(name):
+        assert run(capsys, "tensor", "big.json", "big.json", "-o", name) == (2, "", f"error: {message}\n")
+
+    for write in (lambda name: _refused(ScalarTooLong, message, lambda: save_algebra(square, name)), cli):
+        (tmp_path / "out.json").write_bytes(b'{"kept": true}\n')
+        write("out.json")
+        assert (tmp_path / "out.json").read_bytes() == b'{"kept": true}\n'
+        write("new.json")
+        assert not (tmp_path / "new.json").exists()

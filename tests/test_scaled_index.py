@@ -8,7 +8,6 @@ change of basis, and every report with the one for the same table scaled
 to integers (f_i -> N f_i), which is built with scale 1.
 """
 
-import json
 import random
 from dataclasses import fields
 from fractions import Fraction
@@ -29,13 +28,7 @@ from censtab.algebras import (
 )
 from censtab.catalog import build
 from censtab.errors import NotAssociative
-from censtab.fileformat import (
-    algebra_from_json,
-    algebra_to_json,
-    dump_json,
-    report_to_json,
-    verify_report_json,
-)
+from censtab.fileformat import algebra_from_json, algebra_to_json, report_to_json, verify_report_json
 from censtab.linalg import span, subspace_intersect
 from censtab.radical import radical
 from censtab.scalars import RATIONALS as Q, prime_field
@@ -45,7 +38,15 @@ from censtab.stability import (
     random_element,
 )
 from oracle import (
+    carried,
+    count,
+    dense_basis,
     dense_product,
+    inverse,
+    monomial,
+    presented,
+    reloaded,
+    replays,
     table_cell_algebra,
     table_direct_product,
     table_opposite,
@@ -53,7 +54,6 @@ from oracle import (
     table_tensor_product,
     table_unitization,
 )
-from test_radical import _dense_basis
 
 CASES = [
     ("matrix_full", {"n": 2}),
@@ -85,40 +85,16 @@ def _big_scales(rng, n):
     return [Fraction(rng.randint(1, 9), rng.choice(BIG_PRIMES)) for _ in range(n)]
 
 
-def _rescaled(a, d, perm):
-    """a in the basis f_i = d_i e_perm(i): c'_ijk = d_i d_j c[perm i][perm j][perm k] / d_k."""
-    new = {old: i for i, old in enumerate(perm)}
-    table = {}
-    for (i0, j0), pairs in a.table.items():
-        i, j = new[i0], new[j0]
-        table[(i, j)] = [(new[k0], d[i] * d[j] * c / d[new[k0]]) for k0, c in pairs]
-    return build_algebra(Q, a.dim, table)
-
-
-def _to_f(x, d, perm):
-    # x = sum_m x_m e_m = sum_k (x_perm(k) / d_k) f_k
-    return tuple(Fraction(x[perm[k]]) / d[k] for k in range(len(d)))
-
-
-def _to_e(y, d, perm):
-    x = [Fraction(0)] * len(d)
-    for k, yk in enumerate(y):
-        x[perm[k]] = d[k] * yk
-    return tuple(x)
-
-
-def _mapped(s, d, perm):
-    return span(Q, [_to_f(r, d, perm) for r in s.rows], len(d))
-
-
 def _presentations(scales, seed):
+    """Each case a, in the basis f_i = d_i e_perm(i) drawn from seed: (entry,
+    a, b, p) with b the presented algebra and p its matrix."""
     rng = random.Random(seed)
     for name, params in CASES:
         entry = build(name, **params)
         a = entry.algebra
         perm = rng.sample(range(a.dim), a.dim)
-        d = scales(rng, a.dim)
-        yield entry, a, _rescaled(a, d, perm), d, perm
+        p = monomial(scales(rng, a.dim), perm)
+        yield entry, a, presented(a, p), p
 
 
 def _integral_reference(b):
@@ -196,13 +172,13 @@ def _index_product(a, x, y):
 def test_index_products_match_a_dense_product_over_the_table(scales):
     rng = random.Random(5)
     scaled = 0
-    for _, a, b, d, perm in _presentations(scales, 3):
+    for _, a, b, p in _presentations(scales, 3):
         scaled += b._scale > 1
         for _ in range(4):
             x, y = random_element(b, rng).coords, random_element(b, rng).coords
             got = _index_product(b, x, y)
             assert got == dense_product(b, x, y)
-            assert got == _to_f(_index_product(a, _to_e(x, d, perm), _to_e(y, d, perm)), d, perm)
+            assert carried(Q, [got], p) == [_index_product(a, *carried(Q, [x, y], p))]
         _check_basis_products(b, rng)
     assert scaled >= len(CASES) - 1
     # e_i v and v e_i differ in these, so reading one index entry for the other fails
@@ -212,38 +188,39 @@ def test_index_products_match_a_dense_product_over_the_table(scales):
 
 
 def test_large_coprime_denominators_give_a_scale_above_two_to_the_64():
-    for _, _, b, _, _ in _presentations(_big_scales, 7):
+    for _, _, b, _ in _presentations(_big_scales, 7):
         assert b._scale > 2**64
 
 
 @pytest.mark.parametrize("scales", [_small_scales, _big_scales])
 def test_rescaled_outputs_match_the_catalog_algebra(scales):
     rng = random.Random(11)
-    for entry, a, b, d, perm in _presentations(scales, 13):
+    for entry, a, b, p in _presentations(scales, 13):
+        inv = inverse(Q, p)  # carries e-coordinates to the f_i
         if a.unity is None:
             assert b.unity is None
         else:
-            assert b.unity == _to_f(a.unity, d, perm)
+            assert carried(Q, [b.unity], p) == [a.unity]
             assert _fractions_only([b.unity])
         z, rad = center(b), radical(b)
-        assert z == _mapped(center(a), d, perm)
-        assert rad == _mapped(radical(a), d, perm)
+        assert span(Q, carried(Q, z.rows, p), a.dim) == center(a)
+        assert span(Q, carried(Q, rad.rows, p), a.dim) == radical(a)
         assert (z.dim, rad.dim) == (entry.expected.center_dim, entry.expected.radical_dim)
         x = random_element(a, rng).coords
-        ideal = ideal_generated(b, [_to_f(x, d, perm)])
-        assert ideal == _mapped(ideal_generated(a, [x]), d, perm)
+        ideal = ideal_generated(b, carried(Q, [x], inv))
+        assert span(Q, carried(Q, ideal.rows, p), a.dim) == ideal_generated(a, [x])
         assert _fractions_only(z.rows + rad.rows + ideal.rows)
         assert algebra_centrally_stable(b).verdict == entry.expected.verdict
         for _ in range(3):
             x = random_element(a, rng).coords
             want = element_centrally_stable(a.element(x)).verdict
-            assert element_centrally_stable(b.element(_to_f(x, d, perm))).verdict == want
+            assert element_centrally_stable(b.element(carried(Q, [x], inv)[0])).verdict == want
 
 
 @pytest.mark.parametrize("scales", [_small_scales, _big_scales])
 def test_rescaled_reports_match_the_integral_reference_and_replay(scales):
     rng = random.Random(17)
-    for _, _, b, _, _ in _presentations(scales, 19):
+    for _, _, b, _ in _presentations(scales, 19):
         ref = _integral_reference(b)
         reload = algebra_from_json(algebra_to_json(b))
         reports = [(algebra_centrally_stable(b), algebra_centrally_stable(ref), "stable")]
@@ -266,16 +243,15 @@ def test_reports_with_literals_longer_than_the_table_ones_replay():
     # literals of about 130 characters give certificate literals of over
     # 2000, and the reader must take what the writer writes
     rng = random.Random(31)
-    a, _ = _dense_basis(build("exg").algebra, random.Random(5))
+    a, _ = dense_basis(build("exg").algebra, random.Random(5))
     d = [Fraction(rng.randrange(10**19, 10**20), rng.randrange(10**19, 10**20)) for _ in range(a.dim)]
-    b = _rescaled(a, d, list(range(a.dim)))
-    reload = algebra_from_json(json.loads(dump_json(algebra_to_json(b))))
+    b = presented(a, monomial(d, range(a.dim)))
+    reload = reloaded(b)
     reports = [algebra_centrally_stable(b)] + [element_centrally_stable(random_element(b, rng)) for _ in range(3)]
     vectors = [v for rep in reports for v in _certificate_vectors(rep.certificate)]
     assert max(len(b.field.format(x)) for v in vectors for x in v) > 2000
     for rep in reports:
-        doc = json.loads(dump_json(report_to_json(b, rep, command="x")))
-        assert verify_report_json(reload, doc)
+        assert replays(b, rep, reload, command="x")
 
 
 def test_rescaled_non_associative_table_reports_the_same_triple():
@@ -306,33 +282,22 @@ def test_rescaled_non_associative_table_reports_the_same_triple():
     assert seen >= 20
 
 
-def _count_kernel_calls(monkeypatch):
-    calls = []
-    kernel = algebras_module.kernel_of_rows
-
-    def counted(*args):
-        calls.append(1)
-        return kernel(*args)
-
-    monkeypatch.setattr(algebras_module, "kernel_of_rows", counted)
-    return calls
-
-
 def test_center_is_computed_once_per_algebra(monkeypatch):
     rng = random.Random(29)
-    a = _rescaled(build("upper_triangular", n=3).algebra, _small_scales(rng, 6), rng.sample(range(6), 6))
-    calls = _count_kernel_calls(monkeypatch)
+    d = _small_scales(rng, 6)
+    a = presented(build("upper_triangular", n=3).algebra, monomial(d, rng.sample(range(6), 6)))
+    calls = count(monkeypatch, {"kernels": 0}, [algebras_module], "kernel_of_rows", kernels=1)
     queries = [a.basis_element(i) for i in range(4)] + [random_element(a, rng) for _ in range(4)]
     reports = [element_centrally_stable(x) for x in queries]
-    assert len(calls) == 1
+    assert calls == {"kernels": 1}
     assert center(a) is center(a)
-    assert len(calls) == 1
+    assert calls == {"kernels": 1}
     # an independent reload computes its own center, so replay on it never
     # reuses the one the decision read
     reload = algebra_from_json(algebra_to_json(a))
     for x, rep in zip(queries, reports):
         assert verify_report_json(reload, report_to_json(a, rep, command="element"))
-    assert len(calls) == 2
+    assert calls == {"kernels": 2}
     assert center(reload) is not center(a)
     assert center(reload) == center(a)
 
@@ -351,7 +316,7 @@ def _unity_failure_reference(a, u, indices):
 def test_unity_check_on_the_int_index_finds_the_same_first_failure(scales):
     rng = random.Random(37)
     seen = set()
-    for _, _, b, _, _ in _presentations(scales, 41):
+    for _, _, b, _ in _presentations(scales, 41):
         candidates = [random_element(b, rng).coords, (Q.zero,) * b.dim]
         if b.unity is not None:
             u = list(b.unity)
@@ -388,8 +353,8 @@ def test_tensor_index_is_the_index_of_its_table(scales):
     # tensor product that is N = the lcm of the product denominators, not N_A N_B
     rng = random.Random(17)
     gf = prime_field(101)
-    algebras = [b for _, _, b, _, _ in _presentations(scales, 19)]
-    algebras += [_dense_basis(build(name, field=gf, **params).algebra, rng)[0]
+    algebras = [b for _, _, b, _ in _presentations(scales, 19)]
+    algebras += [dense_basis(build(name, field=gf, **params).algebra, rng)[0]
                  for name, params in (("upper_triangular", {"n": 2}), ("strict_upper", {"n": 3}),
                                       ("truncated_poly", {"k": 4}))]
     algebras.append(build("r11_radical", n=2, k=3, field=gf).algebra)

@@ -1,4 +1,3 @@
-import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -7,7 +6,6 @@ import pytest
 
 from censtab import linalg, stability
 from censtab.algebras import (
-    Algebra,
     _center_cap,
     _commutator_rows,
     _generators,
@@ -25,13 +23,7 @@ from censtab.algebras import (
 )
 from censtab.catalog import build, standard_entries
 from censtab.errors import ConsistencyError, DimensionMismatch, NotAnIdeal
-from censtab.fileformat import (
-    algebra_from_json,
-    algebra_to_json,
-    dump_json,
-    report_to_json,
-    verify_report_json,
-)
+from censtab.fileformat import report_to_json, verify_report_json
 from censtab.linalg import (
     _int_entries,
     _PrimeReducer,
@@ -61,7 +53,17 @@ from censtab.stability import (
     verify_certificate,
 )
 
-from oracle import dense_product
+from oracle import (
+    During,
+    count,
+    count_products,
+    dense_basis,
+    dense_product,
+    non_unital_algebras,
+    random_subalgebra,
+    reloaded,
+    replays,
+)
 
 F = Fraction
 
@@ -288,15 +290,6 @@ def test_decompose_offdiagonal_tensor():
     assert all(dec.checks.values())
 
 
-def replays_in_fresh_tensor(a, n, report):
-    """Whether a report on A (x) M_n replays as the benchmark replays it:
-    through report_to_json and verify_report_json, on A (x) M_n of a fresh
-    reload of a."""
-    doc = json.loads(dump_json(report_to_json(tensor_with_matrices(a, n), report, command="element")))
-    b = algebra_from_json(json.loads(dump_json(algebra_to_json(a))))
-    return verify_report_json(tensor_with_matrices(b, n), doc)
-
-
 def test_decompose_stable_diagonal_implies_stable_tensor_element():
     alg = t3()
     n = 2
@@ -314,20 +307,18 @@ def test_decompose_stable_diagonal_implies_stable_tensor_element():
         assert dec.diagonal_report.verdict == STABLE
         assert dec.full_report is not None
         assert dec.full_report.verdict == STABLE
-        assert replays_in_fresh_tensor(alg, n, dec.full_report)
+        assert replays(T, dec.full_report, tensor_with_matrices(reloaded(alg), n), command="element")
 
 
 @pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
 def test_the_lifted_center_is_the_center_of_the_tensor_algebra(field):
     # full_report records Z(T) as the rows of Z(A) (x) 1, lifted slot by
     # slot and never computed in T: they must be Z(T)'s own RREF rows
-    from test_radical import _dense_basis
-
     rng = random.Random(f"lifted-center:{field}")
     unital = [e.algebra for e in standard_entries(field) if e.algebra.is_unital and e.algebra.dim <= 9]
     seen = 0
     for a in unital:
-        for b in (a, _dense_basis(a, rng)[0]):
+        for b in (a, dense_basis(a, rng)[0]):
             for n in (1, 2, 3):
                 T = tensor_with_matrices(b, n)
                 dec = decompose_tensor_element(b, n, [field.zero] * T.dim)
@@ -377,14 +368,12 @@ def test_commutative_non_semisimple_coefficients_tensor_matrices_are_stable(fiel
     # the main theorem with F_i = F: a product of C_i (x) M_{n_i}, C_i
     # commutative, is centrally stable; C = F[y]/(y^k) is not semisimple.
     # C is taken in its own basis and in a dense one of fixed seed.
-    from test_radical import _dense_basis
-
     rng = random.Random(f"main-theorem:{field}")
     m2 = build("matrix_full", n=2, field=field).algebra
     algebras = []
     for k in (2, 3):
         c = build("truncated_poly", k=k, field=field).algebra
-        for coeffs in (c, _dense_basis(c, rng)[0]):
+        for coeffs in (c, dense_basis(c, rng)[0]):
             algebras.append(tensor_product(coeffs, m2))
             if k == 2:
                 algebras.append(direct_product(algebras[-1], m2))
@@ -392,8 +381,7 @@ def test_commutative_non_semisimple_coefficients_tensor_matrices_are_stable(fiel
         rep = algebra_centrally_stable(b)
         assert rep.verdict == STABLE, b.dim
         assert rep.bases["radical"], b.dim
-        doc = json.loads(dump_json(report_to_json(b, rep, command="stable")))
-        assert verify_report_json(algebra_from_json(json.loads(dump_json(algebra_to_json(b)))), doc)
+        assert replays(b, rep, reloaded(b))
 
 
 def test_decompose_pivot_moves_slot():
@@ -535,8 +523,6 @@ CLOSURE_CASES = [
 
 @pytest.mark.parametrize("field", [Q, prime_field(101)], ids=str)
 def test_the_work_list_closure_inserts_the_rows_of_the_round_closure(field, monkeypatch):
-    from test_radical import _dense_basis
-
     inserted = []  # every row insert returns, in order
     real = _Reducer.insert
 
@@ -565,7 +551,7 @@ def test_the_work_list_closure_inserts_the_rows_of_the_round_closure(field, monk
     keys = {STABLE: set(), NOT_STABLE: set()}
     for name, params in CLOSURE_CASES:
         a = build(name, field=field, **params).algebra
-        for b in (a, _dense_basis(a, rng)[0]):
+        for b in (a, dense_basis(a, rng)[0]):
             _generators(b)  # memoized: its own inserts stay out of the record
             seeds = [list(_commutator_rows(b, _int_entries(random_element(b, rng).coords)))
                      for _ in range(3)]
@@ -590,18 +576,6 @@ def test_the_work_list_closure_inserts_the_rows_of_the_round_closure(field, monk
     assert frozenset({"center", "commutator_ideal_partial"}) in keys[STABLE]
 
 
-def _count_eliminated_entries(monkeypatch):
-    """Count the row entries every elimination reads from here on."""
-    counts = {"entries": 0}
-    for cls in (_RationalReducer, _PrimeReducer):
-        def counted(self, v, c, r, p, real=cls._eliminate):
-            counts["entries"] += len(r)
-            return real(self, v, c, r, p)
-
-        monkeypatch.setattr(cls, "_eliminate", counted)
-    return counts
-
-
 @pytest.mark.parametrize(("name", "params", "bound"), [
     ("upper_triangular", {"n": 6}, 1293),
     ("r11_radical", {"n": 2, "k": 6}, 4155),
@@ -613,7 +587,8 @@ def test_element_decision_elimination_work_bounds(name, params, bound, monkeypat
     center(alg)  # memoized: only the closures and their stop tests are counted
     rng = random.Random(f"eliminate:{name}")
     xs = [random_element(alg, rng) for _ in range(8)]
-    counts = _count_eliminated_entries(monkeypatch)
+    counts = count(monkeypatch, {"entries": 0}, [_RationalReducer, _PrimeReducer], "_eliminate",
+                   entries=lambda self, v, c, r, p: len(r))
     for x in xs:
         element_centrally_stable(x)
     assert counts["entries"] <= bound
@@ -622,26 +597,9 @@ def test_element_decision_elimination_work_bounds(name, params, bound, monkeypat
 def _count_row_gcds(monkeypatch):
     """Count the row gcds taken from here on, in all and inside a residual
     or an insert that returns None."""
-    counts = {"all": 0, "misplaced": 0}
-    row_gcd = linalg._row_gcd
-
-    def counted_gcd(values):
-        counts["all"] += 1
-        return row_gcd(values)
-
-    def watched(real, misplaced):
-        def call(self, vec):
-            before = counts["all"]
-            out = real(self, vec)
-            if misplaced(out):
-                counts["misplaced"] += counts["all"] - before
-            return out
-        return call
-
-    monkeypatch.setattr(linalg, "_row_gcd", counted_gcd)
-    monkeypatch.setattr(_Reducer, "residual", watched(_Reducer.residual, lambda v: True))
-    monkeypatch.setattr(_Reducer, "insert", watched(_Reducer.insert, lambda r: r is None))
-    return counts
+    counts = count(monkeypatch, {"all": 0, "misplaced": 0}, [linalg], "_row_gcd", all=1)
+    count(monkeypatch, counts, [_Reducer], "residual", misplaced=During("all"))
+    return count(monkeypatch, counts, [_Reducer], "insert", misplaced=During("all", lambda r: r is None))
 
 
 @pytest.mark.parametrize(("name", "params", "bound"), [
@@ -837,43 +795,6 @@ def test_tensor_unit_transfer_random_elements():
             )
 
 
-def _random_subalgebra(ambient, rng, max_gens=3):
-    """Multiplicative closure of a random span, with re-derived constants."""
-    from censtab.linalg import Subspace, _make_reducer
-
-    n = ambient.dim
-    red = _make_reducer(ambient.field, n)
-    rows = []
-    for _ in range(rng.randint(1, max_gens)):
-        r = red.insert(random_element(ambient, rng).coords)
-        if r is not None:
-            rows.append(r)
-    changed = True
-    while changed:
-        changed = False
-        cur = [tuple(v.get(k, 0) for k in range(n)) for v in rows]
-        for v in cur:
-            for w in cur:
-                p = dense_product(ambient, v, w)
-                if any(p):
-                    r = red.insert(p)
-                    if r is not None:
-                        rows.append(r)
-                        changed = True
-    sub = Subspace(ambient.field, red)
-    d = sub.dim
-    table = {}
-    for i in range(d):
-        for j in range(d):
-            prod = dense_product(ambient, sub.rows[i], sub.rows[j])
-            coords = express_in_span(ambient.field, sub.rows, prod, ambient.dim)
-            assert coords is not None  # closure is multiplicative
-            pairs = tuple((k, c) for k, c in enumerate(coords) if c)
-            if pairs:
-                table[(i, j)] = pairs
-    return build_algebra(ambient.field, d, table)  # revalidates associativity
-
-
 def _lift_from_a_over_j_exists(alg):
     """Whether Z(A/J) cap R/J != 0 for R = rad, J = Id(Z cap R), computed
     on A or A# with the checked quotient, apart from the engine's lifts."""
@@ -907,10 +828,10 @@ def test_random_subalgebras_are_decided_consistently():
         t2 = build("upper_triangular", n=2, field=field).algebra
         for trial in range(40):
             rng = random.Random(f"subalg:{field.p}:{trial}")
-            sub = _random_subalgebra(ambients[trial % len(ambients)], rng)
+            sub = random_subalgebra(ambients[trial % len(ambients)], rng)
             if sub.dim == 0:
                 continue
-            other = _random_subalgebra(ambients[(trial + 1) % len(ambients)], rng, max_gens=1)
+            other = random_subalgebra(ambients[(trial + 1) % len(ambients)], rng, max_gens=1)
             derived = [sub, opposite(sub)][: 1 + trial % 2]
             if not sub.is_unital:
                 derived.append(unitization(sub))
@@ -940,30 +861,6 @@ def test_random_subalgebras_are_decided_consistently():
     assert set(routes) == {(r, u) for r in ("A/J", "A/rad") for u in (True, False)}
 
 
-def _non_unital_algebras(field, trials):
-    """strict_upper n=2..5, r11_radical n=2 k=3, and random non-unital
-    subalgebras of T_4, M_3, strict_upper 5 and M_2(F[x]/x^3) with products."""
-    out = [build("strict_upper", n=n, field=field).algebra for n in range(2, 6)]
-    out.append(build("r11_radical", n=2, k=3, field=field).algebra)
-    ambients = [
-        build("upper_triangular", n=4, field=field).algebra,
-        build("matrix_full", n=3, field=field).algebra,
-        build("strict_upper", n=5, field=field).algebra,
-        build("matrix_over_commutative", n=2, k=3, field=field).algebra,
-    ]
-    for trial in range(trials):
-        rng = random.Random(f"non-unital:{field.p}:{trial}")
-        sub = _random_subalgebra(ambients[trial % len(ambients)], rng)
-        other = _random_subalgebra(ambients[(trial + 1) % len(ambients)], rng, max_gens=1)
-        if sub.dim and not sub.is_unital:
-            out.append(sub)
-        if trial % 2 == 0 and other.dim and sub.dim + other.dim <= 12:
-            prod = direct_product(sub, other)
-            if not prod.is_unital:
-                out.append(prod)
-    return out
-
-
 @pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
 def test_non_unital_algebras_are_decided_in_a_as_in_the_unitization(field):
     # rad(A#) = rad(A), Z(A#) = F 1 + Z(A) and Id_A#(S) = Id_A(S) for S in A,
@@ -971,7 +868,7 @@ def test_non_unital_algebras_are_decided_in_a_as_in_the_unitization(field):
     from censtab.fileformat import report_to_json, verify_report_json
 
     verdicts = []
-    for a in _non_unital_algebras(field, 100):
+    for a in non_unital_algebras(field, 100):
         uni = unitization(a)
         case = (field.p, a.dim, len(a.table))
         rep, rep_u = algebra_centrally_stable(a), algebra_centrally_stable(uni)
@@ -1087,13 +984,11 @@ def test_the_lifts_computed_in_a_are_those_read_off_the_quotients(field):
     # Z(A/J) cap R/J and Z(A/R) come from the kernel of c -> [sum c_k b_k,
     # e_g] mod I in A's coordinates: the same canonical subspaces as on the
     # built quotients, so every lift, on both routes, keeps its coordinates
-    from test_radical import _dense_basis
-
     rng = random.Random(f"lifts:{field.p}")
     unstable = [e.algebra for e in standard_entries(field) if e.expected.verdict == NOT_STABLE]
     stable = [e.algebra for e in standard_entries(field) if e.expected.verdict == STABLE]
-    algebras = unstable + [_dense_basis(a, rng)[0] for a in unstable if a.dim <= 10]
-    algebras += _non_unital_algebras(field, 20)
+    algebras = unstable + [dense_basis(a, rng)[0] for a in unstable if a.dim <= 10]
+    algebras += non_unital_algebras(field, 20)
     algebras += [direct_product(a, stable[i % len(stable)]) for i, a in enumerate(unstable) if a.dim <= 8]
     # a product of an A/J case and an A/rad case has both lifts
     algebras += [direct_product(a, b) for i, a in enumerate(unstable) for b in unstable[i + 1:]
@@ -1195,12 +1090,6 @@ def test_replay_checks_that_the_report_fits_its_certificate():
     assert not verify_certificate(n2, SR(STABLE, "RadicalCriterion", rep.certificate))
 
 
-def _replays(a, rep):
-    """What the library and the JSON replay each say of rep."""
-    doc = json.loads(dump_json(report_to_json(a, rep, command="stable")))
-    return verify_certificate(a, rep), verify_report_json(a, doc)
-
-
 def test_replay_rejects_an_engine_report_altered_in_one_claim():
     # each report is one the engine wrote, with one claim changed so that it
     # is still well-formed, and each change is caught by its own replay step
@@ -1219,8 +1108,9 @@ def test_replay_rejects_an_engine_report_altered_in_one_claim():
         (p3, match, replace(m, center_cap_radical_rows=m.center_cap_radical_rows[1:])),
     ]
     for a, rep, cert in altered:
-        assert _replays(a, rep) == (True, True)
-        assert _replays(a, replace(rep, certificate=cert)) == (False, False), cert
+        assert verify_certificate(a, rep) and replays(a, rep)
+        bad = replace(rep, certificate=cert)
+        assert not verify_certificate(a, bad) and not replays(a, bad), cert
 
 
 def test_replay_rejects_a_certificate_of_an_unknown_class():
@@ -1248,12 +1138,13 @@ def test_replay_rejects_a_non_central_part_and_an_ideal_part_outside_the_ideal(f
     e = [a.basis_element(i).coords for i in range(a.dim)]
     zero = (field.zero,) * a.dim
     e12_minus_e13 = tuple(field.sub(x, y) for x, y in zip(e[1], e[2]))
-    assert _replays(a, rep) == (True, True)
+    assert verify_certificate(a, rep) and replays(a, rep)
     assert stability._in_commutator_ideal(a.element(e[1]), _int_entries(e12_minus_e13))
     assert not _is_central(a, e[2]) and _is_central(a, zero)
     for cert in (replace(rep.certificate, central_part=e[2], ideal_part=e12_minus_e13),
                  StableElementWitness(e[0], zero, e[0])):
-        assert _replays(a, replace(rep, certificate=cert)) == (False, False), cert
+        bad = replace(rep, certificate=cert)
+        assert not verify_certificate(a, bad) and not replays(a, bad), cert
 
 
 @pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
@@ -1283,15 +1174,13 @@ def test_center_cap_is_the_center_intersected_by_zassenhaus(field):
     # for V = rad, 0, A and a random ideal, on the catalog entries up to
     # dim 16 and their dense presentations, whose int rows have pivot
     # entries other than 1
-    from test_radical import _dense_basis  # test_radical imports this module
-
     rng = random.Random(f"center-cap:{field}")
     seen = 0
     for entry in standard_entries(field):
         a = entry.algebra
         if a.dim > 16:
             continue
-        for b in (a, _dense_basis(a, rng)[0]):
+        for b in (a, dense_basis(a, rng)[0]):
             ideal = ideal_generated(b, [random_element(b, rng)])
             whole = span(field, [b.basis_element(i).coords for i in range(b.dim)], b.dim)
             for v in (radical(b), span(field, [], b.dim), whole, ideal):
@@ -1313,42 +1202,21 @@ def test_a_claimed_center_cap_one_row_off_is_rejected_by_the_old_and_new_check(f
     assert isinstance(m, RadicalMatch) and (cap.dim, rad.dim) == (1, 4)
     extra = next(row for row in rad.rows if not cap.contains(row))
     sub, sup = (), span(field, list(cap.rows) + [extra], a.dim).rows
-    assert _replays(a, rep) == (True, True)
+    assert verify_certificate(a, rep) and replays(a, rep)
     for claim in (sub, sup):
         assert subspace_intersect(center(a), rad).rows != claim
         assert _center_cap(a, rad).rows != claim
         cert = replace(m, center_cap_radical_rows=claim)
-        assert _replays(a, replace(rep, certificate=cert)) == (False, False), claim
-
-
-def _fresh(a):
-    """a written and loaded again, as a replay independent of the decision has it."""
-    return algebra_from_json(json.loads(dump_json(algebra_to_json(a))))
+        bad = replace(rep, certificate=cert)
+        assert not verify_certificate(a, bad) and not replays(a, bad), claim
 
 
 def _count_replay_work(monkeypatch):
     """Count from here on: products through the two basis-product methods,
     commutator rows [x, e_i] read off the index, and reducer inserts."""
-    counts = {"products": 0, "commutator_rows": 0, "inserts": 0}
-    for name in ("_basis_mul_vec", "_vec_mul_basis"):
-        def product(self, x, y, real=getattr(Algebra, name)):
-            counts["products"] += 1
-            return real(self, x, y)
-
-        monkeypatch.setattr(Algebra, name, product)
-
-    def rows(a, v, real=stability._commutator_rows):
-        for w in real(a, v):
-            counts["commutator_rows"] += 1
-            yield w
-
-    def insert(self, vec, real=_Reducer.insert):
-        counts["inserts"] += 1
-        return real(self, vec)
-
-    monkeypatch.setattr(stability, "_commutator_rows", rows)
-    monkeypatch.setattr(_Reducer, "insert", insert)
-    return counts
+    counts = count_products(monkeypatch, {"products": 0, "commutator_rows": 0, "inserts": 0})
+    count(monkeypatch, counts, [stability], "_commutator_rows", commutator_rows=1)
+    return count(monkeypatch, counts, [_Reducer], "insert", inserts=1)
 
 
 def _tensor_report():
@@ -1356,18 +1224,18 @@ def _tensor_report():
     rng = random.Random("replay-work:tensor")
     t = [Q.random_scalar(rng) for _ in range(a.dim * 4)]
     rep = decompose_tensor_element(a, 2, t).full_report
-    return rep, tensor_with_matrices(_fresh(a), 2)
+    return rep, tensor_with_matrices(reloaded(a), 2)
 
 
 def _unstable_report():
     a = build("upper_triangular", n=6).algebra
     rep = element_centrally_stable(random_element(a, random.Random("replay-work:unstable")))
-    return rep, _fresh(a)
+    return rep, reloaded(a)
 
 
 def _radical_report():
     a = build("truncated_poly", k=6).algebra
-    return algebra_centrally_stable(a), _fresh(a)
+    return algebra_centrally_stable(a), reloaded(a)
 
 
 @pytest.mark.parametrize(("make", "kind", "bounds"), [
