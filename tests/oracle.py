@@ -47,13 +47,16 @@ from censtab.stability import random_element
 
 def dense_product(a, x, y):
     """The coordinates of x * y in the algebra a, summed over its exact table
-    a.table (reduced mod p over GF(p)); x and y are coordinate sequences."""
-    p = a.field.p
+    a.table (reduced mod p over GF(p)); x and y are coordinate sequences.
+    The entries (i, j) are looked up over the supports of x and y."""
+    p, table = a.field.p, a.table
+    ys = [(j, w) for j, w in enumerate(y) if w]
     out = [0] * a.dim
-    for (i, j), pairs in a.table.items():
-        if x[i] and y[j]:
-            for k, c in pairs:
-                out[k] += x[i] * y[j] * c
+    for i, v in enumerate(x):
+        if v:
+            for j, w in ys:
+                for k, c in table.get((i, j), ()):
+                    out[k] += v * w * c
     return tuple(Fraction(v) if p is None else v % p for v in out)
 
 
