@@ -12,15 +12,18 @@ for byte.
 `dump_json` writes every file and report.  Its text is, byte for byte,
 `json.dumps(doc, indent=2, sort_keys=True)` plus a newline.  Most scalars in
 a report are zeros: `vector_to_json` writes the field's shared zero object as
-"0" without formatting it, and `vector_from_json` reads the string "0" back
-as that object without parsing it, so replayed rows compare with recomputed
-ones by identity at their zeros.
+"0" without formatting it.  A certificate is read back without a Fraction:
+each vector becomes the int entries and denominator that replay compares
+with the reducers' int rows (`stability.IntVector`), and the string "0" is
+skipped unread.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import fields
+from functools import cache
+from math import lcm
 
 from .algebras import Algebra, _assemble
 from .errors import FileFormatError
@@ -31,6 +34,7 @@ from .stability import (
     METHOD_UNITIZATION,
     NOT_STABLE,
     STABLE,
+    IntVector,
     RadicalMatch,
     StabilityReport,
     StableElementWitness,
@@ -65,6 +69,8 @@ _SCALAR_ERRORS = (ValueError, ZeroDivisionError, RecursionError)
 
 
 def vector_from_json(field, doc, length=None):
+    """The field scalars of a coordinate list, such as an element query's;
+    certificate vectors are read by certificate_from_json."""
     if not isinstance(doc, list):
         raise FileFormatError("coordinate vector must be a list")
     if length is not None and len(doc) != length:
@@ -232,15 +238,18 @@ _CERTIFICATES = {
 }
 
 
+@cache
 def _members(cls):
-    """(attribute, JSON key) per field of a certificate class.
+    """(attribute, JSON key) per field of a certificate class, in order,
+    worked out once per class.
 
     A `*_rows` field is a list of vectors under the key `*_basis`; any
     other field is one vector.
     """
-    for f in fields(cls):
-        key = f.name[: -len("_rows")] + "_basis" if f.name.endswith("_rows") else f.name
-        yield f.name, key
+    return tuple(
+        (f.name, f.name[: -len("_rows")] + "_basis" if f.name.endswith("_rows") else f.name)
+        for f in fields(cls)
+    )
 
 
 def certificate_to_json(field, cert) -> dict:
@@ -257,9 +266,10 @@ def certificate_to_json(field, cert) -> dict:
 
 
 def certificate_from_json(field, doc, dim):
-    """Parse a certificate over an algebra of dimension dim.
+    """Parse a certificate over an algebra of dimension dim, each vector as
+    the IntVector replay reads (see _vector_of_length).
 
-    Every vector must have dim coordinates, checked as it is parsed.
+    Every vector must have dim coordinates, checked once its literals are read.
     """
     if not isinstance(doc, dict):
         raise FileFormatError("certificate must be a JSON object")
@@ -287,15 +297,25 @@ def certificate_from_json(field, doc, dim):
 
 
 def _vector_of_length(field, doc, n, kind, key):
+    """The IntVector of n coordinates that doc lists.  Every literal but the
+    string "0" is read with `FieldSpec.read`, all before the length is
+    checked; over Q the (numerator, denominator) pairs are brought to the
+    lcm of their denominators, over GF(p) the residues are the entries."""
+    if not isinstance(doc, list):
+        raise FileFormatError(f"{kind} member {key!r}: coordinate vector must be a list")
+    read = field.read
     try:
-        v = vector_from_json(field, doc)
-    except FileFormatError as exc:
+        values = [(i, read(x if type(x) is str else str(x))) for i, x in enumerate(doc) if x != "0"]
+    except _SCALAR_ERRORS as exc:
         raise FileFormatError(f"{kind} member {key!r}: {exc}") from None
-    if len(v) != n:
+    if len(doc) != n:
         raise FileFormatError(
-            f"{kind} member {key!r} has a vector of {len(v)} coordinates, expected {n}"
+            f"{kind} member {key!r} has a vector of {len(doc)} coordinates, expected {n}"
         )
-    return v
+    if field.p is not None:
+        return IntVector({i: x for i, x in values if x}, 1, n)
+    m = lcm(*[den for _, (num, den) in values if num])
+    return IntVector({i: num * (m // den) for i, (num, den) in values if num}, m, n)
 
 
 def report_to_json(a: Algebra, report: StabilityReport, *, command: str) -> dict:

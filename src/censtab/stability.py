@@ -21,7 +21,8 @@ algebra layer (see verify_certificate).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
+from math import lcm
 
 from .algebras import (
     Algebra,
@@ -95,6 +96,42 @@ class RadicalMatch:
     center_cap_radical_rows: tuple
 
     kind = "RadicalMatch"
+
+
+class IntVector:
+    """A coordinate vector as replay reads it: `entries`, the ints m v_i at
+    its nonzero coordinates i, the denominator `den` = m and its `length`.
+    Over Q m is the lcm of the coordinates' denominators; over GF(p) the
+    coordinates are ints, m = 1.  `fileformat.certificate_from_json` reads
+    report vectors into this form, and `of` brings a tuple of scalars to it.
+    It equals every vector of the same scalars, so a certificate read back
+    equals the one that was written."""
+
+    __slots__ = ("entries", "den", "length")
+
+    def __init__(self, entries, den, length):
+        self.entries, self.den, self.length = entries, den, length
+
+    @classmethod
+    def of(cls, vec):
+        """vec, a sequence of scalars, as an IntVector; an IntVector as it is."""
+        if isinstance(vec, IntVector):
+            return vec
+        v = {i: x for i, x in enumerate(vec) if x}
+        m = lcm(*[x.denominator for x in v.values()])
+        return cls({i: x.numerator * (m // x.denominator) for i, x in v.items()}, m, len(vec))
+
+    def __eq__(self, other):
+        try:
+            other = IntVector.of(other)
+        except (TypeError, AttributeError):  # not a sequence of scalars
+            return NotImplemented
+        return (self.entries, self.den, self.length) == (other.entries, other.den, other.length)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"IntVector({self.entries!r}, {self.den!r}, {self.length!r})"
 
 
 @dataclass(frozen=True)
@@ -619,11 +656,25 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
     must fit its certificate, which must hold.  A claimed radical is checked
     by radical_failure, as radical() checks its own, not computed again.
 
+    Every claimed vector is read as an IntVector (ints over a denominator
+    m), and replay builds no Fraction.  A claimed row list is compared with
+    the canonical rows of a subspace S without building them
+    (`_is_canonical`): the canonical row of pivot p is R / R[p], R the
+    reducer's stored row there, which is primitive, has a positive pivot
+    and is zero at S's other pivots.  A claimed row c has R / R[p] as value
+    exactly when its ints are R and m = R[p].  If c = R / R[p], then c[p] =
+    1, so m c is primitive (a prime dividing all of m c divides m c[p] = m,
+    and not m c_i for a c_i whose reduced denominator holds its full power
+    in m), with the positive pivot m, and proportional to R: so it is R,
+    and m = R[p].  The converse is c = R / m.  So replay accepts exactly
+    the reports it accepted when it compared the rows as Fractions.
+
     Each check is exact, and each runs through the generating set G =
     `_generators(a)` where a theorem allows it:
-      - a Stable witness x = z + u: z is central when z e_g = e_g z for g
-        in G (`_is_central`), so Z(A) is not built; u lies in Id([x, A]),
-        closed from [x, e_g], g in G, alone (`_in_commutator_ideal`);
+      - a Stable witness x = z + u: z + u = x on the common denominator of
+        the three; z is central when z e_g = e_g z for g in G
+        (`_is_central`), so Z(A) is not built; u lies in Id([x, A]),
+        closed from [x, e_g], g in G, alone (see `_in_commutator_ideal`);
       - an Unstable witness: Id([x, A]) is closed from [x, A] by left
         products alone (`_commutator_ideal`), and compared with the claimed
         rows, as are Z(A) and their sum;
@@ -635,46 +686,92 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
         its dimension (`_central_ideal`): it lies in rad, an ideal.
     Each closure generates the same ideal as a two-sided closure of every
     commutator row, and Z(A) holds exactly the z that pass, so replay
-    accepts exactly the reports it accepted when it checked that way."""
+    accepts exactly the reports it accepted when it checked that way.
+    Scaling x, z or u by m changes none of these spans and memberships.
+    A certificate built in Python holds tuples of scalars: it is read into
+    the same form (`_int_claims`), and a vector of the wrong length makes
+    replay return False."""
     cert = report.certificate
+    if not isinstance(cert, (StableElementWitness, UnstableElementWitness, RadicalMatch)):
+        return False
     if not _claims_fit(a, report.verdict, report.method, cert):
         return False
-    f = a.field
+    claims = _int_claims(cert)
+    n = a.dim
     if isinstance(cert, StableElementWitness):
-        x, z, u = cert.element, cert.central_part, cert.ideal_part
-        if any(len(v) != a.dim for v in (x, z, u)):
+        x, z, u = claims
+        if any(v.length != n for v in claims):
             return False
-        if tuple(f.add(zi, ui) for zi, ui in zip(z, u)) != tuple(x):
+        if not _sums_to(x, z, u, a.field.p):
             return False
-        if not _is_central(a, z):
+        if not _is_central(a, z.entries):
             return False
-        return _in_commutator_ideal(Element(a, tuple(x)), _int_entries(u))
+        return _in_ideal(a, _generator_commutators(a, x.entries), [u.entries])
     if isinstance(cert, UnstableElementWitness):
-        x = cert.element
-        if len(x) != a.dim:
+        x, center_rows, ideal_rows, sum_rows = claims
+        if x.length != n or any(r.length != n for rows in claims[1:] for r in rows):
             return False
         z = center(a)
-        if z.rows != cert.center_rows:
+        if not _is_canonical(z, center_rows):
             return False
-        ideal = _commutator_ideal(a, tuple(x))
-        if ideal.rows != cert.ideal_rows:
+        ideal = _commutator_ideal(a, x.entries)
+        if not _is_canonical(ideal, ideal_rows):
             return False
         total = subspace_sum(z, ideal)
-        if total.rows != cert.sum_rows:
+        if not _is_canonical(total, sum_rows):
             return False
-        return not total.contains(x)
-    if isinstance(cert, RadicalMatch):
-        check_characteristic(a)
-        if any(len(row) != a.dim for row in cert.radical_rows):
+        return bool(total.reducer.residual(x.entries))
+    check_characteristic(a)
+    radical_rows, cap_rows = claims
+    if any(r.length != n for rows in claims for r in rows):
+        return False
+    red = _make_reducer(a.field, n)
+    for row in radical_rows:
+        red.insert(row.entries)
+    rad = Subspace(a.field, red)
+    if not _is_canonical(rad, radical_rows) or radical_failure(a, rad) is not None:
+        return False
+    c = _center_cap(a, rad)
+    if not _is_canonical(c, cap_rows):
+        return False
+    return _central_ideal(a, c, rad).dim == rad.dim
+
+
+def _int_claims(cert):
+    """The members of a certificate in field order, each vector as an
+    IntVector and each *_rows member as a tuple of them."""
+    out = []
+    for f in fields(cert):
+        val = getattr(cert, f.name)
+        out.append(tuple(map(IntVector.of, val)) if f.name.endswith("_rows") else IntVector.of(val))
+    return out
+
+
+def _sums_to(x, z, u, p) -> bool:
+    """Whether z + u = x for IntVectors, compared on the lcm of their
+    denominators, with the sum reduced mod p over GF(p)."""
+    m = lcm(x.den, z.den, u.den)
+    s = {i: c * (m // z.den) for i, c in z.entries.items()}
+    k = m // u.den
+    for i, c in u.entries.items():
+        s[i] = s.get(i, 0) + c * k
+    if p is not None:
+        s = {i: c % p for i, c in s.items()}
+    k = m // x.den
+    return {i: c for i, c in s.items() if c} == {i: c * k for i, c in x.entries.items()}
+
+
+def _is_canonical(s: Subspace, claimed) -> bool:
+    """Whether the IntVectors claimed, in order, have as values the
+    canonical rows of s (see verify_certificate)."""
+    if len(claimed) != s.dim:
+        return False
+    rows = s.reducer.rows
+    for p, c in zip(s.pivots, claimed):
+        row = rows[p]
+        if c.den != row[p] or c.entries != row:
             return False
-        rad = span(f, cert.radical_rows, a.dim)
-        if rad.rows != cert.radical_rows or radical_failure(a, rad) is not None:
-            return False
-        c = _center_cap(a, rad)
-        if c.rows != cert.center_cap_radical_rows:
-            return False
-        return _central_ideal(a, c, rad).dim == rad.dim
-    return False
+    return True
 
 
 def _in_commutator_ideal(x: Element, target) -> bool:
@@ -710,9 +807,10 @@ def _in_ideal(a: Algebra, gens, targets) -> bool:
 
 
 def _commutator_ideal(a: Algebra, coords):
-    """Id([x, A]), closed from the raw commutator rows of x by left products
-    alone: [x, A] + A[x, A] is already two-sided (see _ideal_closure).  The
-    rows go in sparsest first; the closure runs to its fixpoint, whose
-    reduced rows do not depend on the order."""
+    """Id([x, A]) for x given by coords, a sequence or a dict of entries,
+    closed from the raw commutator rows of x by left products alone:
+    [x, A] + A[x, A] is already two-sided (see _ideal_closure).  The rows
+    go in sparsest first; the closure runs to its fixpoint, whose reduced
+    rows do not depend on the order."""
     rows = sorted(_commutator_rows(a, _int_entries(coords)), key=len)
     return Subspace(a.field, _ideal_closure(a, rows, left_only=True))

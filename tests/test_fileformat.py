@@ -40,9 +40,9 @@ from censtab.fileformat import (
 )
 from censtab.radical import radical
 from censtab.scalars import MAX_LITERAL_DIGITS, RATIONALS, FieldSpec, prime_field
-from censtab.stability import algebra_centrally_stable, element_centrally_stable
+from censtab.stability import algebra_centrally_stable, element_centrally_stable, verify_certificate
 
-from oracle import count, monomial, presentation, presented_document, replays
+from oracle import count, dense_basis, monomial, presentation, presented_document, reloaded, replays
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_json.json"
 
@@ -535,9 +535,33 @@ def test_replay_parses_only_the_nonzero_literals(monkeypatch, field):
     nonzero = [x for x in literals if x != "0"]
     assert 0 < len(nonzero) < len(literals)
     t3 = build("upper_triangular", n=3, field=field).algebra
-    calls = _count_calls(monkeypatch, "parse")
+    calls = _count_calls(monkeypatch, "read")  # the certificate reader's one scalar call
     assert verify_report_json(t3, doc)
     assert sorted(calls) == sorted(nonzero)
+
+
+def test_replay_builds_no_fraction(monkeypatch):
+    # certificate vectors are read into int entries over a denominator and
+    # compared with the reducers' int rows; in a dense presentation the rows
+    # have fractions, so denominators other than 1 are read too
+    rng = random.Random("replay-builds-no-fraction")
+    cases = []
+    for name, params, x in (("upper_triangular", {"n": 3}, (2, 5, 0, 0, 0, 3)),
+                            ("matrix_full", {"n": 2}, (3, -2, 5, 7)),
+                            ("truncated_poly", {"k": 3}, None)):
+        a = dense_basis(build(name, **params).algebra, rng)[0]
+        rep = algebra_centrally_stable(a) if x is None else element_centrally_stable(a.element(x))
+        doc = json.loads(dump_json(report_to_json(a, rep, command="stable")))
+        b = reloaded(a)
+        center(b)
+        cases.append((b, rep, doc))
+    assert [rep.certificate.kind for _, rep, _ in cases] == [
+        "UnstableElementWitness", "StableElementWitness", "RadicalMatch"]
+    assert any("/" in x for _, _, doc in cases for vec in doc["certificate"].values() for x in vec)
+    built = count(monkeypatch, {"fractions": 0}, [Fraction], "__new__", fractions=1)
+    for b, rep, doc in cases:
+        assert verify_report_json(b, doc) and verify_certificate(b, rep)
+    assert built == {"fractions": 0}
 
 
 @pytest.mark.parametrize("field", [RATIONALS, prime_field(101)], ids=repr)

@@ -1,5 +1,5 @@
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -929,6 +929,35 @@ def test_verify_refuses_element_certificates_of_the_wrong_length():
     ]
     for rep, cert in cases:
         assert verify_certificate(alg, StabilityReport(rep.verdict, rep.method, cert)) is False
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
+def test_verify_refuses_a_certificate_of_any_kind_with_one_vector_of_the_wrong_length(field):
+    # one vector of the certificate, a member or one of its rows, is cut
+    # short or given a zero more: the int entries stay those of the right
+    # vector, and only its length tells them apart
+    t3 = build("upper_triangular", n=3, field=field).algebra
+    p3 = build("truncated_poly", k=3, field=field).algebra
+    reports = [(t3, element_centrally_stable(t3.basis_element(1))),
+               (t3, element_centrally_stable(t3.element((2, 5, 0, 0, 0, 3)))),
+               (p3, algebra_centrally_stable(p3))]
+    assert [rep.certificate.kind for _, rep in reports] == [
+        "StableElementWitness", "UnstableElementWitness", "RadicalMatch"]
+    seen = set()
+    for a, rep in reports:
+        cert = rep.certificate
+        assert verify_certificate(a, rep)
+        for member in fields(cert):
+            val = getattr(cert, member.name)
+            rows = member.name.endswith("_rows")
+            for k in range(len(val)) if rows else (None,):
+                v = val[k] if rows else val
+                for wrong in (v[:-1], v + (field.zero,)):
+                    new = val[:k] + (wrong,) + val[k + 1:] if rows else wrong
+                    bad = replace(rep, certificate=replace(cert, **{member.name: new}))
+                    assert verify_certificate(a, bad) is False, (member.name, k, len(wrong))
+                    seen.add((cert.kind, member.name))
+    assert len(seen) == 9
 
 
 def test_a_lift_that_tests_stable_is_a_consistency_error(monkeypatch):
