@@ -62,7 +62,7 @@ class Algebra:
         self.unity = unity
         self._scale = scale
         self._rows = rows
-        self._memo = {}  # cached results: table, generators, center, left traces, and see stability
+        self._memo = {}  # cached results: table, generators, center, left traces
 
     @property
     def table(self):
@@ -381,17 +381,11 @@ def _validated(a: Algebra) -> Algebra:
     return a
 
 
-def _assemble(field, dim, entries, labels=None) -> Algebra:
-    """The algebra of `_index` entries, validated (`_validated`)."""
-    n, rows = _index(field, dim, entries)
-    return _validated(Algebra(field, dim, n, rows, labels, None, _trusted=True))
-
-
 def build_algebra(field: FieldSpec, dim: int, table, labels=None) -> Algebra:
     """Validate a table {(i, j): [(k, scalar), ...]} and wrap it as an Algebra.
 
     Scalars are coerced into the field first, then the index is built
-    (`_index`: index ranges, repeated k, zeros) and checked (`_assemble`).
+    (`_index`: index ranges, repeated k, zeros) and checked (`_validated`).
     """
     if dim < 0:
         raise DimensionMismatch("dimension must be non-negative")
@@ -402,12 +396,13 @@ def build_algebra(field: FieldSpec, dim: int, table, labels=None) -> Algebra:
     coerce = field.coerce
     entries = [(i, j, [(k, coerce(c).as_integer_ratio()) for k, c in pairs])
                for (i, j), pairs in table.items()]
-    return _assemble(field, dim, entries, labels)
+    return _validated(_derived(field, dim, entries, labels))
 
 
 def _derived(field, dim, entries, labels=None, unity=None) -> Algebra:
-    """Internal constructor for algebras associative by construction, from
-    `_index` entries, unchecked."""
+    """Internal constructor for algebras from `_index` entries, unchecked:
+    for those associative by construction, and under `_validated` for a
+    table from outside."""
     if labels is not None:
         labels = tuple(labels)
     n, rows = _index(field, dim, entries)
@@ -627,9 +622,14 @@ def _commutator_rows(a: Algebra, v):
 def _generator_commutators(a: Algebra, v):
     """N times [v, e_g] for each g in `_generators(a)`, increasing, as dicts
     of the entries the two products reach (an entry may cancel to 0); v is
-    a dict of coordinates.  These generate Id([v, A]) (see
-    `_in_commutator_ideal` in stability) and vanish exactly when v is
-    central (`_is_central`)."""
+    a dict of coordinates.  They vanish exactly when v is central
+    (`_is_central`), and they generate Id([v, A]).
+
+    Let I be the ideal they generate.  By the Leibniz rule [v, xy] =
+    [v, x]y + x[v, y], [v, xy] lies in I once [v, x] and [v, y] do; so by
+    induction on length [v, w] lies in I for every word w in the e_g, and
+    these words span A.  So [v, A] lies in I, which lies in Id([v, A]).
+    """
     for g in _generators(a):
         w = a._vec_mul_basis(v, g) or {}
         for k, c in (a._basis_mul_vec(g, v) or {}).items():

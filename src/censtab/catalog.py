@@ -7,7 +7,7 @@ entry twice with equal parameters yields identical tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import (
@@ -21,7 +21,6 @@ from .algebras import (
     unitization,
 )
 from .errors import BadParams
-from .linalg import span
 from .scalars import RATIONALS, FieldSpec
 from .stability import NOT_STABLE, STABLE
 
@@ -41,7 +40,6 @@ class CatalogEntry:
     algebra: Algebra
     expected: Expected
     description: str
-    extras: dict = dc_field(default_factory=dict)
 
 
 def _require(cond, msg):
@@ -211,14 +209,6 @@ def _ema(poly=(-2, 0, 1)) -> CatalogEntry:
         + ["(2,2)"]
     )
     alg = build_algebra(RATIONALS, dim, table, labels)
-    maximal_ideal = span(
-        RATIONALS,
-        [
-            tuple(Fraction(1) if i == d + j else Fraction(0) for i in range(dim))
-            for j in range(d + 1)
-        ],
-        dim,
-    )
     return CatalogEntry(
         "ema",
         {"poly": coeffs},
@@ -231,7 +221,6 @@ def _ema(poly=(-2, 0, 1)) -> CatalogEntry:
             " bigger field K",
         ),
         f"triangular 2x2 matrices with diagonal (K, Q) for K = Q[y]/(deg-{d} poly)",
-        extras={"maximal_ideal": maximal_ideal},
     )
 
 

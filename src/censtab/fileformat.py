@@ -25,7 +25,7 @@ from dataclasses import fields
 from functools import cache
 from math import lcm
 
-from .algebras import Algebra, _assemble
+from .algebras import Algebra, _derived, _validated
 from .errors import FileFormatError
 from .scalars import RATIONALS, FieldSpec, prime_field
 from .stability import (
@@ -111,7 +111,7 @@ def algebra_from_json(doc) -> Algebra:
     members, field, dim and labels; then the table's JSON structure and its
     literals, entry by entry in file order, in one walk that reads each
     literal into its value once; then index ranges (`_index`), then
-    associativity, then the unity (`_assemble`).
+    associativity, then the unity (`_validated`).
     """
     if not isinstance(doc, dict):
         raise FileFormatError("algebra document must be a JSON object")
@@ -160,7 +160,7 @@ def algebra_from_json(doc) -> Algebra:
                 raise FileFormatError(str(exc)) from None
             parsed.append((k, value if rational else (value, 1)))
         entries.append((i, j, parsed))
-    return _assemble(field, dim, entries, labels)
+    return _validated(_derived(field, dim, entries, labels))
 
 
 _encode_str = json.encoder.encode_basestring_ascii

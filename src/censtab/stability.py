@@ -391,16 +391,8 @@ def quotient_center_oracle(a: Algebra, ideal) -> OracleResult:
 
 
 def tensor_with_matrices(a: Algebra, n: int) -> Algebra:
-    """A (x) M_n(F) with the documented basis order (cached per algebra).
-
-    The cache lives on a itself, so it holds the same object for as long as
-    a exists and is freed with a.
-    """
-    key = ("tensor_with_matrices", n)
-    t = a._memo.get(key)
-    if t is None:
-        t = a._memo.setdefault(key, matrix_algebra(a, n))
-    return t
+    """A (x) M_n(F) with the documented basis order, built afresh."""
+    return matrix_algebra(a, n)
 
 
 @dataclass(frozen=True)
@@ -528,7 +520,7 @@ def _in_tensor_commutator_ideal(a: Algebra, n: int, x, targets) -> bool:
     S_rr - S_ss = (S_rr - S_mm) - (S_ss - S_mm) and [S_rr, e] =
     [S_mm, e] + [S_rr - S_mm, e]; m is the slot with the sparsest block.
     [S_mm, A] is replaced by [S_mm, e_g], g in `_generators(a)`, which
-    generate the same ideal of A (see _in_commutator_ideal), so I_x is
+    generate the same ideal of A (see _generator_commutators), so I_x is
     unchanged.  A target lies in M_n(I_x) exactly when each of its n*n
     entries lies in I_x.
     """
@@ -674,7 +666,7 @@ def verify_certificate(a: Algebra, report: StabilityReport) -> bool:
       - a Stable witness x = z + u: z + u = x on the common denominator of
         the three; z is central when z e_g = e_g z for g in G
         (`_is_central`), so Z(A) is not built; u lies in Id([x, A]),
-        closed from [x, e_g], g in G, alone (see `_in_commutator_ideal`);
+        closed from [x, e_g], g in G, alone (see `_generator_commutators`);
       - an Unstable witness: Id([x, A]) is closed from [x, A] by left
         products alone (`_commutator_ideal`), and compared with the claimed
         rows, as are Z(A) and their sum;
@@ -772,20 +764,6 @@ def _is_canonical(s: Subspace, claimed) -> bool:
         if c.den != row[p] or c.entries != row:
             return False
     return True
-
-
-def _in_commutator_ideal(x: Element, target) -> bool:
-    """Whether target, a dict of int entries, lies in Id([x, A]), decided
-    by the two-sided closure of [x, e_g], g in G = `_generators(a)`, alone.
-
-    These generate Id([x, A]).  Let I be the ideal they generate.  By the
-    Leibniz rule [x, vw] = [x, v]w + v[x, w], [x, vw] lies in I once
-    [x, v] and [x, w] do; so by induction on length [x, w] lies in I for
-    every word w in the e_g, and these words span A.  So [x, A] lies in I,
-    which lies in Id([x, A]).
-    """
-    a = x.algebra
-    return _in_ideal(a, _generator_commutators(a, _int_entries(x.coords)), [target])
 
 
 def _in_ideal(a: Algebra, gens, targets) -> bool:

@@ -5,7 +5,11 @@ another (`test_imports.py`).
 The matrix helpers multiply honest n x n Fraction matrices entry by entry,
 and `dense_product` sums an algebra's exact table term by term, so their
 results are independent of the int index under test; `dense_ideal` closes a
-two-sided ideal under every e_i with them.  `presented` writes an algebra
+two-sided ideal under every e_i with them.  `in_commutator_ideal` decides
+membership in Id([x, A]) by a closure in the algebra of x itself, the
+reference for the tensor memberships the engine decides in A.
+`ema_maximal_ideal` is the ideal of `ema` whose quotient is the bigger
+field.  `presented` writes an algebra
 in another basis and `carried` maps rows back to the old one.  `count`
 wraps the engine's functions to count their calls.  `reloaded` and
 `replays` go through the file format as an independent reader does.
@@ -25,6 +29,7 @@ from censtab.algebras import (
     Algebra,
     _check_associativity,
     _find_unity,
+    _generator_commutators,
     _index,
     _unity_failure,
     build_algebra,
@@ -40,9 +45,9 @@ from censtab.fileformat import (
     report_to_json,
     verify_report_json,
 )
-from censtab.linalg import Subspace, _make_reducer, express_in_span, span
+from censtab.linalg import Subspace, _int_entries, _make_reducer, express_in_span, span
 from censtab.scalars import RATIONALS
-from censtab.stability import random_element
+from censtab.stability import _in_ideal, random_element
 
 
 def dense_product(a, x, y):
@@ -80,6 +85,21 @@ def dense_ideal(a, gens):
                 if red.insert(w) is not None:
                     work.append(w)
     return Subspace(a.field, red)
+
+
+def in_commutator_ideal(x, target):
+    """Whether target, a dict of int entries, lies in Id([x, A]), decided
+    by the two-sided closure of [x, e_g], g in G = `_generators(a)`, alone
+    (these generate Id([x, A]); see `_generator_commutators`)."""
+    a = x.algebra
+    return _in_ideal(a, _generator_commutators(a, _int_entries(x.coords)), [target])
+
+
+def ema_maximal_ideal(a):
+    """The maximal ideal of the catalog's `ema` algebra a, with quotient the
+    field K: the beta corner and the lambda slot, e_d, ..., e_2d."""
+    f, n = a.field, a.dim
+    return span(f, [tuple(f.one if i == k else f.zero for i in range(n)) for k in range(n // 2, n)], n)
 
 
 # -- changes of basis ----------------------------------------------------------

@@ -37,7 +37,7 @@ from censtab.stability import (
     tensor_with_matrices,
     verify_certificate,
 )
-from oracle import dense_product, reloaded, replays, strip_timings
+from oracle import dense_product, ema_maximal_ideal, reloaded, replays, strip_timings
 
 F = Fraction
 
@@ -139,7 +139,7 @@ def test_criterion_4_oracle_consistency():
                 sub = algebra_centrally_stable(res.map.target)
                 assert sub.verdict == STABLE, f"{entry_key(entry)} sample {idx}"
         ema = build("ema")
-        res = quotient_center_oracle(ema.algebra, ema.extras["maximal_ideal"])
+        res = quotient_center_oracle(ema.algebra, ema_maximal_ideal(ema.algebra))
         assert not res.equal
         assert res.quotient_center.dim == 2
         assert res.center_image.dim == 1

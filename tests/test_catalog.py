@@ -4,7 +4,7 @@ from censtab.catalog import build, dimension, names, standard_entries
 from censtab.errors import BadParams
 from censtab.fileformat import algebra_to_json, dump_json
 from censtab.scalars import prime_field
-from oracle import revalidate
+from oracle import ema_maximal_ideal, revalidate
 
 
 def test_names_cover_the_roster():
@@ -101,7 +101,7 @@ def test_gf_variants():
 
 def test_ema_extras_maximal_ideal():
     e = build("ema")
-    m = e.extras["maximal_ideal"]
+    m = ema_maximal_ideal(e.algebra)
     assert m.dim == 3  # beta corner (dim 2) plus the lambda slot
     # it is an ideal: quotient must succeed
     from censtab.algebras import quotient

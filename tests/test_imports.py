@@ -1,4 +1,5 @@
-"""No module imports a name it never uses, and no test module another.
+"""No module imports a name it never uses, no test module another, and no
+private function of the package outlives its last caller.
 
 Each module of the package (its `__init__.py` re-exports, so it is left out)
 and each test module is parsed with `ast`.  A name an import binds counts as
@@ -6,7 +7,9 @@ used when it is read anywhere in the module, as a plain name or as the root
 of an attribute chain.  Deleting library code must take its imports along.
 Test modules share helpers through `tests/oracle.py` (and the line tracer
 `tests/linetrace.py`), never through one another, so that a helper has one
-copy and the modules no import cycle.
+copy and the modules no import cycle.  A private module-level function or
+class of the package that no code of the package names is dead: tests alone
+do not keep it, since what a test needs of it belongs in `tests/oracle.py`.
 """
 
 import ast
@@ -70,3 +73,43 @@ def test_no_test_module_imports_another():
         if name in names
     ]
     assert len(names) > 20 and shared == []
+
+
+def _orphans(sources):
+    """(module, line, name) for each private module-level function or class
+    of sources, {module: source}, that no code in them names: as a plain
+    name, an attribute or an imported name.  A docstring does not count."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return [
+        (module, node.lineno, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in named
+    ]
+
+
+def test_the_check_finds_a_private_function_nothing_calls():
+    sources = {
+        "a": "def _used():\n    pass\ndef _orphan():\n    \"_orphan is only named here\"\n"
+             "class _Held:\n    pass\ndef _imported():\n    pass\ndef public():\n    pass\n",
+        "b": "from a import _imported\nimport a\nx = _used(a._Held)\n",
+    }
+    assert _orphans(sources) == [("a", 3, "_orphan")]
+
+
+def test_no_private_function_of_the_package_is_left_without_a_caller():
+    package = sorted((ROOT / "src" / "censtab").glob("*.py"))
+    assert len(package) > 5
+    orphans = _orphans({path.name: path.read_text(encoding="utf-8") for path in package})
+    assert orphans == []
