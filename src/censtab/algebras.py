@@ -284,20 +284,22 @@ def _associator_defect(a: Algebra, i, j, inv_j):
     Only the k reached through nonzero entries are visited.  Both sides are
     read from the index, so both are N^2 times the true ones.
     """
-    p = a.field.p
+    p, n = a.field.p, a.dim
     rows = a._rows
     row_i = rows[i]
-    diff = {}  # (k, q) -> coordinate q of (e_i e_j) e_k - e_i (e_j e_k)
+    diff = {}  # k n + q -> coordinate q of (e_i e_j) e_k - e_i (e_j e_k)
     for m, c in row_i.get(j, ()):
         for k, pairs in rows[m].items():
+            kn = k * n
             for q, d in pairs:
-                diff[k, q] = diff.get((k, q), 0) + c * d
+                diff[kn + q] = diff.get(kn + q, 0) + c * d
     for m, kcs in inv_j.items():
         if pairs := row_i.get(m):
             for k, c in kcs:
+                kn = k * n
                 for q, d in pairs:
-                    diff[k, q] = diff.get((k, q), 0) - c * d
-    return [k for (k, _), x in diff.items() if (x if p is None else x % p)]
+                    diff[kn + q] = diff.get(kn + q, 0) - c * d
+    return [kq // n for kq, x in diff.items() if (x if p is None else x % p)]
 
 
 def _first_failing_triple(a: Algebra) -> None:
@@ -332,19 +334,56 @@ def _find_unity(a: Algebra):
     Nothing is solved when some e_k is the target of no table entry: A^2 is
     spanned by the products e_i e_j, so it lies in the span of the other
     basis vectors and misses e_k, while a unital a has A^2 = A (x = 1 x).
+
+    u e_g = e_g for g in G reads sum_i u_i N c_ig^k = N [g == k], one
+    equation per (g, k).  One with a single unknown u_x pins it:
+    u_x = N [g == k] / (N c_xg^k).  When a unity exists it is the only
+    solution, so the pins are its coordinates, and two that disagree leave
+    none.  The coordinates no equation pins are solved by `express_in_span`
+    over their columns alone, the pinned part moved into the target; when
+    every coordinate is pinned, nothing is solved.
     """
     dim = a.dim
-    if dim == 0 or len({k for row in a._rows for pairs in row.values() for k, _ in pairs}) < dim:
+    rows = a._rows
+    if dim == 0 or len({k for row in rows for pairs in row.values() for k, _ in pairs}) < dim:
         return None
     gens = _generators(a)
-    # u e_g = e_g for g in G reads sum_i u_i N c_ig^k = N [g == k]: generator
-    # i is e_i's index entries at the e_g, flattened over (g, k), the target
-    # N at every (g, g)
-    cols = [{g * dim + k: c for g in gens for k, c in row.get(g, ())} for row in a._rows]
-    u = express_in_span(a.field, cols, {g * dim + g: a._scale for g in gens}, dim * dim)
-    if u is None:
-        return None
-    return tuple(u) if _unity_failure(a, u) is None else None
+    field, n, p = a.field, a._scale, a.field.p
+    eqs = {}  # g * dim + k -> (x, N c_xg^k) for its one unknown u_x, None for several
+    for i, row in enumerate(rows):
+        for g in gens:
+            for k, c in row.get(g, ()):
+                key = g * dim + k
+                eqs[key] = None if key in eqs else (i, c)
+    u = [None] * dim
+    for key, pin in eqs.items():
+        if pin is not None:
+            x, c = pin
+            g, k = divmod(key, dim)
+            v = 0 if g != k else Fraction(n, c) if p is None else pow(c, -1, p)
+            if u[x] is None:
+                u[x] = v
+            elif u[x] != v:
+                return None
+    free = [i for i, v in enumerate(u) if v is None]
+    if free:
+        # generator j is u_free[j]'s index entries at the e_g, flattened
+        # over (g, k); the target is N at every (g, g) less the pinned part
+        cols = [{g * dim + k: c for g in gens for k, c in row.get(g, ())} for row in rows]
+        target = {g * dim + g: n for g in gens}
+        for x, v in enumerate(u):
+            if v:
+                for key, c in cols[x].items():
+                    t = target.get(key, 0) - v * c
+                    target[key] = t if p is None else t % p
+        s = express_in_span(field, [cols[i] for i in free], target, dim * dim)
+        if s is None:
+            return None
+        for i, v in zip(free, s):
+            u[i] = v
+    zero = field.zero
+    u = tuple([v or zero for v in u])
+    return u if _unity_failure(a, u) is None else None
 
 
 def _unity_failure(a: Algebra, u):
@@ -423,7 +462,9 @@ def _generators(a: Algebra):
     the words in the generators so far.  A candidate outside S is admitted
     (its insert returns a row), and S is then closed under left
     multiplication by the generators so far; a span that holds the
-    generators and is closed so holds every word in them.  S ends as a.
+    generators and is closed so holds every word in them.  A word v is
+    multiplied only by the generators whose index row meets its support,
+    since e_h v is zero for any other h.  S ends as a.
     The closure stops as soon as S is a, since no later candidate can be
     admitted then: G is the one a closure run out would give, as a closed
     span does not depend on the order of its products.  Nothing here
@@ -433,9 +474,9 @@ def _generators(a: Algebra):
     """
     g = a._memo.get("generators")
     if g is None:
-        n = a.dim
+        n, rows = a.dim, a._rows
         hits = [0] * n
-        for row in a._rows:
+        for row in rows:
             for pairs in row.values():
                 for k, _ in pairs:
                     hits[k] += 1
@@ -449,13 +490,14 @@ def _generators(a: Algebra):
             if r is None:
                 continue
             gens.append(c)
-            todo = [(c, v) for v in words] + [(h, r) for h in gens]
+            todo = [(c, v) for v in words if not rows[c].keys().isdisjoint(v)]
+            todo += [(h, r) for h in gens if not rows[h].keys().isdisjoint(r)]
             words.append(r)
             while todo and len(words) < n:
                 h, v = todo.pop()
                 w = a._basis_mul_vec(h, v)
                 if w is not None and (r := red.insert(w)) is not None:
-                    todo.extend((k, r) for k in gens)
+                    todo.extend((k, r) for k in gens if not rows[k].keys().isdisjoint(r))
                     words.append(r)
         g = a._memo["generators"] = tuple(sorted(gens))
     return g

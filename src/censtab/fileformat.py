@@ -110,8 +110,8 @@ def algebra_from_json(doc) -> Algebra:
     The checks run in this order, and the first failure is raised: the
     members, field, dim and labels; then the table's JSON structure and its
     literals, entry by entry in file order, in one walk that reads each
-    literal into its value once; then index ranges (`_index`), then
-    associativity, then the unity (`_validated`).
+    distinct literal string into its value once; then index ranges
+    (`_index`), then associativity, then the unity (`_validated`).
     """
     if not isinstance(doc, dict):
         raise FileFormatError("algebra document must be a JSON object")
@@ -137,6 +137,10 @@ def algebra_from_json(doc) -> Algebra:
     if not isinstance(doc["table"], list):
         raise FileFormatError("table must be a list of [i, j, pairs] entries")
     read, rational = field.read, field.p is None
+    # literal string -> its value as `_index` takes it; numbers and bools are
+    # read each time, since a key of the raw value would let true hit the
+    # entry of 1 (True == 1, with the same hash)
+    values = {}
     seen, entries = set(), []
     for entry in doc["table"]:
         if not (isinstance(entry, list) and len(entry) == 3):
@@ -154,11 +158,18 @@ def algebra_from_json(doc) -> Algebra:
             if not (isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int):
                 raise FileFormatError(f"bad product pair {pair!r} in entry ({i}, {j})")
             k, c = pair
-            try:
-                value = read(c if type(c) is str else str(c))
-            except _SCALAR_ERRORS as exc:
-                raise FileFormatError(str(exc)) from None
-            parsed.append((k, value if rational else (value, 1)))
+            text = c if type(c) is str else None
+            value = values.get(text)
+            if value is None:
+                try:
+                    value = read(str(c))
+                except _SCALAR_ERRORS as exc:
+                    raise FileFormatError(str(exc)) from None
+                if not rational:
+                    value = value, 1
+                if text is not None:
+                    values[text] = value
+            parsed.append((k, value))
         entries.append((i, j, parsed))
     return _validated(_derived(field, dim, entries, labels))
 

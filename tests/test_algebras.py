@@ -30,6 +30,7 @@ from censtab.errors import (
     NotAnIdeal,
     NotAssociative,
 )
+from censtab.fileformat import algebra_from_json, field_to_json
 from censtab.linalg import span, subspace_sum
 from censtab.scalars import RATIONALS as Q, prime_field
 
@@ -37,6 +38,7 @@ from oracle import (
     alg_from_family,
     commutator_m,
     count,
+    dense_basis,
     dense_commutator,
     dense_product,
     full_family,
@@ -186,28 +188,59 @@ def _dense_two_sided_unity(a):
     return tuple(eqs[r][n] for r in range(n))
 
 
-def test_unity_matches_dense_two_sided_solve():
+def test_unity_matches_dense_two_sided_solve(monkeypatch):
+    # the catalog tables pin every coordinate of the unity; their dense
+    # presentations leave some to the residual solve
+    algebras = importlib.import_module("censtab.algebras")
+    solves = count(monkeypatch, {"solves": 0}, [algebras], "express_in_span", solves=1)
+    rng = random.Random("unity-dense-two-sided")
     for field in (Q, prime_field(101)):
         for entry in standard_entries(field):
             a = entry.algebra
             rebuilt = build_algebra(field, a.dim, a.table)
             assert rebuilt.unity == _dense_two_sided_unity(a), entry.description
+        assert solves == {"solves": 0}
+        for entry in standard_entries(field):
+            if entry.algebra.dim <= 9:
+                b = dense_basis(entry.algebra, rng)[0]
+                assert b.unity == _dense_two_sided_unity(b), entry.description
+        assert solves["solves"] > 0
+        solves["solves"] = 0
 
 
 def test_unity_solve_uses_only_the_left_equations(monkeypatch):
-    # M_4: one express_in_span call whose generator i is the left-unity row of
-    # e_i on the generating set, its products e_i e_g flattened over (g, k):
-    # 16 generators, one entry per nonzero product; the 2n - 1 = 7 generators
-    # e_g each meet 4 e_i, 28 entries in all (every e_j would need 64, both
-    # sides 128)
+    # the equations u e_g = e_g, g in the generating set, one per (g, k):
+    # in M_4's catalog basis each has one unknown, so every coordinate is
+    # pinned and nothing is solved; in a dense basis the coordinates left
+    # over go to one express_in_span call over their columns, at most the
+    # 16 unknowns, each flattened over (g, k) into 16 * 16 columns
     algebras = importlib.import_module("censtab.algebras")
     m4 = build("matrix_full", n=4).algebra
     counts = count(monkeypatch, {"solves": []}, [algebras], "express_in_span",
-                   solves=lambda field, gens, target, width: [(len(gens), sum(map(len, gens)), width)])
+                   solves=lambda field, gens, target, width: [(len(gens), width)])
     rebuilt = build_algebra(Q, m4.dim, m4.table)
     assert rebuilt.unity == m4.unity
     assert len(_generators(m4)) == 7
-    assert counts == {"solves": [(16, 28, 16 * 16)]}
+    assert counts == {"solves": []}
+    dense = dense_basis(m4, random.Random("unity-dense-m4"))[0]
+    assert dense.unity == _dense_two_sided_unity(dense)
+    assert len(counts["solves"]) <= 1
+    assert all(gens <= 16 and width == 16 * 16 for gens, width in counts["solves"])
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])
+def test_conflicting_unity_pins_leave_no_unity_and_solve_nothing(field, monkeypatch):
+    # associative with A^2 = A; G = (0, 1), and u e_0 = e_0 pins u_0 = 1 at
+    # (g, k) = (0, 0) while u e_1 = e_1 pins u_0 = 0 at (1, 2)
+    doc = {"field": field_to_json(field), "dim": 3,
+           "table": [[0, 0, [[0, "1"]]], [0, 1, [[2, "1"]]], [0, 2, [[2, "1"]]],
+                     [1, 0, [[1, "1"]]], [2, 0, [[2, "1"]]]]}
+    calls = count(monkeypatch, {"solves": 0}, [importlib.import_module("censtab.algebras")],
+                  "express_in_span", solves=1)
+    a = algebra_from_json(doc)
+    assert _generators(a) == (0, 1)
+    assert a.unity is None
+    assert calls == {"solves": 0}
 
 
 @pytest.mark.parametrize("field", [Q, prime_field(101)], ids=["Q", "GF101"])

@@ -120,19 +120,25 @@ def test_a_fresh_load_builds_the_generating_set_once_for_load_and_decision(name,
 
 @pytest.mark.parametrize(
     "name, params, pairs, products",
-    [("matrix_full", {"n": 8}, 120, 944), ("upper_triangular", {"n": 8}, 64, 433),
-     ("strict_upper", {"n": 9}, 28, 231), ("r11_radical", {"n": 3, "k": 4}, 54, 208),
+    [("matrix_full", {"n": 8}, 120, 118), ("upper_triangular", {"n": 8}, 64, 56),
+     ("strict_upper", {"n": 9}, 28, 28), ("r11_radical", {"n": 3, "k": 4}, 54, 46),
      ("truncated_poly", {"k": 24}, 47, 23)],
     ids=["matrix_full-8", "upper_triangular-8", "strict_upper-9", "r11_radical-3-4", "truncated_poly-24"],
 )
 def test_load_work_is_bounded_on_catalog_bases(name, params, pairs, products, monkeypatch):
     # the (x, g) pairs the check visits, and the products the generator
-    # closure makes: only the x that reach g, and no product once G spans a
+    # closure makes: only the x that reach g, no product of a generator
+    # whose row misses the word's support, and none once G spans a; the
+    # unity is read off equations with one unknown each, with no solve
     b = build(name, field=Q, **params).algebra
     a = derived_from_table(Q, b.dim, b.table)
-    seen = count(monkeypatch, {"pairs": 0, "products": 0}, [algebras], "_associator_defect", pairs=1)
+    seen = count(monkeypatch, {"pairs": 0, "products": 0, "solves": 0}, [algebras],
+                 "_associator_defect", pairs=1)
     count(monkeypatch, seen, [Algebra], "_basis_mul_vec", products=1)
+    count(monkeypatch, seen, [algebras], "express_in_span", solves=1)
     algebras._generators(a)
     assert seen["products"] <= products
     algebras._check_associativity(a)
     assert seen["pairs"] <= pairs
+    assert algebras._find_unity(a) == b.unity
+    assert seen["solves"] == 0

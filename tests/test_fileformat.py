@@ -30,6 +30,7 @@ from censtab.fileformat import (
     certificate_to_json,
     dump_json,
     field_from_json,
+    field_to_json,
     load_algebra,
     report_to_json,
     rows_to_json,
@@ -538,6 +539,41 @@ def test_replay_parses_only_the_nonzero_literals(monkeypatch, field):
     calls = _count_calls(monkeypatch, "read")  # the certificate reader's one scalar call
     assert verify_report_json(t3, doc)
     assert sorted(calls) == sorted(nonzero)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(101)], ids=repr)
+def test_a_load_reads_each_literal_string_once(monkeypatch, field):
+    # a string literal is read once per document, whatever its repeats; a
+    # JSON number is read each time it occurs, and a reload reads again
+    doc = _presented(build("upper_triangular", n=4, field=field).algebra, random.Random(40))
+    text = json.dumps(doc)
+    ints = [pair for _, _, pairs in doc["table"] for pair in pairs if "/" not in pair[1]]
+    for pair in ints[::2]:
+        pair[1] = int(pair[1])
+    literals = [c for _, _, pairs in doc["table"] for _, c in pairs]
+    strings = [c for c in literals if type(c) is str]
+    numbers = [str(c) for c in literals if type(c) is not str]
+    assert numbers and len(set(strings)) < len(strings)
+    calls = _count_calls(monkeypatch, "read")
+    a = algebra_from_json(doc)
+    assert sorted(calls) == sorted([*set(strings), *numbers])
+    algebra_from_json(doc)
+    assert sorted(calls) == sorted(2 * [*set(strings), *numbers])
+    monkeypatch.undo()
+    assert presentation(a) == presentation(algebra_from_json(json.loads(text)))
+
+
+@pytest.mark.parametrize("one", ["1", 1], ids=["string", "number"])
+@pytest.mark.parametrize("field", [RATIONALS, prime_field(101)], ids=repr)
+def test_a_bool_literal_shares_no_reading_with_an_equal_number(field, one):
+    # True == 1 with the same hash, so a reading kept under the raw value
+    # would let true take the value of an earlier 1
+    doc = {"field": field_to_json(field), "dim": 2,
+           "table": [[0, 0, [[0, one]]], [1, 1, [[1, True]]]]}
+    with pytest.raises(FileFormatError) as exc:
+        algebra_from_json(doc)
+    kind = "rational" if field.p is None else f"GF({field.p})"
+    assert str(exc.value) == f"bad {kind} literal 'True'"
 
 
 def test_replay_builds_no_fraction(monkeypatch):
